@@ -227,18 +227,21 @@ void IngestServer::AcceptLoop() {
         }
       };
       drain_available();
+      // Count before replying: a peer that has read the rejection must
+      // find it in stats().
+      connections_shed_->Increment();
       StreamOutcome outcome;
       outcome.status = Status::ResourceExhausted(
           "IngestServer: connection limit (" +
           std::to_string(options_.max_connections) + ") reached");
       SendReply(*accepted, outcome, 0, 0);
       drain_available();
-      connections_shed_->Increment();
       continue;
     }
+    // Likewise before the reader can send this connection's final reply.
+    connections_accepted_->Increment();
     connection->reader = std::thread(
         [this, connection] { ServeConnection(*connection); });
-    connections_accepted_->Increment();
   }
 }
 

@@ -5,9 +5,16 @@
 #include <string>
 
 #include "core/bits.h"
+#include "core/encoding.h"
 #include "protocols/wire.h"
 
 namespace ldpm {
+
+InpEmProtocol::InpEmProtocol(const ProtocolConfig& config,
+                             RandomizedResponse per_bit_rr)
+    : MarginalProtocol(config), per_bit_rr_(per_bit_rr) {
+  if (UsesHistogram()) histogram_.assign(size_t{1} << config.d, 0);
+}
 
 StatusOr<std::unique_ptr<InpEmProtocol>> InpEmProtocol::Create(
     const ProtocolConfig& config) {
@@ -41,7 +48,7 @@ Status InpEmProtocol::Absorb(const Report& report) {
   if (config_.d < 64 && report.value >= (uint64_t{1} << config_.d)) {
     return Status::InvalidArgument("InpEM::Absorb: response outside domain");
   }
-  reports_.push_back(report.value);
+  Record(report.value);
   NoteAbsorbed(report);
   return Status::OK();
 }
@@ -50,6 +57,7 @@ Status InpEmProtocol::Absorb(const Report& report) {
 // vector's geometric growth (a bare reserve(size + n) per batch would pin
 // capacity to the exact size and turn repeated batches quadratic).
 void InpEmProtocol::ReserveLog(size_t additional) {
+  if (UsesHistogram()) return;
   const size_t needed = reports_.size() + additional;
   if (needed <= reports_.capacity()) return;
   reports_.reserve(std::max(needed, reports_.capacity() * 2));
@@ -81,7 +89,7 @@ Status InpEmProtocol::AbsorbWireBatch(const uint8_t* data, size_t size) {
           " bytes, expected " + std::to_string(payload_bytes));
       break;
     }
-    reports_.push_back(LoadWireWord(record, record_size) & value_mask);
+    Record(LoadWireWord(record, record_size) & value_mask);
     ++absorbed;
   }
   if (error.ok()) error = reader.status();
@@ -97,16 +105,21 @@ StatusOr<EmDecodeResult> InpEmProtocol::Decode(uint64_t beta) const {
   if (k < 1 || k > 20) {
     return Status::InvalidArgument("InpEM: marginal order must be in [1, 20]");
   }
-  if (reports_.empty()) {
+  if (reports_absorbed() == 0) {
     return Status::FailedPrecondition("InpEM: no reports absorbed");
   }
 
   const uint64_t cells = uint64_t{1} << k;
 
   // Observed counts over the 2^k response combinations for beta's bits.
+  // The counts are integers below 2^53, so the double sums are exact and
+  // both paths give the same counts.
   std::vector<double> observed(cells, 0.0);
+  for (uint64_t y = 0; y < histogram_.size(); ++y) {
+    observed[ExtractBits(y, beta)] += static_cast<double>(histogram_[y]);
+  }
   for (uint64_t r : reports_) observed[ExtractBits(r, beta)] += 1.0;
-  const double n = static_cast<double>(reports_.size());
+  const double n = static_cast<double>(reports_absorbed());
   for (double& o : observed) o /= n;
 
   // Channel likelihoods Q(y|z) depend only on the Hamming distance between
@@ -163,6 +176,7 @@ StatusOr<MarginalTable> InpEmProtocol::EstimateMarginal(uint64_t beta) const {
 }
 
 void InpEmProtocol::Reset() {
+  std::fill(histogram_.begin(), histogram_.end(), 0);
   reports_.clear();
   ResetBookkeeping();
 }
@@ -173,33 +187,74 @@ Status InpEmProtocol::MergeFrom(const MarginalProtocol& other) {
   if (peer == nullptr) {
     return Status::InvalidArgument("InpEM::MergeFrom: type mismatch");
   }
-  // The report log is append-only; decoding histograms the log, so the
-  // concatenation order is immaterial.
+  // Decoding depends only on the projected counts, so neither adding
+  // histogram cells nor the order of the concatenated logs changes it.
+  for (size_t y = 0; y < histogram_.size(); ++y) {
+    histogram_[y] += peer->histogram_[y];
+  }
   reports_.insert(reports_.end(), peer->reports_.begin(),
                   peer->reports_.end());
   MergeBookkeeping(*peer);
   return Status::OK();
 }
 
-// Layout: counts = the packed perturbed d-bit responses, in arrival order.
+// Layout for d <= kMaxHistogramDimensions: reals = the response histogram,
+// 2^d exact integer counts indexed by the packed perturbed response; counts
+// is empty. Above it: counts = the packed perturbed d-bit responses, in
+// arrival order; reals is empty. LoadState also accepts the log layout for
+// d <= kMaxHistogramDimensions (snapshots written before the histogram) and
+// converts it.
 void InpEmProtocol::SaveState(AggregatorSnapshot& snapshot) const {
+  snapshot.reals.assign(histogram_.begin(), histogram_.end());
   snapshot.counts = reports_;
 }
 
 Status InpEmProtocol::LoadState(const AggregatorSnapshot& snapshot) {
-  if (!snapshot.reals.empty() ||
-      snapshot.counts.size() != snapshot.reports_absorbed) {
+  const bool has_histogram = !snapshot.reals.empty();
+  if (has_histogram &&
+      (!UsesHistogram() || !snapshot.counts.empty() ||
+       snapshot.reals.size() != histogram_.size())) {
     return Status::InvalidArgument("InpEM::Restore: malformed snapshot");
   }
-  const uint64_t domain_bound =
-      config_.d < 64 ? (uint64_t{1} << config_.d) : ~uint64_t{0};
-  for (uint64_t r : snapshot.counts) {
-    if (config_.d < 64 && r >= domain_bound) {
+  std::vector<uint64_t> histogram(histogram_.size(), 0);
+  if (!has_histogram) {
+    if (snapshot.counts.size() != snapshot.reports_absorbed) {
+      return Status::InvalidArgument("InpEM::Restore: malformed snapshot");
+    }
+    for (uint64_t r : snapshot.counts) {
+      if (r >= (uint64_t{1} << config_.d)) {
+        return Status::InvalidArgument(
+            "InpEM::Restore: logged response outside domain");
+      }
+    }
+    if (!UsesHistogram()) {
+      reports_ = snapshot.counts;
+      return Status::OK();
+    }
+    for (uint64_t r : snapshot.counts) ++histogram[r];
+  } else {
+    // Every cell must be an exact count: an integer in [0, 2^53].
+    constexpr double kMaxExactCount = 9007199254740992.0;
+    uint64_t total = 0;
+    for (size_t y = 0; y < histogram.size(); ++y) {
+      const double cell = snapshot.reals[y];
+      if (!(cell >= 0.0 && cell <= kMaxExactCount) ||
+          cell != std::floor(cell)) {
+        return Status::InvalidArgument(
+            "InpEM::Restore: histogram cell is not an exact count");
+      }
+      histogram[y] = static_cast<uint64_t>(cell);
+      if (!CheckedAdd(total, histogram[y], &total)) {
+        return Status::InvalidArgument(
+            "InpEM::Restore: histogram total overflows");
+      }
+    }
+    if (total != snapshot.reports_absorbed) {
       return Status::InvalidArgument(
-          "InpEM::Restore: logged response outside domain");
+          "InpEM::Restore: histogram does not sum to reports_absorbed");
     }
   }
-  reports_ = snapshot.counts;
+  histogram_ = std::move(histogram);
   return Status::OK();
 }
 

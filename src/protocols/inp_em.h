@@ -8,7 +8,11 @@
 //
 // Aggregator: to decode a target marginal beta, the reports are projected
 // onto beta's attributes, giving observed counts n_y over the 2^k response
-// combinations. Starting from the uniform guess, EM alternates
+// combinations. EM depends on the reports only through these counts, so for
+// d <= kMaxHistogramDimensions the aggregator keeps the 2^d response
+// histogram (a sufficient statistic: O(2^d) memory, merge and projection);
+// above that it keeps the O(N) report log. Starting from the uniform guess,
+// EM alternates
 //
 //   E: q(z|y) ∝ mu(z) * Q(y|z)     (Q = the known per-bit RR channel)
 //   M: mu(z) <- sum_y (n_y / N) q(z|y)
@@ -41,12 +45,17 @@ struct EmDecodeResult {
   /// True when EM converged on the very first iteration and therefore
   /// returned the uniform prior — the paper's failure criterion.
   bool failed_to_leave_prior = false;
-  /// Final L1 change between successive guesses.
+  /// Largest move of any one cell between the last two guesses (the
+  /// L-infinity norm of their difference).
   double final_change = 0.0;
 };
 
 class InpEmProtocol final : public MarginalProtocol {
  public:
+  /// Largest d at which the aggregator keeps the 2^d response histogram
+  /// (512 KB at d = 16); above it the aggregator keeps the report log.
+  static constexpr int kMaxHistogramDimensions = 16;
+
   static StatusOr<std::unique_ptr<InpEmProtocol>> Create(
       const ProtocolConfig& config);
 
@@ -55,12 +64,12 @@ class InpEmProtocol final : public MarginalProtocol {
   Report Encode(uint64_t user_value, Rng& rng) const override;
   Status Absorb(const Report& report) override;
 
-  /// Batch ingest: reserves the report log once and appends without
-  /// virtual dispatch.
+  /// Batch ingest without virtual dispatch; the log path reserves the log
+  /// once.
   Status AbsorbBatch(const Report* reports, size_t count) override;
 
   /// Zero-copy wire ingest: each record is the packed d-bit response,
-  /// appended to the report log without materializing Report objects.
+  /// recorded without materializing Report objects.
   Status AbsorbWireBatch(const uint8_t* data, size_t size) override;
 
   StatusOr<MarginalTable> EstimateMarginal(uint64_t beta) const override;
@@ -82,15 +91,29 @@ class InpEmProtocol final : public MarginalProtocol {
   Status LoadState(const AggregatorSnapshot& snapshot) override;
 
  private:
-  InpEmProtocol(const ProtocolConfig& config, RandomizedResponse per_bit_rr)
-      : MarginalProtocol(config), per_bit_rr_(per_bit_rr) {}
+  InpEmProtocol(const ProtocolConfig& config, RandomizedResponse per_bit_rr);
+
+  bool UsesHistogram() const {
+    return config_.d <= kMaxHistogramDimensions;
+  }
+
+  /// Records one in-domain response in the histogram or the log.
+  void Record(uint64_t response) {
+    if (UsesHistogram()) {
+      ++histogram_[response];
+    } else {
+      reports_.push_back(response);
+    }
+  }
 
   /// Reserves room for `additional` log entries without breaking the
-  /// vector's amortized geometric growth.
+  /// vector's amortized geometric growth; a no-op on the histogram path.
   void ReserveLog(size_t additional);
 
   RandomizedResponse per_bit_rr_;
-  std::vector<uint64_t> reports_;  // packed perturbed d-bit responses
+  // Exactly one of the two holds the reports, chosen by UsesHistogram().
+  std::vector<uint64_t> histogram_;  // count per packed perturbed response
+  std::vector<uint64_t> reports_;    // packed perturbed responses, in order
 };
 
 }  // namespace ldpm

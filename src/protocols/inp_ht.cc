@@ -109,24 +109,28 @@ Status InpHtProtocol::AbsorbWireBatch(const uint8_t* data, size_t size) {
   return error;
 }
 
+double InpHtProtocol::UnbiasedCoefficient(size_t index) const {
+  double raw_mean = 0.0;
+  if (config_.estimator == EstimatorKind::kRatio) {
+    raw_mean = counts_[index] > 0
+                   ? sign_sums_[index] / static_cast<double>(counts_[index])
+                   : 0.0;
+  } else {
+    const double expected_per_coeff =
+        static_cast<double>(reports_absorbed()) /
+        static_cast<double>(alphas_.size());
+    raw_mean = sign_sums_[index] / expected_per_coeff;
+  }
+  return rr_.UnbiasSignMean(raw_mean);
+}
+
 StatusOr<FourierCoefficients> InpHtProtocol::EstimateCoefficients() const {
-  const uint64_t n = reports_absorbed();
-  if (n == 0) {
+  if (reports_absorbed() == 0) {
     return Status::FailedPrecondition("InpHT: no reports absorbed");
   }
   FourierCoefficients fc(config_.d);
-  const double expected_per_coeff =
-      static_cast<double>(n) / static_cast<double>(alphas_.size());
   for (size_t i = 0; i < alphas_.size(); ++i) {
-    double raw_mean = 0.0;
-    if (config_.estimator == EstimatorKind::kRatio) {
-      raw_mean = counts_[i] > 0
-                     ? sign_sums_[i] / static_cast<double>(counts_[i])
-                     : 0.0;
-    } else {
-      raw_mean = sign_sums_[i] / expected_per_coeff;
-    }
-    fc.Set(alphas_[i], rr_.UnbiasSignMean(raw_mean));
+    fc.Set(alphas_[i], UnbiasedCoefficient(i));
   }
   return fc;
 }
@@ -140,9 +144,17 @@ StatusOr<MarginalTable> InpHtProtocol::EstimateMarginal(uint64_t beta) const {
         "InpHT: query order exceeds configured k = " +
         std::to_string(config_.k));
   }
-  auto fc = EstimateCoefficients();
-  if (!fc.ok()) return fc.status();
-  auto m = fc->ReconstructMarginal(beta);
+  if (reports_absorbed() == 0) {
+    return Status::FailedPrecondition("InpHT: no reports absorbed");
+  }
+  // Lemma 3.7 reads only the coefficients alpha ⪯ beta: unbias those
+  // 2^|beta| - 1 instead of all of T. Every nonzero alpha ⪯ beta has
+  // |alpha| <= k, so it is in T.
+  FourierCoefficients fc(config_.d);
+  ForEachSubset(beta, [&](uint64_t alpha) {
+    if (alpha != 0) fc.Set(alpha, UnbiasedCoefficient(AlphaIndexOf(alpha)));
+  });
+  auto m = fc.ReconstructMarginal(beta);
   if (!m.ok()) return m.status();
   return PostProcess(*std::move(m));
 }

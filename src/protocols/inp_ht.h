@@ -76,6 +76,10 @@ class InpHtProtocol final : public MarginalProtocol {
   /// CombinationRank — pure rank arithmetic, no hash lookup.
   size_t AlphaIndexOf(uint64_t alpha) const;
 
+  /// Unbiased estimate of the coefficient at dense index `index` of T
+  /// (Algorithm 2). Precondition: at least one report absorbed.
+  double UnbiasedCoefficient(size_t index) const;
+
   RandomizedResponse rr_;
   std::vector<uint64_t> alphas_;    // T, grouped by popcount
   std::vector<uint64_t> rank_offsets_;  // index of the first popcount-r mask

@@ -1,9 +1,16 @@
 #include "protocols/inp_em.h"
 
+#include <algorithm>
 #include <cmath>
+#include <filesystem>
+#include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "core/bits.h"
+#include "engine/checkpoint.h"
+#include "engine/collector.h"
 #include "test_util.h"
 
 namespace ldpm {
@@ -15,6 +22,304 @@ ProtocolConfig Config(int d, int k, double eps) {
   c.k = k;
   c.epsilon = eps;
   return c;
+}
+
+std::unique_ptr<InpEmProtocol> MustCreate(const ProtocolConfig& config) {
+  auto p = InpEmProtocol::Create(config);
+  EXPECT_TRUE(p.ok()) << p.status().ToString();
+  return *std::move(p);
+}
+
+// The decoder as it ran on a plain report log: project every logged
+// response onto beta, then the EM loop of InpEmProtocol::Decode.
+EmDecodeResult ReferenceDecode(const InpEmProtocol& protocol,
+                               const std::vector<uint64_t>& log,
+                               uint64_t beta) {
+  const ProtocolConfig& config = protocol.config();
+  const int k = Popcount(beta);
+  const uint64_t cells = uint64_t{1} << k;
+  std::vector<double> observed(cells, 0.0);
+  for (uint64_t r : log) observed[ExtractBits(r, beta)] += 1.0;
+  const double n = static_cast<double>(log.size());
+  for (double& o : observed) o /= n;
+
+  const double p = protocol.per_bit_mechanism().keep_probability();
+  std::vector<double> q_by_distance(k + 1);
+  for (int h = 0; h <= k; ++h) {
+    q_by_distance[h] = std::pow(1.0 - p, h) * std::pow(p, k - h);
+  }
+  EmDecodeResult result{MarginalTable::Uniform(config.d, beta)};
+  std::vector<double> mu(result.estimate.values());
+  std::vector<double> next(cells, 0.0);
+  for (int iter = 1; iter <= config.em_max_iterations; ++iter) {
+    std::fill(next.begin(), next.end(), 0.0);
+    for (uint64_t y = 0; y < cells; ++y) {
+      if (observed[y] == 0.0) continue;
+      double denom = 0.0;
+      for (uint64_t z = 0; z < cells; ++z) {
+        denom += mu[z] * q_by_distance[Popcount(y ^ z)];
+      }
+      if (denom <= 0.0) continue;
+      const double w = observed[y] / denom;
+      for (uint64_t z = 0; z < cells; ++z) {
+        next[z] += w * mu[z] * q_by_distance[Popcount(y ^ z)];
+      }
+    }
+    double change = 0.0;
+    for (uint64_t z = 0; z < cells; ++z) {
+      change = std::max(change, std::fabs(next[z] - mu[z]));
+    }
+    mu = next;
+    result.iterations = iter;
+    result.final_change = change;
+    if (change < config.em_convergence_threshold) {
+      result.failed_to_leave_prior = (iter == 1);
+      break;
+    }
+  }
+  result.estimate.values() = mu;
+  return result;
+}
+
+// Encodes `n` users of the skewed population; returns the report log.
+std::vector<uint64_t> EncodeLog(const InpEmProtocol& protocol, size_t n,
+                                uint64_t seed) {
+  const int d = protocol.config().d;
+  Rng rng(seed + 1);
+  std::vector<uint64_t> log;
+  log.reserve(n);
+  for (uint64_t row : test::SkewedRows(d, n, seed)) {
+    log.push_back(protocol.Encode(row, rng).value);
+  }
+  return log;
+}
+
+void AbsorbLog(InpEmProtocol& protocol, const std::vector<uint64_t>& log) {
+  for (uint64_t r : log) {
+    Report report;
+    report.value = r;
+    report.bits = static_cast<double>(protocol.config().d);
+    ASSERT_TRUE(protocol.Absorb(report).ok());
+  }
+}
+
+// Decode must equal the reference decoder on `log` bit for bit, for every
+// selector of order 1..k.
+void ExpectDecodesLikeLog(const InpEmProtocol& protocol,
+                          const std::vector<uint64_t>& log) {
+  const ProtocolConfig& config = protocol.config();
+  int iterated = 0;
+  for (uint64_t beta : test::AllQueries(config.d, config.k)) {
+    auto decoded = protocol.Decode(beta);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    const EmDecodeResult expected = ReferenceDecode(protocol, log, beta);
+    ASSERT_EQ(decoded->iterations, expected.iterations) << "beta=" << beta;
+    ASSERT_EQ(decoded->final_change, expected.final_change) << "beta=" << beta;
+    ASSERT_EQ(decoded->failed_to_leave_prior, expected.failed_to_leave_prior);
+    ASSERT_EQ(decoded->estimate.values(), expected.estimate.values())
+        << "beta=" << beta;
+    iterated += expected.iterations > 1 ? 1 : 0;
+  }
+  // Guard the test's own strength: EM really iterates here.
+  EXPECT_GT(iterated, 0);
+}
+
+// The histogram path (d <= 16) and the log path (d = 20) against the
+// log-projecting reference, directly and after merging two halves.
+TEST(InpEm, DecodeMatchesReportLogReferenceBitForBit) {
+  struct Case {
+    int d;
+    int k;
+    double eps;
+  };
+  for (const Case& c : {Case{4, 4, 2.0}, Case{8, 3, 4.0}, Case{16, 2, 8.0},
+                        Case{20, 2, 10.0}}) {
+    SCOPED_TRACE("d=" + std::to_string(c.d));
+    const ProtocolConfig config = Config(c.d, c.k, c.eps);
+    auto whole = MustCreate(config);
+    const std::vector<uint64_t> log = EncodeLog(*whole, 20000, 180 + c.d);
+    AbsorbLog(*whole, log);
+    ExpectDecodesLikeLog(*whole, log);
+
+    auto left = MustCreate(config);
+    auto right = MustCreate(config);
+    const size_t half = log.size() / 2;
+    AbsorbLog(*left, std::vector<uint64_t>(log.begin(), log.begin() + half));
+    AbsorbLog(*right, std::vector<uint64_t>(log.begin() + half, log.end()));
+    ASSERT_TRUE(left->MergeFrom(*right).ok());
+    EXPECT_EQ(left->reports_absorbed(), log.size());
+    ExpectDecodesLikeLog(*left, log);
+  }
+}
+
+TEST(InpEm, HistogramCutoffPicksTheStateLayout) {
+  auto at_cutoff = MustCreate(
+      Config(InpEmProtocol::kMaxHistogramDimensions, 2, 1.0));
+  AbsorbLog(*at_cutoff, EncodeLog(*at_cutoff, 100, 190));
+  const AggregatorSnapshot histogram = at_cutoff->Snapshot();
+  EXPECT_EQ(histogram.reals.size(),
+            size_t{1} << InpEmProtocol::kMaxHistogramDimensions);
+  EXPECT_TRUE(histogram.counts.empty());
+
+  auto above = MustCreate(
+      Config(InpEmProtocol::kMaxHistogramDimensions + 1, 2, 1.0));
+  const std::vector<uint64_t> log = EncodeLog(*above, 100, 191);
+  AbsorbLog(*above, log);
+  const AggregatorSnapshot logged = above->Snapshot();
+  EXPECT_TRUE(logged.reals.empty());
+  EXPECT_EQ(logged.counts, log);
+
+  // The log path takes no histogram.
+  auto restored = MustCreate(above->config());
+  AggregatorSnapshot wrong = logged;
+  wrong.reals.assign(8, 0.0);
+  EXPECT_FALSE(restored->Restore(wrong).ok());
+  ASSERT_TRUE(restored->Restore(logged).ok());
+  ExpectDecodesLikeLog(*restored, log);
+}
+
+// A snapshot in the layout written before the histogram: the report log in
+// `counts`, `reals` empty.
+AggregatorSnapshot LogSnapshot(const InpEmProtocol& protocol,
+                               const std::vector<uint64_t>& log) {
+  AggregatorSnapshot snapshot = protocol.Snapshot();
+  snapshot.reports_absorbed = log.size();
+  snapshot.total_report_bits =
+      static_cast<double>(log.size()) * protocol.config().d;
+  snapshot.reals.clear();
+  snapshot.counts = log;
+  return snapshot;
+}
+
+TEST(InpEm, RestoresLogLayoutSnapshot) {
+  const ProtocolConfig config = Config(8, 2, 4.0);
+  auto live = MustCreate(config);
+  const std::vector<uint64_t> log = EncodeLog(*live, 20000, 192);
+  AbsorbLog(*live, log);
+
+  auto restored = MustCreate(config);
+  ASSERT_TRUE(restored->Restore(LogSnapshot(*restored, log)).ok());
+  EXPECT_EQ(restored->reports_absorbed(), log.size());
+  EXPECT_EQ(restored->total_report_bits(), live->total_report_bits());
+  ExpectDecodesLikeLog(*restored, log);
+  // It is now the same histogram the live aggregator keeps.
+  EXPECT_EQ(restored->Snapshot().reals, live->Snapshot().reals);
+
+  // An empty log restores as an empty aggregator.
+  auto empty = MustCreate(config);
+  ASSERT_TRUE(empty->Restore(LogSnapshot(*empty, {})).ok());
+  EXPECT_EQ(empty->reports_absorbed(), 0u);
+}
+
+TEST(InpEm, RestoresLogLayoutSnapshotFromCollectorCheckpoint) {
+  const ProtocolConfig config = Config(8, 2, 4.0);
+  auto encoder = MustCreate(config);
+  const std::vector<uint64_t> log = EncodeLog(*encoder, 20000, 193);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "ldpm_inp_em_log.ckpt")
+          .string();
+  ASSERT_TRUE(engine::WriteCollectorCheckpoint(
+                  path, {{"em", {LogSnapshot(*encoder, log)}}})
+                  .ok());
+
+  auto collector = engine::Collector::Create({});
+  ASSERT_TRUE(collector.ok());
+  auto handle = (*collector)->Register("em", ProtocolKind::kInpEM, config);
+  ASSERT_TRUE(handle.ok());
+  const Status restored = (*collector)->RestoreFrom(path);
+  std::filesystem::remove(path);
+  ASSERT_TRUE(restored.ok()) << restored.ToString();
+  auto merged = handle->aggregator().Merged();
+  ASSERT_TRUE(merged.ok());
+  const auto* em = dynamic_cast<const InpEmProtocol*>(*merged);
+  ASSERT_NE(em, nullptr);
+  EXPECT_EQ(em->reports_absorbed(), log.size());
+  ExpectDecodesLikeLog(*em, log);
+}
+
+TEST(InpEm, RejectsMalformedSnapshotsAndKeepsState) {
+  const ProtocolConfig config = Config(8, 2, 1.0);
+  auto source = MustCreate(config);
+  const std::vector<uint64_t> log = EncodeLog(*source, 5000, 194);
+  AbsorbLog(*source, log);
+  const AggregatorSnapshot good = source->Snapshot();
+  ASSERT_GT(good.reals[0], 0.0);
+
+  auto target = MustCreate(config);
+  AbsorbLog(*target, EncodeLog(*target, 700, 195));
+  const AggregatorSnapshot before = target->Snapshot();
+  auto expect_rejected = [&](const AggregatorSnapshot& bad,
+                             const std::string& what) {
+    EXPECT_FALSE(target->Restore(bad).ok()) << what;
+    const AggregatorSnapshot after = target->Snapshot();
+    EXPECT_EQ(after.reports_absorbed, before.reports_absorbed) << what;
+    EXPECT_EQ(after.reals, before.reals) << what;
+    EXPECT_TRUE(after.counts.empty()) << what;
+  };
+
+  AggregatorSnapshot bad = good;
+  bad.reals.pop_back();
+  expect_rejected(bad, "short histogram");
+  bad = good;
+  bad.reals.push_back(0.0);
+  expect_rejected(bad, "long histogram");
+
+  // Each cell defect below keeps the total equal to reports_absorbed, so
+  // only the per-cell check can catch it.
+  bad = good;
+  bad.reals[1] += bad.reals[0] + 1.0;
+  bad.reals[0] = -1.0;
+  expect_rejected(bad, "negative cell");
+  bad = good;
+  bad.reals[0] = std::numeric_limits<double>::quiet_NaN();
+  expect_rejected(bad, "NaN cell");
+  bad = good;
+  bad.reals[0] += 0.5;  // truncates back to the true count
+  expect_rejected(bad, "fractional cell");
+  bad = good;
+  bad.reals[0] = std::numeric_limits<double>::infinity();
+  expect_rejected(bad, "infinite cell");
+  constexpr double kTwo53 = 9007199254740992.0;
+  bad = good;
+  bad.reports_absorbed += static_cast<uint64_t>(kTwo53) + 2 -
+                          static_cast<uint64_t>(bad.reals[0]);
+  bad.reals[0] = kTwo53 + 2.0;
+  expect_rejected(bad, "cell above 2^53");
+
+  bad = good;
+  bad.reports_absorbed += 1;
+  expect_rejected(bad, "cells do not sum to reports_absorbed");
+  bad = good;
+  bad.counts = log;
+  expect_rejected(bad, "both arrays non-empty");
+
+  // The old log layout is validated as before.
+  bad = LogSnapshot(*target, log);
+  bad.counts.pop_back();
+  expect_rejected(bad, "log shorter than reports_absorbed");
+  bad = LogSnapshot(*target, log);
+  bad.counts[0] = 256;
+  expect_rejected(bad, "logged response outside domain");
+
+  // A cell of exactly 2^53 is still an exact count.
+  AggregatorSnapshot edge = good;
+  edge.reports_absorbed += static_cast<uint64_t>(kTwo53) -
+                           static_cast<uint64_t>(edge.reals[0]);
+  edge.reals[0] = kTwo53;
+  EXPECT_TRUE(target->Restore(edge).ok());
+}
+
+TEST(InpEm, RejectsHistogramWhoseTotalWrapsUint64) {
+  // 2^16 cells of 2^53 sum to 2^69, which wraps to 0 in uint64: only a
+  // checked sum tells it from an empty histogram.
+  const ProtocolConfig config =
+      Config(InpEmProtocol::kMaxHistogramDimensions, 2, 1.0);
+  auto target = MustCreate(config);
+  AggregatorSnapshot bad = target->Snapshot();
+  std::fill(bad.reals.begin(), bad.reals.end(), 9007199254740992.0);
+  bad.reports_absorbed = 0;
+  EXPECT_FALSE(target->Restore(bad).ok());
+  EXPECT_EQ(target->reports_absorbed(), 0u);
 }
 
 TEST(InpEm, PerBitBudgetIsEpsilonOverD) {
