@@ -12,7 +12,12 @@
 //     (columnar overrides, validation hoisted, integer scratch);
 //   * wire      — AbsorbWireBatch() over the same wire batch frames
 //     (zero-copy: records parsed in place, no Report materialization; for
-//     InpRR the packed bitmaps are absorbed with carry-save word ops).
+//     InpRR the packed bitmaps are summed by a Harley–Seal carry-save tree
+//     into vertical bit-plane counters).
+//
+// All four aggregators must end in bitwise-identical state; the bench
+// checks their snapshots and aborts otherwise, so an optimized build whose
+// kernels diverge fails here.
 //
 // The acceptance comparison for the batched pipeline is wire vs parse —
 // both start from identical wire bytes; parse is what a pre-PR collector
@@ -34,7 +39,9 @@
 // is unchanged from PR 1 and measured in the last section.
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -53,6 +60,21 @@ using ldpm::ProtocolConfig;
 using ldpm::ProtocolKind;
 using ldpm::Report;
 using ldpm::Rng;
+
+/// Bitwise equality of two aggregators' accumulated state.
+bool SameState(const ldpm::MarginalProtocol& a,
+               const ldpm::MarginalProtocol& b) {
+  const ldpm::AggregatorSnapshot x = a.Snapshot();
+  const ldpm::AggregatorSnapshot y = b.Snapshot();
+  const auto same_bits = [](double u, double v) {
+    return std::bit_cast<uint64_t>(u) == std::bit_cast<uint64_t>(v);
+  };
+  return x.reports_absorbed == y.reports_absorbed &&
+         same_bits(x.total_report_bits, y.total_report_bits) &&
+         std::equal(x.reals.begin(), x.reals.end(), y.reals.begin(),
+                    y.reals.end(), same_bits) &&
+         x.counts == y.counts;
+}
 
 double Seconds(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -194,11 +216,10 @@ int main(int argc, char** argv) {
              static_cast<double>(num_reports) / wire_seconds);
 
     // All four paths must agree exactly.
-    LDPM_CHECK((*parse)->reports_absorbed() == num_reports);
-    LDPM_CHECK((*batched)->reports_absorbed() == num_reports);
-    LDPM_CHECK((*wire)->reports_absorbed() == num_reports);
-    LDPM_CHECK((*perreport)->total_report_bits() ==
-               (*wire)->total_report_bits());
+    LDPM_CHECK((*perreport)->reports_absorbed() == num_reports);
+    LDPM_CHECK(SameState(**perreport, **parse));
+    LDPM_CHECK(SameState(**perreport, **batched));
+    LDPM_CHECK(SameState(**perreport, **wire));
 
     // Engine wire ingest at 1/2/4 shards (1 shard = SPSC queue fast path),
     // hosted as one collection of a Collector.

@@ -66,9 +66,9 @@ void PutU64(std::vector<uint8_t>& out, uint64_t v) {
   for (int b = 0; b < 8; ++b) out.push_back(static_cast<uint8_t>(v >> (8 * b)));
 }
 
-/// A small batch of real reports for (kind, d), as wire-batch bytes.
-std::vector<uint8_t> RealBatch(ldpm::ProtocolKind kind, int d,
-                               uint64_t seed) {
+/// A batch of `count` real reports for (kind, d), as wire-batch bytes.
+std::vector<uint8_t> RealBatch(ldpm::ProtocolKind kind, int d, uint64_t seed,
+                               uint64_t count = 4) {
   ldpm::ProtocolConfig config;
   config.d = d;
   config.k = 2;
@@ -77,7 +77,7 @@ std::vector<uint8_t> RealBatch(ldpm::ProtocolKind kind, int d,
   if (!protocol.ok()) return {};
   ldpm::Rng rng(seed);
   std::vector<ldpm::Report> reports;
-  for (uint64_t cell = 0; cell < 4; ++cell) {
+  for (uint64_t cell = 0; cell < count; ++cell) {
     reports.push_back((*protocol)->Encode(cell % (uint64_t{1} << d), rng));
   }
   auto batch = ldpm::SerializeReportBatch(kind, config, reports);
@@ -125,6 +125,18 @@ void WireBatchSeeds() {
     Corpus("wire_batch",
            "batch_" + std::string(ldpm::ProtocolKindName(kind)), seed);
   }
+  // 600 InpRR records cross two of its 240-record wire absorb groups
+  // (d byte 2 -> d = 3, 1-byte bitmaps).
+  std::vector<uint8_t> groups = {0, 2};
+  const std::vector<uint8_t> many =
+      RealBatch(ldpm::ProtocolKind::kInpRR, 3, 29, 600);
+  groups.insert(groups.end(), many.begin(), many.end());
+  Corpus("wire_batch", "batch_InpRR_groups", groups);
+  // InpRR at d = 1 (k = 2 > d: the absorb check must still build an
+  // aggregator), with the padding bits above the 2-bit bitmap set.
+  Regression("wire_batch", "inprr_d1_padding",
+             {0, 0, 0x01, 0x00, 0x00, 0x00, 0xFF, 0x01, 0x00, 0x00, 0x00,
+              0xFE});
   // Record length prefix 0xFFFFFFFF with two payload bytes behind it.
   Regression("wire_batch", "record_len_hostile",
              {0, 5, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0x02});

@@ -7,14 +7,59 @@
 // way; an unbounded d would just make the harness enumerate 2^d cells).
 // The rest of the input is walked as a wire batch; every record that
 // deserializes must re-serialize canonically (serialize(parse(b)) parses
-// back to the same bytes — the decode/encode fixed point).
+// back to the same bytes — the decode/encode fixed point). For InpRR,
+// whose AbsorbWireBatch sums packed bitmaps with its own kernel, the
+// whole input must also absorb to the same outcome and bitwise state as
+// per-record DeserializeReport + Absorb stopping at the first failure.
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
 #include "fuzz/fuzz_input.h"
 #include "protocols/factory.h"
 #include "protocols/wire.h"
+
+namespace {
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](double x, double y) {
+                      return std::bit_cast<uint64_t>(x) ==
+                             std::bit_cast<uint64_t>(y);
+                    });
+}
+
+void CheckWireAbsorbMatchesParse(ldpm::ProtocolKind kind,
+                                 const ldpm::ProtocolConfig& config,
+                                 const uint8_t* data, size_t size) {
+  auto wire = ldpm::CreateProtocol(kind, config);
+  auto parsed = ldpm::CreateProtocol(kind, config);
+  LDPM_FUZZ_ASSERT(wire.ok() && parsed.ok(), "protocol refused its config");
+  const ldpm::Status wire_status = (*wire)->AbsorbWireBatch(data, size);
+
+  ldpm::Status parsed_status = ldpm::Status::OK();
+  ldpm::WireBatchReader reader(data, size);
+  const uint8_t* record = nullptr;
+  size_t record_size = 0;
+  while (parsed_status.ok() && reader.Next(record, record_size)) {
+    auto report = ldpm::DeserializeReport(kind, config, record, record_size);
+    parsed_status = report.ok() ? (*parsed)->Absorb(*report) : report.status();
+  }
+  if (parsed_status.ok()) parsed_status = reader.status();
+
+  LDPM_FUZZ_ASSERT(wire_status.ok() == parsed_status.ok(),
+                   "wire absorb and parse + Absorb disagree on the outcome");
+  const ldpm::AggregatorSnapshot a = (*wire)->Snapshot();
+  const ldpm::AggregatorSnapshot b = (*parsed)->Snapshot();
+  LDPM_FUZZ_ASSERT(a.reports_absorbed == b.reports_absorbed &&
+                       a.total_report_bits == b.total_report_bits &&
+                       SameBits(a.reals, b.reals) && a.counts == b.counts,
+                   "wire absorb and parse + Absorb left different state");
+}
+
+}  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (size > (64u << 10)) return 0;
@@ -49,5 +94,12 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   }
   // reader.status() may be OK (clean end) or a framing error; both are
   // fine — the walk just must terminate in bounds, which ASan enforces.
+  if (kind == ldpm::ProtocolKind::kInpRR) {
+    // The InpRR wire format ignores k, but an aggregator needs k <= d.
+    ldpm::ProtocolConfig absorb_config = config;
+    absorb_config.k = std::min(config.d, config.k);
+    CheckWireAbsorbMatchesParse(kind, absorb_config, input.remaining_data(),
+                                input.remaining_size());
+  }
   return 0;
 }

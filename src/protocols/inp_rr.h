@@ -36,8 +36,9 @@ class InpRrProtocol final : public MarginalProtocol {
   Status AbsorbBatch(const Report* reports, size_t count) override;
 
   /// Zero-copy wire ingest: each record payload is the raw 2^d-bit report
-  /// bitmap, absorbed as packed 64-bit words through carry-save bit-plane
-  /// counters (no Report materialization, no per-position branching).
+  /// bitmap, summed as packed 64-bit words by a carry-save adder tree over
+  /// vertical bit-plane counters (no Report materialization, no
+  /// per-position branching).
   Status AbsorbWireBatch(const uint8_t* data, size_t size) override;
 
   /// Distribution-exact fast path: samples the aggregate per-cell report
@@ -65,8 +66,11 @@ class InpRrProtocol final : public MarginalProtocol {
     counts_.assign(uint64_t{1} << config_.d, 0.0);
   }
 
-  /// Adds up to 15 packed report bitmaps into `batch_counts_` via 4-deep
-  /// carry-save bit planes (one adder network per 64-cell word column).
+  /// Adds a group of at most 255 packed report bitmaps into
+  /// `batch_counts_`: a Harley–Seal carry-save tree sums them, 16 records
+  /// at a time, into eight vertical bit planes (per-cell 8-bit counts) kept
+  /// on the stack for up to 64 words at once, which an 8x8 bit transpose
+  /// per byte lane then expands into the integer scratch.
   void AbsorbPackedGroup(const uint8_t* const* payloads, size_t m);
 
   /// Folds `batch_counts_` into the double accumulators and re-zeros it.
@@ -81,7 +85,6 @@ class InpRrProtocol final : public MarginalProtocol {
 
   // Batched-ingest scratch, allocated on first batch and reused.
   std::vector<uint32_t> batch_counts_;  // per-cell pending integer counts
-  std::vector<uint64_t> planes_;        // 4 interleaved bit planes per word
 };
 
 }  // namespace ldpm

@@ -3,7 +3,9 @@
 // bitwise-identical aggregator state to per-report Absorb — including the
 // prefix semantics when a malformed report appears mid-batch.
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -17,25 +19,8 @@ namespace ldpm {
 namespace {
 
 using test::EncodeReportStream;
+using test::ExpectIdenticalSnapshots;
 using test::MakeConfig;
-
-/// Asserts two snapshots are bitwise identical (double equality is exact
-/// equality here: batched ingest must not reorder or refold sums in any way
-/// that changes a single bit).
-void ExpectIdenticalSnapshots(const AggregatorSnapshot& a,
-                              const AggregatorSnapshot& b) {
-  EXPECT_EQ(a.protocol, b.protocol);
-  EXPECT_EQ(a.reports_absorbed, b.reports_absorbed);
-  EXPECT_EQ(a.total_report_bits, b.total_report_bits);
-  ASSERT_EQ(a.reals.size(), b.reals.size());
-  for (size_t i = 0; i < a.reals.size(); ++i) {
-    ASSERT_EQ(a.reals[i], b.reals[i]) << "reals[" << i << "]";
-  }
-  ASSERT_EQ(a.counts.size(), b.counts.size());
-  for (size_t i = 0; i < a.counts.size(); ++i) {
-    ASSERT_EQ(a.counts[i], b.counts[i]) << "counts[" << i << "]";
-  }
-}
 
 /// A report the protocol's Absorb rejects, for mid-batch error injection.
 Report MalformedReport(ProtocolKind kind, const ProtocolConfig& config) {
@@ -78,14 +63,19 @@ class BatchAbsorbTest : public ::testing::TestWithParam<ProtocolKind> {};
 // plus columnar wire paths must all match per-report Absorb exactly.
 TEST_P(BatchAbsorbTest, BatchedMatchesSequentialBitwise) {
   const ProtocolKind kind = GetParam();
-  // d = 7 exercises a multi-word InpRR bitmap with a partial tail word;
-  // d = 5 a sub-word bitmap with padding bits in the last byte.
-  for (int d : {5, 7}) {
-    const ProtocolConfig config = MakeConfig(d, 2);
+  // Every d up to 13. The InpRR bitmap is 2^d bits: at d <= 2 its one
+  // byte carries padding bits above 2^d, at d <= 5 it is a single partial
+  // word, at d = 6 one full word, at d = 7 two full words, at d = 12 the
+  // 64 words of one absorb tile and at d = 13 two tiles. Padding bits
+  // exist only at d <= 2, a partial tail word only at d <= 5. 2000 reports
+  // span several 240-record absorb groups.
+  for (int d = 1; d <= 13; ++d) {
+    SCOPED_TRACE("d = " + std::to_string(d));
+    const ProtocolConfig config = MakeConfig(d, std::min(d, 2));
     auto sequential = CreateProtocol(kind, config);
     ASSERT_TRUE(sequential.ok());
     const std::vector<Report> reports =
-        EncodeReportStream(**sequential, 1000, 77);
+        EncodeReportStream(**sequential, 2000, 77);
     for (const Report& r : reports) {
       ASSERT_TRUE((*sequential)->Absorb(r).ok());
     }
@@ -97,15 +87,19 @@ TEST_P(BatchAbsorbTest, BatchedMatchesSequentialBitwise) {
     ASSERT_TRUE((*batched)->AbsorbBatch(reports.data(), reports.size()).ok());
     ExpectIdenticalSnapshots(want, (*batched)->Snapshot());
 
-    // Uneven slices (empty, single, sub-group, over-group sizes) stress the
-    // carry-save grouping and scratch-fold boundaries.
+    // Uneven slices: empty and single, either side of InpRR's 16-record
+    // carry-save block (15, 16, 17) and of its 240-record group (239..241,
+    // 254..256, 511), so slices end mid-block and mid-group.
     auto sliced = CreateProtocol(kind, config);
     ASSERT_TRUE(sliced.ok());
-    const size_t slice_sizes[] = {0, 1, 7, 15, 16, 64, 300};
+    const size_t slice_sizes[] = {0,   1,   7,   15,  16,  17,  64,
+                                  239, 240, 241, 254, 255, 256, 511};
+    const size_t num_slices = std::size(slice_sizes);
     size_t cursor = 0;
     size_t which = 0;
     while (cursor < reports.size()) {
-      const size_t n = std::min(slice_sizes[which % 7], reports.size() - cursor);
+      const size_t n =
+          std::min(slice_sizes[which % num_slices], reports.size() - cursor);
       ASSERT_TRUE((*sliced)->AbsorbBatch(reports.data() + cursor, n).ok());
       cursor += n;
       ++which;
@@ -125,7 +119,8 @@ TEST_P(BatchAbsorbTest, BatchedMatchesSequentialBitwise) {
     cursor = 0;
     which = 0;
     while (cursor < reports.size()) {
-      const size_t n = std::min(slice_sizes[which % 7], reports.size() - cursor);
+      const size_t n =
+          std::min(slice_sizes[which % num_slices], reports.size() - cursor);
       auto sub = SerializeReportBatch(
           kind, config,
           std::vector<Report>(reports.begin() + cursor,

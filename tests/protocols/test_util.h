@@ -99,6 +99,24 @@ inline void ExpectBitwiseEqualEstimates(const MarginalProtocol& a,
   }
 }
 
+/// Asserts two snapshots are bitwise identical (double equality is exact
+/// equality here: batched ingest must not reorder or refold sums in any way
+/// that changes a single bit).
+inline void ExpectIdenticalSnapshots(const AggregatorSnapshot& a,
+                                     const AggregatorSnapshot& b) {
+  EXPECT_EQ(a.protocol, b.protocol);
+  EXPECT_EQ(a.reports_absorbed, b.reports_absorbed);
+  EXPECT_EQ(a.total_report_bits, b.total_report_bits);
+  ASSERT_EQ(a.reals.size(), b.reals.size());
+  for (size_t i = 0; i < a.reals.size(); ++i) {
+    ASSERT_EQ(a.reals[i], b.reals[i]) << "reals[" << i << "]";
+  }
+  ASSERT_EQ(a.counts.size(), b.counts.size());
+  for (size_t i = 0; i < a.counts.size(); ++i) {
+    ASSERT_EQ(a.counts[i], b.counts[i]) << "counts[" << i << "]";
+  }
+}
+
 /// Asserts that the protocol's estimate of `beta` is within `tv_tolerance`
 /// of the exact marginal of the rows.
 inline void ExpectEstimateClose(MarginalProtocol& protocol,
