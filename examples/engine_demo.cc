@@ -6,10 +6,13 @@
 //
 //   ./engine_demo [num_shards [num_users]]
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -173,10 +176,13 @@ int main(int argc, char** argv) {
   }
   std::printf("unknown-id frame rejected: %s\n", unknown.ToString().c_str());
 
-  // Crash-restart walkthrough: checkpoint ALL collections into one v2
+  // Crash-restart walkthrough: checkpoint ALL collections into one
   // container, tear the collector down (the "crash"), then restore a fresh
   // collector — with a different shard count — from the file alone.
-  const std::string ckpt_path = "engine_demo.ckpt";
+  const std::filesystem::path tmp = std::filesystem::temp_directory_path();
+  const std::string pid = std::to_string(::getpid());
+  const std::string ckpt_path =
+      (tmp / ("engine_demo_" + pid + ".ckpt")).string();
   if (auto s = (*collector)->CheckpointTo(ckpt_path); !s.ok()) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;
@@ -221,7 +227,8 @@ int main(int argc, char** argv) {
   // Corruption is detected, not silently restored: flip one byte mid-file
   // and watch the restore refuse it.
   (*ckpt_bytes)[ckpt_bytes->size() / 2] ^= 0x01;
-  const std::string corrupt_path = "engine_demo_corrupt.ckpt";
+  const std::string corrupt_path =
+      (tmp / ("engine_demo_corrupt_" + pid + ".ckpt")).string();
   if (auto s = WriteBinaryFileAtomic(corrupt_path, *ckpt_bytes); !s.ok()) {
     return 1;
   }
@@ -232,7 +239,9 @@ int main(int argc, char** argv) {
   }
   std::printf("bit-flipped checkpoint rejected: %s\n",
               corrupt.ToString().c_str());
-  std::remove(ckpt_path.c_str());
-  std::remove(corrupt_path.c_str());
+  // The rejected file was quarantined as *.corrupt by the restore.
+  std::filesystem::remove(ckpt_path);
+  std::filesystem::remove(corrupt_path);
+  std::filesystem::remove(corrupt_path + ".corrupt");
   return 0;
 }

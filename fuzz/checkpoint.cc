@@ -1,9 +1,8 @@
 // Fuzz harness: checkpoint container decoding (engine/checkpoint.h).
 //
-// Mode byte 0: the remaining bytes are thrown at all three in-memory
-// decoders — the v1/v2 collector container, the v1 single-collection
-// container, and the bare snapshot-payload parser. Any outcome but a
-// clean Status (or a valid parse) is a finding.
+// Mode byte 0: the remaining bytes are thrown at both in-memory
+// decoders — the collector container and the bare snapshot-payload
+// parser. Any outcome but a clean Status (or a valid parse) is a finding.
 //
 // Mode byte 1: the bytes are written to a scratch generation-0 file and
 // restored through ReadCollectorCheckpointWithFallback, exercising the
@@ -27,7 +26,6 @@ namespace {
 
 void DecodeAll(const uint8_t* data, size_t size) {
   (void)ldpm::engine::DecodeCollectorCheckpoint(data, size);
-  (void)ldpm::engine::DecodeCheckpoint(data, size);
   (void)ldpm::engine::DeserializeSnapshot(data, size);
 }
 

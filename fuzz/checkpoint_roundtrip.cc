@@ -3,9 +3,9 @@
 //
 // Builds syntactically valid snapshots out of fuzz-chosen field values —
 // including hostile doubles smuggled in as raw bit patterns — and asserts
-// encode/decode is the identity for both container versions. Field
-// comparison is bitwise for doubles (NaNs must survive a checkpoint
-// unchanged, not compare-false their way into a miss).
+// container encode/decode is the identity. Field comparison is bitwise for
+// doubles (NaNs must survive a checkpoint unchanged, not compare-false
+// their way into a miss).
 
 #include <bit>
 #include <cstdint>
@@ -77,36 +77,25 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const int n = input.TakeInRange(0, 3);
   for (int i = 0; i < n; ++i) snapshots.push_back(TakeSnapshot(input));
 
-  // v1 single-collection container.
-  auto image = ldpm::engine::EncodeCheckpoint(snapshots);
-  LDPM_FUZZ_ASSERT(image.ok(), "bounded snapshots refused to encode");
-  auto decoded = ldpm::engine::DecodeCheckpoint(image->data(), image->size());
-  LDPM_FUZZ_ASSERT(decoded.ok(), "own v1 encoding refused to decode");
-  LDPM_FUZZ_ASSERT(decoded->size() == snapshots.size(),
-                   "v1 round trip changed the snapshot count");
-  for (size_t i = 0; i < snapshots.size(); ++i) {
-    AssertSnapshotsEqual(snapshots[i], (*decoded)[i]);
-  }
-
-  // v2 multi-collection container, non-empty unique ids required.
+  // Non-empty unique ids required.
   std::vector<ldpm::engine::CollectionCheckpoint> collections;
   collections.push_back({"c0", snapshots});
   if (input.TakeByte() & 1) collections.push_back({"c1", {}});
-  auto v2 = ldpm::engine::EncodeCollectorCheckpoint(collections);
-  LDPM_FUZZ_ASSERT(v2.ok(), "bounded collections refused to encode");
-  auto v2_decoded =
-      ldpm::engine::DecodeCollectorCheckpoint(v2->data(), v2->size());
-  LDPM_FUZZ_ASSERT(v2_decoded.ok(), "own v2 encoding refused to decode");
-  LDPM_FUZZ_ASSERT(v2_decoded->size() == collections.size(),
-                   "v2 round trip changed the collection count");
+  auto image = ldpm::engine::EncodeCollectorCheckpoint(collections);
+  LDPM_FUZZ_ASSERT(image.ok(), "bounded collections refused to encode");
+  auto decoded =
+      ldpm::engine::DecodeCollectorCheckpoint(image->data(), image->size());
+  LDPM_FUZZ_ASSERT(decoded.ok(), "own encoding refused to decode");
+  LDPM_FUZZ_ASSERT(decoded->size() == collections.size(),
+                   "round trip changed the collection count");
   for (size_t c = 0; c < collections.size(); ++c) {
-    LDPM_FUZZ_ASSERT((*v2_decoded)[c].id == collections[c].id, "id changed");
+    LDPM_FUZZ_ASSERT((*decoded)[c].id == collections[c].id, "id changed");
     LDPM_FUZZ_ASSERT(
-        (*v2_decoded)[c].snapshots.size() == collections[c].snapshots.size(),
-        "v2 round trip changed the snapshot count");
+        (*decoded)[c].snapshots.size() == collections[c].snapshots.size(),
+        "round trip changed the snapshot count");
     for (size_t i = 0; i < collections[c].snapshots.size(); ++i) {
       AssertSnapshotsEqual(collections[c].snapshots[i],
-                           (*v2_decoded)[c].snapshots[i]);
+                           (*decoded)[c].snapshots[i]);
     }
   }
   return 0;

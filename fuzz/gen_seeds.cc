@@ -173,18 +173,13 @@ std::vector<ldpm::AggregatorSnapshot> SampleSnapshots() {
 void CheckpointSeeds() {
   // Harness layout: [mode byte][container image]. Mode 0 = in-memory
   // decoders, mode 1 = file-based fallback/quarantine walk.
-  const std::vector<ldpm::AggregatorSnapshot> snapshots = SampleSnapshots();
-  auto v1 = ldpm::engine::EncodeCheckpoint(snapshots);
   auto v2 = ldpm::engine::EncodeCollectorCheckpoint(
-      {{std::string("metrics"), snapshots}});
-  if (!v1.ok() || !v2.ok()) {
+      {{std::string("metrics"), SampleSnapshots()}});
+  if (!v2.ok()) {
     std::fprintf(stderr, "checkpoint seed encoding failed\n");
     std::exit(1);
   }
   for (const uint8_t mode : {uint8_t{0}, uint8_t{1}}) {
-    std::vector<uint8_t> v1_seed = {mode};
-    v1_seed.insert(v1_seed.end(), v1->begin(), v1->end());
-    Corpus("checkpoint", "v1_mode" + std::to_string(mode), v1_seed);
     std::vector<uint8_t> v2_seed = {mode};
     v2_seed.insert(v2_seed.end(), v2->begin(), v2->end());
     Corpus("checkpoint", "v2_mode" + std::to_string(mode), v2_seed);
@@ -201,12 +196,14 @@ void CheckpointSeeds() {
   payload.insert(payload.end(), 8, 0x00);
   Regression("checkpoint", "reals_len_wrap", payload);
 
-  // A v1 image with one flipped payload byte: CRC must catch it in both
+  // An image with one flipped payload byte: CRC must catch it in both
   // modes (mode 1 additionally walks the quarantine rename).
   for (const uint8_t mode : {uint8_t{0}, uint8_t{1}}) {
     std::vector<uint8_t> corrupt = {mode};
-    corrupt.insert(corrupt.end(), v1->begin(), v1->end());
-    corrupt[1 + 24] ^= 0x40;  // past the header, inside the first record
+    corrupt.insert(corrupt.end(), v2->begin(), v2->end());
+    // Past the header and the 17-byte "metrics" block header, inside the
+    // first record's payload (which starts at image offset 41).
+    corrupt[1 + 48] ^= 0x40;
     Regression("checkpoint", "crc_flip_mode" + std::to_string(mode), corrupt);
   }
   // Truncated header.

@@ -65,7 +65,7 @@ StatusOr<std::vector<uint8_t>> ReadBinaryFile(const std::string& path) {
 Status WriteBinaryFileAtomic(const std::string& path, const uint8_t* data,
                              size_t size) {
   // Unique temp name per call: concurrent writers to the same target (e.g.
-  // an explicit CheckpointTo racing the background checkpointer) each stage
+  // a scheduled Collector::Checkpoint racing the shutdown Drain) each stage
   // their own temp file; whichever renames last wins, and both renames
   // install a complete file.
   static std::atomic<uint64_t> counter{0};

@@ -115,9 +115,9 @@ class LDPM_SCOPED_CAPABILITY MutexLock {
   Mutex& mu_;
 };
 
-// RAII locker that can drop the mutex around slow work (checkpoint writes,
-// condition-variable hand-off sequences) and take it back, with the analysis
-// tracking the held/released state across Release()/Reacquire().
+// RAII locker that can drop the mutex mid-scope (condition-variable
+// hand-off sequences) and take it back, with the analysis tracking the
+// held/released state across Release()/Reacquire().
 class LDPM_SCOPED_CAPABILITY ReleasableMutexLock {
  public:
   explicit ReleasableMutexLock(Mutex& mu) LDPM_ACQUIRE(mu) : mu_(mu) {

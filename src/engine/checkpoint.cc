@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstring>
 #include <filesystem>
-#include <functional>
 
 #include "core/crc32c.h"
 #include "core/encoding.h"
@@ -50,9 +49,10 @@ ByteCursor CheckpointCursor(const uint8_t* data, size_t size) {
 // and the two array length prefixes (u64 each).
 constexpr size_t kFixedSnapshotBytes = 4 + 4 + 8 + 4 + 8 + 8 + 8 + 8;
 
-/// Exact encoded size of one snapshot payload; lets EncodeCheckpoint
-/// reserve the whole image and serialize each record in place instead of
-/// staging per-record vectors (checkpoints can be large for InpRR).
+/// Exact encoded size of one snapshot payload; lets
+/// EncodeCollectorCheckpoint reserve the whole image and serialize each
+/// record in place instead of staging per-record vectors (checkpoints can
+/// be large for InpRR).
 size_t SnapshotPayloadSize(const AggregatorSnapshot& snapshot) {
   return 4 + snapshot.protocol.size() + kFixedSnapshotBytes +
          8 * (snapshot.reals.size() + snapshot.counts.size());
@@ -161,51 +161,11 @@ StatusOr<AggregatorSnapshot> DeserializeSnapshot(const uint8_t* data,
   return snapshot;
 }
 
-StatusOr<std::vector<uint8_t>> EncodeCheckpoint(
-    const std::vector<AggregatorSnapshot>& snapshots) {
-  constexpr uint64_t kMaxU32 = 0xFFFFFFFFull;
-  if (snapshots.size() > kMaxU32) {
-    return Status::InvalidArgument(
-        "checkpoint: snapshot count overflows the u32 header field");
-  }
-  size_t total = 20;  // header
-  for (const AggregatorSnapshot& snapshot : snapshots) {
-    const size_t payload_size = SnapshotPayloadSize(snapshot);
-    // A length prefix that wrapped mod 2^32 would make CheckpointTo
-    // report success for a file no restore could ever parse.
-    if (payload_size > kMaxU32) {
-      return Status::InvalidArgument(
-          "checkpoint: snapshot payload for " + snapshot.protocol + " is " +
-          std::to_string(payload_size) +
-          " bytes, which overflows the u32 record length");
-    }
-    total += 8 + payload_size;  // length prefix + payload + CRC
-  }
-  // One exact reservation; records serialize in place (no per-record
-  // staging buffers — checkpoint images can be large for InpRR).
-  std::vector<uint8_t> out;
-  out.reserve(total);
-  for (char c : kCheckpointMagic) out.push_back(static_cast<uint8_t>(c));
-  PutU32(out, kCheckpointFormatVersionV1);
-  PutU32(out, static_cast<uint32_t>(snapshots.size()));
-  PutU32(out, Crc32c(out.data(), out.size()));
-  for (const AggregatorSnapshot& snapshot : snapshots) {
-    const size_t payload_size = SnapshotPayloadSize(snapshot);
-    PutU32(out, static_cast<uint32_t>(payload_size));
-    const size_t payload_start = out.size();
-    AppendSnapshotPayload(out, snapshot);
-    LDPM_DCHECK(out.size() - payload_start == payload_size);
-    PutU32(out, Crc32c(out.data() + payload_start, payload_size));
-  }
-  LDPM_DCHECK(out.size() == total);
-  return out;
-}
-
 namespace {
 
 /// Reads `count` snapshot records (u32 length + payload + u32 CRC each)
-/// through `reader`; shared by both container versions. `file_size` bounds
-/// the reserve so a CRC-valid header cannot force a huge allocation.
+/// through `reader`. `file_size` bounds the reserve so a CRC-valid header
+/// cannot force a huge allocation.
 Status ReadSnapshotRecords(ByteCursor& reader, uint32_t count,
                            size_t file_size,
                            std::vector<AggregatorSnapshot>& out) {
@@ -253,76 +213,56 @@ StatusOr<std::vector<CollectionCheckpoint>> DecodeCollectorCheckpoint(
   LDPM_RETURN_IF_ERROR(reader.ReadU32(count, "record count"));
   LDPM_RETURN_IF_ERROR(reader.ReadU32(header_crc, "header checksum"));
   // CRC before the version gate: a bit flip inside the version field is
-  // corruption (checksum mismatch), while a clean header with a larger
-  // version is a genuinely newer file this build must refuse to misparse.
+  // corruption (checksum mismatch), while a clean header with another
+  // version is a file from another build that this one must refuse to
+  // misparse.
   if (Crc32c(data, 16) != header_crc) {
     return Status::InvalidArgument("checkpoint: header checksum mismatch");
   }
-  if (version == 0 || version > kCheckpointFormatVersion) {
+  if (version != kCheckpointFormatVersion) {
     return Status::InvalidArgument(
         "checkpoint: unsupported format version " + std::to_string(version) +
-        " (this build reads up to " +
+        " (this build reads only version " +
         std::to_string(kCheckpointFormatVersion) + ")");
   }
 
   std::vector<CollectionCheckpoint> collections;
-  if (version == kCheckpointFormatVersionV1) {
-    // A v1 file is one anonymous collection's snapshot list.
-    CollectionCheckpoint collection;
-    LDPM_RETURN_IF_ERROR(
-        ReadSnapshotRecords(reader, count, size, collection.snapshots));
-    collections.push_back(std::move(collection));
-  } else {
-    collections.reserve(std::min<size_t>(count, size / 8));
-    for (uint32_t c = 0; c < count; ++c) {
-      const size_t block_start = reader.offset();
-      uint16_t id_len = 0;
-      LDPM_RETURN_IF_ERROR(reader.ReadU16(id_len, "collection id length"));
-      if (id_len == 0) {
-        return Status::InvalidArgument(
-            "checkpoint: empty collection id at byte " +
-            std::to_string(block_start));
-      }
-      const uint8_t* id = nullptr;
-      LDPM_RETURN_IF_ERROR(reader.ReadBytes(id, id_len, "collection id"));
-      uint32_t snapshot_count = 0, block_crc = 0;
-      LDPM_RETURN_IF_ERROR(reader.ReadU32(snapshot_count, "snapshot count"));
-      const size_t block_header_size = reader.offset() - block_start;
-      LDPM_RETURN_IF_ERROR(reader.ReadU32(block_crc, "collection checksum"));
-      if (Crc32c(data + block_start, block_header_size) != block_crc) {
-        return Status::InvalidArgument(
-            "checkpoint: collection " + std::to_string(c) +
-            " header checksum mismatch at byte " +
-            std::to_string(block_start));
-      }
-      CollectionCheckpoint collection;
-      collection.id.assign(reinterpret_cast<const char*>(id), id_len);
-      for (const CollectionCheckpoint& seen : collections) {
-        if (seen.id == collection.id) {
-          return Status::InvalidArgument(
-              "checkpoint: duplicate collection id \"" + collection.id +
-              "\" at byte " + std::to_string(block_start));
-        }
-      }
-      LDPM_RETURN_IF_ERROR(ReadSnapshotRecords(reader, snapshot_count, size,
-                                               collection.snapshots));
-      collections.push_back(std::move(collection));
+  collections.reserve(std::min<size_t>(count, size / 8));
+  for (uint32_t c = 0; c < count; ++c) {
+    const size_t block_start = reader.offset();
+    uint16_t id_len = 0;
+    LDPM_RETURN_IF_ERROR(reader.ReadU16(id_len, "collection id length"));
+    if (id_len == 0) {
+      return Status::InvalidArgument(
+          "checkpoint: empty collection id at byte " +
+          std::to_string(block_start));
     }
+    const uint8_t* id = nullptr;
+    LDPM_RETURN_IF_ERROR(reader.ReadBytes(id, id_len, "collection id"));
+    uint32_t snapshot_count = 0, block_crc = 0;
+    LDPM_RETURN_IF_ERROR(reader.ReadU32(snapshot_count, "snapshot count"));
+    const size_t block_header_size = reader.offset() - block_start;
+    LDPM_RETURN_IF_ERROR(reader.ReadU32(block_crc, "collection checksum"));
+    if (Crc32c(data + block_start, block_header_size) != block_crc) {
+      return Status::InvalidArgument(
+          "checkpoint: collection " + std::to_string(c) +
+          " header checksum mismatch at byte " + std::to_string(block_start));
+    }
+    CollectionCheckpoint collection;
+    collection.id.assign(reinterpret_cast<const char*>(id), id_len);
+    for (const CollectionCheckpoint& seen : collections) {
+      if (seen.id == collection.id) {
+        return Status::InvalidArgument(
+            "checkpoint: duplicate collection id \"" + collection.id +
+            "\" at byte " + std::to_string(block_start));
+      }
+    }
+    LDPM_RETURN_IF_ERROR(ReadSnapshotRecords(reader, snapshot_count, size,
+                                             collection.snapshots));
+    collections.push_back(std::move(collection));
   }
   LDPM_RETURN_IF_ERROR(reader.ExpectEnd("the last record"));
   return collections;
-}
-
-StatusOr<std::vector<AggregatorSnapshot>> DecodeCheckpoint(const uint8_t* data,
-                                                           size_t size) {
-  auto collections = DecodeCollectorCheckpoint(data, size);
-  if (!collections.ok()) return collections.status();
-  if (collections->size() != 1) {
-    return Status::InvalidArgument(
-        "checkpoint: image holds " + std::to_string(collections->size()) +
-        " collections; restore it through Collector::RestoreFrom");
-  }
-  return std::move((*collections)[0].snapshots);
 }
 
 StatusOr<std::vector<uint8_t>> EncodeCollectorCheckpoint(
@@ -410,25 +350,6 @@ StatusOr<std::vector<CollectionCheckpoint>> ReadCollectorCheckpoint(
   return collections;
 }
 
-Status WriteCheckpoint(const std::string& path,
-                       const std::vector<AggregatorSnapshot>& snapshots) {
-  auto image = EncodeCheckpoint(snapshots);
-  if (!image.ok()) return image.status();
-  return WriteBinaryFileAtomic(path, *image);
-}
-
-StatusOr<std::vector<AggregatorSnapshot>> ReadCheckpoint(
-    const std::string& path) {
-  auto bytes = ReadBinaryFile(path);
-  if (!bytes.ok()) return bytes.status();
-  auto snapshots = DecodeCheckpoint(bytes->data(), bytes->size());
-  if (!snapshots.ok()) {
-    return Status(snapshots.status().code(),
-                  path + ": " + snapshots.status().message());
-  }
-  return snapshots;
-}
-
 std::string CheckpointGenerationPath(const std::string& path,
                                      int generation) {
   if (generation <= 0) return path;
@@ -456,14 +377,9 @@ Status RotateCheckpointGenerations(const std::string& path, int generations) {
   return Status::OK();
 }
 
-namespace {
-
-/// Shared generation walk: `read` loads-and-validates one file. Corrupt
-/// files are quarantined; the newest clean one wins.
-template <typename T>
-StatusOr<T> ReadWithFallbackImpl(
-    const std::string& path, int generations, CheckpointFallbackInfo* info,
-    const std::function<StatusOr<T>(const std::string&)>& read) {
+StatusOr<std::vector<CollectionCheckpoint>>
+ReadCollectorCheckpointWithFallback(const std::string& path, int generations,
+                                    CheckpointFallbackInfo* info) {
   namespace fs = std::filesystem;
   bool any_file = false;
   Status last_error;
@@ -471,7 +387,7 @@ StatusOr<T> ReadWithFallbackImpl(
        ++generation) {
     const std::string generation_path =
         CheckpointGenerationPath(path, generation);
-    auto result = read(generation_path);
+    auto result = ReadCollectorCheckpoint(generation_path);
     if (result.ok()) {
       if (info != nullptr) {
         info->generation = generation;
@@ -497,23 +413,6 @@ StatusOr<T> ReadWithFallbackImpl(
   return Status(last_error.code(),
                 "no restorable checkpoint generation at " + path + ": " +
                     last_error.message());
-}
-
-}  // namespace
-
-StatusOr<std::vector<CollectionCheckpoint>>
-ReadCollectorCheckpointWithFallback(const std::string& path, int generations,
-                                    CheckpointFallbackInfo* info) {
-  return ReadWithFallbackImpl<std::vector<CollectionCheckpoint>>(
-      path, generations, info,
-      [](const std::string& p) { return ReadCollectorCheckpoint(p); });
-}
-
-StatusOr<std::vector<AggregatorSnapshot>> ReadCheckpointWithFallback(
-    const std::string& path, int generations, CheckpointFallbackInfo* info) {
-  return ReadWithFallbackImpl<std::vector<AggregatorSnapshot>>(
-      path, generations, info,
-      [](const std::string& p) { return ReadCheckpoint(p); });
 }
 
 }  // namespace engine

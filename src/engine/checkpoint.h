@@ -1,40 +1,31 @@
 // Durable checkpointing of aggregator state: a versioned binary container
-// for std::vector<AggregatorSnapshot>, so a sharded engine can restart
-// without replaying the wire stream (docs/wire-format.md specifies every
-// byte).
-//
-// Two container versions share the 20-byte header (all integers
+// holding every collection's std::vector<AggregatorSnapshot>, so the
+// Collector can restart without replaying the wire stream
+// (docs/wire-format.md specifies every byte). All integers are
 // little-endian, mirroring the u32 length-prefix framing of
-// protocols/wire.h):
+// protocols/wire.h:
 //
 //   header (20 bytes)
 //     [0,8)    magic "LDPMCKPT"
-//     [8,12)   u32 format version (1 or 2)
-//     [12,16)  u32 record count (v1: snapshots S; v2: collections C)
+//     [8,12)   u32 format version (2)
+//     [12,16)  u32 collection count C
 //     [16,20)  u32 CRC-32C over bytes [0,16)
-//
-// Version 1 — one anonymous collection (what ShardedAggregator writes):
-//   record, S times
-//     u32      payload length L
-//     L bytes  snapshot payload (SerializeSnapshot encoding)
-//     u32      CRC-32C over the L payload bytes
-//
-// Version 2 — the multi-collection container (what Collector writes):
 //   collection block, C times
 //     u16      collection id byte length (>= 1)
 //     bytes    collection id
 //     u32      snapshot count S for this collection
 //     u32      CRC-32C over this block's preceding bytes (id length
 //              prefix, id, snapshot count)
-//     record, S times — identical to the v1 record layout
+//     record, S times
+//       u32      payload length L
+//       L bytes  snapshot payload (SerializeSnapshot encoding)
+//       u32      CRC-32C over the L payload bytes
 //
-// Both versions end exactly after the last record; trailing bytes are
-// treated as corruption. Loading validates magic, header CRC, version
-// (files with a newer version are rejected rather than misparsed —
-// forward compat), record framing, and every CRC, so truncation and bit
-// flips anywhere in the file surface as a Status error instead of
-// silently restoring biased state. V2 readers restore v1 files as a
-// single collection with an empty id.
+// The image ends exactly after the last record; trailing bytes are treated
+// as corruption. Loading validates magic, header CRC, version (any version
+// but 2 is rejected rather than misparsed), record framing, and every CRC,
+// so truncation and bit flips anywhere in the file surface as a Status
+// error instead of silently restoring biased state.
 //
 // The snapshot payload is protocol-agnostic (the flattened accumulator
 // arrays of AggregatorSnapshot), so the container also checkpoints
@@ -53,14 +44,9 @@
 namespace ldpm {
 namespace engine {
 
-/// Newest checkpoint file format version this build reads and writes
-/// (the multi-collection container).
+/// The checkpoint file format version this build reads and writes (the
+/// multi-collection container).
 inline constexpr uint32_t kCheckpointFormatVersion = 2;
-
-/// The single-collection container version (EncodeCheckpoint's output),
-/// kept as the write format of ShardedAggregator checkpoints so per-
-/// collection files stay restorable by older builds.
-inline constexpr uint32_t kCheckpointFormatVersionV1 = 1;
 
 /// The 8 magic bytes at offset 0 of every checkpoint file.
 inline constexpr char kCheckpointMagic[8] = {'L', 'D', 'P', 'M',
@@ -83,53 +69,31 @@ std::vector<uint8_t> SerializeSnapshot(const AggregatorSnapshot& snapshot);
 StatusOr<AggregatorSnapshot> DeserializeSnapshot(const uint8_t* data,
                                                  size_t size);
 
-/// Encodes a single-collection (version 1) checkpoint image (header +
-/// records + checksums). InvalidArgument if the snapshot count or a record
-/// payload overflows the u32 framing fields (nothing unrestorable is ever
-/// produced).
-StatusOr<std::vector<uint8_t>> EncodeCheckpoint(
-    const std::vector<AggregatorSnapshot>& snapshots);
-
-/// Decodes and validates a single-collection checkpoint image; the inverse
-/// of EncodeCheckpoint. Also accepts a version-2 image that holds exactly
-/// one collection (the id is dropped); a multi-collection image is
-/// rejected with a message pointing at Collector::RestoreFrom. Any
-/// framing, version, or checksum violation is an InvalidArgument naming
-/// the failing byte offset.
-StatusOr<std::vector<AggregatorSnapshot>> DecodeCheckpoint(const uint8_t* data,
-                                                           size_t size);
-
-/// Encodes a multi-collection (version 2) checkpoint image. Collection ids
-/// must be non-empty, unique, and fit the u16 length prefix.
+/// Encodes a checkpoint image (header + collection blocks + records +
+/// checksums). Collection ids must be non-empty, unique, and fit the u16
+/// length prefix. InvalidArgument if a count or a record payload overflows
+/// the u32 framing fields (nothing unrestorable is ever produced).
 StatusOr<std::vector<uint8_t>> EncodeCollectorCheckpoint(
     const std::vector<CollectionCheckpoint>& collections);
 
-/// Decodes and validates either container version: a version-1 image
-/// yields one collection with an empty id; version 2 yields every
-/// collection in file order.
+/// Decodes and validates a checkpoint image, yielding every collection in
+/// file order; the inverse of EncodeCollectorCheckpoint. Any framing,
+/// version, or checksum violation is an InvalidArgument naming the failing
+/// byte offset.
 StatusOr<std::vector<CollectionCheckpoint>> DecodeCollectorCheckpoint(
     const uint8_t* data, size_t size);
 
-/// Encodes `collections` and atomically replaces `path` with the image.
+/// Encodes `collections` and atomically replaces `path` with the image
+/// (write-rename via WriteBinaryFileAtomic), so a crash mid-checkpoint
+/// leaves the previous checkpoint intact.
 Status WriteCollectorCheckpoint(
     const std::string& path,
     const std::vector<CollectionCheckpoint>& collections);
 
-/// Reads and validates the checkpoint at `path` in either container
-/// version (see DecodeCollectorCheckpoint). NotFound if the file does not
-/// exist; InvalidArgument on any corruption.
+/// Reads and validates the checkpoint at `path` (see
+/// DecodeCollectorCheckpoint). NotFound if the file does not exist;
+/// InvalidArgument on any corruption.
 StatusOr<std::vector<CollectionCheckpoint>> ReadCollectorCheckpoint(
-    const std::string& path);
-
-/// Encodes `snapshots` and atomically replaces `path` with the image
-/// (write-rename via WriteBinaryFileAtomic), so a crash mid-checkpoint
-/// leaves the previous checkpoint intact.
-Status WriteCheckpoint(const std::string& path,
-                       const std::vector<AggregatorSnapshot>& snapshots);
-
-/// Reads and validates the checkpoint at `path`. NotFound if the file does
-/// not exist; InvalidArgument on any corruption.
-StatusOr<std::vector<AggregatorSnapshot>> ReadCheckpoint(
     const std::string& path);
 
 // ---- Checkpoint generations --------------------------------------------
@@ -163,19 +127,13 @@ struct CheckpointFallbackInfo {
   std::vector<std::string> quarantined;
 };
 
-/// Reads the newest restorable generation of a multi-collection
-/// checkpoint, quarantining corrupt generations along the way (see above).
-/// NotFound when no generation file exists at all; otherwise the last
-/// validation error when every existing generation is corrupt.
+/// Reads the newest restorable generation of a checkpoint, quarantining
+/// corrupt generations along the way (see above). NotFound when no
+/// generation file exists at all; otherwise the last validation error when
+/// every existing generation is corrupt.
 StatusOr<std::vector<CollectionCheckpoint>>
 ReadCollectorCheckpointWithFallback(const std::string& path, int generations,
                                     CheckpointFallbackInfo* info = nullptr);
-
-/// Single-collection (v1) variant of the fallback read, for
-/// ShardedAggregator-level checkpoints.
-StatusOr<std::vector<AggregatorSnapshot>> ReadCheckpointWithFallback(
-    const std::string& path, int generations,
-    CheckpointFallbackInfo* info = nullptr);
 
 }  // namespace engine
 }  // namespace ldpm

@@ -164,55 +164,33 @@ Collector::~Collector() {
     // miss queued batches and coalescing-buffer tails — but best effort
     // on BOTH steps, not Drain(): a flush error must not skip the write
     // attempt. (A collection whose shards hold a sticky absorb error
-    // still fails the attempt inside CheckpointTo — the container write
-    // is all-or-nothing; see the ROADMAP limitation. Drain() reports the
-    // Status; use it when the result matters.)
+    // still fails the attempt inside CheckpointTo: the container write is
+    // all-or-nothing, because a file that left that collection out would
+    // restore it empty with no error. Drain() reports the Status; use it
+    // when the result matters.)
     (void)Flush();
     (void)CheckpointTo(options_.checkpoint_path);
   }
 }
 
-EngineOptions Collector::EffectiveOptions(const EngineOptions& base,
-                                          bool strip_checkpointing) const {
-  EngineOptions options = base;
-  if (strip_checkpointing) {
-    // The collector owns whole-container durability; per-collection
-    // checkpoint files only make sense as explicit Register overrides.
-    options.checkpoint_path.clear();
-    options.checkpoint_every_batches = 0;
-    options.checkpoint_on_shutdown = false;
-  }
-  options.shared_budget = budget_;
-  // Engines publish into the collector's registry (labeled by collection
-  // id in RegisterInternal) unless an override brought its own.
-  if (options.metrics == nullptr) options.metrics = metrics_;
-  return options;
-}
-
 StatusOr<CollectionHandle> Collector::Register(std::string id,
                                                ProtocolKind kind,
                                                const ProtocolConfig& config) {
-  return RegisterInternal(std::move(id), kind, config,
-                          EffectiveOptions(options_.engine_defaults,
-                                           /*strip_checkpointing=*/true));
+  return Register(std::move(id), kind, config, options_.engine_defaults);
 }
 
 StatusOr<CollectionHandle> Collector::Register(std::string id,
                                                ProtocolKind kind,
                                                const ProtocolConfig& config,
                                                const EngineOptions& overrides) {
-  return RegisterInternal(std::move(id), kind, config,
-                          EffectiveOptions(overrides,
-                                           /*strip_checkpointing=*/false));
-}
-
-StatusOr<CollectionHandle> Collector::RegisterInternal(
-    std::string id, ProtocolKind kind, const ProtocolConfig& config,
-    const EngineOptions& base_options) {
+  EngineOptions options = overrides;
+  options.shared_budget = budget_;
+  // Engines publish into the collector's registry (labeled by collection
+  // id below) unless an override brought its own.
+  if (options.metrics == nullptr) options.metrics = metrics_;
   // Decorrelate the per-shard Rng streams across collections on EVERY
   // registration path (see PerCollectionSeed): determinism per (seed, id)
   // is preserved, bitwise-shared randomness across collections is not.
-  EngineOptions options = base_options;
   options.seed = PerCollectionSeed(options.seed, id);
   if (options.metrics_collection.empty()) options.metrics_collection = id;
   if (id.empty() || id.size() > kMaxCollectionIdBytes) {
@@ -222,8 +200,7 @@ StatusOr<CollectionHandle> Collector::RegisterInternal(
   }
   // The whole registration runs under the registry lock: the duplicate-id
   // and thread-budget checks must precede engine construction (a rejected
-  // engine with checkpoint-on-shutdown overrides would otherwise clobber
-  // the LIVE collection's checkpoint file when its destructor runs), and
+  // registration must never spawn shard workers past the budget), and
   // nothing here calls back into the collector, so holding mu_ across the
   // (rare, registration-time-only) engine build cannot deadlock.
   core::MutexLock lock(mu_);
@@ -278,13 +255,13 @@ Status Collector::Unregister(std::string_view id) {
     collections_gauge_->Set(static_cast<int64_t>(collections_.size()));
   }
   // The release happens OUTSIDE mu_. When this was the last reference,
-  // the engine teardown drains its queues, joins every shard worker, and
-  // may write a per-collection shutdown checkpoint — arbitrarily slow work
-  // that must not stall concurrent Find/Query/Register on the registry
-  // lock. The thread budget is returned only AFTER the drop, so a racing
-  // Register cannot oversubscribe the cap while the old workers still
-  // run. (With outstanding handles the drop is trivially cheap — and the
-  // budget is returned while their engine lives on, as documented.)
+  // the engine teardown drains its queues and joins every shard worker —
+  // arbitrarily slow work that must not stall concurrent Find/Query/
+  // Register on the registry lock. The thread budget is returned only
+  // AFTER the drop, so a racing Register cannot oversubscribe the cap
+  // while the old workers still run. (With outstanding handles the drop
+  // is trivially cheap — and the budget is returned while their engine
+  // lives on, as documented.)
   released.reset();
   {
     core::MutexLock lock(mu_);
@@ -441,39 +418,13 @@ Status Collector::CheckpointToInternal(const std::string& path) {
   LDPM_RETURN_IF_ERROR(WriteBinaryFileAtomic(path, *image));
   ckpt_writes_total_->Increment();
   ckpt_bytes_total_->Increment(image->size());
-  container_checkpoints_written_.fetch_add(1, std::memory_order_relaxed);
+  checkpoints_written_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
-}
-
-uint64_t Collector::checkpoints_written() const {
-  uint64_t total =
-      container_checkpoints_written_.load(std::memory_order_relaxed);
-  core::MutexLock lock(mu_);
-  for (const auto& [id, collection] : collections_) {
-    total += collection->engine->checkpoints_written();
-  }
-  return total;
 }
 
 Status Collector::LastCheckpointError() const {
-  {
-    core::MutexLock lock(ckpt_mu_);
-    if (!ckpt_error_.ok()) return ckpt_error_;
-  }
-  std::vector<std::shared_ptr<CollectionHandle::Collection>> live;
-  {
-    core::MutexLock lock(mu_);
-    live.reserve(collections_.size());
-    for (const auto& [id, collection] : collections_) live.push_back(collection);
-  }
-  for (const auto& collection : live) {
-    Status status = collection->engine->LastCheckpointError();
-    if (!status.ok()) {
-      return Status(status.code(), "collection \"" + collection->id +
-                                       "\": " + status.message());
-    }
-  }
-  return Status::OK();
+  core::MutexLock lock(ckpt_mu_);
+  return ckpt_error_;
 }
 
 Status Collector::Checkpoint() {
@@ -495,28 +446,6 @@ Status Collector::RestoreFrom(const std::string& path) {
     ckpt_quarantined_total_->Increment(fallback.quarantined.size());
   }
   if (!collections.ok()) return collections.status();
-
-  if (collections->size() == 1 && (*collections)[0].id.empty()) {
-    // A v1 single-collection file: restore into the sole collection.
-    std::shared_ptr<CollectionHandle::Collection> sole;
-    {
-      core::MutexLock lock(mu_);
-      if (collections_.size() != 1) {
-        return Status::InvalidArgument(
-            path + ": a single-collection (v1) checkpoint restores only "
-                   "into a collector with exactly one registered "
-                   "collection, found " +
-            std::to_string(collections_.size()));
-      }
-      sole = collections_.begin()->second;
-    }
-    Status status = sole->engine->RestoreShards((*collections)[0].snapshots);
-    if (!status.ok()) {
-      return Status(status.code(), "collection \"" + sole->id +
-                                       "\": " + status.message());
-    }
-    return Status::OK();
-  }
 
   // Resolve every id before restoring anything, so an unknown collection
   // fails the whole restore with no state touched.

@@ -14,8 +14,8 @@
 //     across ALL collections, so a burst on any subset of streams shares
 //     one memory bound (CollectorOptions::max_pending_batches_total);
 //   * durability: CheckpointTo/RestoreFrom persist and restore every
-//     collection atomically in one version-2 container file
-//     (engine/checkpoint.h); single-collection v1 files still restore.
+//     collection atomically in one container file (engine/checkpoint.h);
+//     the Collector is the only checkpoint writer and reader.
 //
 // Ingest is either per-collection through a typed CollectionHandle
 // (Ingest / IngestBatch / IngestWireBatch / rows) or multiplexed:
@@ -47,9 +47,6 @@ namespace engine {
 /// Collector-wide configuration.
 struct CollectorOptions {
   /// Per-collection engine defaults; Register overrides may replace them.
-  /// The checkpoint fields of the defaults are ignored — durability of the
-  /// whole collector is owned by the options below (explicit Register
-  /// overrides may still configure per-collection checkpoint files).
   EngineOptions engine_defaults;
   /// Cap on the sum of shard worker threads across live collections;
   /// 0 = unbounded. Register fails with ResourceExhausted beyond it.
@@ -57,8 +54,8 @@ struct CollectorOptions {
   /// Collector-wide bound on in-flight work items (batches) summed over
   /// all collections; 0 = unbounded. Enforced by a shared IngestBudget.
   size_t max_pending_batches_total = 0;
-  /// Destination of Checkpoint() and the shutdown checkpoint: a version-2
-  /// container holding every collection.
+  /// Destination of Checkpoint() and the shutdown checkpoint: a container
+  /// holding every collection.
   std::string checkpoint_path;
   /// Write a final all-collection checkpoint in Drain() and (best-effort)
   /// the destructor. Requires a non-empty checkpoint_path.
@@ -149,11 +146,11 @@ class Collector {
                                       const ProtocolConfig& config);
 
   /// Same, with explicit per-collection EngineOptions (shard count, batch
-  /// sizes, per-collection checkpoint file, ...). The collector's shared
-  /// backpressure budget is installed regardless, and the engine seed is
-  /// still decorrelated per collection (a deterministic function of
-  /// overrides.seed and the id), so same-config collections never share
-  /// bitwise-identical perturbation randomness.
+  /// sizes, ...). The collector's shared backpressure budget is installed
+  /// regardless, and the engine seed is still decorrelated per collection
+  /// (a deterministic function of overrides.seed and the id), so
+  /// same-config collections never share bitwise-identical perturbation
+  /// randomness.
   StatusOr<CollectionHandle> Register(std::string id, ProtocolKind kind,
                                       const ProtocolConfig& config,
                                       const EngineOptions& overrides);
@@ -191,16 +188,14 @@ class Collector {
   obs::MetricsRegistry* metrics() const { return metrics_; }
 
   /// Checkpoints written since construction: successful CheckpointTo /
-  /// Checkpoint / Drain / shutdown container writes, plus the background
-  /// checkpoints of every live collection engine (per-collection cadence
-  /// overrides). Unregistered collections' counts drop out.
-  uint64_t checkpoints_written() const;
+  /// Checkpoint / Drain / shutdown container writes.
+  uint64_t checkpoints_written() const {
+    return checkpoints_written_.load(std::memory_order_relaxed);
+  }
 
-  /// Most recent unresolved checkpoint error: a collector-level container
-  /// write failure stays sticky until the next successful container write
-  /// clears it; after that, the first live engine's unresolved
-  /// background-checkpointer error (same clear-on-success rule) is
-  /// reported. OK when the durable state is current.
+  /// Most recent unresolved checkpoint error: a failed container write
+  /// stays sticky until the next successful write clears it. OK when the
+  /// durable state is current.
   Status LastCheckpointError() const;
 
   // ---- Multiplexed ingest ------------------------------------------------
@@ -251,23 +246,21 @@ class Collector {
 
   // ---- Durability --------------------------------------------------------
 
-  /// Flushes every collection and atomically writes one version-2
-  /// container holding all of them (ascending id order). Each collection's
-  /// snapshot set is an exact cut of everything its handle ingested before
-  /// this call.
+  /// Flushes every collection and atomically writes one container holding
+  /// all of them (ascending id order). Each collection's snapshot set is
+  /// an exact cut of everything its handle ingested before this call.
   Status CheckpointTo(const std::string& path);
 
   /// CheckpointTo(options.checkpoint_path).
   Status Checkpoint();
 
-  /// Restores collections from a checkpoint file. A version-2 container
-  /// restores every collection it names into the registered collection of
-  /// the same id (every named id must be registered with a matching
-  /// protocol/config; registered collections absent from the file keep
-  /// their state). A version-1 (single-collection) file restores into the
-  /// sole registered collection, whatever its id. Collections are restored
-  /// one at a time; each is atomic, and a failure part-way leaves earlier
-  /// ones restored (the returned Status names the failing collection).
+  /// Restores collections from a checkpoint file: every collection it
+  /// names into the registered collection of the same id (every named id
+  /// must be registered with a matching protocol/config; registered
+  /// collections absent from the file keep their state). Collections are
+  /// restored one at a time; each is atomic, and a failure part-way leaves
+  /// earlier ones restored (the returned Status names the failing
+  /// collection).
   Status RestoreFrom(const std::string& path);
 
   /// Flushes every collection, then writes the shutdown checkpoint when
@@ -276,16 +269,6 @@ class Collector {
 
  private:
   explicit Collector(const CollectorOptions& options);
-
-  /// Effective per-collection engine options: install the shared budget
-  /// and (for defaults) strip collector-owned checkpoint fields.
-  EngineOptions EffectiveOptions(const EngineOptions& base,
-                                 bool strip_checkpointing) const;
-
-  StatusOr<CollectionHandle> RegisterInternal(std::string id,
-                                              ProtocolKind kind,
-                                              const ProtocolConfig& config,
-                                              const EngineOptions& base_options);
 
   StatusOr<std::shared_ptr<CollectionHandle::Collection>> Find(
       std::string_view id) const;
@@ -314,11 +297,10 @@ class Collector {
       collections_ LDPM_GUARDED_BY(mu_);
   int threads_in_use_ LDPM_GUARDED_BY(mu_) = 0;
 
-  /// Collector-level checkpoint outcomes (see checkpoints_written /
-  /// LastCheckpointError); engines keep their own.
+  /// Checkpoint outcomes (see checkpoints_written / LastCheckpointError).
   mutable core::Mutex ckpt_mu_;
   Status ckpt_error_ LDPM_GUARDED_BY(ckpt_mu_);
-  std::atomic<uint64_t> container_checkpoints_written_{0};
+  std::atomic<uint64_t> checkpoints_written_{0};
 };
 
 }  // namespace engine

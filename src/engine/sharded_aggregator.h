@@ -55,34 +55,6 @@ struct EngineOptions {
   size_t max_pending_batches = 64;
   /// Base seed for the per-shard Rng streams (row ingest / fast path).
   uint64_t seed = 0x5EED;
-  /// Destination of background checkpoints (engine/checkpoint.h format).
-  /// Must be non-empty when checkpoint_every_batches > 0.
-  std::string checkpoint_path;
-  /// Background checkpoint cadence: after every N enqueued batches a
-  /// dedicated checkpointer thread snapshots the shard states and
-  /// atomically rewrites checkpoint_path. 0 disables the checkpointer.
-  /// Ingest never blocks on disk: the cadence piggybacks on the batch
-  /// counter the queues already maintain, and the snapshot capture takes
-  /// each shard's state lock only as long as a merge would.
-  uint64_t checkpoint_every_batches = 0;
-  /// Write a final checkpoint to checkpoint_path on Drain() and in the
-  /// destructor, so a clean shutdown never loses the tail of the stream
-  /// between two background-cadence checkpoints. Requires a non-empty
-  /// checkpoint_path (cadence may stay 0 for a shutdown-only checkpoint).
-  bool checkpoint_on_shutdown = false;
-  /// Checkpoint generations kept on disk (engine/checkpoint.h): each
-  /// write rotates checkpoint_path -> .1 -> .2 ... before installing the
-  /// new file, and RestoreFrom falls back newest-to-oldest past corrupt
-  /// generations (quarantining them as *.corrupt). 1 keeps only the
-  /// newest file — the original behavior.
-  int checkpoint_generations = 1;
-  /// Backoff schedule of the background checkpointer's write retries: a
-  /// failed cadence checkpoint (disk full, transient I/O error) is retried
-  /// after this delay, doubling up to the max, until it succeeds or the
-  /// engine stops. The sticky LastCheckpointError() is set while failing
-  /// and cleared by the first success.
-  std::chrono::milliseconds checkpoint_retry_initial_backoff{100};
-  std::chrono::milliseconds checkpoint_retry_max_backoff{5000};
   /// Optional engine-wide backpressure budget shared with other engines
   /// (the Collector gives every collection the same one). When set, each
   /// ingest call acquires a slot before enqueueing — blocking while the
@@ -90,7 +62,7 @@ struct EngineOptions {
   /// worker releases it after absorbing the item.
   std::shared_ptr<IngestBudget> shared_budget;
   /// Where this engine publishes its operational metrics (throughput
-  /// counters, queue-depth gauges, absorb/budget-wait/checkpoint latency
+  /// counters, queue-depth gauges, absorb/budget-wait latency
   /// histograms — docs/observability.md catalogs them). Null gives the
   /// engine a private registry, so instrumentation is always on (the
   /// counters double as the IngestStats source of truth) but invisible
@@ -111,9 +83,9 @@ using ProtocolFactory =
     std::function<StatusOr<std::unique_ptr<MarginalProtocol>>()>;
 
 /// The multi-core collector: S shard aggregators fed by bounded queues,
-/// merged on demand for queries, snapshot/checkpoint-able for re-sharding
-/// and restart-without-replay (see the file comment and
-/// docs/architecture.md for the dataflow).
+/// merged on demand for queries, and snapshot-able for re-sharding and
+/// for the Collector's restart-without-replay checkpoints (see the file
+/// comment and docs/architecture.md for the dataflow).
 class ShardedAggregator {
  public:
   /// Creates an engine whose shards run `kind` under `config`.
@@ -126,9 +98,7 @@ class ShardedAggregator {
       const ProtocolFactory& factory,
       const EngineOptions& options = EngineOptions());
 
-  /// Drains and joins all workers; with checkpoint_on_shutdown set, writes
-  /// a best-effort final checkpoint after the workers stop (use Drain()
-  /// first when the write's Status matters).
+  /// Drains and joins all workers.
   ~ShardedAggregator();
 
   ShardedAggregator(const ShardedAggregator&) = delete;
@@ -179,12 +149,6 @@ class ShardedAggregator {
   /// buffer) has been absorbed, then reports the first worker error, if any.
   Status Flush();
 
-  /// Flush plus the shutdown checkpoint (when checkpoint_on_shutdown is
-  /// set): the graceful-shutdown barrier whose Status callers can check,
-  /// unlike the destructor's best-effort final write. The engine stays
-  /// usable afterwards.
-  Status Drain();
-
   // ---- Query -------------------------------------------------------------
 
   /// Flushes, merges shard state (cached until the next ingest), and
@@ -218,33 +182,6 @@ class ShardedAggregator {
 
   /// Flushes and clears all shard state and the stats window.
   Status Reset();
-
-  // ---- Durable checkpoints (engine/checkpoint.h) -------------------------
-
-  /// Flushes, snapshots every shard, and atomically writes the set to
-  /// `path` in the versioned checkpoint file format. The written file
-  /// restores — into an engine with ANY shard count — a merged state
-  /// bitwise-identical to this engine's state at the time of the call.
-  Status CheckpointTo(const std::string& path);
-
-  /// Reads a checkpoint file and replaces all shard state with it (the
-  /// restart-without-replay path). The checkpoint may have been taken at a
-  /// different shard count; snapshots are redistributed round-robin (see
-  /// RestoreShards). On any error — missing file, corruption, protocol or
-  /// config mismatch — the engine's current state is left unchanged.
-  Status RestoreFrom(const std::string& path);
-
-  /// Number of checkpoints the background checkpointer has written since
-  /// construction (explicit CheckpointTo calls are not counted).
-  uint64_t checkpoints_written() const {
-    return checkpoints_written_.load(std::memory_order_relaxed);
-  }
-
-  /// Most recent unresolved error of the background checkpointer: set by
-  /// a failed cadence write, sticky until the retry loop's next success
-  /// (or Reset) clears it. OK
-  /// when checkpointing is disabled or has always succeeded.
-  Status LastCheckpointError();
 
   /// The registry this engine's metrics live in (the options' registry,
   /// or the engine-private one when none was given). Valid for the
@@ -282,19 +219,10 @@ class ShardedAggregator {
   void WorkerLoop(Shard& shard);
   void NoteIngestStarted();
   /// The common enqueue tail: budget acquire (timed), queue push, depth
-  /// gauges, batch counter, checkpointer wakeup.
+  /// gauges, batch counter.
   Status EnqueueWork(WorkItem item);
   Status FlushPending();  // pushes the coalescing buffer, if any
   Status DrainAndCollectErrors();
-
-  /// Snapshots every shard (without a flush barrier) and atomically writes
-  /// the checkpoint file. Called by the background checkpointer; each
-  /// shard's snapshot is taken under its state lock, so the set is a
-  /// consistent per-shard prefix of the absorbed stream.
-  Status WriteCheckpointNow(const std::string& path)
-      LDPM_EXCLUDES(state_cut_mu_, ckpt_mu_);
-  void CheckpointLoop() LDPM_EXCLUDES(ckpt_mu_);
-  void MaybeWakeCheckpointer() LDPM_EXCLUDES(ckpt_mu_);
 
   ProtocolFactory factory_;
   EngineOptions options_;
@@ -311,10 +239,6 @@ class ShardedAggregator {
   obs::Counter* report_bits_total_ = nullptr;    // paper Table-2 bits
   obs::Histogram* absorb_latency_ = nullptr;     // per work item, ns
   obs::Histogram* budget_wait_ = nullptr;        // shared-budget waits, ns
-  obs::Counter* ckpt_writes_total_ = nullptr;    // successful writes (all)
-  obs::Counter* ckpt_errors_total_ = nullptr;
-  obs::Counter* ckpt_bytes_total_ = nullptr;     // encoded bytes written
-  obs::Histogram* ckpt_duration_ = nullptr;      // encode+write, ns
 
   core::Mutex pending_mu_;
   /// Single-report coalescing buffer.
@@ -331,12 +255,12 @@ class ShardedAggregator {
   uint64_t merged_epoch_ LDPM_GUARDED_BY(merge_mu_) = ~uint64_t{0};
 
   /// Makes cross-shard state transitions atomic against snapshot capture:
-  /// held across the whole shard loop by Snapshot/checkpoint capture and
-  /// by Reset/RestoreShards, so a background checkpoint racing a reset or
-  /// restore sees all shards before or all shards after, never a mix
-  /// (per-shard state_mu alone orders only within one shard). Always
-  /// acquired before any state_mu, never the other way around
-  /// (docs/operations.md, "Lock ordering").
+  /// held across the whole shard loop by SnapshotShards and by
+  /// Reset/RestoreShards, so a checkpoint cut racing a reset or restore
+  /// sees all shards before or all shards after, never a mix (per-shard
+  /// state_mu alone orders only within one shard). Always acquired before
+  /// any state_mu, never the other way around (docs/operations.md, "Lock
+  /// ordering").
   core::Mutex state_cut_mu_;
 
   core::Mutex window_mu_;
@@ -349,18 +273,6 @@ class ShardedAggregator {
   /// bits need no baseline — Reset clears the shard protocols they are
   /// read from.)
   uint64_t window_base_batches_ LDPM_GUARDED_BY(window_mu_) = 0;
-
-  /// Background checkpointer (started only when the cadence is enabled).
-  /// The worker sleeps on ckpt_cv_ until the enqueued-batch counter runs
-  /// checkpoint_every_batches past the last checkpoint; ingest paths only
-  /// ever notify the condvar — they never touch the disk.
-  std::thread checkpoint_worker_;
-  core::Mutex ckpt_mu_;  // guards ckpt_stop_ / ckpt_error_ and the cv wait
-  core::CondVar ckpt_cv_;
-  bool ckpt_stop_ LDPM_GUARDED_BY(ckpt_mu_) = false;
-  Status ckpt_error_ LDPM_GUARDED_BY(ckpt_mu_);
-  std::atomic<uint64_t> last_checkpoint_batches_{0};
-  std::atomic<uint64_t> checkpoints_written_{0};
 };
 
 }  // namespace engine

@@ -1,36 +1,33 @@
 // Checkpoint subsystem tests: snapshot payload round trips per protocol,
-// whole-file round trips through the engine (same and different shard
-// counts), rejection of truncated / bit-flipped / wrong-version files, and
-// the background checkpoint cadence.
+// whole-file round trips through the Collector (same and different shard
+// counts), rejection of wrong-version and bad-magic images, failed
+// restores that leave state intact, and checkpoint generations.
 
 #include "engine/checkpoint.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/crc32c.h"
-#include "core/failpoint.h"
 #include "core/file_io.h"
-#include "engine/sharded_aggregator.h"
+#include "engine/collector.h"
 #include "protocols/factory.h"
 #include "protocols/test_util.h"
 
 namespace ldpm {
 namespace {
 
-using engine::DecodeCheckpoint;
-using engine::EncodeCheckpoint;
-using engine::EngineOptions;
-using engine::ReadCheckpoint;
-using engine::ShardedAggregator;
-using engine::WriteCheckpoint;
+using engine::CollectionCheckpoint;
+using engine::CollectionHandle;
+using engine::Collector;
+using engine::CollectorOptions;
+using engine::DecodeCollectorCheckpoint;
+using engine::EncodeCollectorCheckpoint;
 using test::EncodeReportStream;
 using test::ExpectBitwiseEqualEstimates;
 using test::MakeConfig;
@@ -39,35 +36,60 @@ std::string TestPath(const std::string& name) {
   return (std::filesystem::path(::testing::TempDir()) / name).string();
 }
 
-std::vector<uint8_t> MustEncode(const std::vector<AggregatorSnapshot>& s) {
-  auto image = EncodeCheckpoint(s);
+std::vector<uint8_t> MustEncode(const std::vector<CollectionCheckpoint>& c) {
+  auto image = EncodeCollectorCheckpoint(c);
   EXPECT_TRUE(image.ok()) << image.status().ToString();
   return *std::move(image);
 }
 
-/// An engine with absorbed reports, plus the identical single aggregator.
-struct LoadedEngine {
-  std::unique_ptr<ShardedAggregator> engine;
+/// The id of the one collection every test collector registers.
+constexpr char kCollectionId[] = "c";
+
+/// A collector with one registered collection running `kind`.
+std::unique_ptr<Collector> MakeCollector(ProtocolKind kind, int num_shards,
+                                         int generations = 1) {
+  CollectorOptions options;
+  options.engine_defaults.num_shards = num_shards;
+  options.checkpoint_generations = generations;
+  auto collector = Collector::Create(options);
+  EXPECT_TRUE(collector.ok()) << collector.status().ToString();
+  auto handle = (*collector)->Register(kCollectionId, kind, MakeConfig(6, 2));
+  EXPECT_TRUE(handle.ok()) << handle.status().ToString();
+  return *std::move(collector);
+}
+
+/// The collection's merged aggregator (owned by the collector), or null.
+const MarginalProtocol* Merged(Collector& collector) {
+  auto handle = collector.Handle(kCollectionId);
+  if (!handle.ok()) return nullptr;
+  auto merged = handle->aggregator().Merged();
+  EXPECT_TRUE(merged.ok()) << merged.status().ToString();
+  return merged.ok() ? *merged : nullptr;
+}
+
+/// A one-collection collector with absorbed reports, plus the identical
+/// single aggregator.
+struct LoadedCollector {
+  std::unique_ptr<Collector> collector;
+  CollectionHandle handle;
   std::unique_ptr<MarginalProtocol> reference;
 };
 
-LoadedEngine MakeLoadedEngine(ProtocolKind kind, int num_shards,
-                              size_t num_reports, uint64_t seed) {
-  const ProtocolConfig config = MakeConfig(6, 2);
-  EngineOptions options;
-  options.num_shards = num_shards;
-  auto eng = ShardedAggregator::Create(kind, config, options);
-  EXPECT_TRUE(eng.ok()) << eng.status().ToString();
-  auto reference = CreateProtocol(kind, config);
+LoadedCollector MakeLoadedCollector(ProtocolKind kind, int num_shards,
+                                    size_t num_reports, uint64_t seed) {
+  auto collector = MakeCollector(kind, num_shards);
+  auto handle = collector->Handle(kCollectionId);
+  EXPECT_TRUE(handle.ok());
+  auto reference = CreateProtocol(kind, MakeConfig(6, 2));
   EXPECT_TRUE(reference.ok());
   const std::vector<Report> reports =
       EncodeReportStream(**reference, num_reports, seed);
   for (const Report& r : reports) {
     EXPECT_TRUE((*reference)->Absorb(r).ok());
   }
-  EXPECT_TRUE((*eng)->IngestBatch(reports).ok());
-  EXPECT_TRUE((*eng)->Flush().ok());
-  return {*std::move(eng), *std::move(reference)};
+  EXPECT_TRUE(handle->IngestBatch(reports).ok());
+  EXPECT_TRUE(handle->Flush().ok());
+  return {std::move(collector), *std::move(handle), *std::move(reference)};
 }
 
 class CheckpointPerProtocolTest
@@ -109,33 +131,29 @@ TEST_P(CheckpointPerProtocolTest, SnapshotPayloadRoundTrips) {
 }
 
 // The acceptance criterion: a checkpoint written mid-ingest restores into
-// a fresh engine — same or different shard count — whose marginal query
+// a fresh collector — same or different shard count — whose marginal query
 // results are bitwise-identical to the original's at checkpoint time.
 TEST_P(CheckpointPerProtocolTest, FileRoundTripAcrossShardCounts) {
   const ProtocolKind kind = GetParam();
   const std::string path =
       TestPath("ckpt_roundtrip_" + std::string(ProtocolKindName(kind)) +
                ".bin");
-  LoadedEngine loaded = MakeLoadedEngine(kind, 4, 2000, 31);
-  ASSERT_TRUE(loaded.engine->CheckpointTo(path).ok());
+  LoadedCollector loaded = MakeLoadedCollector(kind, 4, 2000, 31);
+  ASSERT_TRUE(loaded.collector->CheckpointTo(path).ok());
 
   // Reports ingested AFTER the checkpoint must not leak into the file.
   auto encoder = CreateProtocol(kind, MakeConfig(6, 2));
   ASSERT_TRUE(encoder.ok());
   ASSERT_TRUE(
-      loaded.engine->IngestBatch(EncodeReportStream(**encoder, 300, 77)).ok());
+      loaded.handle.IngestBatch(EncodeReportStream(**encoder, 300, 77)).ok());
 
   for (int target_shards : {1, 2, 4}) {
-    EngineOptions options;
-    options.num_shards = target_shards;
-    auto restored =
-        ShardedAggregator::Create(kind, MakeConfig(6, 2), options);
-    ASSERT_TRUE(restored.ok());
-    ASSERT_TRUE((*restored)->RestoreFrom(path).ok());
-    auto merged = (*restored)->Merged();
-    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-    EXPECT_EQ((*merged)->reports_absorbed(), 2000u);
-    ExpectBitwiseEqualEstimates(*loaded.reference, **merged);
+    auto restored = MakeCollector(kind, target_shards);
+    ASSERT_TRUE(restored->RestoreFrom(path).ok());
+    const MarginalProtocol* merged = Merged(*restored);
+    ASSERT_NE(merged, nullptr);
+    EXPECT_EQ(merged->reports_absorbed(), 2000u);
+    ExpectBitwiseEqualEstimates(*loaded.reference, *merged);
   }
   std::filesystem::remove(path);
 }
@@ -148,195 +166,90 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(Checkpoint, EmptySnapshotListRoundTrips) {
-  const std::vector<uint8_t> image = MustEncode({});
-  EXPECT_EQ(image.size(), 20u);  // header only
-  auto decoded = DecodeCheckpoint(image.data(), image.size());
+  const std::vector<uint8_t> header_only = MustEncode({});
+  EXPECT_EQ(header_only.size(), 20u);  // header only
+  auto decoded =
+      DecodeCollectorCheckpoint(header_only.data(), header_only.size());
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_TRUE(decoded->empty());
-}
 
-TEST(Checkpoint, EveryTruncationIsRejected) {
-  LoadedEngine loaded = MakeLoadedEngine(ProtocolKind::kInpHT, 2, 400, 13);
-  auto snapshots = loaded.engine->SnapshotShards();
-  ASSERT_TRUE(snapshots.ok());
-  const std::vector<uint8_t> image = MustEncode(*snapshots);
-  ASSERT_GT(image.size(), 20u);
-  for (size_t len = 0; len < image.size(); ++len) {
-    auto decoded = DecodeCheckpoint(image.data(), len);
-    EXPECT_FALSE(decoded.ok()) << "prefix length " << len << " accepted";
-  }
-}
-
-TEST(Checkpoint, EveryByteFlipIsRejected) {
-  LoadedEngine loaded = MakeLoadedEngine(ProtocolKind::kMargPS, 2, 300, 19);
-  auto snapshots = loaded.engine->SnapshotShards();
-  ASSERT_TRUE(snapshots.ok());
-  std::vector<uint8_t> image = MustEncode(*snapshots);
-  auto clean = DecodeCheckpoint(image.data(), image.size());
-  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
-  for (size_t i = 0; i < image.size(); ++i) {
-    image[i] ^= 0xA5;
-    auto decoded = DecodeCheckpoint(image.data(), image.size());
-    EXPECT_FALSE(decoded.ok()) << "flip at byte " << i << " accepted";
-    image[i] ^= 0xA5;
-  }
+  const std::vector<uint8_t> image = MustEncode({{"empty", {}}});
+  decoded = DecodeCollectorCheckpoint(image.data(), image.size());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded->size(), 1u);
+  EXPECT_EQ((*decoded)[0].id, "empty");
+  EXPECT_TRUE((*decoded)[0].snapshots.empty());
 }
 
 TEST(Checkpoint, NewerFormatVersionIsRejectedNotMisparsed) {
-  std::vector<uint8_t> image = MustEncode({});
-  // Bump the version field and re-stamp a VALID header CRC: this simulates
-  // a well-formed file from a future build, not corruption.
-  image[8] = static_cast<uint8_t>(engine::kCheckpointFormatVersion + 1);
-  const uint32_t crc = Crc32c(image.data(), 16);
-  image[16] = static_cast<uint8_t>(crc);
-  image[17] = static_cast<uint8_t>(crc >> 8);
-  image[18] = static_cast<uint8_t>(crc >> 16);
-  image[19] = static_cast<uint8_t>(crc >> 24);
-  auto decoded = DecodeCheckpoint(image.data(), image.size());
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_NE(decoded.status().message().find("version"), std::string::npos)
-      << decoded.status().ToString();
+  // Stamp another version and re-stamp a VALID header CRC: this simulates
+  // a well-formed file from another build, not corruption. Version 1 is
+  // the retired single-collection container, whose header-only image the
+  // decoder would otherwise accept as an empty checkpoint.
+  for (const uint32_t version : {engine::kCheckpointFormatVersion + 1, 1u}) {
+    std::vector<uint8_t> image = MustEncode({});
+    image[8] = static_cast<uint8_t>(version);
+    const uint32_t crc = Crc32c(image.data(), 16);
+    image[16] = static_cast<uint8_t>(crc);
+    image[17] = static_cast<uint8_t>(crc >> 8);
+    image[18] = static_cast<uint8_t>(crc >> 16);
+    image[19] = static_cast<uint8_t>(crc >> 24);
+    auto decoded = DecodeCollectorCheckpoint(image.data(), image.size());
+    ASSERT_FALSE(decoded.ok()) << "version " << version << " accepted";
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(decoded.status().message().find("version"), std::string::npos)
+        << decoded.status().ToString();
+  }
 }
 
 TEST(Checkpoint, BadMagicIsRejected) {
   std::vector<uint8_t> image = MustEncode({});
   image[0] = 'X';
-  auto decoded = DecodeCheckpoint(image.data(), image.size());
+  auto decoded = DecodeCollectorCheckpoint(image.data(), image.size());
   ASSERT_FALSE(decoded.ok());
   EXPECT_NE(decoded.status().message().find("magic"), std::string::npos);
 }
 
-TEST(Checkpoint, TrailingBytesAreRejected) {
-  LoadedEngine loaded = MakeLoadedEngine(ProtocolKind::kInpPS, 1, 200, 23);
-  auto snapshots = loaded.engine->SnapshotShards();
-  ASSERT_TRUE(snapshots.ok());
-  std::vector<uint8_t> image = MustEncode(*snapshots);
-  image.push_back(0);
-  auto decoded = DecodeCheckpoint(image.data(), image.size());
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_NE(decoded.status().message().find("trailing"), std::string::npos);
-}
-
 TEST(Checkpoint, RestoreFromMissingFileIsNotFound) {
-  EngineOptions options;
-  auto eng = ShardedAggregator::Create(ProtocolKind::kInpHT, MakeConfig(6, 2),
-                                       options);
-  ASSERT_TRUE(eng.ok());
-  const Status s = (*eng)->RestoreFrom(TestPath("ckpt_no_such_file.bin"));
+  auto collector = MakeCollector(ProtocolKind::kInpHT, 1);
+  const Status s = collector->RestoreFrom(TestPath("ckpt_no_such_file.bin"));
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kNotFound);
 }
 
 // A corrupted file must reject with a clear error AND leave the target
-// engine's state untouched.
+// collection's state untouched.
 TEST(Checkpoint, CorruptFileLeavesEngineStateIntact) {
   const std::string path = TestPath("ckpt_corrupt.bin");
-  LoadedEngine loaded = MakeLoadedEngine(ProtocolKind::kInpHT, 2, 500, 37);
-  ASSERT_TRUE(loaded.engine->CheckpointTo(path).ok());
+  LoadedCollector loaded =
+      MakeLoadedCollector(ProtocolKind::kInpHT, 2, 500, 37);
+  ASSERT_TRUE(loaded.collector->CheckpointTo(path).ok());
   auto bytes = ReadBinaryFile(path);
   ASSERT_TRUE(bytes.ok());
   (*bytes)[bytes->size() / 2] ^= 0x40;
   ASSERT_TRUE(WriteBinaryFileAtomic(path, *bytes).ok());
 
-  const Status restored = loaded.engine->RestoreFrom(path);
+  const Status restored = loaded.collector->RestoreFrom(path);
   ASSERT_FALSE(restored.ok());
   EXPECT_NE(restored.message().find("checkpoint"), std::string::npos)
       << restored.ToString();
   // State unchanged: still answers like the reference aggregator.
-  auto merged = loaded.engine->Merged();
-  ASSERT_TRUE(merged.ok());
-  ExpectBitwiseEqualEstimates(*loaded.reference, **merged);
+  const MarginalProtocol* merged = Merged(*loaded.collector);
+  ASSERT_NE(merged, nullptr);
+  ExpectBitwiseEqualEstimates(*loaded.reference, *merged);
   std::filesystem::remove(path);
+  std::filesystem::remove(path + ".corrupt");  // quarantined by the restore
 }
 
-// Restoring a checkpoint into an engine running a different protocol must
-// fail (the per-snapshot protocol name guards the restore).
+// Restoring a checkpoint into a collection running a different protocol
+// must fail (the per-snapshot protocol name guards the restore).
 TEST(Checkpoint, ProtocolMismatchIsRejected) {
   const std::string path = TestPath("ckpt_mismatch.bin");
-  LoadedEngine loaded = MakeLoadedEngine(ProtocolKind::kInpHT, 2, 200, 41);
-  ASSERT_TRUE(loaded.engine->CheckpointTo(path).ok());
-  EngineOptions options;
-  auto other = ShardedAggregator::Create(ProtocolKind::kMargPS,
-                                         MakeConfig(6, 2), options);
-  ASSERT_TRUE(other.ok());
-  EXPECT_FALSE((*other)->RestoreFrom(path).ok());
-  std::filesystem::remove(path);
-}
-
-TEST(Checkpoint, CadenceRequiresPath) {
-  EngineOptions options;
-  options.checkpoint_every_batches = 4;
-  EXPECT_FALSE(ShardedAggregator::Create(ProtocolKind::kInpHT,
-                                         MakeConfig(6, 2), options)
-                   .ok());
-}
-
-// The background checkpointer must write a restorable file without any
-// explicit CheckpointTo call, and without erroring.
-TEST(Checkpoint, BackgroundCadenceWritesRestorableCheckpoints) {
-  const std::string path = TestPath("ckpt_background.bin");
-  std::filesystem::remove(path);
-  const ProtocolConfig config = MakeConfig(6, 2);
-  EngineOptions options;
-  options.num_shards = 2;
-  options.checkpoint_path = path;
-  options.checkpoint_every_batches = 2;
-  auto eng = ShardedAggregator::Create(ProtocolKind::kInpHT, config, options);
-  ASSERT_TRUE(eng.ok()) << eng.status().ToString();
-  auto encoder = CreateProtocol(ProtocolKind::kInpHT, config);
-  ASSERT_TRUE(encoder.ok());
-  const std::vector<Report> reports = EncodeReportStream(**encoder, 1000, 43);
-  for (size_t begin = 0; begin < reports.size(); begin += 100) {
-    ASSERT_TRUE((*eng)
-                    ->IngestBatch(std::vector<Report>(
-                        reports.begin() + begin, reports.begin() + begin + 100))
-                    .ok());
-  }
-  ASSERT_TRUE((*eng)->Flush().ok());
-  // The checkpointer runs asynchronously and snapshots WITHOUT a flush
-  // barrier, so an early cut can legitimately contain zero reports — and
-  // on a slow machine (TSan) that empty cut can be the last one the
-  // original batches trigger. Keep the stream flowing until a durable
-  // checkpoint holds data; the atomic write-rename guarantees every read
-  // below sees a complete file.
-  size_t total_ingested = reports.size();
-  uint64_t checkpointed = 0;
-  std::vector<AggregatorSnapshot> written;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  for (;;) {
-    if ((*eng)->checkpoints_written() > 0) {
-      auto snapshots = ReadCheckpoint(path);
-      ASSERT_TRUE(snapshots.ok()) << snapshots.status().ToString();
-      uint64_t total = 0;
-      for (const AggregatorSnapshot& s : *snapshots) {
-        total += s.reports_absorbed;
-      }
-      if (total > 0) {
-        written = *std::move(snapshots);
-        checkpointed = total;
-        break;
-      }
-    }
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-        << "no data-bearing background checkpoint appeared";
-    ASSERT_TRUE((*eng)
-                    ->IngestBatch(std::vector<Report>(reports.begin(),
-                                                      reports.begin() + 100))
-                    .ok());
-    total_ingested += 100;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_TRUE((*eng)->LastCheckpointError().ok());
-
-  // The written file is a valid prefix of the ingested stream.
-  EXPECT_EQ(written.size(), 2u);
-  EXPECT_LE(checkpointed, total_ingested);
-  EngineOptions restore_options;
-  auto restored =
-      ShardedAggregator::Create(ProtocolKind::kInpHT, config, restore_options);
-  ASSERT_TRUE(restored.ok());
-  EXPECT_TRUE((*restored)->RestoreFrom(path).ok());
+  LoadedCollector loaded =
+      MakeLoadedCollector(ProtocolKind::kInpHT, 2, 200, 41);
+  ASSERT_TRUE(loaded.collector->CheckpointTo(path).ok());
+  auto other = MakeCollector(ProtocolKind::kMargPS, 1);
+  EXPECT_FALSE(other->RestoreFrom(path).ok());
   std::filesystem::remove(path);
 }
 
@@ -389,22 +302,17 @@ TEST(CheckpointGenerations, FallbackSkipsCorruptNewestAndQuarantines) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directory(dir);
   const std::string path = dir + "/ckpt.bin";
-  // Two checkpoints of the same engine at different cuts: gen 1 holds the
-  // 400-report cut, gen 0 the 700-report cut.
-  EngineOptions options;
-  options.num_shards = 2;
-  options.checkpoint_generations = 2;
-  auto eng = ShardedAggregator::Create(ProtocolKind::kInpHT, MakeConfig(6, 2),
-                                       options);
-  ASSERT_TRUE(eng.ok());
+  // Two checkpoints of the same collector at different cuts: gen 1 holds
+  // the 400-report cut, gen 0 the 700-report cut.
+  auto collector = MakeCollector(ProtocolKind::kInpHT, 2, /*generations=*/2);
+  auto handle = collector->Handle(kCollectionId);
+  ASSERT_TRUE(handle.ok());
   auto encoder = CreateProtocol(ProtocolKind::kInpHT, MakeConfig(6, 2));
   ASSERT_TRUE(encoder.ok());
-  ASSERT_TRUE((*eng)->IngestBatch(EncodeReportStream(**encoder, 400, 3)).ok());
-  ASSERT_TRUE((*eng)->Flush().ok());
-  ASSERT_TRUE((*eng)->CheckpointTo(path).ok());
-  ASSERT_TRUE((*eng)->IngestBatch(EncodeReportStream(**encoder, 300, 5)).ok());
-  ASSERT_TRUE((*eng)->Flush().ok());
-  ASSERT_TRUE((*eng)->CheckpointTo(path).ok());
+  ASSERT_TRUE(handle->IngestBatch(EncodeReportStream(**encoder, 400, 3)).ok());
+  ASSERT_TRUE(collector->CheckpointTo(path).ok());
+  ASSERT_TRUE(handle->IngestBatch(EncodeReportStream(**encoder, 300, 5)).ok());
+  ASSERT_TRUE(collector->CheckpointTo(path).ok());
 
   // Corrupt the newest generation in place.
   auto bytes = ReadBinaryFile(path);
@@ -413,8 +321,9 @@ TEST(CheckpointGenerations, FallbackSkipsCorruptNewestAndQuarantines) {
   ASSERT_TRUE(WriteBinaryFileAtomic(path, *bytes).ok());
 
   engine::CheckpointFallbackInfo info;
-  auto snapshots = engine::ReadCheckpointWithFallback(path, 2, &info);
-  ASSERT_TRUE(snapshots.ok()) << snapshots.status().ToString();
+  auto collections =
+      engine::ReadCollectorCheckpointWithFallback(path, 2, &info);
+  ASSERT_TRUE(collections.ok()) << collections.status().ToString();
   EXPECT_EQ(info.generation, 1);
   EXPECT_EQ(info.path, path + ".1");
   ASSERT_EQ(info.quarantined.size(), 1u);
@@ -422,20 +331,19 @@ TEST(CheckpointGenerations, FallbackSkipsCorruptNewestAndQuarantines) {
   // The corrupt file moved aside — inspectable, out of the rotation.
   EXPECT_FALSE(std::filesystem::exists(path));
   EXPECT_TRUE(std::filesystem::exists(path + ".corrupt"));
+  ASSERT_EQ(collections->size(), 1u);
   uint64_t total = 0;
-  for (const AggregatorSnapshot& s : *snapshots) total += s.reports_absorbed;
+  for (const AggregatorSnapshot& s : (*collections)[0].snapshots) {
+    total += s.reports_absorbed;
+  }
   EXPECT_EQ(total, 400u);
 
-  // The engine-level restore takes the same fallback path.
-  EngineOptions restore_options;
-  restore_options.checkpoint_generations = 2;
-  auto restored = ShardedAggregator::Create(ProtocolKind::kInpHT,
-                                            MakeConfig(6, 2), restore_options);
-  ASSERT_TRUE(restored.ok());
-  ASSERT_TRUE((*restored)->RestoreFrom(path).ok());
-  auto merged = (*restored)->Merged();
-  ASSERT_TRUE(merged.ok());
-  EXPECT_EQ((*merged)->reports_absorbed(), 400u);
+  // The collector-level restore takes the same fallback path.
+  auto restored = MakeCollector(ProtocolKind::kInpHT, 1, /*generations=*/2);
+  ASSERT_TRUE(restored->RestoreFrom(path).ok());
+  const MarginalProtocol* merged = Merged(*restored);
+  ASSERT_NE(merged, nullptr);
+  EXPECT_EQ(merged->reports_absorbed(), 400u);
   std::filesystem::remove_all(dir);
 }
 
@@ -448,10 +356,11 @@ TEST(CheckpointGenerations, AllGenerationsCorruptReportsLastErrorNotFound) {
   ASSERT_TRUE(WriteBinaryFileAtomic(path + ".1", {0xBE, 0xEF}).ok());
 
   engine::CheckpointFallbackInfo info;
-  auto snapshots = engine::ReadCheckpointWithFallback(path, 2, &info);
-  ASSERT_FALSE(snapshots.ok());
-  EXPECT_NE(snapshots.status().code(), StatusCode::kNotFound)
-      << snapshots.status().ToString();
+  auto collections =
+      engine::ReadCollectorCheckpointWithFallback(path, 2, &info);
+  ASSERT_FALSE(collections.ok());
+  EXPECT_NE(collections.status().code(), StatusCode::kNotFound)
+      << collections.status().ToString();
   EXPECT_EQ(info.quarantined.size(), 2u);
   EXPECT_TRUE(std::filesystem::exists(path + ".corrupt"));
   EXPECT_TRUE(std::filesystem::exists(path + ".1.corrupt"));
@@ -459,56 +368,10 @@ TEST(CheckpointGenerations, AllGenerationsCorruptReportsLastErrorNotFound) {
 }
 
 TEST(CheckpointGenerations, NoGenerationAtAllIsNotFound) {
-  auto snapshots = engine::ReadCheckpointWithFallback(
+  auto collections = engine::ReadCollectorCheckpointWithFallback(
       TestPath("ckpt_gen_none.bin"), 3);
-  ASSERT_FALSE(snapshots.ok());
-  EXPECT_EQ(snapshots.status().code(), StatusCode::kNotFound);
-}
-
-// The background checkpointer must retry a transiently failing write with
-// backoff and clear the sticky LastCheckpointError once a write lands.
-TEST(Checkpoint, BackgroundCheckpointerRetriesAndClearsStickyError) {
-  const std::string path = TestPath("ckpt_retry.bin");
-  std::filesystem::remove(path);
-  const ProtocolConfig config = MakeConfig(6, 2);
-  EngineOptions options;
-  options.num_shards = 2;
-  options.checkpoint_path = path;
-  options.checkpoint_every_batches = 1;
-  options.checkpoint_retry_initial_backoff = std::chrono::milliseconds(10);
-  options.checkpoint_retry_max_backoff = std::chrono::milliseconds(50);
-  auto eng = ShardedAggregator::Create(ProtocolKind::kInpHT, config, options);
-  ASSERT_TRUE(eng.ok()) << eng.status().ToString();
-  auto encoder = CreateProtocol(ProtocolKind::kInpHT, config);
-  ASSERT_TRUE(encoder.ok());
-
-  failpoint::ArmError("file_io.write");
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while ((*eng)->LastCheckpointError().ok()) {
-    ASSERT_TRUE(
-        (*eng)->IngestBatch(EncodeReportStream(**encoder, 50, 7)).ok());
-    if (std::chrono::steady_clock::now() > deadline) {
-      failpoint::DisarmAll();
-      FAIL() << "injected checkpoint failure never surfaced";
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_GT(failpoint::HitCount("file_io.write"), 0u);
-  failpoint::DisarmAll();
-
-  // The retry loop recovers on its own — no new batches needed — and the
-  // success clears the sticky error.
-  while (!(*eng)->LastCheckpointError().ok()) {
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-        << "checkpointer never recovered after disarm: "
-        << (*eng)->LastCheckpointError().ToString();
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_GT((*eng)->checkpoints_written(), 0u);
-  auto snapshots = ReadCheckpoint(path);
-  EXPECT_TRUE(snapshots.ok()) << snapshots.status().ToString();
-  std::filesystem::remove(path);
+  ASSERT_FALSE(collections.ok());
+  EXPECT_EQ(collections.status().code(), StatusCode::kNotFound);
 }
 
 TEST(Checkpoint, HostileArrayLengthDoesNotWrapByteArithmetic) {
