@@ -17,8 +17,9 @@
 //     whole set, per request. This is the work a snapshot rebuild does
 //     once per epoch and the cache then amortizes over millions of hits.
 //   * query.http_rps        — end to end through net::QueryServer over
-//     loopback (connection setup + parse + serve + teardown per request,
-//     one request per connection by design). Informational.
+//     loopback (connection setup + parse + serve + teardown per request:
+//     each request asks for `Connection: close`, so the server's keep-alive
+//     is not used). Informational.
 //
 // query.refresh_ms is the mean forced-rebuild latency (the once-per-epoch
 // cost). The bench asserts the acceptance ratio — a cache hit must be
@@ -52,11 +53,13 @@ std::string Rate(double units, double seconds) {
 }
 
 /// One-shot HTTP GET over a fresh loopback connection; returns the whole
-/// response ("" on any socket error).
+/// response ("" on any socket error). `Connection: close` makes the server
+/// close after the response, which ends the read-to-EOF.
 std::string HttpGet(uint16_t port, const std::string& path) {
   auto socket = ldpm::net::Socket::Connect("127.0.0.1", port);
   if (!socket.ok()) return "";
-  const std::string request = "GET " + path + " HTTP/1.1\r\nHost: x\r\n\r\n";
+  const std::string request =
+      "GET " + path + " HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n";
   if (!socket
            ->WriteAll(reinterpret_cast<const uint8_t*>(request.data()),
                       request.size())

@@ -1,10 +1,10 @@
 // Demo: the network ingest front-end end to end — a net::IngestServer over
-// an engine::Collector with a shutdown checkpoint, a net::StatsServer
-// scraped live over HTTP, concurrent net::FrameClient streams, a client
-// killed mid-frame, a byte-precise stream rejection, graceful stop,
-// simulated crash, and restart from the checkpoint file
+// an engine::Collector with a shutdown checkpoint, a net::QueryServer
+// whose /metrics is scraped live over HTTP, concurrent net::FrameClient
+// streams, a client killed mid-frame, a byte-precise stream rejection,
+// graceful stop, simulated crash, and restart from the checkpoint file
 // (docs/wire-format.md specs every byte on the wire;
-// docs/observability.md catalogs every metric on /stats).
+// docs/observability.md catalogs every metric on /metrics).
 //
 //   ./server_demo [--chaos|--query] [num_shards [num_users]]
 //
@@ -43,7 +43,6 @@
 #include "net/ingest_server.h"
 #include "net/query_server.h"
 #include "net/socket.h"
-#include "net/stats_server.h"
 #include "protocols/factory.h"
 #include "protocols/wire.h"
 
@@ -84,10 +83,13 @@ std::vector<std::vector<uint8_t>> BuildFrames(ldpm::ProtocolKind kind,
 
 /// Raw HTTP GET over net::Socket (no HTTP library in the tree, none
 /// needed): returns the whole response, or empty on any socket error.
+/// `Connection: close` makes the server close after the response, which
+/// ends the read-to-EOF.
 std::string HttpGet(uint16_t port, const std::string& path) {
   auto socket = ldpm::net::Socket::Connect("127.0.0.1", port);
   if (!socket.ok()) return "";
-  const std::string request = "GET " + path + " HTTP/1.1\r\nHost: x\r\n\r\n";
+  const std::string request =
+      "GET " + path + " HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n";
   if (!socket
            ->WriteAll(reinterpret_cast<const uint8_t*>(request.data()),
                       request.size())
@@ -480,12 +482,12 @@ int main(int argc, char** argv) {
 
     auto server = net::IngestServer::Start(collector->get());
     DEMO_CHECK(server.ok(), "server start");
-    // The admin endpoint serves the collector's registry — every layer
-    // (engine, collector, net) publishes into it.
-    auto stats_server = net::StatsServer::Start((*collector)->metrics());
-    DEMO_CHECK(stats_server.ok(), "stats server start");
-    std::printf("listening on 127.0.0.1:%u (/stats on :%u)\n",
-                (*server)->port(), (*stats_server)->port());
+    // The query endpoint's /metrics serves the collector's registry —
+    // every layer (engine, collector, net) publishes into it.
+    auto query_server = net::QueryServer::Start(collector->get());
+    DEMO_CHECK(query_server.ok(), "query server start");
+    std::printf("listening on 127.0.0.1:%u (/metrics on :%u)\n",
+                (*server)->port(), (*query_server)->port());
 
     // Three concurrent clients: two stream whole collections, one dies
     // mid-frame (its whole frames count, the partial tail never does).
@@ -555,16 +557,16 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(stats.frames_routed),
                 static_cast<double>(stats.bytes_routed) / 1e6);
 
-    // Live scrape while the pipeline is up: /stats must agree with the
+    // Live scrape while the pipeline is up: /metrics must agree with the
     // server's own counters and show real engine activity.
     {
       // Flush first so the absorbed-report counter is exact (absorption
       // is asynchronous; the scrape itself never blocks on it).
       DEMO_CHECK((*collector)->Flush().ok(), "flush before scrape");
-      const std::string health = HttpGet((*stats_server)->port(), "/healthz");
+      const std::string health = HttpGet((*query_server)->port(), "/healthz");
       DEMO_CHECK(health.find("200 OK") != std::string::npos, "healthz");
-      const std::string body = HttpGet((*stats_server)->port(), "/stats");
-      DEMO_CHECK(body.find("200 OK") != std::string::npos, "stats scrape");
+      const std::string body = HttpGet((*query_server)->port(), "/metrics");
+      DEMO_CHECK(body.find("200 OK") != std::string::npos, "metrics scrape");
       DEMO_CHECK(SeriesValue(body, "ldpm_net_frames_routed_total") ==
                      static_cast<double>(stats.frames_routed),
                  "scrape agrees with server counters");
@@ -587,7 +589,7 @@ int main(int argc, char** argv) {
       DEMO_CHECK(
           SeriesValue(body, "ldpm_net_frame_route_latency_ns_count") > 0.0,
           "route latency histogram populated");
-      std::printf("scraped /stats: %zu bytes, frames metric matches\n",
+      std::printf("scraped /metrics: %zu bytes, frames metric matches\n",
                   body.size());
     }
 

@@ -228,6 +228,18 @@ void HttpRequestSeeds() {
                "Host: localhost\r\n\r\n"));
   Corpus("http_request", "stats", Bytes("GET /stats HTTP/1.1\r\n\r\n"));
   Corpus("http_request", "post", Bytes("POST /v1/x HTTP/1.1\r\n\r\n"));
+  // Three pipelined heads as one connection's stream: keep-alive, an LF-only
+  // head, and a Connection: close among other tokens; then a partial head.
+  Corpus("http_request", "pipelined_heads",
+         Bytes("GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+               "GET /v1/collections HTTP/1.1\n\n"
+               "GET /metrics HTTP/1.1\r\nconnection: Upgrade, Close\r\n\r\n"
+               "GET /v1/model?collection=c HTTP/1.0\r\n"));
+  // A body the server never reads, shaped like a second request: the
+  // Content-Length must end keep-alive so the body is not framed as a head.
+  Corpus("http_request", "body_shaped_like_a_head",
+         Bytes("POST /x HTTP/1.1\r\nContent-Length: 28\r\n\r\n"
+               "GET /y HTTP/1.1\r\nHost: x\r\n\r\n"));
   Regression("http_request", "bare_question_mark",
              Bytes("GET ? HTTP/1.1\r\n\r\n"));
   Regression("http_request", "no_version", Bytes("GET /\r\n\r\n"));

@@ -68,7 +68,7 @@ struct CollectorOptions {
   int checkpoint_generations = 1;
   /// Metrics registry the collector and every collection engine publish
   /// into (must outlive the collector). Null makes the collector own a
-  /// private registry, exposed via metrics() — so a StatsServer can serve
+  /// private registry, exposed via metrics() — so a QueryServer can serve
   /// it either way. Explicit Register overrides with their own non-null
   /// EngineOptions::metrics keep theirs.
   obs::MetricsRegistry* metrics = nullptr;
@@ -184,7 +184,7 @@ class Collector {
   /// The registry all collector/engine metrics land in: the configured
   /// CollectorOptions::metrics, or the collector-owned private registry
   /// when none was configured. Never null; valid for the collector's
-  /// lifetime. Wire a net::StatsServer to this to expose /stats.
+  /// lifetime. net::QueryServer serves it at /metrics.
   obs::MetricsRegistry* metrics() const { return metrics_; }
 
   /// Checkpoints written since construction: successful CheckpointTo /

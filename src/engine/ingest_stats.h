@@ -3,7 +3,7 @@
 // Since the obs/ metrics layer landed, this struct is a *view*: the batch
 // count reads the engine's monotonic registry counter (minus the window
 // baseline recorded at Reset), and reports/bits read the shard protocols —
-// the same sources the ldpm_engine_* series on /stats are fed from, so the
+// the same sources the ldpm_engine_* series on /metrics are fed from, so the
 // two can never disagree. Stats() remains the resettable, windowed,
 // rate-bearing convenience; the registry remains the monotonic scrape
 // surface.

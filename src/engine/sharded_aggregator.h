@@ -185,7 +185,7 @@ class ShardedAggregator {
 
   /// The registry this engine's metrics live in (the options' registry,
   /// or the engine-private one when none was given). Valid for the
-  /// engine's lifetime; scrape it or hand it to a net::StatsServer.
+  /// engine's lifetime; scrape it with MetricsRegistry::TextExposition().
   obs::MetricsRegistry* metrics() const { return metrics_; }
 
  private:

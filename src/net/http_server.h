@@ -1,12 +1,12 @@
-// Shared HTTP plumbing for the admin/read endpoints.
+// HTTP plumbing for the read/admin endpoint.
 //
-// net::StatsServer and net::QueryServer are both tiny GET-only HTTP
-// services whose traffic is rare and small next to ingest: one request
-// per connection, served serially on a single accept thread, close after
-// the response. HttpServer is that plumbing factored out once — socket
-// accept loop, request-head collection with byte caps and an idle
-// timeout, request-line parsing, and response rendering — so the
-// endpoints above it are pure `HttpRequest -> HttpResponse` functions.
+// net::QueryServer is a GET-only HTTP service: readers that ask for many
+// small answers in a row, plus the occasional /metrics scrape. HttpServer
+// is its plumbing, kept apart from the routes — a single-threaded epoll
+// loop over keep-alive connections, request-head framing with byte caps,
+// one no-progress deadline, request-line parsing, and response rendering
+// — so the endpoint above it is a pure `HttpRequest -> HttpResponse`
+// function.
 //
 // Protocol surface (deliberately minimal, byte-precise, and tested in
 // tests/net/http_server_test.cc):
@@ -16,21 +16,40 @@
 //   * The request head is read until CRLFCRLF (or LFLF); bodies are never
 //     read. A head that exceeds max_request_bytes without terminating is
 //     answered `400 Bad Request` ("request too large"); one that does not
-//     parse as a request line is answered `400` ("malformed request").
-//   * With a positive idle_timeout, a connection that goes silent
-//     mid-head for longer than the timeout is answered
-//     `408 Request Timeout` and closed — the slowloris defense.
-//   * No keep-alive: every response carries `Connection: close` and the
-//     server closes after writing it. A pipelined second request on the
-//     same connection is ignored by design.
+//     parse as a request line, or that EOF cuts short, is answered `400`
+//     ("malformed request").
+//   * Keep-alive: an HTTP/1.1 connection stays open after each response
+//     unless the request says `Connection: close`. HTTP/1.0 requests,
+//     requests that announce a body (any Transfer-Encoding, or a
+//     Content-Length other than 0: the body is not read, so it must not be
+//     taken for the next request), and every 400, 405, 408 and 503 close
+//     after the response. Every response states which with
+//     `Connection: keep-alive` or `Connection: close`.
+//   * Pipelining: requests sent back to back on one connection are
+//     answered in order, one response in flight at a time; the next head
+//     is not read until the previous response is written.
+//   * One deadline: a connection that makes no read or write progress for
+//     idle_timeout is closed — answered `408 Request Timeout` when it
+//     stalls mid-head (the slowloris defense), closed silently when it
+//     idles between requests, and reset when it stops reading its
+//     response. No client can hold the loop: every socket is non-blocking,
+//     and each wake reads at most 4 KiB from a connection before the loop
+//     moves on to the others.
+//   * At most kMaxHttpConnections are open at once; a connection accepted
+//     beyond that is answered `503 Service Unavailable` and closed.
 //   * The query string is split off the path and exposed to the handler
 //     (HttpRequest::Param); no percent-decoding is performed.
+//
+// Everything — accept, read, the handler, write, deadlines — runs on one
+// serve thread, so a handler must not block indefinitely: every other
+// connection waits behind it.
 
 #ifndef LDPM_NET_HTTP_SERVER_H_
 #define LDPM_NET_HTTP_SERVER_H_
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -47,24 +66,32 @@
 namespace ldpm {
 namespace net {
 
+/// Open connections one HttpServer serves at once; the next one accepted
+/// is answered 503 and closed.
+inline constexpr size_t kMaxHttpConnections = 256;
+
 struct HttpServerOptions {
   /// Numeric IPv4 address to bind.
   std::string bind_address = "127.0.0.1";
   /// TCP port; 0 picks an ephemeral port (read it back with port()).
   uint16_t port = 0;
-  /// Kernel accept backlog (requests queue here while one is served).
+  /// Kernel accept backlog.
   int accept_backlog = 16;
   /// Cap on request-head bytes read before answering; a client that
   /// streams an oversized head is answered 400 and closed.
   size_t max_request_bytes = 8 * 1024;
-  /// Per-read deadline while collecting the request head: a connection
-  /// silent longer than this mid-request is answered 408 and closed
-  /// (slowloris defense). <= 0 disables the deadline — reads then block
-  /// until bytes, EOF, or Stop().
-  std::chrono::milliseconds idle_timeout{0};
+  /// The no-progress deadline: a connection that neither delivers a byte
+  /// nor accepts one for this long is closed (see the file comment).
+  /// Must be > 0.
+  std::chrono::milliseconds idle_timeout{10000};
   /// Optional counter incremented once per answered request, any status
   /// (must outlive the server). The endpoint's operational request count.
   obs::Counter* requests_counter = nullptr;
+  /// Optional gauge of the connections open now (must outlive the server).
+  obs::Gauge* connections = nullptr;
+  /// Optional counter of connections answered 503 because
+  /// kMaxHttpConnections were open (must outlive the server).
+  obs::Counter* connections_shed = nullptr;
 };
 
 /// One parsed GET request as handed to the handler.
@@ -81,21 +108,41 @@ struct HttpRequest {
   std::optional<std::string> Param(std::string_view key) const;
 };
 
-/// What a handler returns; rendered with Content-Length and
-/// `Connection: close`.
+/// What a handler returns; rendered with Content-Length and a Connection
+/// header.
 struct HttpResponse {
   int code = 200;
   std::string content_type = "text/plain";
   std::string body;
 };
 
+/// Where the first request head in a connection's byte stream ends, and
+/// what it asks of the connection.
+struct HttpHeadSplit {
+  /// Bytes of the head, terminator included; 0 while the terminator has
+  /// not arrived.
+  size_t length = 0;
+  /// True when the connection may stay open after this request's
+  /// response: an "HTTP/1.1" request line, no `close` token in any
+  /// Connection header, no Transfer-Encoding header, and no Content-Length
+  /// other than 0 (names and tokens case-insensitive).
+  bool keep_alive = false;
+};
+
+/// Splits the first request head off `stream` — the bytes up to and
+/// including the earliest CRLFCRLF or LFLF — and scans its header lines
+/// for `Connection: close` and a body. Bytes after the head (pipelined
+/// requests, or an unread body) are not looked at. Pure and total over
+/// arbitrary bytes: with ParseHttpRequestHead, the request-parsing seam the
+/// fuzz_http_request harness drives.
+HttpHeadSplit SplitHttpRequestHead(std::string_view stream);
+
 /// Parses a collected request head ("METHOD SP TARGET SP VERSION..."),
 /// splitting the query string off the path, into `out`. Returns false on
 /// anything that does not parse as a request line with a non-empty path —
 /// the server answers 400 without consulting the handler. Accepts any
 /// method token (the GET-only policy is enforced separately, as 405).
-/// Pure and total over arbitrary bytes: this is the request-parsing seam
-/// the fuzz_http_request harness drives.
+/// Pure and total over arbitrary bytes.
 bool ParseHttpRequestHead(std::string_view head, HttpRequest* out);
 
 /// The standard reason phrase for the codes this layer emits; "Status"
@@ -103,20 +150,21 @@ bool ParseHttpRequestHead(std::string_view head, HttpRequest* out);
 std::string_view HttpReasonPhrase(int code);
 
 /// Renders a full HTTP/1.1 response (status line, Content-Type,
-/// Content-Length, Connection: close, body).
-std::string RenderHttpResponse(const HttpResponse& response);
+/// Content-Length, `Connection: keep-alive` or `Connection: close`, body).
+std::string RenderHttpResponse(const HttpResponse& response, bool keep_alive);
 
 /// Routes one parsed request. Runs on the serve thread; must not block
-/// indefinitely (the next request waits behind it).
+/// indefinitely (every other connection waits behind it).
 using HttpHandler = std::function<HttpResponse(const HttpRequest&)>;
 
-/// The shared one-request-per-connection GET server (see file comment).
+/// The keep-alive GET server (see file comment).
 class HttpServer {
  public:
-  /// Binds, listens, and starts the serving thread. Anything the handler
+  /// Binds, listens, and starts the serve thread. Anything the handler
   /// captures must outlive the returned server.
   static StatusOr<std::unique_ptr<HttpServer>> Start(
-      HttpHandler handler, const HttpServerOptions& options = HttpServerOptions());
+      HttpHandler handler,
+      const HttpServerOptions& options = HttpServerOptions());
 
   ~HttpServer();
 
@@ -126,9 +174,10 @@ class HttpServer {
   /// The bound port (the ephemeral one when options.port was 0).
   uint16_t port() const { return port_; }
 
-  /// Stops accepting, wakes any in-flight request read, joins the serving
-  /// thread. Idempotent.
-  void Stop() LDPM_EXCLUDES(stop_mu_, active_mu_);
+  /// Wakes the serve thread, joins it, and closes the listener and every
+  /// open connection; a response still in flight is abandoned.
+  /// Idempotent.
+  void Stop() LDPM_EXCLUDES(stop_mu_);
 
   /// Requests answered so far (any status, including 4xx).
   uint64_t requests_served() const {
@@ -136,23 +185,20 @@ class HttpServer {
   }
 
  private:
-  HttpServer(HttpHandler handler, const HttpServerOptions& options);
+  class Loop;
 
-  void ServeLoop();
-  void ServeOne(Socket socket);
+  HttpServer(HttpHandler handler, const HttpServerOptions& options);
 
   const HttpHandler handler_;
   const HttpServerOptions options_;
   Socket listener_;
   uint16_t port_ = 0;
-  std::thread serve_thread_;
-  std::atomic<bool> stopping_{false};
+  /// The epoll instance and the eventfd Stop() signals; closed by the
+  /// destructor, after the serve thread is joined.
+  int epoll_fd_ = -1;
+  int wake_fd_ = -1;
   std::atomic<uint64_t> requests_served_{0};
-
-  /// The connection currently being served, so Stop() can wake a serve
-  /// blocked mid-read on a stalled client.
-  core::Mutex active_mu_;
-  Socket* active_ LDPM_GUARDED_BY(active_mu_) = nullptr;
+  std::thread serve_thread_;
 
   /// Serializes Stop(): deliberately held across the serve-thread join so
   /// a second caller returns only once the first stop completed.

@@ -111,9 +111,16 @@ StatusOr<std::unique_ptr<QueryServer>> QueryServer::Start(
   http_options.accept_backlog = options.accept_backlog;
   http_options.max_request_bytes = options.max_request_bytes;
   http_options.idle_timeout = options.idle_timeout;
-  http_options.requests_counter = collector->metrics()->GetCounter(
+  obs::MetricsRegistry* registry = collector->metrics();
+  http_options.requests_counter = registry->GetCounter(
       "ldpm_query_http_requests_total",
       "Requests the query endpoint answered (any status)");
+  http_options.connections = registry->GetGauge(
+      "ldpm_query_http_connections",
+      "Connections the query endpoint holds open");
+  http_options.connections_shed = registry->GetCounter(
+      "ldpm_query_http_connections_shed_total",
+      "Connections answered 503 because the query endpoint was at its cap");
   auto http = HttpServer::Start(
       [raw = server.get()](const HttpRequest& request) {
         return raw->Handle(request);
@@ -149,10 +156,14 @@ HttpResponse QueryServer::Handle(const HttpRequest& request) {
   if (request.path == "/v1/marginal") return HandleMarginal(request);
   if (request.path == "/v1/model") return HandleModel(request);
   if (request.path == "/v1/collections") return HandleCollections();
+  if (request.path == "/metrics" || request.path == "/stats") {
+    return {200, "text/plain; version=0.0.4; charset=utf-8",
+            collector_->metrics()->TextExposition()};
+  }
   if (request.path == "/healthz") return {200, "text/plain", "ok\n"};
   return NotFound(
-      "unknown path; try /v1/marginal, /v1/model, /v1/collections, or "
-      "/healthz");
+      "unknown path; try /v1/marginal, /v1/model, /v1/collections, "
+      "/metrics, or /healthz");
 }
 
 HttpResponse QueryServer::HandleMarginal(const HttpRequest& request) {

@@ -1,8 +1,8 @@
-// The read-side HTTP endpoint: consistent marginals and the fitted tree
-// model, served from query::MarginalCache snapshots.
+// The read-side HTTP endpoint: consistent marginals, the fitted tree
+// model, and the collector's metrics, served from query::MarginalCache
+// snapshots and the collector's registry.
 //
-// A thin routing layer over net::HttpServer (shared with StatsServer),
-// answering:
+// A thin routing layer over net::HttpServer, answering:
 //
 //   GET /v1/marginal?collection=<id>&attrs=<i,j,...>
 //       -> 200 application/json: the consistency-post-processed marginal
@@ -17,6 +17,11 @@
 //   GET /v1/collections
 //       -> 200 application/json: the registered collections and their
 //          cache parameters.
+//   GET /metrics (alias /stats)
+//       -> 200 text/plain: the collector registry's Prometheus text
+//          exposition — every layer (engine, collector, net, query)
+//          publishes into it. Every read it performs is a relaxed atomic
+//          load, so a scrape never blocks a shard worker or a reader.
 //   GET /healthz -> 200 "ok".
 //
 // Error surface is byte-precise and tested (tests/net/query_server_test):
@@ -58,8 +63,9 @@ struct QueryServerOptions {
   int accept_backlog = 16;
   /// Cap on request bytes read before answering 400.
   size_t max_request_bytes = 8 * 1024;
-  /// Idle deadline while reading a request (408 on expiry); <= 0 off.
-  std::chrono::milliseconds idle_timeout{0};
+  /// No-progress deadline per connection (HttpServerOptions::idle_timeout:
+  /// 408 mid-head, close when idle, reset when not reading). Must be > 0.
+  std::chrono::milliseconds idle_timeout{10000};
   /// Cache tuning applied to every collection's MarginalCache.
   query::MarginalCacheOptions cache;
 };
@@ -84,7 +90,8 @@ class QueryServer {
   void Stop() { http_->Stop(); }
 
   /// Requests answered so far (any status). Also published as
-  /// ldpm_query_http_requests_total.
+  /// ldpm_query_http_requests_total, next to the open-connection gauge
+  /// ldpm_query_http_connections and ldpm_query_http_connections_shed_total.
   uint64_t requests_served() const { return http_->requests_served(); }
 
   /// The collection's cache (created now if this is its first touch) —

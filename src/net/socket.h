@@ -1,12 +1,16 @@
 // Minimal RAII wrapper over blocking POSIX TCP sockets.
 //
-// The net layer deliberately runs blocking sockets with one thread per
-// connection: the ingest server's scaling unit is the collector's shard
-// worker pool, not the connection count, and blocking reads give the
-// simplest possible backpressure story (a reader that stops consuming
-// stalls the peer through the kernel's socket buffers — no user-space
-// queue to bound). Only numeric IPv4 addresses are supported; the intended
-// deployments are loopback and pod-internal listeners.
+// net::IngestServer deliberately runs blocking sockets with one thread per
+// connection: its scaling unit is the collector's shard worker pool, not
+// the connection count, and blocking reads give the simplest possible
+// backpressure story (a reader that stops consuming stalls the peer
+// through the kernel's socket buffers — no user-space queue to bound).
+// net::FrameClient and the tests use the same blocking calls. The HTTP
+// side (net::HttpServer) is the exception: one epoll thread over
+// non-blocking sockets it accepts itself, so an idle or slow reader
+// cannot hold the other readers. Only numeric IPv4 addresses are
+// supported; the intended deployments are loopback and pod-internal
+// listeners.
 
 #ifndef LDPM_NET_SOCKET_H_
 #define LDPM_NET_SOCKET_H_

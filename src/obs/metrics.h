@@ -3,7 +3,7 @@
 // The paper's deployment is telemetry collection from millions of clients;
 // the collector itself must therefore be observable the way any production
 // telemetry service is: live counters, gauges, and latency histograms an
-// operator (or the /stats endpoint, net/stats_server.h) can scrape while
+// operator (or the /metrics endpoint, net/query_server.h) can scrape while
 // ingest runs at full speed. Three rules shape the design:
 //
 //   * Hot-path writes are relaxed atomics, never locks. Counter increments
@@ -247,7 +247,7 @@ std::string WithLabels(
 /// Metrics are created on first Get and never removed, so returned
 /// pointers are valid for the registry's lifetime. Each component of the
 /// pipeline takes a registry in its options; one registry per process
-/// (Default()) gives one /stats page for everything.
+/// (Default()) gives one /metrics page for everything.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -280,7 +280,7 @@ class MetricsRegistry {
   std::string TextExposition() const;
 
   /// The process-wide registry, for deployments that want every subsystem
-  /// on one /stats page without threading a pointer through.
+  /// on one /metrics page without threading a pointer through.
   static MetricsRegistry* Default();
 
  private:

@@ -3,13 +3,19 @@
 // centrally — that the JSON cells served over the wire are the *exact*
 // IEEE doubles the library-level MarginalCache computes (the %.17g
 // rendering round-trips, so string equality against a locally formatted
-// expectation is a bitwise check).
+// expectation is a bitwise check). Also the /metrics surface: the
+// Prometheus payload, concurrent scrapes, and THE observability
+// acceptance test — a live IngestServer pipeline whose scrape reconciles
+// exactly with the client-side reply totals and the collector's
+// absorbed-report count.
 
 #include "net/query_server.h"
 
+#include <atomic>
 #include <cinttypes>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,8 +23,11 @@
 #include "analysis/consistency.h"
 #include "core/marginal.h"
 #include "engine/collector.h"
+#include "net/frame_client.h"
 #include "net/http_common.h"
+#include "net/ingest_server.h"
 #include "protocols/test_util.h"
+#include "protocols/wire.h"
 #include "query/marginal_cache.h"
 
 namespace ldpm {
@@ -26,8 +35,10 @@ namespace net {
 namespace {
 
 using test::HttpGet;
+using test::HttpRequest;
 using test::MakeConfig;
 using test::ResponseBody;
+using test::SeriesValue;
 using test::SkewedRows;
 
 std::string Format17g(double value) {
@@ -69,8 +80,74 @@ TEST_F(QueryServerTest, HealthzAndUnknownPath) {
   const std::string response = Get("/nope");
   EXPECT_NE(response.find("HTTP/1.1 404"), std::string::npos);
   EXPECT_EQ(ResponseBody(response),
-            "unknown path; try /v1/marginal, /v1/model, /v1/collections, or "
-            "/healthz\n");
+            "unknown path; try /v1/marginal, /v1/model, /v1/collections, "
+            "/metrics, or /healthz\n");
+}
+
+TEST(QueryServer, RejectsNullCollector) {
+  EXPECT_FALSE(QueryServer::Start(nullptr).ok());
+}
+
+TEST_F(QueryServerTest, MetricsServesPrometheusText) {
+  collector_->metrics()->GetCounter("ldpm_test_total", "A test counter")
+      ->Increment(42);
+  collector_->metrics()->GetGauge("ldpm_test_depth")->Set(7);
+  for (const char* path : {"/metrics", "/stats", "/stats?pretty=1"}) {
+    SCOPED_TRACE(path);
+    const std::string response = Get(path);
+    EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos);
+    EXPECT_NE(response.find(
+                  "Content-Type: text/plain; version=0.0.4; charset=utf-8"),
+              std::string::npos);
+    EXPECT_NE(response.find("ldpm_test_total 42\n"), std::string::npos);
+    EXPECT_NE(response.find("ldpm_test_depth 7\n"), std::string::npos);
+  }
+  // The endpoint's own series: requests so far (the three scrapes), the
+  // scraping connection itself, and nothing shed.
+  const std::string body = ResponseBody(Get("/metrics"));
+  EXPECT_EQ(SeriesValue(body, "ldpm_query_http_requests_total"), 3.0);
+  EXPECT_EQ(SeriesValue(body, "ldpm_query_http_connections"), 1.0);
+  EXPECT_EQ(SeriesValue(body, "ldpm_query_http_connections_shed_total"), 0.0);
+}
+
+TEST_F(QueryServerTest, NonGetIs405AndMalformedIs400) {
+  EXPECT_NE(HttpRequest(server_->port(), "POST /metrics HTTP/1.1\r\n\r\n")
+                .find("HTTP/1.1 405"),
+            std::string::npos);
+  EXPECT_NE(HttpRequest(server_->port(), "garbage\r\n\r\n")
+                .find("HTTP/1.1 400"),
+            std::string::npos);
+}
+
+TEST_F(QueryServerTest, ConcurrentScrapesAllAnswered) {
+  collector_->metrics()->GetCounter("ldpm_test_total")->Increment();
+  constexpr int kScrapers = 8;
+  std::vector<std::thread> scrapers;
+  std::atomic<int> ok{0};
+  for (int i = 0; i < kScrapers; ++i) {
+    scrapers.emplace_back([&] {
+      if (Get("/metrics").find("ldpm_test_total 1\n") != std::string::npos) {
+        ++ok;
+      }
+    });
+  }
+  for (auto& scraper : scrapers) scraper.join();
+  EXPECT_EQ(ok.load(), kScrapers);
+}
+
+TEST_F(QueryServerTest, StopIsIdempotentAndPortCloses) {
+  const uint16_t port = server_->port();
+  EXPECT_NE(Get("/healthz").find("200"), std::string::npos);
+  server_->Stop();
+  server_->Stop();
+  auto probe = Socket::Connect(test::kHttpLoopback, port);
+  if (probe.ok()) {
+    // A racing connect may still land in the dead backlog; it must at
+    // least never be answered.
+    uint8_t byte;
+    auto n = probe->ReadSome(&byte, 1, std::chrono::seconds(1));
+    EXPECT_TRUE(!n.ok() || *n == 0);
+  }
 }
 
 TEST_F(QueryServerTest, MarginalCellsAreBitwiseTheLibraryAnswer) {
@@ -238,6 +315,110 @@ TEST_F(QueryServerTest, HttpRequestCounterCountsAllStatuses) {
   EXPECT_GE(collector_->metrics()->CounterValue("ldpm_query_http_requests_total"),
             3u);
   EXPECT_GE(server_->requests_served(), 3u);
+}
+
+// THE acceptance test: a live ingest pipeline's /metrics scrape
+// reconciles with what the clients were told and what the collector
+// absorbed.
+TEST(QueryServer, LiveIngestPipelineMetricsReconcile) {
+  constexpr int kClients = 3;
+  constexpr int kFramesPerClient = 4;
+  constexpr size_t kReportsPerFrame = 50;
+
+  engine::CollectorOptions options;
+  options.engine_defaults.num_shards = 2;
+  options.max_pending_batches_total = 8;
+  auto collector = engine::Collector::Create(options);
+  ASSERT_TRUE(collector.ok());
+  const ProtocolConfig config = MakeConfig(6, 2);
+  ASSERT_TRUE(
+      (*collector)->Register("clicks", ProtocolKind::kMargPS, config).ok());
+
+  auto ingest = IngestServer::Start(collector->get());
+  ASSERT_TRUE(ingest.ok());
+  auto query_server = QueryServer::Start(collector->get());
+  ASSERT_TRUE(query_server.ok()) << query_server.status().ToString();
+
+  // Build one frame set, stream it from kClients concurrent clients.
+  auto encoder = CreateProtocol(ProtocolKind::kMargPS, config);
+  ASSERT_TRUE(encoder.ok());
+  Rng rng(99);
+  std::vector<uint8_t> stream;
+  for (int i = 0; i < kFramesPerClient; ++i) {
+    std::vector<Report> reports;
+    for (size_t r = 0; r < kReportsPerFrame; ++r) {
+      reports.push_back((*encoder)->Encode(rng() & 0x3F, rng));
+    }
+    auto frame = SerializeReportBatch(ProtocolKind::kMargPS, config, reports);
+    ASSERT_TRUE(frame.ok());
+    ASSERT_TRUE(AppendCollectionFrame("clicks", *frame, stream).ok());
+  }
+  std::atomic<uint64_t> reply_frames{0};
+  std::atomic<uint64_t> reply_bytes{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&] {
+      auto client =
+          FrameClient::Connect(test::kHttpLoopback, (*ingest)->port());
+      if (!client.ok() ||
+          !client->SendBytes(stream.data(), stream.size()).ok()) {
+        ++failures;
+        return;
+      }
+      auto reply = client->Finish();
+      if (!reply.ok() || !reply->status.ok()) {
+        ++failures;
+        return;
+      }
+      reply_frames += reply->frames_routed;
+      reply_bytes += reply->bytes_routed;
+    });
+  }
+  for (auto& client : clients) client.join();
+  ASSERT_EQ(failures.load(), 0);
+  ASSERT_TRUE((*collector)->Flush().ok());
+
+  const uint16_t port = (*query_server)->port();
+  const std::string body = HttpGet(port, "/metrics");
+  ASSERT_NE(body.find("HTTP/1.1 200 OK"), std::string::npos);
+
+  // Net layer vs what the clients were told.
+  EXPECT_EQ(SeriesValue(body, "ldpm_net_frames_routed_total"),
+            static_cast<double>(reply_frames.load()));
+  EXPECT_EQ(SeriesValue(body, "ldpm_net_bytes_routed_total"),
+            static_cast<double>(reply_bytes.load()));
+  EXPECT_EQ(SeriesValue(body, "ldpm_net_connections_accepted_total"),
+            static_cast<double>(kClients));
+  EXPECT_EQ(SeriesValue(body, "ldpm_net_connections_active"), 0.0);
+  // Collector routing, labeled by collection.
+  EXPECT_EQ(SeriesValue(body,
+                        "ldpm_collector_frames_routed_total{"
+                        "collection=\"clicks\"}"),
+            static_cast<double>(kClients * kFramesPerClient));
+  EXPECT_EQ(SeriesValue(body, "ldpm_collector_collections"), 1.0);
+  // Engine layer: every report the clients sent was absorbed, and the
+  // scrape agrees with the authoritative in-process count.
+  const uint64_t expected_reports =
+      static_cast<uint64_t>(kClients) * kFramesPerClient * kReportsPerFrame;
+  auto absorbed = (*collector)->Handle("clicks").value().ReportsAbsorbed();
+  ASSERT_TRUE(absorbed.ok());
+  EXPECT_EQ(*absorbed, expected_reports);
+  EXPECT_EQ(SeriesValue(body,
+                        "ldpm_engine_reports_absorbed_total{"
+                        "collection=\"clicks\"}"),
+            static_cast<double>(expected_reports));
+  // Latency histograms observed real work.
+  EXPECT_GT(SeriesValue(body, "ldpm_net_frame_route_latency_ns_count"), 0.0);
+  EXPECT_GT(SeriesValue(
+                body,
+                "ldpm_engine_absorb_latency_ns_count{collection=\"clicks\"}"),
+            0.0);
+
+  ASSERT_TRUE((*ingest)->Stop().ok());
+  // The graceful stop's drain duration lands in the histogram.
+  const std::string after = HttpGet(port, "/metrics");
+  EXPECT_GT(SeriesValue(after, "ldpm_net_drain_duration_ns_count"), 0.0);
 }
 
 }  // namespace
