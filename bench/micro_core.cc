@@ -62,11 +62,8 @@ BENCHMARK(BM_RngUniformInt);
 
 void BM_ReconstructMarginalFromCoefficients(benchmark::State& state) {
   const int d = 16, k = 3;
-  auto table = ldpm::ContingencyTable::Zero(10);
-  LDPM_CHECK(table.ok());
-  (*table)[3] = 1.0;
-  // Synthetic coefficient bag over d = 16.
-  ldpm::FourierCoefficients fc(d);
+  // Synthetic dense coefficient set over d = 16, every order up to k.
+  ldpm::FourierCoefficients fc(d, k);
   ldpm::ForEachLowOrderMask(d, k, [&](uint64_t alpha) { fc.Set(alpha, 0.1); });
   const uint64_t beta = 0b10101;
   for (auto _ : state) {

@@ -34,10 +34,8 @@
 #include <thread>
 #include <vector>
 
-#include "analysis/consistency.h"
 #include "core/failpoint.h"
 #include "core/file_io.h"
-#include "core/marginal.h"
 #include "engine/collector.h"
 #include "net/frame_client.h"
 #include "net/ingest_server.h"
@@ -286,10 +284,10 @@ int RunChaosWalkthrough(int num_shards, size_t num_users) {
 
 /// The --query walkthrough: the read-side HTTP endpoint end to end
 /// (docs/querying.md). A QueryServer over a live collector serves a
-/// marginal whose cells must be bitwise the library's own
-/// Query-every-selector + MakeConsistent answer, the epoch advances with
-/// the ingest watermark, the error surface is byte-precise, and the
-/// Chow-Liu model endpoint fits over the same snapshot.
+/// marginal whose cells must be bitwise the library's own answer (the
+/// merged state's coefficient export rebuilt by Lemma 3.7), the epoch
+/// advances with the ingest watermark, the error surface is byte-precise,
+/// and the Chow-Liu model endpoint fits over the same snapshot.
 int RunQueryWalkthrough(int num_shards, size_t num_users) {
   using namespace ldpm;
 
@@ -339,39 +337,31 @@ int RunQueryWalkthrough(int num_shards, size_t num_users) {
              "collections listing");
 
   // The served cells must be bitwise the library's own consistent answer:
-  // Query every selector up to k, MakeConsistent, render with 17
-  // significant digits — the exact bytes the endpoint emits.
+  // export the merged state's coefficients up to k, rebuild the table by
+  // Lemma 3.7, render with 17 significant digits — the exact bytes the
+  // endpoint emits.
   const uint64_t beta = 0b11;
   const std::string marginal_path =
       "/v1/marginal?collection=clicks&attrs=0,1";
   const std::string answer = HttpGet(port, marginal_path);
   DEMO_CHECK(answer.find("200 OK") != std::string::npos, "marginal serve");
   {
-    const std::vector<uint64_t> selectors =
-        FullKWaySelectors(clicks_config.d, clicks_config.k);
-    std::vector<MarginalTable> raw;
-    size_t beta_index = 0;
-    for (size_t i = 0; i < selectors.size(); ++i) {
-      if (selectors[i] == beta) beta_index = i;
-      auto table = (*collector)->Query("clicks", selectors[i]);
-      DEMO_CHECK(table.ok(), "library query");
-      raw.push_back(*std::move(table));
-    }
-    auto consistent = MakeConsistent(raw, clicks_config.d);
-    DEMO_CHECK(consistent.ok(), "library MakeConsistent");
+    auto coefficients = clicks->Coefficients(clicks_config.k);
+    DEMO_CHECK(coefficients.ok(), "library coefficient export");
+    auto expected = coefficients->ReconstructMarginal(beta);
+    DEMO_CHECK(expected.ok(), "library ReconstructMarginal");
     std::string cells = "\"cells\":[";
-    for (uint64_t c = 0; c < (*consistent)[beta_index].size(); ++c) {
+    for (uint64_t c = 0; c < expected->size(); ++c) {
       if (c != 0) cells += ",";
       char buffer[32];
-      std::snprintf(buffer, sizeof(buffer), "%.17g",
-                    (*consistent)[beta_index].at_compact(c));
+      std::snprintf(buffer, sizeof(buffer), "%.17g", expected->at_compact(c));
       cells += buffer;
     }
     cells += "]";
     DEMO_CHECK(answer.find(cells) != std::string::npos,
                "HTTP cells bitwise-equal to the library answer");
     std::printf("  /v1/marginal attrs=0,1: cells bitwise-equal to "
-                "Query+MakeConsistent\n");
+                "Coefficients+ReconstructMarginal\n");
   }
   DEMO_CHECK(answer.find("\"epoch\":1") != std::string::npos,
              "first epoch is 1");

@@ -16,6 +16,13 @@
 // requested marginal is rebuilt from the common coefficients via
 // Lemma 3.7. Exact inputs pass through unchanged; InpHT estimates are
 // already consistent and are fixed points of this operation.
+//
+// MakeConsistent stays the library call for an arbitrary set of
+// estimates (any selectors, any weights). The serving path does not call
+// it: a snapshot rebuild takes one coefficient export from the merged
+// engine state (MarginalProtocol::EstimateCoefficients, whose default is
+// FitSharedCoefficients with equal weights over every selector up to the
+// cached order) and reconstructs each table from it.
 
 #ifndef LDPM_ANALYSIS_CONSISTENCY_H_
 #define LDPM_ANALYSIS_CONSISTENCY_H_
@@ -30,14 +37,20 @@ namespace ldpm {
 /// marginal estimates over the same d-attribute domain. `weights`, if
 /// nonempty, must match `marginals` in length and weights each marginal's
 /// vote (e.g. by its report count); empty means equal weights. The zero
-/// coefficient is fixed at 1 (a distribution's constant coefficient).
+/// coefficient is fixed at 1 (a distribution's constant coefficient). The
+/// result is dense over every alpha up to the highest input order m
+/// (sum_{r<=m} C(d, r) slots); a coefficient no input with positive weight
+/// covers is left unset.
 StatusOr<FourierCoefficients> FitSharedCoefficients(
     const std::vector<MarginalTable>& marginals, int d,
     const std::vector<double>& weights = {});
 
 /// Rebuilds every input marginal from the shared fitted coefficients. The
 /// outputs exactly agree on all overlaps: marginalizing any two outputs to
-/// a common sub-selector gives identical tables.
+/// a common sub-selector gives identical tables. The fit holds only the
+/// coefficients under some input selector (at most sum_i 2^{|beta_i|}),
+/// not the dense set FitSharedCoefficients returns, and its values are
+/// bitwise those FitSharedCoefficients stores.
 StatusOr<std::vector<MarginalTable>> MakeConsistent(
     const std::vector<MarginalTable>& marginals, int d,
     const std::vector<double>& weights = {});

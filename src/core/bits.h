@@ -186,6 +186,46 @@ std::vector<uint64_t> inline LowOrderMasks(int d, int k) {
   return out;
 }
 
+/// The dense index of the masks ForEachLowOrderMask(d, k) visits: a mask's
+/// slot is the number of masks of lower popcount plus its colex
+/// CombinationRank, so LowOrderMasks(d, k)[index.Of(mask)] == mask. Pure
+/// rank arithmetic, no hash lookup. The index for k' <= k is a prefix of
+/// the index for k.
+class LowOrderIndex {
+ public:
+  /// Returned by Of() for masks outside the index.
+  static constexpr size_t kNone = ~size_t{0};
+
+  /// Indexes every mask over d bits with popcount in [1, k], where
+  /// 0 <= k <= d <= kMaxDimensions.
+  LowOrderIndex(int d, int k) : d_(d), k_(k) {
+    LDPM_CHECK(k >= 0 && k <= d && d <= kMaxDimensions);
+    offsets_.assign(k + 2, 0);
+    for (int r = 1; r <= k; ++r) {
+      offsets_[r + 1] = offsets_[r] + BinomialLookup(d, r);
+    }
+  }
+
+  int dimensions() const { return d_; }
+  int max_order() const { return k_; }
+
+  /// Number of indexed masks: sum_{r=1..k} C(d, r).
+  size_t size() const { return offsets_[k_ + 1]; }
+
+  /// The slot of `mask`, or kNone when |mask| is outside [1, k] or mask
+  /// selects a bit at or above d.
+  size_t Of(uint64_t mask) const {
+    const int r = Popcount(mask);
+    if (r < 1 || r > k_ || (mask >> d_) != 0) return kNone;
+    return offsets_[r] + CombinationRank(mask);
+  }
+
+ private:
+  int d_;
+  int k_;
+  std::vector<size_t> offsets_;  // [r]: slot of the first popcount-r mask
+};
+
 /// Compresses the bits of `value` selected by `mask` into a contiguous
 /// low-order index (parallel bit extract). For beta with |beta| = k this
 /// maps a cell index gamma ⪯ beta of a marginal table into [0, 2^k).

@@ -2,8 +2,6 @@
 
 #include <bit>
 
-#include "core/bits.h"
-
 namespace ldpm {
 
 void FastWalshHadamard(std::vector<double>& data) {
@@ -35,59 +33,51 @@ double FourierCoefficient(const ContingencyTable& t, uint64_t alpha) {
   return sum;
 }
 
+FourierCoefficients::FourierCoefficients(int d, int max_order)
+    : index_(d, max_order),
+      values_(index_.size(), 0.0),
+      present_(index_.size(), 0) {}
+
+void FourierCoefficients::Set(uint64_t alpha, double value) {
+  const size_t slot = index_.Of(alpha);
+  LDPM_CHECK(slot != LowOrderIndex::kNone);
+  if (!present_[slot]) {
+    present_[slot] = 1;
+    ++stored_;
+  }
+  values_[slot] = value;
+}
+
 StatusOr<double> FourierCoefficients::Get(uint64_t alpha) const {
   if (alpha == 0) return 1.0;
-  auto it = coeffs_.find(alpha);
-  if (it == coeffs_.end()) {
+  const double* value = Stored(alpha);
+  if (value == nullptr) {
     return Status::NotFound("FourierCoefficients: coefficient not present");
   }
-  return it->second;
+  return *value;
 }
 
 StatusOr<MarginalTable> FourierCoefficients::ReconstructMarginal(
     uint64_t beta) const {
-  if (d_ < 64 && beta >= (uint64_t{1} << d_)) {
+  const int d = dimensions();
+  if (d < 64 && beta >= (uint64_t{1} << d)) {
     return Status::OutOfRange("ReconstructMarginal: beta outside domain");
   }
-  MarginalTable m(d_, beta);
-  const int k = m.order();
-  const double scale = 1.0 / static_cast<double>(uint64_t{1} << k);
-
-  // Gather the needed coefficients once (2^k of them including f_0 = 1).
-  std::vector<uint64_t> alphas;
-  std::vector<double> coeffs;
-  alphas.reserve(m.size());
-  coeffs.reserve(m.size());
-  Status missing = Status::OK();
-  ForEachSubset(beta, [&](uint64_t alpha) {
-    if (!missing.ok()) return;
-    auto c = Get(alpha);
-    if (!c.ok()) {
-      missing = c.status();
-      return;
-    }
-    alphas.push_back(alpha);
-    coeffs.push_back(*c);
-  });
-  if (!missing.ok()) return missing;
-
-  for (uint64_t idx = 0; idx < m.size(); ++idx) {
-    const uint64_t gamma = m.CompactToCell(idx);
-    double v = 0.0;
-    for (size_t a = 0; a < alphas.size(); ++a) {
-      v += coeffs[a] * HadamardSign(alphas[a], gamma);
-    }
-    m.at_compact(idx) = v * scale;
-  }
-  return m;
+  return MarginalFromCoefficients(
+      d, beta, [this](uint64_t alpha) -> std::optional<double> {
+        const double* value = Stored(alpha);
+        if (value == nullptr) return std::nullopt;
+        return *value;
+      });
 }
 
-FourierCoefficients FourierCoefficients::FromTable(const ContingencyTable& t,
-                                                   int k) {
-  FourierCoefficients fc(t.dimensions());
-  ForEachLowOrderMask(t.dimensions(), k, [&](uint64_t alpha) {
-    fc.Set(alpha, FourierCoefficient(t, alpha));
-  });
+FourierCoefficients FourierCoefficients::FromCells(std::vector<double> cells,
+                                                   int max_order) {
+  FastWalshHadamard(cells);  // check-fails unless the size is 2^d
+  const int d = std::countr_zero(cells.size());
+  FourierCoefficients fc(d, max_order);
+  ForEachLowOrderMask(d, max_order,
+                      [&](uint64_t alpha) { fc.Set(alpha, cells[alpha]); });
   return fc;
 }
 

@@ -12,14 +12,19 @@
 // Marginal reconstruction (Lemma 3.7 restated in this convention):
 //
 //     C_beta(t)[gamma] = 2^{-k} * sum_{alpha ⪯ beta} f_alpha (-1)^{<alpha, gamma>}
+//
+// For alpha, gamma ⪯ beta the parity <alpha, gamma> is the parity of their
+// compact indices (ExtractBits over beta), so C_beta is the inverse FWHT of
+// the 2^k coefficients under beta laid out at their compact indices.
 
 #ifndef LDPM_CORE_HADAMARD_H_
 #define LDPM_CORE_HADAMARD_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
+#include "core/bits.h"
 #include "core/contingency_table.h"
 #include "core/status.h"
 
@@ -38,44 +43,82 @@ void InverseFastWalshHadamard(std::vector<double>& data);
 /// O(2^d); useful for testing and for sparse needs.
 double FourierCoefficient(const ContingencyTable& t, uint64_t alpha);
 
-/// A sparse bag of estimated Fourier coefficients, sufficient to reconstruct
-/// any marginal whose selector's coefficients are all present. This is the
-/// aggregator-side data structure of the Hadamard protocols.
+/// Lemma 3.7 for one selector: the marginal C_beta over d attributes from
+/// its coefficients, read as coefficient(alpha) for every nonzero
+/// alpha ⪯ beta (f_0 = 1). A gather of the 2^k values at their compact
+/// indices and one 2^k inverse FWHT. `coefficient` returns a double or a
+/// std::optional<double>; an empty optional makes the result NotFound.
+template <class Coefficient>
+StatusOr<MarginalTable> MarginalFromCoefficients(int d, uint64_t beta,
+                                                 Coefficient coefficient) {
+  MarginalTable m(d, beta);
+  m.at_compact(0) = 1.0;
+  for (uint64_t r = 1; r < m.size(); ++r) {
+    const std::optional<double> value = coefficient(DepositBits(r, beta));
+    if (!value.has_value()) {
+      return Status::NotFound("Lemma 3.7: coefficient not present");
+    }
+    m.at_compact(r) = *value;
+  }
+  InverseFastWalshHadamard(m.values());
+  return m;
+}
+
+/// Estimated Fourier coefficients f_alpha for every alpha with
+/// 1 <= |alpha| <= max_order, stored densely in LowOrderIndex order:
+/// enough to reconstruct any marginal of order <= max_order. f_0 is
+/// implicitly 1 (the coefficient of any probability distribution). This is
+/// the aggregator-side data structure of the Hadamard protocols and the
+/// export every protocol gives (MarginalProtocol::EstimateCoefficients).
 class FourierCoefficients {
  public:
-  /// Creates an empty coefficient set over a d-attribute domain. f_0 is
-  /// implicitly 1 (the coefficient of any probability distribution).
-  explicit FourierCoefficients(int d) : d_(d) {}
+  /// An empty set over a d-attribute domain: no coefficient stored yet.
+  FourierCoefficients(int d, int max_order);
 
-  /// Sets (or overwrites) the estimate for f_alpha.
-  void Set(uint64_t alpha, double value) { coeffs_[alpha] = value; }
+  /// Sets (or overwrites) the estimate for f_alpha. Check-fails unless
+  /// 1 <= |alpha| <= max_order and alpha lies inside the domain.
+  void Set(uint64_t alpha, double value);
 
   /// Returns the estimate for f_alpha; alpha = 0 always yields 1.
-  /// Returns NotFound for coefficients never set.
+  /// Returns NotFound for coefficients never set or outside the index.
   StatusOr<double> Get(uint64_t alpha) const;
 
   /// True if alpha = 0 or a value has been stored for alpha.
   bool Contains(uint64_t alpha) const {
-    return alpha == 0 || coeffs_.count(alpha) > 0;
+    return alpha == 0 || Stored(alpha) != nullptr;
   }
 
   /// Number of explicitly stored coefficients.
-  size_t size() const { return coeffs_.size(); }
+  size_t size() const { return stored_; }
 
-  int dimensions() const { return d_; }
+  int dimensions() const { return index_.dimensions(); }
+  int max_order() const { return index_.max_order(); }
 
   /// Reconstructs the marginal C_beta from the stored coefficients using
-  /// Lemma 3.7. Every nonzero alpha ⪯ beta must be present (else NotFound).
-  /// O(4^k) for a k-way marginal.
+  /// Lemma 3.7: a gather of the 2^k coefficients alpha ⪯ beta and one 2^k
+  /// FWHT for a k-way marginal. OutOfRange when beta selects attributes
+  /// outside the domain; NotFound when some nonzero alpha ⪯ beta is
+  /// missing, as beta itself is when k > max_order.
   StatusOr<MarginalTable> ReconstructMarginal(uint64_t beta) const;
 
-  /// Computes the exact low-order coefficients (|alpha| <= k, alpha != 0) of
-  /// a known table; used by tests and the non-private reference path.
-  static FourierCoefficients FromTable(const ContingencyTable& t, int k);
+  /// The exact low-order coefficients (1 <= |alpha| <= max_order) of a
+  /// full 2^d table given as its cell vector: one O(d 2^d) FWHT.
+  static FourierCoefficients FromCells(std::vector<double> cells,
+                                       int max_order);
 
  private:
-  int d_;
-  std::unordered_map<uint64_t, double> coeffs_;
+  /// The stored f_alpha, or null when it was never set or alpha is
+  /// outside the index.
+  const double* Stored(uint64_t alpha) const {
+    const size_t slot = index_.Of(alpha);
+    return slot != LowOrderIndex::kNone && present_[slot] ? &values_[slot]
+                                                          : nullptr;
+  }
+
+  LowOrderIndex index_;
+  std::vector<double> values_;    // by index_ slot
+  std::vector<uint8_t> present_;  // by index_ slot: 1 once Set
+  size_t stored_ = 0;
 };
 
 }  // namespace ldpm

@@ -78,11 +78,21 @@ StatusOr<MarginalTable> CollectionHandle::Query(uint64_t beta) {
   return collection_->engine->EstimateMarginal(beta);
 }
 
+StatusOr<FourierCoefficients> CollectionHandle::Coefficients(
+    int max_order, uint64_t* reports_absorbed) {
+  auto merged = collection_->engine->Merged();
+  if (!merged.ok()) return merged.status();
+  if (reports_absorbed != nullptr) {
+    *reports_absorbed = (*merged)->reports_absorbed();
+  }
+  return (*merged)->EstimateCoefficients(max_order);
+}
+
 StatusOr<CategoricalMarginal> CollectionHandle::QueryCategorical(
     const std::vector<int>& attrs) {
   auto merged = collection_->engine->Merged();
   if (!merged.ok()) return merged.status();
-  const auto* es = dynamic_cast<const InpEsMarginalProtocol*>(*merged);
+  const auto* es = dynamic_cast<const InpEsMarginalProtocol*>(merged->get());
   if (es == nullptr) {
     return Status::InvalidArgument(
         "collection \"" + collection_->id + "\" runs " +

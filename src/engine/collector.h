@@ -101,6 +101,14 @@ class CollectionHandle {
   /// collection's merged state.
   StatusOr<MarginalTable> Query(uint64_t beta);
 
+  /// Flushes once and exports the merged state's Fourier coefficients up
+  /// to max_order (MarginalProtocol::EstimateCoefficients): every
+  /// marginal of order <= max_order reconstructs from them, all from one
+  /// engine state. A non-null `reports_absorbed` receives that same
+  /// state's report count.
+  StatusOr<FourierCoefficients> Coefficients(
+      int max_order, uint64_t* reports_absorbed = nullptr);
+
   /// Categorical marginal over explicit attribute ids — InpES collections
   /// only (the protocol hosting non-binary domains).
   StatusOr<CategoricalMarginal> QueryCategorical(const std::vector<int>& attrs);

@@ -300,7 +300,7 @@ Status ShardedAggregator::Flush() {
   return DrainAndCollectErrors();
 }
 
-StatusOr<const MarginalProtocol*> ShardedAggregator::Merged() {
+StatusOr<std::shared_ptr<const MarginalProtocol>> ShardedAggregator::Merged() {
   core::MutexLock merge_lock(merge_mu_);
   // Push the coalescing buffer first (it bumps the epoch), THEN record the
   // epoch, then drain: work that lands during the drain or the merge is
@@ -319,7 +319,7 @@ StatusOr<const MarginalProtocol*> ShardedAggregator::Merged() {
     merged_ = *std::move(merged);
     merged_epoch_ = epoch;
   }
-  return static_cast<const MarginalProtocol*>(merged_.get());
+  return merged_;
 }
 
 StatusOr<MarginalTable> ShardedAggregator::EstimateMarginal(uint64_t beta) {

@@ -155,9 +155,11 @@ class ShardedAggregator {
   /// estimates the marginal for selector beta.
   StatusOr<MarginalTable> EstimateMarginal(uint64_t beta);
 
-  /// Flushes and exposes the merged aggregator (owned by the engine; valid
-  /// until the next ingest/Reset/Restore).
-  StatusOr<const MarginalProtocol*> Merged();
+  /// Flushes and exposes the merged aggregator. The caller shares
+  /// ownership: the state it holds stays alive and unchanged even when a
+  /// later Merged() at a newer epoch, or a Reset(), replaces the engine's
+  /// copy.
+  StatusOr<std::shared_ptr<const MarginalProtocol>> Merged();
 
   // ---- Introspection -----------------------------------------------------
 
@@ -251,7 +253,7 @@ class ShardedAggregator {
   /// a clearable flag) cannot lose an invalidation that lands mid-merge.
   std::atomic<uint64_t> ingest_epoch_{0};
   core::Mutex merge_mu_;
-  std::unique_ptr<MarginalProtocol> merged_ LDPM_GUARDED_BY(merge_mu_);
+  std::shared_ptr<const MarginalProtocol> merged_ LDPM_GUARDED_BY(merge_mu_);
   uint64_t merged_epoch_ LDPM_GUARDED_BY(merge_mu_) = ~uint64_t{0};
 
   /// Makes cross-shard state transitions atomic against snapshot capture:

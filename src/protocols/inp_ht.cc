@@ -10,20 +10,12 @@ namespace ldpm {
 InpHtProtocol::InpHtProtocol(const ProtocolConfig& config,
                              RandomizedResponse rr,
                              std::vector<uint64_t> alphas)
-    : MarginalProtocol(config), rr_(rr), alphas_(std::move(alphas)) {
-  rank_offsets_.assign(static_cast<size_t>(config.k) + 1, 0);
-  for (int r = 2; r <= config.k; ++r) {
-    rank_offsets_[r] = rank_offsets_[r - 1] + BinomialLookup(config.d, r - 1);
-  }
+    : MarginalProtocol(config),
+      rr_(rr),
+      alphas_(std::move(alphas)),
+      index_(config.d, config.k) {
   sign_sums_.assign(alphas_.size(), 0.0);
   counts_.assign(alphas_.size(), 0);
-}
-
-size_t InpHtProtocol::AlphaIndexOf(uint64_t alpha) const {
-  const int pc = Popcount(alpha);
-  if (pc < 1 || pc > config_.k) return kNoIndex;
-  if (alpha >= (uint64_t{1} << config_.d)) return kNoIndex;
-  return rank_offsets_[pc] + CombinationRank(alpha);
 }
 
 StatusOr<std::unique_ptr<InpHtProtocol>> InpHtProtocol::Create(
@@ -55,8 +47,8 @@ Report InpHtProtocol::Encode(uint64_t user_value, Rng& rng) const {
 }
 
 Status InpHtProtocol::Absorb(const Report& report) {
-  const size_t idx = AlphaIndexOf(report.selector);
-  if (idx == kNoIndex) {
+  const size_t idx = index_.Of(report.selector);
+  if (idx == LowOrderIndex::kNone) {
     return Status::InvalidArgument(
         "InpHT::Absorb: coefficient index not in the sampled set T");
   }
@@ -94,8 +86,8 @@ Status InpHtProtocol::AbsorbWireBatch(const uint8_t* data, size_t size) {
     }
     const uint64_t word = LoadWireWord(record, record_size);
     const uint64_t alpha = word & selector_mask;
-    const size_t idx = AlphaIndexOf(alpha);
-    if (idx == kNoIndex) {
+    const size_t idx = index_.Of(alpha);
+    if (idx == LowOrderIndex::kNone) {
       error = Status::InvalidArgument(
           "InpHT::Absorb: coefficient index not in the sampled set T");
       break;
@@ -124,14 +116,16 @@ double InpHtProtocol::UnbiasedCoefficient(size_t index) const {
   return rr_.UnbiasSignMean(raw_mean);
 }
 
-StatusOr<FourierCoefficients> InpHtProtocol::EstimateCoefficients() const {
-  if (reports_absorbed() == 0) {
-    return Status::FailedPrecondition("InpHT: no reports absorbed");
+StatusOr<FourierCoefficients> InpHtProtocol::EstimateCoefficients(
+    int max_order) const {
+  if (config_.project_to_simplex) {
+    return MarginalProtocol::EstimateCoefficients(max_order);
   }
-  FourierCoefficients fc(config_.d);
-  for (size_t i = 0; i < alphas_.size(); ++i) {
-    fc.Set(alphas_[i], UnbiasedCoefficient(i));
-  }
+  LDPM_RETURN_IF_ERROR(CheckCoefficientExport(max_order));
+  FourierCoefficients fc(config_.d, max_order);
+  // The coefficients of order <= max_order are a prefix of T.
+  const uint64_t count = LowOrderCoefficientCount(config_.d, max_order);
+  for (size_t i = 0; i < count; ++i) fc.Set(alphas_[i], UnbiasedCoefficient(i));
   return fc;
 }
 
@@ -150,11 +144,9 @@ StatusOr<MarginalTable> InpHtProtocol::EstimateMarginal(uint64_t beta) const {
   // Lemma 3.7 reads only the coefficients alpha ⪯ beta: unbias those
   // 2^|beta| - 1 instead of all of T. Every nonzero alpha ⪯ beta has
   // |alpha| <= k, so it is in T.
-  FourierCoefficients fc(config_.d);
-  ForEachSubset(beta, [&](uint64_t alpha) {
-    if (alpha != 0) fc.Set(alpha, UnbiasedCoefficient(AlphaIndexOf(alpha)));
+  auto m = MarginalFromCoefficients(config_.d, beta, [this](uint64_t alpha) {
+    return UnbiasedCoefficient(index_.Of(alpha));
   });
-  auto m = fc.ReconstructMarginal(beta);
   if (!m.ok()) return m.status();
   return PostProcess(*std::move(m));
 }

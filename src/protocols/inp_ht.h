@@ -53,9 +53,10 @@ class InpHtProtocol final : public MarginalProtocol {
   /// The set T of sampled coefficient indices.
   const std::vector<uint64_t>& coefficient_indices() const { return alphas_; }
 
-  /// The estimated Fourier coefficients (useful for applications that want
-  /// coefficients directly, and for tests).
-  StatusOr<FourierCoefficients> EstimateCoefficients() const;
+  /// The unbiased coefficients of T up to order max_order, as they are:
+  /// no fit. Under project_to_simplex, the default export.
+  StatusOr<FourierCoefficients> EstimateCoefficients(
+      int max_order) const override;
 
   /// The underlying RR mechanism (for tests).
   const RandomizedResponse& mechanism() const { return rr_; }
@@ -68,21 +69,13 @@ class InpHtProtocol final : public MarginalProtocol {
   InpHtProtocol(const ProtocolConfig& config, RandomizedResponse rr,
                 std::vector<uint64_t> alphas);
 
-  static constexpr size_t kNoIndex = ~size_t{0};
-
-  /// Dense index of alpha in T, or kNoIndex when alpha is outside T.
-  /// alphas_ groups the masks by popcount, each group in increasing numeric
-  /// order, so the index is a popcount-group offset plus the colex
-  /// CombinationRank — pure rank arithmetic, no hash lookup.
-  size_t AlphaIndexOf(uint64_t alpha) const;
-
   /// Unbiased estimate of the coefficient at dense index `index` of T
   /// (Algorithm 2). Precondition: at least one report absorbed.
   double UnbiasedCoefficient(size_t index) const;
 
   RandomizedResponse rr_;
-  std::vector<uint64_t> alphas_;    // T, grouped by popcount
-  std::vector<uint64_t> rank_offsets_;  // index of the first popcount-r mask
+  std::vector<uint64_t> alphas_;    // T, in LowOrderIndex order
+  LowOrderIndex index_;             // alpha -> its slot in T
   std::vector<double> sign_sums_;   // per coefficient: sum of reported signs
   std::vector<uint64_t> counts_;    // per coefficient: number of reports
 };

@@ -312,6 +312,21 @@ StatusOr<MarginalTable> InpRrProtocol::EstimateMarginal(uint64_t beta) const {
   return PostProcess(std::move(m));
 }
 
+StatusOr<FourierCoefficients> InpRrProtocol::EstimateCoefficients(
+    int max_order) const {
+  if (config_.project_to_simplex) {
+    return MarginalProtocol::EstimateCoefficients(max_order);
+  }
+  LDPM_RETURN_IF_ERROR(CheckCoefficientExport(max_order));
+  const double n = static_cast<double>(reports_absorbed());
+  const double inv_n = 1.0 / n;
+  std::vector<double> estimate(counts_.size());
+  for (uint64_t cell = 0; cell < counts_.size(); ++cell) {
+    estimate[cell] = unary_.UnbiasCount(counts_[cell], n) * inv_n;
+  }
+  return FourierCoefficients::FromCells(std::move(estimate), max_order);
+}
+
 void InpRrProtocol::Reset() {
   counts_.assign(counts_.size(), 0.0);
   ResetBookkeeping();

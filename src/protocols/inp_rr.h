@@ -46,6 +46,13 @@ class InpRrProtocol final : public MarginalProtocol {
   Status AbsorbPopulation(const std::vector<uint64_t>& rows, Rng& rng) override;
 
   StatusOr<MarginalTable> EstimateMarginal(uint64_t beta) const override;
+
+  /// One sweep of the unbiased 2^d estimate, with EstimateMarginal's
+  /// per-cell arithmetic, and one FWHT. Under project_to_simplex, the
+  /// default export.
+  StatusOr<FourierCoefficients> EstimateCoefficients(
+      int max_order) const override;
+
   void Reset() override;
   Status MergeFrom(const MarginalProtocol& other) override;
 

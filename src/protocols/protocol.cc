@@ -3,6 +3,8 @@
 #include <cmath>
 #include <string>
 
+#include "analysis/consistency.h"
+#include "core/bits.h"
 #include "protocols/factory.h"
 #include "protocols/wire.h"
 
@@ -56,6 +58,33 @@ Status MarginalProtocol::AbsorbPopulation(const std::vector<uint64_t>& rows,
     LDPM_RETURN_IF_ERROR(Absorb(Encode(row, rng)));
   }
   return Status::OK();
+}
+
+Status MarginalProtocol::CheckCoefficientExport(int max_order) const {
+  if (max_order < 1 || max_order > config_.k) {
+    return Status::InvalidArgument(
+        std::string(name()) + ": coefficient order must be in [1, k = " +
+        std::to_string(config_.k) + "], got " + std::to_string(max_order));
+  }
+  if (reports_absorbed() == 0) {
+    return Status::FailedPrecondition(std::string(name()) +
+                                      ": no reports absorbed");
+  }
+  return Status::OK();
+}
+
+StatusOr<FourierCoefficients> MarginalProtocol::EstimateCoefficients(
+    int max_order) const {
+  LDPM_RETURN_IF_ERROR(CheckCoefficientExport(max_order));
+  const std::vector<uint64_t> selectors = LowOrderMasks(config_.d, max_order);
+  std::vector<MarginalTable> tables;
+  tables.reserve(selectors.size());
+  for (uint64_t beta : selectors) {
+    auto table = EstimateMarginal(beta);
+    if (!table.ok()) return table.status();
+    tables.push_back(*std::move(table));
+  }
+  return FitSharedCoefficients(tables, config_.d);
 }
 
 Status MarginalProtocol::CheckMergeCompatible(

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "core/contingency_table.h"
+#include "core/hadamard.h"
 #include "core/random.h"
 #include "core/status.h"
 #include "mechanisms/unary_encoding.h"
@@ -173,6 +174,19 @@ class MarginalProtocol {
   /// Protocols that materialize only k-way information reject |beta| > k.
   virtual StatusOr<MarginalTable> EstimateMarginal(uint64_t beta) const = 0;
 
+  /// Exports the Fourier coefficients f_alpha, 1 <= |alpha| <= max_order,
+  /// of the current estimate: the one set of numbers every consistent
+  /// marginal of order <= max_order is rebuilt from (Lemma 3.7). The
+  /// default estimates each such marginal with EstimateMarginal and fits
+  /// one shared coefficient vector with equal weights
+  /// (FitSharedCoefficients). Protocols whose estimate is linear in their
+  /// accumulators override it with a direct export; under
+  /// project_to_simplex the per-table estimates are not linear, so every
+  /// protocol keeps the default. InvalidArgument unless
+  /// 1 <= max_order <= k; FailedPrecondition before any report.
+  virtual StatusOr<FourierCoefficients> EstimateCoefficients(
+      int max_order) const;
+
   /// Clears all aggregator state (reports absorbed so far).
   virtual void Reset() = 0;
 
@@ -206,6 +220,9 @@ class MarginalProtocol {
 
   /// Validates fields common to all protocols.
   static Status ValidateCommon(const ProtocolConfig& config);
+
+  /// The argument and state checks every EstimateCoefficients runs.
+  Status CheckCoefficientExport(int max_order) const;
 
   /// Appends this protocol's accumulators to `snapshot.reals` /
   /// `snapshot.counts` (layout documented per protocol).

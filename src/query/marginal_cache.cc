@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "analysis/consistency.h"
 #include "core/failpoint.h"
 #include "core/marginal.h"
 #include "protocols/inp_es_adapter.h"
@@ -20,9 +19,12 @@ std::string QueryMetricName(const char* base, const std::string& collection) {
 
 // ---- Snapshot --------------------------------------------------------------
 
+Snapshot::Snapshot(int d, int max_order)
+    : d_(d), max_order_(max_order), index_(d, max_order) {}
+
 const MarginalTable* Snapshot::Find(uint64_t beta) const {
-  auto it = index_.find(beta);
-  return it == index_.end() ? nullptr : &marginals_[it->second];
+  const size_t slot = index_.Of(beta);
+  return slot == LowOrderIndex::kNone ? nullptr : &marginals_[slot];
 }
 
 StatusOr<const TreeModel*> Snapshot::Model() const {
@@ -186,40 +188,29 @@ Status MarginalCache::RebuildLocked() {
   // error-propagation tests drive through it).
   LDPM_FAILPOINT("query.cache.rebuild");
   obs::ScopedTimer timer(refresh_latency_);
-  // Captured before the queries: concurrent ingest during the rebuild
+  // Captured before the export: concurrent ingest during the rebuild
   // leaves the fresh snapshot already stale (conservative), never
   // serving unseen data under a current watermark.
   const uint64_t watermark = LiveWatermark();
-  std::vector<MarginalTable> raw;
-  raw.reserve(selectors_.size());
-  for (uint64_t beta : selectors_) {
-    auto table = handle_.Query(beta);
-    if (!table.ok()) return table.status();
-    raw.push_back(*std::move(table));
-  }
-  // Equal weights: every input comes from the same merged engine state,
-  // so per-marginal report counts carry no extra information — and the
-  // equal-weight fit is exactly what the bitwise-reproducibility
-  // contract (file comment) pins down.
-  auto consistent = MakeConsistent(raw, d_);
-  if (!consistent.ok()) return consistent.status();
-  auto reports = handle_.ReportsAbsorbed();
+  // One merged engine state answers every table and the report count.
+  uint64_t reports = 0;
+  auto coefficients = handle_.Coefficients(options_.max_order, &reports);
+  if (!coefficients.ok()) return coefficients.status();
 
-  std::shared_ptr<Snapshot> snap(new Snapshot());
+  std::shared_ptr<Snapshot> snap(new Snapshot(d_, options_.max_order));
+  snap->marginals_.reserve(selectors_.size());
+  for (uint64_t beta : selectors_) {
+    auto table = coefficients->ReconstructMarginal(beta);
+    if (!table.ok()) return table.status();
+    snap->marginals_.push_back(*std::move(table));
+  }
   snap->watermark_ = watermark;
   snap->epoch_ = ++epoch_seq_;
-  snap->reports_absorbed_ = reports.ok() ? *reports : 0;
-  snap->d_ = d_;
-  snap->max_order_ = options_.max_order;
+  snap->reports_absorbed_ = reports;
   snap->kind_ = handle_.kind();
   snap->collection_ = collection_;
   snap->model_smoothing_ = options_.model_smoothing;
   snap->selectors_ = selectors_;
-  snap->marginals_ = *std::move(consistent);
-  snap->index_.reserve(snap->selectors_.size());
-  for (size_t i = 0; i < snap->selectors_.size(); ++i) {
-    snap->index_.emplace(snap->selectors_[i], i);
-  }
   snapshot_.store(std::shared_ptr<const Snapshot>(std::move(snap)),
                   std::memory_order_release);
   refreshes_->Increment();

@@ -9,32 +9,38 @@
 // (the artifact src/analysis/consistency.h exists to remove). The
 // MarginalCache closes both gaps:
 //
-//   * Once per *epoch* it snapshots a collection: queries every marginal
-//     selector up to `max_order` from the merged engine state, runs
-//     MakeConsistent over the whole set (one shared low-order Fourier
-//     fit, Barak-style), and freezes the result into an immutable
-//     Snapshot. Every answer served from one snapshot agrees exactly
-//     with every other on all attribute overlaps, by construction.
+//   * Once per *epoch* it snapshots a collection: it takes the merged
+//     engine state once and exports its low-order Fourier coefficients
+//     (CollectionHandle::Coefficients, one shared coefficient vector,
+//     Barak-style), rebuilds every marginal selector up to `max_order`
+//     from them by Lemma 3.7, and freezes the result into an immutable
+//     Snapshot. Every answer served from one snapshot comes from one
+//     engine state and agrees exactly with every other on all attribute
+//     overlaps, by construction.
 //   * Reads are lock-free: the current snapshot hangs off one
 //     std::atomic<std::shared_ptr>; a cache hit is an atomic load, a
-//     hash lookup, and a copy of 2^k doubles. No shard merge, no mutex.
+//     rank computation, and a copy of 2^k doubles. No shard merge, no
+//     mutex.
 //   * Epochs are keyed on an ingest *watermark* — the collection's
 //     `ldpm_engine_batches_enqueued_total` counter. A snapshot built at
 //     watermark W serves until the counter advances past W; the next
 //     read then rebuilds (or, with serve_stale, keeps serving the old
 //     epoch while one thread rebuilds). The watermark is captured
-//     *before* the rebuild queries run, so a snapshot's watermark is
-//     always a lower bound on the ingest it reflects — concurrent
-//     ingest during a rebuild makes the fresh snapshot immediately
-//     stale, never silently under-reported.
+//     *before* the rebuild takes the merged state, so a snapshot's
+//     watermark is always a lower bound on the ingest it reflects —
+//     concurrent ingest during a rebuild makes the fresh snapshot
+//     immediately stale, never silently under-reported.
 //
 // Restores and resets do not advance the batch counter; operational
 // paths that replace engine state out-of-band (Collector::RestoreFrom)
 // must call Invalidate() to force the next read to rebuild.
 //
 // Reproducibility contract (verified bitwise in tests/query/): a cache
-// answer at watermark W equals `Collector::Query` for every selector +
-// `MakeConsistent` (equal weights) over the same selector set at W.
+// answer for beta at watermark W equals
+// `CollectionHandle::Coefficients(max_order)->ReconstructMarginal(beta)`
+// at W. It also matches `CollectionHandle::Query` for every selector +
+// `MakeConsistent` (equal weights) over the same selector set at W to
+// within 1e-12 per cell (the same fit, up to rounding).
 //
 // Domains: the cache serves the binary-marginal surface
 // (MarginalTable). InpES collections participate when their domain is
@@ -56,10 +62,10 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/tree_model.h"
+#include "core/bits.h"
 #include "core/contingency_table.h"
 #include "core/status.h"
 #include "core/sync.h"
@@ -91,11 +97,11 @@ struct MarginalCacheOptions {
 class Snapshot {
  public:
   /// Ingest watermark (batches-enqueued counter) captured before the
-  /// rebuild's queries ran: a lower bound on the state served.
+  /// rebuild took the merged state: a lower bound on the state served.
   uint64_t watermark() const { return watermark_; }
   /// Monotone rebuild sequence number, starting at 1.
   uint64_t epoch() const { return epoch_; }
-  /// Reports absorbed by the collection when the snapshot was cut.
+  /// Reports absorbed by the merged state the snapshot was cut from.
   uint64_t reports_absorbed() const { return reports_absorbed_; }
   int dimensions() const { return d_; }
   int max_order() const { return max_order_; }
@@ -107,8 +113,8 @@ class Snapshot {
   /// The consistent tables, aligned with selectors().
   const std::vector<MarginalTable>& marginals() const { return marginals_; }
 
-  /// The cached table for `beta`, or null when |beta| exceeds max_order
-  /// or beta selects attributes outside [0, d).
+  /// The cached table for `beta`, or null when beta = 0, |beta| exceeds
+  /// max_order, or beta selects attributes outside [0, d).
   const MarginalTable* Find(uint64_t beta) const;
 
   /// The Chow-Liu tree model fitted over this snapshot's 2-way
@@ -118,7 +124,7 @@ class Snapshot {
 
  private:
   friend class MarginalCache;
-  Snapshot() = default;
+  Snapshot(int d, int max_order);
 
   uint64_t watermark_ = 0;
   uint64_t epoch_ = 0;
@@ -129,8 +135,8 @@ class Snapshot {
   std::string collection_;
   double model_smoothing_ = 1e-6;
   std::vector<uint64_t> selectors_;
-  std::vector<MarginalTable> marginals_;
-  std::unordered_map<uint64_t, size_t> index_;  // beta -> marginals_ slot
+  std::vector<MarginalTable> marginals_;  // in index_ order
+  LowOrderIndex index_;                   // beta -> marginals_ slot
 
   mutable std::once_flag model_once_;
   mutable std::optional<TreeModel> model_;

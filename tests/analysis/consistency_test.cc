@@ -244,5 +244,63 @@ TEST(MakeConsistent, WeightsShiftTheFit) {
   EXPECT_NEAR((*blended)[1].at_compact(0), 0.75, 1e-9);
 }
 
+// MakeConsistent fits only the coefficients under its inputs, yet rebuilds
+// exactly what FitSharedCoefficients + ReconstructMarginal give, bit for
+// bit: a partial selector set of mixed orders with unequal weights.
+TEST(MakeConsistent, MatchesTheDenseFitBitwise) {
+  const int d = 9;
+  const ContingencyTable t = RandomDistribution(d, 43);
+  const std::vector<uint64_t> selectors = {0b000000111, 0b000001100,
+                                           0b110000000, 0b000000001,
+                                           0b011110000};
+  const std::vector<double> weights = {1.0, 2.5, 0.5, 3.0, 1.5};
+  Rng rng(44);
+  std::vector<MarginalTable> noisy;
+  for (uint64_t beta : selectors) {
+    auto m = ComputeMarginal(t, beta);
+    ASSERT_TRUE(m.ok());
+    for (double& v : m->values()) v += 0.02 * (rng.UniformDouble() - 0.5);
+    noisy.push_back(*std::move(m));
+  }
+  auto consistent = MakeConsistent(noisy, d, weights);
+  auto fitted = FitSharedCoefficients(noisy, d, weights);
+  ASSERT_TRUE(consistent.ok()) << consistent.status().ToString();
+  ASSERT_TRUE(fitted.ok()) << fitted.status().ToString();
+  for (size_t i = 0; i < selectors.size(); ++i) {
+    auto rebuilt = fitted->ReconstructMarginal(selectors[i]);
+    ASSERT_TRUE(rebuilt.ok());
+    EXPECT_EQ((*consistent)[i].values(), rebuilt->values())
+        << "beta=" << selectors[i];
+  }
+}
+
+// The fit follows the inputs, not the domain: one 5-way table on the top
+// attributes of the widest domain (every alpha up to order 5 would be
+// about 7e6 coefficients) is rebuilt as itself.
+TEST(MakeConsistent, WideDomainTableIsAFixedPoint) {
+  const int d = kMaxDimensions;
+  const uint64_t beta = uint64_t{0b11111} << (d - 5);
+  MarginalTable m(d, beta);
+  Rng rng(45);
+  double total = 0.0;
+  for (double& v : m.values()) total += (v = rng.UniformDouble());
+  for (double& v : m.values()) v /= total;
+  auto consistent = MakeConsistent({m}, d);
+  ASSERT_TRUE(consistent.ok()) << consistent.status().ToString();
+  for (uint64_t cell = 0; cell < m.size(); ++cell) {
+    EXPECT_NEAR((*consistent)[0].at_compact(cell), m.at_compact(cell), 1e-12);
+  }
+}
+
+// An alpha only zero-weight inputs cover has no vote: the fit cannot
+// rebuild that input, as before.
+TEST(MakeConsistent, CoefficientWithOnlyZeroWeightVotesIsNotFound) {
+  const std::vector<MarginalTable> inputs = {MarginalTable::Uniform(4, 0b0011),
+                                             MarginalTable::Uniform(4, 0b0001)};
+  EXPECT_EQ(MakeConsistent(inputs, 4, {0.0, 1.0}).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_TRUE(MakeConsistent(inputs, 4, {1.0, 0.0}).ok());
+}
+
 }  // namespace
 }  // namespace ldpm

@@ -259,5 +259,34 @@ TEST(CombinationRank, EmptyMaskRanksZero) {
   EXPECT_EQ(CombinationRank(0), 0u);
 }
 
+// LowOrderIndex is the inverse of LowOrderMasks, and the index for a lower
+// order is a prefix of the index for a higher one.
+TEST(LowOrderIndex, InvertsLowOrderMasks) {
+  for (const auto& [d, k] : std::vector<std::pair<int, int>>{
+           {1, 1}, {6, 2}, {8, 3}, {12, 4}, {20, 2}}) {
+    const LowOrderIndex index(d, k);
+    const std::vector<uint64_t> masks = LowOrderMasks(d, k);
+    ASSERT_EQ(index.size(), masks.size());
+    EXPECT_EQ(index.dimensions(), d);
+    EXPECT_EQ(index.max_order(), k);
+    for (size_t slot = 0; slot < masks.size(); ++slot) {
+      EXPECT_EQ(index.Of(masks[slot]), slot) << "mask=" << masks[slot];
+      if (k > 1 && Popcount(masks[slot]) < k) {
+        EXPECT_EQ(LowOrderIndex(d, k - 1).Of(masks[slot]), slot);
+      }
+    }
+  }
+}
+
+TEST(LowOrderIndex, MasksOutsideTheIndexHaveNoSlot) {
+  const LowOrderIndex index(6, 2);
+  EXPECT_EQ(index.Of(0), LowOrderIndex::kNone);          // order 0
+  EXPECT_EQ(index.Of(0b111), LowOrderIndex::kNone);      // order 3 > k
+  EXPECT_EQ(index.Of(1u << 6), LowOrderIndex::kNone);    // attribute 6 >= d
+  EXPECT_EQ(index.Of(0b1000001), LowOrderIndex::kNone);  // one bit >= d
+  EXPECT_EQ(LowOrderIndex(6, 0).size(), 0u);
+  EXPECT_EQ(LowOrderIndex(6, 0).Of(1), LowOrderIndex::kNone);
+}
+
 }  // namespace
 }  // namespace ldpm

@@ -108,14 +108,14 @@ TEST(FourierCoefficient, MatchesFwhtOutput) {
 }
 
 TEST(FourierCoefficients, GetZeroAlwaysOne) {
-  FourierCoefficients fc(4);
+  FourierCoefficients fc(4, 2);
   auto v = fc.Get(0);
   ASSERT_TRUE(v.ok());
   EXPECT_DOUBLE_EQ(*v, 1.0);
 }
 
 TEST(FourierCoefficients, MissingCoefficientIsNotFound) {
-  FourierCoefficients fc(4);
+  FourierCoefficients fc(4, 2);
   EXPECT_EQ(fc.Get(0b0011).status().code(), StatusCode::kNotFound);
   EXPECT_FALSE(fc.Contains(0b0011));
   fc.Set(0b0011, 0.5);
@@ -124,7 +124,7 @@ TEST(FourierCoefficients, MissingCoefficientIsNotFound) {
 }
 
 TEST(FourierCoefficients, ReconstructRejectsMissing) {
-  FourierCoefficients fc(4);
+  FourierCoefficients fc(4, 2);
   fc.Set(0b0001, 0.2);
   // beta = 0011 needs alphas 0001, 0010, 0011; only one present.
   EXPECT_EQ(fc.ReconstructMarginal(0b0011).status().code(),
@@ -147,7 +147,7 @@ TEST_P(Lemma37Test, ReconstructionMatchesDirectMarginal) {
   for (uint64_t c = 0; c < t->size(); ++c) (*t)[c] = rng.UniformDouble();
   ASSERT_TRUE(t->Normalize().ok());
 
-  const FourierCoefficients fc = FourierCoefficients::FromTable(*t, k);
+  const FourierCoefficients fc = FourierCoefficients::FromCells(t->cells(), k);
   EXPECT_EQ(fc.size(), LowOrderCoefficientCount(d, k));
 
   for (uint64_t beta : KWaySelectors(d, k)) {
@@ -174,7 +174,7 @@ TEST(Lemma37, LowerOrderQueriesUseSubsetOfCoefficients) {
   ASSERT_TRUE(t.ok());
   for (uint64_t c = 0; c < t->size(); ++c) (*t)[c] = rng.UniformDouble();
   ASSERT_TRUE(t->Normalize().ok());
-  const FourierCoefficients fc = FourierCoefficients::FromTable(*t, 2);
+  const FourierCoefficients fc = FourierCoefficients::FromCells(t->cells(), 2);
   for (uint64_t beta : KWaySelectors(6, 1)) {
     auto rec = fc.ReconstructMarginal(beta);
     ASSERT_TRUE(rec.ok());
@@ -185,9 +185,53 @@ TEST(Lemma37, LowerOrderQueriesUseSubsetOfCoefficients) {
 }
 
 TEST(FourierCoefficients, ReconstructRejectsBetaOutsideDomain) {
-  FourierCoefficients fc(3);
+  FourierCoefficients fc(3, 3);
   EXPECT_EQ(fc.ReconstructMarginal(1 << 4).status().code(),
             StatusCode::kOutOfRange);
+}
+
+TEST(FourierCoefficients, OrdersAboveMaxOrderAreNotFound) {
+  FourierCoefficients fc(4, 2);
+  ForEachLowOrderMask(4, 2, [&](uint64_t alpha) { fc.Set(alpha, 0.1); });
+  EXPECT_EQ(fc.size(), LowOrderCoefficientCount(4, 2));
+  EXPECT_TRUE(fc.ReconstructMarginal(0b0011).ok());
+  EXPECT_FALSE(fc.Contains(0b0111));
+  EXPECT_EQ(fc.Get(0b0111).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(fc.ReconstructMarginal(0b0111).status().code(),
+            StatusCode::kNotFound);
+}
+
+// ReconstructMarginal gathers the 2^|beta| coefficients under beta and runs
+// one FWHT. Lemma 3.7's direct sum, kept here as the reference, must agree
+// for every selector up to order 6 over d = 8, beta = 0 included.
+TEST(FourierCoefficients, FwhtReconstructionMatchesDirectLemma37Sum) {
+  const int d = 8;
+  const int max_order = 6;
+  Rng rng(41);
+  FourierCoefficients fc(d, max_order);
+  ForEachLowOrderMask(d, max_order, [&](uint64_t alpha) {
+    fc.Set(alpha, 2.0 * rng.UniformDouble() - 1.0);
+  });
+  int selectors = 0;
+  for (uint64_t beta = 0; beta < (uint64_t{1} << d); ++beta) {
+    const int k = Popcount(beta);
+    if (k > max_order) continue;
+    ++selectors;
+    auto fast = fc.ReconstructMarginal(beta);
+    ASSERT_TRUE(fast.ok()) << fast.status().ToString();
+    ASSERT_EQ(fast->beta(), beta);
+    for (uint64_t idx = 0; idx < fast->size(); ++idx) {
+      const uint64_t gamma = fast->CompactToCell(idx);
+      double direct = 0.0;
+      ForEachSubset(beta, [&](uint64_t alpha) {
+        direct += *fc.Get(alpha) * HadamardSign(alpha, gamma);
+      });
+      direct /= static_cast<double>(uint64_t{1} << k);
+      EXPECT_NEAR(fast->at_compact(idx), direct, 1e-14)
+          << "beta=" << beta << " cell=" << idx;
+    }
+  }
+  EXPECT_EQ(selectors, 247);  // sum_{r <= 6} C(8, r)
 }
 
 }  // namespace

@@ -58,8 +58,8 @@ std::unique_ptr<Collector> MakeCollector(ProtocolKind kind, int num_shards,
   return *std::move(collector);
 }
 
-/// The collection's merged aggregator (owned by the collector), or null.
-const MarginalProtocol* Merged(Collector& collector) {
+/// The collection's merged aggregator, or null.
+std::shared_ptr<const MarginalProtocol> Merged(Collector& collector) {
   auto handle = collector.Handle(kCollectionId);
   if (!handle.ok()) return nullptr;
   auto merged = handle->aggregator().Merged();
@@ -150,7 +150,7 @@ TEST_P(CheckpointPerProtocolTest, FileRoundTripAcrossShardCounts) {
   for (int target_shards : {1, 2, 4}) {
     auto restored = MakeCollector(kind, target_shards);
     ASSERT_TRUE(restored->RestoreFrom(path).ok());
-    const MarginalProtocol* merged = Merged(*restored);
+    const auto merged = Merged(*restored);
     ASSERT_NE(merged, nullptr);
     EXPECT_EQ(merged->reports_absorbed(), 2000u);
     ExpectBitwiseEqualEstimates(*loaded.reference, *merged);
@@ -234,7 +234,7 @@ TEST(Checkpoint, CorruptFileLeavesEngineStateIntact) {
   EXPECT_NE(restored.message().find("checkpoint"), std::string::npos)
       << restored.ToString();
   // State unchanged: still answers like the reference aggregator.
-  const MarginalProtocol* merged = Merged(*loaded.collector);
+  const auto merged = Merged(*loaded.collector);
   ASSERT_NE(merged, nullptr);
   ExpectBitwiseEqualEstimates(*loaded.reference, *merged);
   std::filesystem::remove(path);
@@ -341,7 +341,7 @@ TEST(CheckpointGenerations, FallbackSkipsCorruptNewestAndQuarantines) {
   // The collector-level restore takes the same fallback path.
   auto restored = MakeCollector(ProtocolKind::kInpHT, 1, /*generations=*/2);
   ASSERT_TRUE(restored->RestoreFrom(path).ok());
-  const MarginalProtocol* merged = Merged(*restored);
+  const auto merged = Merged(*restored);
   ASSERT_NE(merged, nullptr);
   EXPECT_EQ(merged->reports_absorbed(), 400u);
   std::filesystem::remove_all(dir);

@@ -5,8 +5,12 @@
 
 #include "engine/sharded_aggregator.h"
 
+#include <atomic>
+#include <chrono>
+#include <cmath>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -260,6 +264,64 @@ TEST(ShardedAggregator, ResetClearsAllShards) {
   ASSERT_TRUE(merged_reset.ok());
   ASSERT_TRUE(merged_fresh.ok());
   ExpectBitwiseEqualEstimates(**merged_reset, **merged_fresh);
+}
+
+// A reader's merged state must outlive a re-merge at a newer epoch. Two
+// readers query an InpRR d = 12 engine while a writer pushes a one-report
+// wire frame every 50 us, so each frame makes the next query merge anew
+// and replace the engine's merged copy while the other reader may still
+// be estimating from the copy it was handed. One reader asks one table per
+// merge (CollectionHandle::Query); the other holds one merged state across
+// several tables, as a snapshot rebuild does. When the engine alone owned
+// the merged copy, ASan reported a heap-use-after-free here.
+TEST(ShardedAggregator, MergedStateOutlivesAConcurrentRemerge) {
+  const ProtocolConfig config = MakeConfig(12, 2);
+  EngineOptions options;
+  options.num_shards = 2;
+  auto eng = ShardedAggregator::Create(ProtocolKind::kInpRR, config, options);
+  ASSERT_TRUE(eng.ok());
+  auto encoder = CreateProtocol(ProtocolKind::kInpRR, config);
+  ASSERT_TRUE(encoder.ok());
+  std::vector<std::vector<uint8_t>> frames;
+  for (const Report& report : EncodeReportStream(**encoder, 64, 61)) {
+    auto frame = SerializeReportBatch(ProtocolKind::kInpRR, config, {report});
+    ASSERT_TRUE(frame.ok());
+    frames.push_back(*std::move(frame));
+  }
+  ASSERT_TRUE((*eng)->IngestWireBatch(frames[0]).ok());
+
+  constexpr size_t kFrames = 2000;
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  const auto check = [&](const StatusOr<MarginalTable>& table) {
+    if (!table.ok() || !std::isfinite(table->Total())) ++failures;
+  };
+  std::thread per_query([&] {
+    while (!done.load()) check((*eng)->EstimateMarginal(0b011));
+  });
+  std::thread held([&] {
+    while (!done.load()) {
+      auto merged = (*eng)->Merged();
+      if (!merged.ok()) {
+        ++failures;
+        continue;
+      }
+      for (uint64_t beta : KWaySelectors(4, 2)) {
+        check((*merged)->EstimateMarginal(beta));
+      }
+    }
+  });
+  for (size_t i = 1; i < kFrames; ++i) {
+    if (!(*eng)->IngestWireBatch(frames[i % frames.size()]).ok()) ++failures;
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  done.store(true);
+  per_query.join();
+  held.join();
+  EXPECT_EQ(failures.load(), 0);
+  auto total = (*eng)->ReportsAbsorbed();
+  ASSERT_TRUE(total.ok());
+  EXPECT_EQ(*total, kFrames);
 }
 
 TEST(ShardedAggregator, WorkerErrorsSurfaceAtFlush) {

@@ -20,8 +20,6 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/consistency.h"
-#include "core/marginal.h"
 #include "engine/collector.h"
 #include "net/frame_client.h"
 #include "net/http_common.h"
@@ -151,22 +149,15 @@ TEST_F(QueryServerTest, StopIsIdempotentAndPortCloses) {
 }
 
 TEST_F(QueryServerTest, MarginalCellsAreBitwiseTheLibraryAnswer) {
-  // The ground truth the server must serve: direct pipeline at the same
-  // watermark (the reproducibility contract pins this bitwise).
-  std::vector<MarginalTable> raw;
-  const std::vector<uint64_t> selectors = FullKWaySelectors(4, 2);
-  for (uint64_t beta : selectors) {
-    auto table = collector_->Query("c", beta);
-    ASSERT_TRUE(table.ok());
-    raw.push_back(*std::move(table));
-  }
-  auto consistent = MakeConsistent(raw, 4);
-  ASSERT_TRUE(consistent.ok());
-  const MarginalTable* expected = nullptr;
-  for (size_t i = 0; i < selectors.size(); ++i) {
-    if (selectors[i] == 0b0101) expected = &(*consistent)[i];
-  }
-  ASSERT_NE(expected, nullptr);
+  // The ground truth the server must serve: the merged state's coefficient
+  // export rebuilt by Lemma 3.7 at the same watermark (the
+  // reproducibility contract pins this bitwise).
+  auto handle = collector_->Handle("c");
+  ASSERT_TRUE(handle.ok());
+  auto coefficients = handle->Coefficients(2);
+  ASSERT_TRUE(coefficients.ok()) << coefficients.status().ToString();
+  auto expected = coefficients->ReconstructMarginal(0b0101);
+  ASSERT_TRUE(expected.ok());
 
   const std::string response = Get("/v1/marginal?collection=c&attrs=0,2");
   EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos);

@@ -231,7 +231,7 @@ TEST(InpEm, RestoresLogLayoutSnapshotFromCollectorCheckpoint) {
   ASSERT_TRUE(restored.ok()) << restored.ToString();
   auto merged = handle->aggregator().Merged();
   ASSERT_TRUE(merged.ok());
-  const auto* em = dynamic_cast<const InpEmProtocol*>(*merged);
+  const auto* em = dynamic_cast<const InpEmProtocol*>(merged->get());
   ASSERT_NE(em, nullptr);
   EXPECT_EQ(em->reports_absorbed(), log.size());
   ExpectDecodesLikeLog(*em, log);

@@ -92,7 +92,7 @@ TEST(InpHt, EstimatedCoefficientsNearTruth) {
   ASSERT_TRUE(p.ok());
   const auto rows = test::SkewedRows(d, 200000, 69);
   test::RunPerUser(**p, rows, 70);
-  auto fc = (*p)->EstimateCoefficients();
+  auto fc = (*p)->EstimateCoefficients(2);
   ASSERT_TRUE(fc.ok());
 
   // Exact coefficients from the population histogram.
@@ -161,7 +161,10 @@ TEST(InpHt, ZeroCoefficientNeverSampled) {
 TEST(InpHt, EstimateMarginalMatchesFullCoefficientReconstruction) {
   // EstimateMarginal unbiases only the coefficients under beta; it must
   // equal reconstructing from the whole estimated set, bit for bit. The
-  // small population leaves some coefficients without reports.
+  // small population leaves some coefficients without reports. Under
+  // project_to_simplex the export is the default fit over projected
+  // tables, so the raw coefficients come from an unprojected twin fed the
+  // same reports.
   const int d = 8;
   const int k = 3;
   for (const EstimatorKind estimator :
@@ -173,16 +176,21 @@ TEST(InpHt, EstimateMarginalMatchesFullCoefficientReconstruction) {
         c.project_to_simplex = project;
         auto p = InpHtProtocol::Create(c);
         ASSERT_TRUE(p.ok());
+        c.project_to_simplex = false;
+        auto raw = InpHtProtocol::Create(c);
+        ASSERT_TRUE(raw.ok());
         const std::vector<Report> reports =
             test::EncodeReportStream(**p, users, 71);
         std::map<uint64_t, std::pair<double, uint64_t>> tally;
         for (const Report& r : reports) {
           ASSERT_TRUE((*p)->Absorb(r).ok());
+          ASSERT_TRUE((*raw)->Absorb(r).ok());
           tally[r.selector].first += r.sign;
           tally[r.selector].second += 1;
         }
-        auto fc = (*p)->EstimateCoefficients();
+        auto fc = (*raw)->EstimateCoefficients(k);
         ASSERT_TRUE(fc.ok());
+        ASSERT_EQ(fc->size(), (*p)->coefficient_indices().size());
         // Algorithm 2's per-coefficient arithmetic, pinned bit for bit.
         const double t_size =
             static_cast<double>((*p)->coefficient_indices().size());
@@ -220,7 +228,8 @@ TEST(InpHt, ResetClearsState) {
   test::RunPerUser(**p, rows, 80);
   (*p)->Reset();
   EXPECT_EQ((*p)->reports_absorbed(), 0u);
-  EXPECT_FALSE((*p)->EstimateCoefficients().ok());
+  EXPECT_EQ((*p)->EstimateCoefficients(2).status().code(),
+            StatusCode::kFailedPrecondition);
   EXPECT_EQ((*p)->EstimateMarginal(0b11).status().code(),
             StatusCode::kFailedPrecondition);
 }

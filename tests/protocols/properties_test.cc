@@ -121,5 +121,63 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<2>(info.param));
     });
 
+// The coefficient export (MarginalProtocol::EstimateCoefficients) of every
+// registered kind: overrides (InpRR: one FWHT of the unbiased 2^d
+// estimate; InpHT: the unbiased coefficients) must match the default,
+// which fits the coefficients back out of EstimateMarginal's tables, at
+// every order m in [1, k]; the argument and state checks hold for all.
+class CoefficientExportTest : public ::testing::TestWithParam<PropertyParam> {
+};
+
+TEST_P(CoefficientExportTest, MatchesTheDefaultFitAtEveryOrder) {
+  const auto [kind, d, k] = GetParam();
+  ProtocolConfig config;
+  config.d = d;
+  config.k = k;
+  config.epsilon = std::log(3.0);
+  auto p = CreateProtocol(kind, config);
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  const MarginalProtocol& protocol = **p;
+
+  for (int m = 1; m <= k; ++m) {
+    EXPECT_EQ(protocol.EstimateCoefficients(m).status().code(),
+              StatusCode::kFailedPrecondition)
+        << "m=" << m;
+  }
+  const auto rows = test::SkewedRows(d, 20000, 13u * d + k);
+  Rng rng(2000 + d);
+  ASSERT_TRUE((*p)->AbsorbPopulation(rows, rng).ok());
+  for (int m : {-1, 0, k + 1}) {
+    EXPECT_EQ(protocol.EstimateCoefficients(m).status().code(),
+              StatusCode::kInvalidArgument)
+        << "m=" << m;
+  }
+
+  for (int m = 1; m <= k; ++m) {
+    auto exported = protocol.EstimateCoefficients(m);
+    auto fitted = protocol.MarginalProtocol::EstimateCoefficients(m);
+    ASSERT_TRUE(exported.ok()) << exported.status().ToString();
+    ASSERT_TRUE(fitted.ok()) << fitted.status().ToString();
+    EXPECT_EQ(exported->dimensions(), d);
+    EXPECT_EQ(exported->max_order(), m);
+    EXPECT_EQ(exported->size(), LowOrderCoefficientCount(d, m));
+    EXPECT_EQ(fitted->size(), LowOrderCoefficientCount(d, m));
+    ForEachLowOrderMask(d, m, [&](uint64_t alpha) {
+      EXPECT_NEAR(*exported->Get(alpha), *fitted->Get(alpha), 1e-12)
+          << "m=" << m << " alpha=" << alpha;
+    });
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RegisteredKinds, CoefficientExportTest,
+    ::testing::Combine(::testing::ValuesIn(RegisteredProtocolKinds()),
+                       ::testing::Values(4, 6), ::testing::Values(1, 3)),
+    [](const ::testing::TestParamInfo<PropertyParam>& info) {
+      return std::string(ProtocolKindName(std::get<0>(info.param))) + "_d" +
+             std::to_string(std::get<1>(info.param)) + "_k" +
+             std::to_string(std::get<2>(info.param));
+    });
+
 }  // namespace
 }  // namespace ldpm

@@ -10,8 +10,10 @@
 //       is only IEEE summation-order noise (marginalizing a
 //       reconstructed table re-associates the same sum).
 //   (b) Bitwise reproducibility: a cache answer at watermark W is
-//       bit-for-bit the direct pipeline — Collector::Query for every
-//       cached selector + MakeConsistent (equal weights) — at W.
+//       bit-for-bit the rebuild's reference — one
+//       CollectionHandle::Coefficients export + ReconstructMarginal — at
+//       W, and within 1e-12 of the library pipeline (Query for every
+//       cached selector + MakeConsistent, equal weights) at W.
 //   (d) Accuracy envelope: cache-served answers on a known synthetic
 //       population stay within the protocol's analytic error bound
 //       (protocols/accuracy.h) with a constant-factor allowance.
@@ -48,9 +50,9 @@ using query::Snapshot;
 using test::MakeConfig;
 using test::SkewedRows;
 
-std::unique_ptr<Collector> MakeCollector() {
+std::unique_ptr<Collector> MakeCollector(int num_shards = 2) {
   CollectorOptions options;
-  options.engine_defaults.num_shards = 2;
+  options.engine_defaults.num_shards = num_shards;
   auto collector = Collector::Create(options);
   EXPECT_TRUE(collector.ok()) << collector.status().ToString();
   return *std::move(collector);
@@ -108,45 +110,108 @@ TEST(MarginalCacheOverlap, AllRegisteredKindsAgreeOnOverlaps) {
   }
 }
 
-// ---- (b) bitwise equality with the direct pipeline -------------------------
+// ---- (b) bitwise equality with the coefficient export ---------------------
 
-TEST(MarginalCacheBitwise, CacheEqualsDirectQueryPlusMakeConsistent) {
+TEST(MarginalCacheBitwise, CacheEqualsCoefficientExportReconstruction) {
   const int d = 6;
   const int k = 2;
-  for (ProtocolKind kind :
-       {ProtocolKind::kMargPS, ProtocolKind::kInpHT, ProtocolKind::kInpRR}) {
+  for (ProtocolKind kind : RegisteredProtocolKinds()) {
     SCOPED_TRACE(std::string(ProtocolKindName(kind)));
     auto collector = MakeCollector();
-    Fill(*collector, "c", kind, MakeConfig(d, k), SkewedRows(d, 12000, 23));
+    auto handle = Fill(*collector, "c", kind, MakeConfig(d, k),
+                       SkewedRows(d, 12000, 23));
 
-    // The direct pipeline at the current watermark: query every selector
-    // the cache materializes, then one equal-weight consistency fit.
-    const std::vector<uint64_t> selectors = FullKWaySelectors(d, k);
-    std::vector<MarginalTable> raw;
-    for (uint64_t beta : selectors) {
-      auto table = collector->Query("c", beta);
-      ASSERT_TRUE(table.ok()) << table.status().ToString();
-      raw.push_back(*std::move(table));
-    }
-    auto direct = MakeConsistent(raw, d);
-    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    // The rebuild's own reference at the current watermark: one export
+    // from the merged state, then Lemma 3.7 per selector.
+    auto coefficients = handle.Coefficients(k);
+    ASSERT_TRUE(coefficients.ok()) << coefficients.status().ToString();
 
     auto cache = MarginalCache::Create(collector.get(), "c");
     ASSERT_TRUE(cache.ok());
-    for (size_t i = 0; i < selectors.size(); ++i) {
-      auto answer = (*cache)->Marginal(selectors[i]);
+    for (uint64_t beta : FullKWaySelectors(d, k)) {
+      auto expected = coefficients->ReconstructMarginal(beta);
+      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+      auto answer = (*cache)->Marginal(beta);
       ASSERT_TRUE(answer.ok()) << answer.status().ToString();
       EXPECT_EQ(answer->watermark, (*cache)->LiveWatermark());
       EXPECT_FALSE(answer->stale);
-      ASSERT_EQ(answer->table.size(), (*direct)[i].size());
-      for (uint64_t cell = 0; cell < answer->table.size(); ++cell) {
-        // Bit-for-bit: same merged engine state, same deterministic fit.
-        EXPECT_EQ(answer->table.at_compact(cell),
-                  (*direct)[i].at_compact(cell))
-            << "beta=" << selectors[i] << " cell=" << cell;
+      // Bit-for-bit: same merged engine state, same deterministic export.
+      EXPECT_EQ(answer->table.values(), expected->values()) << "beta=" << beta;
+    }
+  }
+}
+
+// The cache fits the same coefficients the library pipeline does, so it
+// matches Query for every selector + MakeConsistent up to rounding: the
+// linear protocols export their coefficients directly instead of fitting
+// them back out of the tables, and the reconstruction is an FWHT.
+TEST(MarginalCacheTolerance, CacheMatchesQueryPlusMakeConsistent) {
+  const int d = 6;
+  const int k = 2;
+  for (ProtocolKind kind : RegisteredProtocolKinds()) {
+    for (const bool project : {false, true}) {
+      for (const int shards : {1, 2}) {
+        SCOPED_TRACE(std::string(ProtocolKindName(kind)) +
+                     " project=" + std::to_string(project) +
+                     " shards=" + std::to_string(shards));
+        auto collector = MakeCollector(shards);
+        ProtocolConfig config = MakeConfig(d, k);
+        config.project_to_simplex = project;
+        auto handle = Fill(*collector, "c", kind, config,
+                           SkewedRows(d, 12000, 29));
+
+        const std::vector<uint64_t> selectors = FullKWaySelectors(d, k);
+        std::vector<MarginalTable> raw;
+        for (uint64_t beta : selectors) {
+          auto table = handle.Query(beta);
+          ASSERT_TRUE(table.ok()) << table.status().ToString();
+          raw.push_back(*std::move(table));
+        }
+        auto direct = MakeConsistent(raw, d);
+        ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+
+        auto cache = MarginalCache::Create(collector.get(), "c");
+        ASSERT_TRUE(cache.ok());
+        for (size_t i = 0; i < selectors.size(); ++i) {
+          auto answer = (*cache)->Marginal(selectors[i]);
+          ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+          ASSERT_EQ(answer->table.size(), (*direct)[i].size());
+          for (uint64_t cell = 0; cell < answer->table.size(); ++cell) {
+            EXPECT_NEAR(answer->table.at_compact(cell),
+                        (*direct)[i].at_compact(cell), 1e-12)
+                << "beta=" << selectors[i] << " cell=" << cell;
+          }
+        }
       }
     }
   }
+}
+
+// Find answers exactly the cached selectors: 1 <= |beta| <= max_order and
+// every attribute inside [0, d).
+TEST(MarginalCacheSnapshot, FindIsNullOutsideTheCachedSet) {
+  const int d = 5;
+  auto collector = MakeCollector();
+  Fill(*collector, "c", ProtocolKind::kInpHT, MakeConfig(d, 3),
+       SkewedRows(d, 2000, 17));
+  MarginalCacheOptions options;
+  options.max_order = 2;
+  auto cache = MarginalCache::Create(collector.get(), "c", options);
+  ASSERT_TRUE(cache.ok());
+  auto snapshot = (*cache)->Get();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  const auto& selectors = (*snapshot)->selectors();
+  ASSERT_EQ(selectors, FullKWaySelectors(d, 2));
+  for (size_t i = 0; i < selectors.size(); ++i) {
+    const MarginalTable* table = (*snapshot)->Find(selectors[i]);
+    ASSERT_EQ(table, &(*snapshot)->marginals()[i]);
+    EXPECT_EQ(table->beta(), selectors[i]);
+  }
+  EXPECT_EQ((*snapshot)->Find(0), nullptr);          // beta = 0
+  EXPECT_EQ((*snapshot)->Find(0b00111), nullptr);    // |beta| = 3 > 2
+  EXPECT_EQ((*snapshot)->Find(1u << d), nullptr);    // attribute d
+  EXPECT_EQ((*snapshot)->Find(0b100001), nullptr);   // one attribute >= d
+  EXPECT_EQ((*snapshot)->Find(uint64_t{1} << 63), nullptr);
 }
 
 // ---- (d) accuracy envelope -------------------------------------------------
