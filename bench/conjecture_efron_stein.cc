@@ -22,7 +22,7 @@ using namespace ldpm;
 namespace {
 
 struct Workload {
-  std::vector<std::vector<uint32_t>> tuples;   // categorical rows
+  std::vector<uint64_t> categorical;           // mixed-radix categorical rows
   std::vector<uint64_t> encoded;               // binary-encoded rows
   std::vector<double> exact;                   // exact marginal of {0,1}
   uint64_t beta = 0;                           // encoded selector for {0,1}
@@ -57,7 +57,7 @@ Workload MakeWorkload(const std::vector<uint32_t>& cards, size_t n,
     LDPM_CHECK(packed.ok());
     w.exact[tuple[0] + cards[0] * tuple[1]] += 1.0 / static_cast<double>(n);
     w.encoded.push_back(*packed);
-    w.tuples.push_back(std::move(tuple));
+    w.categorical.push_back(PackMixedRadix(tuple, cards));
   }
   return w;
 }
@@ -100,16 +100,15 @@ int main(int argc, char** argv) {
 
       // (a) InpES over the categorical domain, both bases.
       for (BasisKind basis : {BasisKind::kFourier, BasisKind::kHelmert}) {
-        InpEsProtocol::Config es_config;
+        ProtocolConfig es_config;
         es_config.cardinalities = cards;
         es_config.k = 2;
         es_config.epsilon = eps;
-        es_config.basis = basis;
-        auto es = InpEsProtocol::Create(es_config);
+        auto es = InpEsProtocol::Create(es_config, basis);
         LDPM_CHECK(es.ok());
         Rng rng_es(args.seed + 7 * rep + r);
-        LDPM_CHECK((*es)->AbsorbPopulation(w.tuples, rng_es).ok());
-        auto es_marginal = (*es)->EstimateMarginal({0, 1});
+        LDPM_CHECK((*es)->AbsorbPopulation(w.categorical, rng_es).ok());
+        auto es_marginal = (*es)->EstimateCategorical({0, 1});
         LDPM_CHECK(es_marginal.ok());
         const double tv = L1(es_marginal->probabilities, w.exact) / 2.0;
         (basis == BasisKind::kFourier ? es_f_tvs : es_h_tvs).push_back(tv);

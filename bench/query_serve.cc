@@ -5,7 +5,7 @@
 // of answering "give me a consistent 2-way marginal" are timed:
 //
 //   * query.cache_hit_rps   — query::MarginalCache::Marginal on a warm
-//     snapshot: an atomic load, a rank lookup, and a copy of 2^k doubles.
+//     snapshot: a pointer copy, a rank lookup, and a copy of 2^k doubles.
 //     This is the number the QueryServer's endpoint throughput tracks,
 //     and the release CI gate watches it in BENCH_ingest.json.
 //   * query.direct_rps      — CollectionHandle::Query per request: the
@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
     json.Add("query.refresh_ms", ms);
   }
 
-  // Cache hits: every request is an atomic load + lookup + tiny copy.
+  // Cache hits: every request is a pointer copy + lookup + tiny copy.
   double cache_hit_rps = 0.0;
   {
     const size_t requests = args.smoke ? 200000 : 2000000;

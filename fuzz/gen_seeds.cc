@@ -115,7 +115,7 @@ void WireBatchSeeds() {
       {ldpm::ProtocolKind::kInpRR, 0},  {ldpm::ProtocolKind::kInpPS, 1},
       {ldpm::ProtocolKind::kInpHT, 2},  {ldpm::ProtocolKind::kMargRR, 3},
       {ldpm::ProtocolKind::kMargPS, 4}, {ldpm::ProtocolKind::kMargHT, 5},
-      {ldpm::ProtocolKind::kInpEM, 6},
+      {ldpm::ProtocolKind::kInpEM, 6},  {ldpm::ProtocolKind::kInpES, 7},
   };
   for (const auto& [kind, kind_byte] : kinds) {
     // d byte 5 -> TakeInRange(1, 12) lands on 6; keep them in sync.

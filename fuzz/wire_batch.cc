@@ -8,7 +8,8 @@
 // The rest of the input is walked as a wire batch; every record that
 // deserializes must re-serialize canonically (serialize(parse(b)) parses
 // back to the same bytes — the decode/encode fixed point). For InpRR,
-// whose AbsorbWireBatch sums packed bitmaps with its own kernel, the
+// whose AbsorbWireBatch sums packed bitmaps with its own kernel, and
+// InpES, whose AbsorbWireBatch parses each record with one word load, the
 // whole input must also absorb to the same outcome and bitwise state as
 // per-record DeserializeReport + Absorb stopping at the first failure.
 
@@ -94,8 +95,10 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   }
   // reader.status() may be OK (clean end) or a framing error; both are
   // fine — the walk just must terminate in bounds, which ASan enforces.
-  if (kind == ldpm::ProtocolKind::kInpRR) {
-    // The InpRR wire format ignores k, but an aggregator needs k <= d.
+  if (kind == ldpm::ProtocolKind::kInpRR ||
+      kind == ldpm::ProtocolKind::kInpES) {
+    // An aggregator needs k <= d (the InpRR wire format ignores k; InpES
+    // at d = 1 samples the one-way coefficients).
     ldpm::ProtocolConfig absorb_config = config;
     absorb_config.k = std::min(config.d, config.k);
     CheckWireAbsorbMatchesParse(kind, absorb_config, input.remaining_data(),

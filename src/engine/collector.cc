@@ -4,7 +4,7 @@
 
 #include "core/file_io.h"
 #include "engine/checkpoint.h"
-#include "protocols/inp_es_adapter.h"
+#include "protocols/inp_es.h"
 #include "protocols/wire.h"
 
 namespace ldpm {
@@ -92,7 +92,7 @@ StatusOr<CategoricalMarginal> CollectionHandle::QueryCategorical(
     const std::vector<int>& attrs) {
   auto merged = collection_->engine->Merged();
   if (!merged.ok()) return merged.status();
-  const auto* es = dynamic_cast<const InpEsMarginalProtocol*>(merged->get());
+  const auto* es = dynamic_cast<const InpEsProtocol*>(merged->get());
   if (es == nullptr) {
     return Status::InvalidArgument(
         "collection \"" + collection_->id + "\" runs " +

@@ -3,7 +3,7 @@
 #include <string>
 
 #include "protocols/inp_em.h"
-#include "protocols/inp_es_adapter.h"
+#include "protocols/inp_es.h"
 #include "protocols/inp_ht.h"
 #include "protocols/inp_ps.h"
 #include "protocols/inp_rr.h"
@@ -108,7 +108,7 @@ StatusOr<std::unique_ptr<MarginalProtocol>> CreateProtocol(
       return std::unique_ptr<MarginalProtocol>(std::move(*p));
     }
     case ProtocolKind::kInpES: {
-      auto p = InpEsMarginalProtocol::Create(config);
+      auto p = InpEsProtocol::Create(config);
       if (!p.ok()) return p.status();
       return std::unique_ptr<MarginalProtocol>(std::move(*p));
     }

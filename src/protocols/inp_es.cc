@@ -1,26 +1,35 @@
 #include "protocols/inp_es.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <string>
+#include <utility>
+
+#include "protocols/wire.h"
 
 namespace ldpm {
 namespace {
 
-// Enumerates all coefficients with support size in [1, k]: for every
-// attribute subset (chosen recursively) every combination of nonzero basis
-// levels.
-void EnumerateCoefficients(
-    const std::vector<uint32_t>& cardinalities, int k, int first_attr,
-    std::vector<std::pair<int, uint32_t>>& partial,
-    std::vector<std::vector<std::pair<int, uint32_t>>>& out) {
-  if (!partial.empty()) out.push_back(partial);
+/// The largest coefficient set InpES samples. EsCoefficientCount refuses
+/// anything above it, and Create runs that count before it enumerates.
+constexpr uint64_t kMaxEsCoefficients = uint64_t{1} << 24;
+
+using Support = std::vector<std::pair<int, uint32_t>>;
+
+// Calls emit(support) for every coefficient with support size in [1, k]:
+// for every attribute subset (chosen recursively) every combination of
+// nonzero basis levels, depth first.
+template <typename Emit>
+void EnumerateSupports(const std::vector<uint32_t>& cardinalities, int k,
+                       int first_attr, Support& partial, Emit& emit) {
+  if (!partial.empty()) emit(partial);
   if (static_cast<int>(partial.size()) == k) return;
   const int d = static_cast<int>(cardinalities.size());
   for (int attr = first_attr; attr < d; ++attr) {
     for (uint32_t level = 1; level < cardinalities[attr]; ++level) {
       partial.emplace_back(attr, level);
-      EnumerateCoefficients(cardinalities, k, attr + 1, partial, out);
+      EnumerateSupports(cardinalities, k, attr + 1, partial, emit);
       partial.pop_back();
     }
   }
@@ -28,118 +37,249 @@ void EnumerateCoefficients(
 
 }  // namespace
 
-InpEsProtocol::InpEsProtocol(Config config, BoundedValueMechanism mechanism,
-                             std::vector<AttributeBasis> bases,
-                             std::vector<Coefficient> coefficients)
-    : config_(std::move(config)),
-      mechanism_(mechanism),
-      bases_(std::move(bases)),
-      coefficients_(std::move(coefficients)) {
-  sign_sums_.assign(coefficients_.size(), 0.0);
-  counts_.assign(coefficients_.size(), 0);
+std::vector<uint32_t> EsCardinalities(const ProtocolConfig& config) {
+  if (!config.cardinalities.empty()) return config.cardinalities;
+  return std::vector<uint32_t>(static_cast<size_t>(std::max(config.d, 0)), 2);
 }
 
-StatusOr<std::unique_ptr<InpEsProtocol>> InpEsProtocol::Create(
-    const Config& config) {
-  const int d = static_cast<int>(config.cardinalities.size());
-  if (d < 1) {
-    return Status::InvalidArgument("InpES: no attributes");
-  }
-  if (config.k < 1 || config.k > d) {
+StatusOr<uint64_t> EsCoefficientCount(
+    const std::vector<uint32_t>& cardinalities, int k) {
+  const int d = static_cast<int>(cardinalities.size());
+  if (d < 1) return Status::InvalidArgument("InpES: no attributes");
+  if (k < 1 || k > d) {
     return Status::InvalidArgument("InpES: k must be in [1, d]");
   }
-  if (!(config.epsilon > 0.0) || !std::isfinite(config.epsilon)) {
-    return Status::InvalidArgument("InpES: epsilon must be finite and > 0");
+  for (uint32_t r : cardinalities) {
+    if (r < 2) {
+      return Status::InvalidArgument(
+          "InpES: every cardinality must be >= 2, got " + std::to_string(r));
+    }
   }
-
-  std::vector<AttributeBasis> bases;
-  bases.reserve(d);
-  for (uint32_t r : config.cardinalities) {
-    auto basis = config.basis == BasisKind::kHelmert
-                     ? AttributeBasis::Helmert(r)
-                     : AttributeBasis::Fourier(r);
-    if (!basis.ok()) return basis.status();
-    bases.push_back(*std::move(basis));
+  // e[s] accumulates the elementary symmetric polynomial of degree s in
+  // (r_1 - 1, ..., r_d - 1); |T| = e[1] + ... + e[k]. Saturate above the
+  // sampling cap so the arithmetic cannot overflow uint64 (each term is
+  // bounded by cap * 2^32 before clamping).
+  std::vector<uint64_t> e(static_cast<size_t>(k) + 1, 0);
+  e[0] = 1;
+  for (uint32_t r : cardinalities) {
+    const uint64_t weight = r - 1;
+    for (int s = k; s >= 1; --s) {
+      const uint64_t add = e[s - 1] > kMaxEsCoefficients
+                               ? kMaxEsCoefficients + 1
+                               : e[s - 1] * weight;
+      e[s] = std::min(e[s] + add, kMaxEsCoefficients + 1);
+    }
   }
-
-  std::vector<std::vector<std::pair<int, uint32_t>>> supports;
-  std::vector<std::pair<int, uint32_t>> partial;
-  EnumerateCoefficients(config.cardinalities, config.k, 0, partial, supports);
-  if (supports.empty() || supports.size() > (size_t{1} << 24)) {
+  uint64_t count = 0;
+  for (int s = 1; s <= k; ++s) {
+    count = std::min(count + e[s], kMaxEsCoefficients + 1);
+  }
+  if (count == 0 || count > kMaxEsCoefficients) {
     return Status::InvalidArgument("InpES: coefficient set size out of range");
   }
+  return count;
+}
+
+EsWireGeometry EsWireGeometryFromCount(uint64_t coefficient_count) {
+  EsWireGeometry geometry;
+  geometry.coefficient_count = coefficient_count;
+  geometry.index_bits =
+      coefficient_count <= 1
+          ? 0
+          : static_cast<int>(std::bit_width(coefficient_count - 1));
+  geometry.total_bits = static_cast<uint64_t>(geometry.index_bits) + 1;
+  return geometry;
+}
+
+StatusOr<EsWireGeometry> EsWireGeometryFor(const ProtocolConfig& config) {
+  auto count = EsCoefficientCount(EsCardinalities(config), config.k);
+  if (!count.ok()) return count.status();
+  return EsWireGeometryFromCount(*count);
+}
+
+uint64_t PackMixedRadix(const std::vector<uint32_t>& tuple,
+                        const std::vector<uint32_t>& cardinalities) {
+  uint64_t value = 0;
+  uint64_t stride = 1;
+  for (size_t i = 0; i < cardinalities.size(); ++i) {
+    value += tuple[i] * stride;
+    stride *= cardinalities[i];
+  }
+  return value;
+}
+
+InpEsProtocol::InpEsProtocol(const ProtocolConfig& config,
+                             std::vector<uint32_t> cardinalities,
+                             BasisKind basis, BoundedValueMechanism mechanism,
+                             std::vector<AttributeBasis> bases,
+                             std::vector<Coefficient> coefficients)
+    : MarginalProtocol(config),
+      cardinalities_(std::move(cardinalities)),
+      basis_(basis),
+      mechanism_(mechanism),
+      bases_(std::move(bases)),
+      coefficients_(std::move(coefficients)),
+      sign_sums_(coefficients_.size(), 0.0),
+      counts_(coefficients_.size(), 0) {}
+
+StatusOr<std::unique_ptr<InpEsProtocol>> InpEsProtocol::Create(
+    const ProtocolConfig& config, BasisKind basis) {
+  ProtocolConfig normalized = config;
+  if (!config.cardinalities.empty()) {
+    const int arity = static_cast<int>(config.cardinalities.size());
+    if (config.d != 0 && config.d != arity) {
+      return Status::InvalidArgument(
+          "InpES: d = " + std::to_string(config.d) + " disagrees with " +
+          std::to_string(arity) + " explicit cardinalities");
+    }
+    normalized.d = arity;
+  }
+  LDPM_RETURN_IF_ERROR(ValidateCommon(normalized));
+  std::vector<uint32_t> cardinalities = EsCardinalities(normalized);
+  // The closed-form count refuses a bad cardinality or an oversized
+  // coefficient set before any basis is built or any support enumerated.
+  auto count = EsCoefficientCount(cardinalities, normalized.k);
+  if (!count.ok()) return count.status();
+
+  std::vector<AttributeBasis> bases;
+  bases.reserve(cardinalities.size());
+  for (uint32_t r : cardinalities) {
+    auto attribute_basis = basis == BasisKind::kHelmert
+                               ? AttributeBasis::Helmert(r)
+                               : AttributeBasis::Fourier(r);
+    if (!attribute_basis.ok()) return attribute_basis.status();
+    bases.push_back(*std::move(attribute_basis));
+  }
+
   std::vector<Coefficient> coefficients;
-  coefficients.reserve(supports.size());
-  for (auto& support : supports) {
+  coefficients.reserve(*count);
+  auto emit = [&](const Support& support) {
     Coefficient c;
-    c.bound = 1.0;
+    c.support = support;
     for (const auto& [attr, level] : support) {
       c.bound *= bases[attr].MaxAbs(level);
     }
-    c.support = std::move(support);
     coefficients.push_back(std::move(c));
-  }
+  };
+  Support partial;
+  EnumerateSupports(cardinalities, normalized.k, 0, partial, emit);
+  LDPM_DCHECK(coefficients.size() == *count);
 
-  auto mechanism = BoundedValueMechanism::Create(config.epsilon);
+  auto mechanism = BoundedValueMechanism::Create(normalized.epsilon);
   if (!mechanism.ok()) return mechanism.status();
   return std::unique_ptr<InpEsProtocol>(new InpEsProtocol(
-      config, *mechanism, std::move(bases), std::move(coefficients)));
+      normalized, std::move(cardinalities), basis, *mechanism,
+      std::move(bases), std::move(coefficients)));
 }
 
-double InpEsProtocol::CoefficientValue(
-    const Coefficient& c, const std::vector<uint32_t>& values) const {
-  double v = 1.0;
+Report InpEsProtocol::Encode(uint64_t user_value, Rng& rng) const {
+  Report report;
+  report.value = rng.UniformInt(coefficients_.size());
+  const Coefficient& c = coefficients_[report.value];
+  // The support ascends by attribute, so one pass of mixed-radix divisions
+  // reaches each supporting digit (reduced mod r_i).
+  double value = 1.0;
+  uint64_t rest = user_value;
+  size_t digit = 0;
   for (const auto& [attr, level] : c.support) {
-    v *= bases_[attr].Value(level, values[attr]);
-  }
-  return v;
-}
-
-StatusOr<EsReport> InpEsProtocol::Encode(const std::vector<uint32_t>& values,
-                                         Rng& rng) const {
-  if (values.size() != config_.cardinalities.size()) {
-    return Status::InvalidArgument("InpES::Encode: tuple arity mismatch");
-  }
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (values[i] >= config_.cardinalities[i]) {
-      return Status::OutOfRange("InpES::Encode: value out of range");
+    for (; digit < static_cast<size_t>(attr); ++digit) {
+      rest /= cardinalities_[digit];
     }
+    value *= bases_[attr].Value(
+        level, static_cast<uint32_t>(rest % cardinalities_[attr]));
   }
-  EsReport report;
-  report.coefficient =
-      static_cast<uint32_t>(rng.UniformInt(coefficients_.size()));
-  const Coefficient& c = coefficients_[report.coefficient];
-  report.sign = mechanism_.Perturb(CoefficientValue(c, values), c.bound, rng);
+  report.sign = mechanism_.Perturb(value, c.bound, rng);
   report.bits = TheoreticalBitsPerUser();
   return report;
 }
 
-Status InpEsProtocol::Absorb(const EsReport& report) {
-  if (report.coefficient >= coefficients_.size()) {
+Status InpEsProtocol::Absorb(const Report& report) {
+  if (report.value >= coefficients_.size()) {
     return Status::InvalidArgument("InpES::Absorb: unknown coefficient");
   }
   if (report.sign != -1 && report.sign != 1) {
     return Status::InvalidArgument("InpES::Absorb: sign must be -1 or +1");
   }
-  sign_sums_[report.coefficient] += static_cast<double>(report.sign);
-  counts_[report.coefficient] += 1;
-  ++reports_absorbed_;
+  sign_sums_[report.value] += static_cast<double>(report.sign);
+  counts_[report.value] += 1;
+  NoteAbsorbed(report);
   return Status::OK();
 }
 
-Status InpEsProtocol::AbsorbPopulation(
-    const std::vector<std::vector<uint32_t>>& rows, Rng& rng) {
-  for (const auto& row : rows) {
-    auto report = Encode(row, rng);
-    if (!report.ok()) return report.status();
-    LDPM_RETURN_IF_ERROR(Absorb(*report));
+Status InpEsProtocol::AbsorbWireBatch(const uint8_t* data, size_t size) {
+  // Fixed record geometry, computed once per batch: at most 25 bits per
+  // record (|T| <= 2^24), so every record parses with a single word load.
+  const EsWireGeometry geometry = EsWireGeometryFromCount(coefficients_.size());
+  const uint64_t count = geometry.coefficient_count;
+  const int index_bits = geometry.index_bits;
+  const double bits_per_report = static_cast<double>(geometry.total_bits);
+  const size_t record_bytes = (geometry.total_bits + 7) / 8;
+  const uint64_t index_mask =
+      index_bits == 0 ? 0 : (uint64_t{1} << index_bits) - 1;
+
+  WireBatchReader reader(data, size);
+  const uint8_t* record = nullptr;
+  size_t record_size = 0;
+  uint64_t absorbed = 0;
+  Status error = Status::OK();
+  while (reader.Next(record, record_size)) {
+    if (record_size != record_bytes) {
+      error = Status::InvalidArgument(
+          "InpES: wire record of " + std::to_string(record_size) +
+          " bytes, expected " + std::to_string(record_bytes));
+      break;
+    }
+    const uint64_t word = LoadWireWord(record, record_size);
+    const uint64_t coefficient = word & index_mask;
+    if (coefficient >= count) {
+      error = Status::InvalidArgument("InpES::Absorb: unknown coefficient");
+      break;
+    }
+    sign_sums_[coefficient] += (word >> index_bits) & 1 ? 1.0 : -1.0;
+    counts_[coefficient] += 1;
+    ++absorbed;
   }
-  return Status::OK();
+  // Prefix semantics: everything before a malformed record stays absorbed
+  // and counted, exactly like the per-report path.
+  NoteAbsorbedBatch(absorbed, bits_per_report);
+  if (!error.ok()) return error;
+  return reader.status();
 }
 
-StatusOr<CategoricalMarginal> InpEsProtocol::EstimateMarginal(
+StatusOr<MarginalTable> InpEsProtocol::EstimateMarginal(uint64_t beta) const {
+  const int d = config_.d;
+  if (beta == 0 || (d < 64 && beta >= (uint64_t{1} << d))) {
+    return Status::InvalidArgument(
+        "InpES: selector must name a nonempty subset of the " +
+        std::to_string(d) + " attributes");
+  }
+  std::vector<int> attrs;
+  for (uint64_t rest = beta; rest != 0; rest &= rest - 1) {
+    const int attr = std::countr_zero(rest);
+    if (cardinalities_[attr] != 2) {
+      return Status::InvalidArgument(
+          "InpES: attribute " + std::to_string(attr) + " has cardinality " +
+          std::to_string(cardinalities_[attr]) +
+          "; non-binary marginals are answered by EstimateCategorical");
+    }
+    attrs.push_back(attr);
+  }
+  auto categorical = EstimateCategorical(attrs);
+  if (!categorical.ok()) return categorical.status();
+  // Ascending binary attributes: mixed-radix cell index bit j is the value
+  // of the j-th lowest set bit of beta — exactly MarginalTable's compact
+  // indexing, so the cells copy across verbatim.
+  MarginalTable table(d, beta);
+  LDPM_DCHECK(table.size() == categorical->probabilities.size());
+  for (uint64_t cell = 0; cell < table.size(); ++cell) {
+    table.at_compact(cell) = categorical->probabilities[cell];
+  }
+  return PostProcess(std::move(table));
+}
+
+StatusOr<CategoricalMarginal> InpEsProtocol::EstimateCategorical(
     const std::vector<int>& attrs) const {
-  const int d = static_cast<int>(config_.cardinalities.size());
+  const int d = static_cast<int>(cardinalities_.size());
   if (attrs.empty() || static_cast<int>(attrs.size()) > config_.k) {
     return Status::InvalidArgument(
         "InpES: marginal order must lie in [1, k]");
@@ -154,7 +294,7 @@ StatusOr<CategoricalMarginal> InpEsProtocol::EstimateMarginal(
       return Status::InvalidArgument("InpES: duplicate attribute");
     }
   }
-  if (reports_absorbed_ == 0) {
+  if (reports_absorbed() == 0) {
     return Status::FailedPrecondition("InpES: no reports absorbed");
   }
 
@@ -165,7 +305,7 @@ StatusOr<CategoricalMarginal> InpEsProtocol::EstimateMarginal(
   for (size_t i = 0; i < attrs.size(); ++i) {
     position[attrs[i]] = static_cast<int>(i);
     radix[i] = cells;
-    cells *= config_.cardinalities[attrs[i]];
+    cells *= cardinalities_[attrs[i]];
   }
 
   CategoricalMarginal out;
@@ -173,20 +313,15 @@ StatusOr<CategoricalMarginal> InpEsProtocol::EstimateMarginal(
   out.probabilities.assign(cells, 1.0);  // the f_empty = 1 term
 
   const double expected_per_coeff =
-      static_cast<double>(reports_absorbed_) /
+      static_cast<double>(reports_absorbed()) /
       static_cast<double>(coefficients_.size());
   for (size_t ci = 0; ci < coefficients_.size(); ++ci) {
     const Coefficient& c = coefficients_[ci];
     // Only coefficients supported inside the queried attribute set count.
-    bool inside = true;
-    for (const auto& [attr, level] : c.support) {
-      (void)level;
-      if (position[attr] < 0) {
-        inside = false;
-        break;
-      }
+    if (std::any_of(c.support.begin(), c.support.end(),
+                    [&](const auto& s) { return position[s.first] < 0; })) {
+      continue;
     }
-    if (!inside) continue;
 
     double mean_sign = 0.0;
     if (config_.estimator == EstimatorKind::kRatio) {
@@ -204,8 +339,7 @@ StatusOr<CategoricalMarginal> InpEsProtocol::EstimateMarginal(
       for (const auto& [attr, level] : c.support) {
         const int pos = position[attr];
         const uint32_t gamma =
-            static_cast<uint32_t>((cell / radix[pos]) %
-                                  config_.cardinalities[attr]);
+            static_cast<uint32_t>((cell / radix[pos]) % cardinalities_[attr]);
         term *= bases_[attr].Value(level, gamma);
       }
       out.probabilities[cell] += term;
@@ -217,47 +351,67 @@ StatusOr<CategoricalMarginal> InpEsProtocol::EstimateMarginal(
   return out;
 }
 
+void InpEsProtocol::Reset() {
+  sign_sums_.assign(sign_sums_.size(), 0.0);
+  counts_.assign(counts_.size(), 0);
+  ResetBookkeeping();
+}
+
+Status InpEsProtocol::MergeFrom(const MarginalProtocol& other) {
+  LDPM_RETURN_IF_ERROR(CheckMergeCompatible(other));
+  const auto* peer = dynamic_cast<const InpEsProtocol*>(&other);
+  if (peer == nullptr) {
+    return Status::InvalidArgument("InpES::MergeFrom: type mismatch");
+  }
+  // CheckMergeCompatible compares d, not the domain: equal d with other
+  // cardinalities, or another basis, gives the accumulators other meanings.
+  if (peer->cardinalities_ != cardinalities_ || peer->basis_ != basis_) {
+    return Status::InvalidArgument(
+        "InpES::MergeFrom: cardinalities or basis differ");
+  }
+  for (size_t i = 0; i < sign_sums_.size(); ++i) {
+    sign_sums_[i] += peer->sign_sums_[i];
+    counts_[i] += peer->counts_[i];
+  }
+  MergeBookkeeping(other);
+  return Status::OK();
+}
+
 double InpEsProtocol::TheoreticalBitsPerUser() const {
   return std::ceil(std::log2(static_cast<double>(coefficients_.size()))) + 1.0;
 }
 
-void InpEsProtocol::Reset() {
-  sign_sums_.assign(sign_sums_.size(), 0.0);
-  counts_.assign(counts_.size(), 0);
-  reports_absorbed_ = 0;
+void InpEsProtocol::SaveState(AggregatorSnapshot& snapshot) const {
+  snapshot.reals = sign_sums_;
+  snapshot.counts.reserve(cardinalities_.size() + counts_.size());
+  for (uint32_t r : cardinalities_) snapshot.counts.push_back(r);
+  snapshot.counts.insert(snapshot.counts.end(), counts_.begin(),
+                         counts_.end());
 }
 
-Status InpEsProtocol::MergeFrom(const InpEsProtocol& other) {
-  if (other.config_.cardinalities != config_.cardinalities ||
-      other.config_.k != config_.k ||
-      other.config_.epsilon != config_.epsilon ||
-      other.config_.estimator != config_.estimator ||
-      other.config_.basis != config_.basis) {
+Status InpEsProtocol::LoadState(const AggregatorSnapshot& snapshot) {
+  const size_t arity = cardinalities_.size();
+  const size_t coefficients = coefficients_.size();
+  if (snapshot.reals.size() != coefficients ||
+      snapshot.counts.size() != arity + coefficients) {
     return Status::InvalidArgument(
-        "InpES::MergeFrom: aggregator configurations are not compatible");
+        "InpES::Restore: snapshot arrays do not match this domain (" +
+        std::to_string(snapshot.reals.size()) + " reals, " +
+        std::to_string(snapshot.counts.size()) + " counts; expected " +
+        std::to_string(coefficients) + " and " +
+        std::to_string(arity + coefficients) + ")");
   }
-  for (size_t i = 0; i < sign_sums_.size(); ++i) {
-    sign_sums_[i] += other.sign_sums_[i];
-    counts_[i] += other.counts_[i];
+  for (size_t i = 0; i < arity; ++i) {
+    if (snapshot.counts[i] != cardinalities_[i]) {
+      return Status::InvalidArgument(
+          "InpES::Restore: snapshot cardinality " +
+          std::to_string(snapshot.counts[i]) + " at attribute " +
+          std::to_string(i) + " does not match this aggregator's " +
+          std::to_string(cardinalities_[i]));
+    }
   }
-  reports_absorbed_ += other.reports_absorbed_;
-  return Status::OK();
-}
-
-Status InpEsProtocol::RestoreState(std::vector<double> sign_sums,
-                                   std::vector<uint64_t> counts,
-                                   uint64_t reports_absorbed) {
-  if (sign_sums.size() != coefficients_.size() ||
-      counts.size() != coefficients_.size()) {
-    return Status::InvalidArgument(
-        "InpES::RestoreState: expected " +
-        std::to_string(coefficients_.size()) + " accumulator entries, got " +
-        std::to_string(sign_sums.size()) + " sign sums and " +
-        std::to_string(counts.size()) + " counts");
-  }
-  sign_sums_ = std::move(sign_sums);
-  counts_ = std::move(counts);
-  reports_absorbed_ = reports_absorbed;
+  sign_sums_ = snapshot.reals;
+  counts_.assign(snapshot.counts.begin() + arity, snapshot.counts.end());
   return Status::OK();
 }
 

@@ -1,28 +1,27 @@
 // InpES: marginal release for categorical attributes via the Efron-Stein
 // decomposition — the paper's Section 6.3 conjecture, realized.
 //
-// Section 6.3 suggests that instead of binary-encoding r-ary attributes and
-// running InpHT, one could sample coefficients of an orthogonal
+// Section 6.3 suggests sampling coefficients of an orthogonal
 // decomposition that generalizes the Hadamard transform to non-binary
-// domains (the Efron-Stein decomposition), and conjectures such a scheme
-// "will be among the best solutions" for low-order marginals.
+// domains (the Efron-Stein decomposition) instead of binary-encoding r-ary
+// attributes and running InpHT, and conjectures such a scheme "will be
+// among the best solutions" for low-order marginals. InpES implements it:
+//  * each attribute i carries an orthonormal basis of R^{r_i}
+//    (core/orthonormal_basis.h); their tensor products form the
+//    Efron-Stein system;
+//  * a k-way marginal needs only the |T| coefficients whose support (the
+//    attributes with a nonzero basis index) has size <= k, mirroring
+//    Lemma 3.7;
+//  * a user's coefficient value prod_i e_{t_i}(x_i) is a bounded real,
+//    released through the one-bit bounded-value mechanism
+//    (mechanisms/bounded_value.h): eps-LDP, ceil(log2 |T|) + 1 bits.
+// For all-binary domains the basis is the Hadamard character and InpES
+// coincides with InpHT (tested).
 //
-// InpES implements it:
-//  * each attribute i carries a Helmert orthonormal basis of R^{r_i}
-//    (core/orthonormal_basis.h) whose tensor products across attributes
-//    form the Efron-Stein system;
-//  * a k-way marginal needs only coefficients whose support (the set of
-//    attributes with a nonzero basis index) has size <= k, exactly
-//    mirroring Lemma 3.7;
-//  * a user's coefficient value prod_i e_{t_i}(x_i) is a bounded real, so
-//    it is released through the one-bit bounded-value mechanism
-//    (mechanisms/bounded_value.h) — eps-LDP, one sign bit on the wire.
-//
-// For all-binary domains the Helmert basis is the Hadamard character and
-// InpES coincides with InpHT (tested).
-//
-// Communication: ceil(log2 |T|) + 1 bits, |T| = sum over attribute subsets
-// S, 1 <= |S| <= k, of prod_{i in S} (r_i - 1).
+// The domain comes from ProtocolConfig::cardinalities (empty means d
+// binary attributes); a user value is the mixed-radix packing of the
+// tuple, attribute 0 the fastest digit (PackMixedRadix). docs/protocols.md
+// describes the wire record, the snapshot layout and the two bases.
 
 #ifndef LDPM_PROTOCOLS_INP_ES_H_
 #define LDPM_PROTOCOLS_INP_ES_H_
@@ -46,70 +45,91 @@ enum class BasisKind {
   kFourier,  ///< trigonometric characters; entries bounded by sqrt(2)
 };
 
-/// One user's InpES report: a coefficient id and a perturbed sign.
-struct EsReport {
-  uint32_t coefficient = 0;
-  int sign = 0;
-  double bits = 0.0;
+/// The categorical attribute cardinalities a ProtocolConfig describes:
+/// config.cardinalities verbatim when non-empty, else config.d twos.
+std::vector<uint32_t> EsCardinalities(const ProtocolConfig& config);
+
+/// Number of Efron-Stein coefficients |T| sampled for the given domain:
+/// sum over attribute subsets S with 1 <= |S| <= k of prod_{i in S}
+/// (r_i - 1), in closed form without enumerating the set. InvalidArgument
+/// for a bad cardinality or k, or a coefficient set too large to sample
+/// (above 2^24) — the same refusals as InpEsProtocol::Create.
+StatusOr<uint64_t> EsCoefficientCount(
+    const std::vector<uint32_t>& cardinalities, int k);
+
+/// The fixed wire geometry of an InpES record: ceil(log2 |T|) coefficient-
+/// index bits followed by one sign bit. The single source of truth shared
+/// by WireBits, SerializeReport/DeserializeReport, and the columnar
+/// AbsorbWireBatch, so the record layout cannot drift between the
+/// serializer, the parser, and the fast path.
+struct EsWireGeometry {
+  uint64_t coefficient_count = 0;
+  int index_bits = 0;       ///< ceil(log2 |T|); 0 when |T| == 1
+  uint64_t total_bits = 0;  ///< index_bits + 1 (the sign bit)
 };
 
-class InpEsProtocol {
+/// Geometry from an already-known coefficient count.
+EsWireGeometry EsWireGeometryFromCount(uint64_t coefficient_count);
+
+/// Geometry from a ProtocolConfig (runs EsCoefficientCount once).
+StatusOr<EsWireGeometry> EsWireGeometryFor(const ProtocolConfig& config);
+
+/// The user value of a categorical tuple (tuple[i] < cardinalities[i]):
+/// its mixed-radix packing, attribute 0 the fastest digit.
+uint64_t PackMixedRadix(const std::vector<uint32_t>& tuple,
+                        const std::vector<uint32_t>& cardinalities);
+
+class InpEsProtocol final : public MarginalProtocol {
  public:
-  struct Config {
-    /// Cardinalities r_1..r_d of the categorical attributes (each >= 2).
-    std::vector<uint32_t> cardinalities;
-    /// Maximum marginal order served.
-    int k = 2;
-    double epsilon = 1.0;
-    EstimatorKind estimator = EstimatorKind::kRatio;
-    /// Per-attribute basis; kFourier keeps the release bound r-independent.
-    BasisKind basis = BasisKind::kFourier;
-  };
+  /// Builds the protocol over EsCardinalities(config); d may be left 0
+  /// when cardinalities are given. The factory always uses the Fourier
+  /// basis, which keeps the release bound r-independent.
+  static StatusOr<std::unique_ptr<InpEsProtocol>> Create(
+      const ProtocolConfig& config, BasisKind basis = BasisKind::kFourier);
 
-  static StatusOr<std::unique_ptr<InpEsProtocol>> Create(const Config& config);
+  std::string_view name() const override { return "InpES"; }
 
-  const Config& config() const { return config_; }
+  /// Encodes the mixed-radix packed tuple (digits beyond the domain are
+  /// reduced mod r_i, mirroring the bit-masking of the binary protocols).
+  Report Encode(uint64_t user_value, Rng& rng) const override;
+
+  Status Absorb(const Report& report) override;
+
+  /// Zero-copy wire ingest: the record geometry (|T|, index width) is
+  /// fixed per instance, so it is hoisted out of the loop and each record
+  /// is parsed with one word load — the default path would re-derive |T|
+  /// per record through DeserializeReport. Same prefix semantics.
+  Status AbsorbWireBatch(const uint8_t* data, size_t size) override;
+
+  /// Marginal over the attributes selected by beta, all of which must be
+  /// binary (r_i = 2); use EstimateCategorical for wider attributes.
+  StatusOr<MarginalTable> EstimateMarginal(uint64_t beta) const override;
+
+  /// Marginal over explicit attribute ids (distinct, 1 <= count <= k).
+  /// Cells are mixed-radix with attrs[0] fastest, the CategoricalMarginal
+  /// convention.
+  StatusOr<CategoricalMarginal> EstimateCategorical(
+      const std::vector<int>& attrs) const;
+
+  void Reset() override;
+
+  /// Also refuses a peer over other cardinalities or another basis.
+  Status MergeFrom(const MarginalProtocol& other) override;
+
+  double TheoreticalBitsPerUser() const override;
+
+  /// The per-attribute cardinalities of the hosted domain.
+  const std::vector<uint32_t>& cardinalities() const { return cardinalities_; }
 
   /// Number of sampled coefficients |T|.
   size_t coefficient_count() const { return coefficients_.size(); }
 
-  /// Client half: encodes one categorical tuple (values[i] < r_i).
-  StatusOr<EsReport> Encode(const std::vector<uint32_t>& values,
-                            Rng& rng) const;
-
-  /// Aggregator half.
-  Status Absorb(const EsReport& report);
-
-  /// Convenience per-user loop over a population of tuples.
-  Status AbsorbPopulation(const std::vector<std::vector<uint32_t>>& rows,
-                          Rng& rng);
-
-  /// Estimates the marginal over the given attributes (distinct ids,
-  /// 1 <= count <= k). Cells are mixed-radix with attrs[0] fastest, the
-  /// CategoricalMarginal convention.
-  StatusOr<CategoricalMarginal> EstimateMarginal(
-      const std::vector<int>& attrs) const;
-
-  double TheoreticalBitsPerUser() const;
-
-  uint64_t reports_absorbed() const { return reports_absorbed_; }
-  void Reset();
-
-  /// Folds another InpES aggregator's state into this one (the categorical
-  /// counterpart of MarginalProtocol::MergeFrom). The other instance must
-  /// have an identical configuration.
-  Status MergeFrom(const InpEsProtocol& other);
-
-  /// Raw accumulator state, one entry per coefficient (for the snapshot
-  /// layer: InpEsMarginalProtocol::SaveState flattens these).
-  const std::vector<double>& sign_sums() const { return sign_sums_; }
-  const std::vector<uint64_t>& counts() const { return counts_; }
-
-  /// Replaces the accumulator state wholesale; the inverse of reading
-  /// sign_sums()/counts(). Both arrays must have exactly one entry per
-  /// coefficient; on error the current state is left unchanged.
-  Status RestoreState(std::vector<double> sign_sums,
-                      std::vector<uint64_t> counts, uint64_t reports_absorbed);
+ protected:
+  /// Snapshot layout — reals: |T| sign sums; counts: the d cardinalities
+  /// (guarding restores across different categorical domains with equal d),
+  /// then |T| per-coefficient report counts.
+  void SaveState(AggregatorSnapshot& snapshot) const override;
+  Status LoadState(const AggregatorSnapshot& snapshot) override;
 
  private:
   /// One Efron-Stein coefficient: its supporting (attribute, level >= 1)
@@ -119,20 +139,19 @@ class InpEsProtocol {
     double bound = 1.0;
   };
 
-  InpEsProtocol(Config config, BoundedValueMechanism mechanism,
+  InpEsProtocol(const ProtocolConfig& config,
+                std::vector<uint32_t> cardinalities, BasisKind basis,
+                BoundedValueMechanism mechanism,
                 std::vector<AttributeBasis> bases,
                 std::vector<Coefficient> coefficients);
 
-  double CoefficientValue(const Coefficient& c,
-                          const std::vector<uint32_t>& values) const;
-
-  Config config_;
+  std::vector<uint32_t> cardinalities_;
+  BasisKind basis_;
   BoundedValueMechanism mechanism_;
   std::vector<AttributeBasis> bases_;
   std::vector<Coefficient> coefficients_;
   std::vector<double> sign_sums_;
   std::vector<uint64_t> counts_;
-  uint64_t reports_absorbed_ = 0;
 };
 
 }  // namespace ldpm

@@ -3,7 +3,7 @@
 #include <string>
 
 #include "core/bits.h"
-#include "protocols/inp_es_adapter.h"
+#include "protocols/inp_es.h"
 
 namespace ldpm {
 namespace {

@@ -1,5 +1,5 @@
 // The query-serving plane's cache: epoch-snapshotted, consistency-
-// post-processed marginal tables served lock-free.
+// post-processed marginal tables served from an immutable snapshot.
 //
 // The write path (net::IngestServer -> engine::Collector) absorbs
 // millions of reports; the read path a deployment needs is the opposite
@@ -17,10 +17,10 @@
 //     Snapshot. Every answer served from one snapshot comes from one
 //     engine state and agrees exactly with every other on all attribute
 //     overlaps, by construction.
-//   * Reads are lock-free: the current snapshot hangs off one
-//     std::atomic<std::shared_ptr>; a cache hit is an atomic load, a
-//     rank computation, and a copy of 2^k doubles. No shard merge, no
-//     mutex.
+//   * Reads never wait for a rebuild: the current snapshot hangs off one
+//     shared_ptr under a small mutex that is held only to copy or swap
+//     the pointer. A cache hit is that copy, a rank computation, and a
+//     copy of 2^k doubles. No shard merge.
 //   * Epochs are keyed on an ingest *watermark* — the collection's
 //     `ldpm_engine_batches_enqueued_total` counter. A snapshot built at
 //     watermark W serves until the counter advances past W; the next
@@ -57,9 +57,9 @@
 #ifndef LDPM_QUERY_MARGINAL_CACHE_H_
 #define LDPM_QUERY_MARGINAL_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -155,7 +155,7 @@ struct MarginalAnswer {
 };
 
 /// The per-collection cache (see the file comment). Thread-safe; reads
-/// that hit the live snapshot are lock-free.
+/// that hit the live snapshot take only the pointer mutex.
 class MarginalCache {
  public:
   /// Builds a cache over one registered collection. Fails NotFound for
@@ -197,6 +197,13 @@ class MarginalCache {
   /// Cuts and publishes a fresh snapshot.
   Status RebuildLocked() LDPM_REQUIRES(refresh_mu_);
 
+  /// The published snapshot (null before the first rebuild).
+  std::shared_ptr<const Snapshot> Current() const LDPM_EXCLUDES(snapshot_mu_);
+  /// Replaces the published snapshot; the old one is released after the
+  /// pointer mutex is.
+  void Publish(std::shared_ptr<const Snapshot> snap)
+      LDPM_EXCLUDES(snapshot_mu_);
+
   engine::Collector* const collector_;
   engine::CollectionHandle handle_;
   const std::string collection_;
@@ -205,7 +212,10 @@ class MarginalCache {
   std::string watermark_series_;
   std::vector<uint64_t> selectors_;
 
-  std::atomic<std::shared_ptr<const Snapshot>> snapshot_{nullptr};
+  // A leaf lock, held only to copy or swap the pointer, never across a
+  // rebuild; refresh_mu_ may be held while taking it, never the reverse.
+  mutable core::Mutex snapshot_mu_;
+  std::shared_ptr<const Snapshot> snapshot_ LDPM_GUARDED_BY(snapshot_mu_);
   core::Mutex refresh_mu_;
   uint64_t epoch_seq_ LDPM_GUARDED_BY(refresh_mu_) = 0;
 

@@ -7,7 +7,7 @@
 #include "core/encoding.h"
 #include "core/marginal.h"
 #include "engine/collector.h"
-#include "protocols/inp_es_adapter.h"
+#include "protocols/inp_es.h"
 
 namespace ldpm {
 namespace {
@@ -37,19 +37,6 @@ std::vector<uint32_t> DeriveTuple(uint64_t row, int source_bits,
     offset += domain.attribute_bits(i);
   }
   return tuple;
-}
-
-/// Mixed-radix packing, attribute 0 the fastest digit — the user-value
-/// format InpEsMarginalProtocol::Encode speaks.
-uint64_t PackMixedRadix(const std::vector<uint32_t>& tuple,
-                        const CategoricalDomain& domain) {
-  uint64_t value = 0;
-  uint64_t stride = 1;
-  for (int i = 0; i < domain.num_attributes(); ++i) {
-    value += tuple[i] * stride;
-    stride *= domain.cardinality(i);
-  }
-  return value;
 }
 
 }  // namespace
@@ -107,7 +94,8 @@ StatusOr<SimulationResult> RunSimulation(const BinaryDataset& source,
     packed_values.reserve(population.rows().size());
     for (uint64_t row : population.rows()) {
       tuples.push_back(DeriveTuple(row, source.dimensions(), *domain));
-      packed_values.push_back(PackMixedRadix(tuples.back(), *domain));
+      packed_values.push_back(
+          PackMixedRadix(tuples.back(), options.cardinalities));
     }
   }
   const std::vector<uint64_t>& absorb_rows =
@@ -170,11 +158,10 @@ StatusOr<SimulationResult> RunSimulation(const BinaryDataset& source,
   if (categorical) {
     // Score mixed-radix marginals of the derived tuples. Estimated mass
     // on invalid codes is error mass (the exact distribution has none).
-    const auto* es =
-        dynamic_cast<const InpEsMarginalProtocol*>(protocol->get());
+    const auto* es = dynamic_cast<const InpEsProtocol*>(protocol->get());
     if (es == nullptr) {
       return Status::Internal(
-          "RunSimulation: kInpES protocol is not the InpES adapter");
+          "RunSimulation: kInpES protocol is not an InpEsProtocol");
     }
     for (uint64_t beta : KWaySelectors(config.d, eval_order)) {
       std::vector<int> attrs;

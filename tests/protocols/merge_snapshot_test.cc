@@ -193,9 +193,10 @@ TEST(MergeSnapshotOracle, CmsMergeRequiresSharedHashBank) {
   EXPECT_FALSE((*reshaped)->Restore((*a)->Snapshot()).ok());
 }
 
-// InpES (categorical attributes, its own interface) merges the same way.
+// InpES over a categorical domain merges the same way, and refuses peers
+// whose accumulators mean something else despite equal d, k, eps and |T|.
 TEST(MergeSnapshotEs, MergedHalvesMatchWholeStream) {
-  InpEsProtocol::Config config;
+  ProtocolConfig config;
   config.cardinalities = {3, 4, 2};
   config.k = 2;
   config.epsilon = 1.0;
@@ -212,16 +213,16 @@ TEST(MergeSnapshotEs, MergedHalvesMatchWholeStream) {
     for (uint32_t r : config.cardinalities) {
       values.push_back(static_cast<uint32_t>(rng.UniformInt(r)));
     }
-    auto report = (*whole)->Encode(values, rng);
-    ASSERT_TRUE(report.ok());
-    ASSERT_TRUE((*whole)->Absorb(*report).ok());
-    ASSERT_TRUE(((i % 2 == 0 ? *left : *right))->Absorb(*report).ok());
+    const Report report =
+        (*whole)->Encode(PackMixedRadix(values, config.cardinalities), rng);
+    ASSERT_TRUE((*whole)->Absorb(report).ok());
+    ASSERT_TRUE(((i % 2 == 0 ? *left : *right))->Absorb(report).ok());
   }
   ASSERT_TRUE((*left)->MergeFrom(**right).ok());
   EXPECT_EQ((*left)->reports_absorbed(), (*whole)->reports_absorbed());
 
-  auto whole_marginal = (*whole)->EstimateMarginal({0, 1});
-  auto merged_marginal = (*left)->EstimateMarginal({0, 1});
+  auto whole_marginal = (*whole)->EstimateCategorical({0, 1});
+  auto merged_marginal = (*left)->EstimateCategorical({0, 1});
   ASSERT_TRUE(whole_marginal.ok());
   ASSERT_TRUE(merged_marginal.ok());
   for (size_t c = 0; c < whole_marginal->probabilities.size(); ++c) {
@@ -229,11 +230,32 @@ TEST(MergeSnapshotEs, MergedHalvesMatchWholeStream) {
               merged_marginal->probabilities[c]);
   }
 
-  InpEsProtocol::Config incompatible = config;
+  const AggregatorSnapshot before = (*left)->Snapshot();
+  ProtocolConfig incompatible = config;
   incompatible.epsilon = 2.0;
   auto alien = InpEsProtocol::Create(incompatible);
   ASSERT_TRUE(alien.ok());
   EXPECT_FALSE((*left)->MergeFrom(**alien).ok());
+
+  // Same d, k, eps and |T| = 17, permuted cardinalities: the base
+  // compatibility check passes, the domain comparison must not.
+  ProtocolConfig permuted = config;
+  permuted.cardinalities = {4, 3, 2};
+  auto swapped = InpEsProtocol::Create(permuted);
+  ASSERT_TRUE(swapped.ok());
+  ASSERT_EQ((*swapped)->coefficient_count(), (*left)->coefficient_count());
+  ASSERT_TRUE((*swapped)->Absorb((*swapped)->Encode(0, rng)).ok());
+  EXPECT_FALSE((*left)->MergeFrom(**swapped).ok());
+
+  // Same domain under the Helmert basis: its sign sums release other
+  // coefficient values, so it must not fold into a Fourier instance.
+  auto helmert = InpEsProtocol::Create(config, BasisKind::kHelmert);
+  ASSERT_TRUE(helmert.ok());
+  ASSERT_TRUE((*helmert)->Absorb((*helmert)->Encode(0, rng)).ok());
+  EXPECT_FALSE((*left)->MergeFrom(**helmert).ok());
+
+  // Every refusal left the merged state untouched.
+  test::ExpectIdenticalSnapshots((*left)->Snapshot(), before);
 }
 
 }  // namespace

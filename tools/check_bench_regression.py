@@ -22,7 +22,7 @@ def wire_keys(record):
     """The gated throughput keys: single-aggregator wire absorb, engine
     wire ingest at every shard count, the multiplexed collection-frame
     path, and the query plane's cache-hit serving rate (a structural
-    regression there means reads fell off the lock-free snapshot path)."""
+    regression there means reads fell off the published-snapshot path)."""
     return {
         key
         for key in record
