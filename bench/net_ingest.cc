@@ -2,11 +2,15 @@
 // collection frames into a net::IngestServer, vs. the same bytes through
 // Collector::IngestFrames directly (the no-network baseline).
 //
+// Every client is a resumable session (net/protocol.h) sending its whole
+// stream with one SendBytes, so the numbers include the client's replay
+// copy of every frame and the server's acks.
+//
 // Measures, per client count:
 //
-//   * net.cN_frame_rps — reports/sec absorbed end to end (client framing,
-//     loopback TCP, server reassembly, IngestFrames routing, shard
-//     absorb), including the Flush barrier;
+//   * net.cN_frame_rps — reports/sec absorbed end to end (client framing
+//     and replay buffering, loopback TCP, server reassembly and acks,
+//     IngestFrames routing, shard absorb), including the Flush barrier;
 //   * net.cN_mbps     — stream megabytes/sec over the same window.
 //
 // The last (highest-concurrency) run also reports the server's per-frame
@@ -15,10 +19,10 @@
 // the bench that gates the obs layer's overhead.
 //
 // The direct baseline lands in net.direct_frame_rps; the gap is the
-// network front-end's overhead (loopback syscalls + reassembly — the
-// protocol work is identical by construction). With --json the keys merge
-// into BENCH_ingest.json, where the release CI job's regression gate
-// watches every *_frame_rps key.
+// network front-end's overhead (loopback syscalls, replay buffering,
+// reassembly — the protocol work is identical by construction). With
+// --json the keys merge into BENCH_ingest.json, where the release CI
+// job's regression gate watches every *_frame_rps key.
 //
 // The mux stream interleaves three mixed-kind collections (InpRR bitmap,
 // MargPS, categorical InpES) like the engine mux bench, so routing,

@@ -1,7 +1,7 @@
 // Demo: the network ingest front-end end to end — a net::IngestServer over
 // an engine::Collector with a shutdown checkpoint, a net::QueryServer
 // whose /metrics is scraped live over HTTP, concurrent net::FrameClient
-// streams, a client killed mid-frame, a byte-precise stream rejection,
+// streams, a client killed mid-stream, a byte-precise stream rejection,
 // graceful stop, simulated crash, and restart from the checkpoint file
 // (docs/wire-format.md specs every byte on the wire;
 // docs/observability.md catalogs every metric on /metrics).
@@ -480,7 +480,7 @@ int main(int argc, char** argv) {
                 (*server)->port(), (*query_server)->port());
 
     // Three concurrent clients: two stream whole collections, one dies
-    // mid-frame (its whole frames count, the partial tail never does).
+    // mid-stream (every frame it sent counts, exactly once).
     const auto clicks_frames =
         BuildFrames(ProtocolKind::kInpHT, clicks_config, num_users, 1);
     const auto crashes_frames =
@@ -510,7 +510,10 @@ int main(int argc, char** argv) {
     });
     uint64_t killed_whole_frames = 0;
     {
-      // The dying client: two whole frames, then a severed third.
+      // The dying client: two whole frames, then it dies without ending
+      // its stream. (A session sends whole frames only; the server's
+      // discard of a severed partial frame is pinned by the ingest-server
+      // tests.)
       auto client = net::FrameClient::Connect("127.0.0.1", (*server)->port());
       DEMO_CHECK(client.ok(), "killed client connect");
       std::vector<uint8_t> framed;
@@ -519,9 +522,7 @@ int main(int argc, char** argv) {
           "frame");
       DEMO_CHECK(client->SendBytes(framed.data(), framed.size()).ok(), "send");
       DEMO_CHECK(client->SendBytes(framed.data(), framed.size()).ok(), "send");
-      DEMO_CHECK(client->SendBytes(framed.data(), framed.size() / 2).ok(),
-                 "partial send");
-      client->Abort();  // process dies mid-frame
+      client->Abort();  // process dies mid-stream
       killed_whole_frames = 2;
     }
     for (auto& streamer : streamers) streamer.join();
@@ -533,7 +534,8 @@ int main(int argc, char** argv) {
       auto client = net::FrameClient::Connect("127.0.0.1", (*server)->port());
       DEMO_CHECK(client.ok(), "rogue client connect");
       DEMO_CHECK(client->SendFrame("clicks", clicks_frames[0]).ok(), "send");
-      DEMO_CHECK(client->SendFrame("mystery", crashes_frames[0]).ok(), "send");
+      // The verdict may already arrive here; Finish returns it either way.
+      (void)client->SendFrame("mystery", crashes_frames[0]);
       auto reply = client->Finish();
       DEMO_CHECK(reply.ok(), "rogue reply read");
       DEMO_CHECK(!reply->status.ok(), "rogue stream rejected");
@@ -602,9 +604,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(clicks_absorbed),
                 static_cast<unsigned long long>(crashes_absorbed), clicks_q0);
     DEMO_CHECK(crashes_absorbed == num_users, "crashes complete");
-    // Exact accounting: the full stream, the killed client's two whole
-    // 1024-report frames (its severed half-frame must NOT count), and the
-    // rogue client's one valid frame before the rejection.
+    // Exact accounting: the full stream, the killed client's two
+    // 1024-report frames, and the rogue client's one valid frame before
+    // the rejection.
     const uint64_t expected_clicks =
         num_users + killed_whole_frames * 1024 + 1024;
     DEMO_CHECK(clicks_absorbed == expected_clicks, "clicks exact count");

@@ -265,6 +265,19 @@ void ReplyStreamSeeds() {
   err_stream.insert(err_stream.end(), message.begin(), message.end());
   Corpus("reply_stream", "error_reply", err_stream);
 
+  // A whole session's records: the hello, acks, the final ok.
+  std::vector<uint8_t> session = {11};
+  session.push_back(ldpm::net::kReplyHello);
+  PutU64(session, 128);
+  session.push_back(ldpm::net::kReplyAck);
+  PutU64(session, 256);
+  session.push_back(ldpm::net::kReplyAck);
+  PutU64(session, 384);
+  session.push_back(ldpm::net::kReplyOk);
+  PutU64(session, 6);
+  PutU64(session, 384);
+  Corpus("reply_stream", "hello_acks_ok", session);
+
   // Unknown code mid-stream poisons at an exact offset.
   std::vector<uint8_t> poison = {3};
   poison.push_back(ldpm::net::kReplyAck);
@@ -278,6 +291,14 @@ void ReplyStreamSeeds() {
   short_err.push_back(0);
   short_err.insert(short_err.end(), 10, 'x');
   Regression("reply_stream", "truncated_error_body", short_err);
+  // A hello is accepted only as the first record: after an ack it poisons.
+  // Chunk seed 5 cuts the stream right before the hello, so a position
+  // check made per Feed instead of per stream shows as a decode mismatch.
+  std::vector<uint8_t> late_hello = {5, ldpm::net::kReplyAck};
+  PutU64(late_hello, 9);
+  late_hello.push_back(ldpm::net::kReplyHello);
+  PutU64(late_hello, 0);
+  Regression("reply_stream", "hello_after_ack", late_hello);
 }
 
 void FailpointSeeds() {

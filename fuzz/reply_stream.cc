@@ -4,10 +4,11 @@
 // to the same result no matter how TCP segmented it. One parser gets the
 // whole buffer in a single Feed; a second gets it in fuzz-chosen chunks
 // (sizes driven by the input itself, biased to tiny splits). Everything
-// observable — acked offset, final reply, poison status, buffered tail —
-// must agree exactly.
+// observable — hello, acked offset, final reply, poison status, buffered
+// tail — must agree exactly.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "fuzz/fuzz_input.h"
@@ -18,6 +19,9 @@ namespace {
 std::string Describe(const ldpm::net::StreamReplyParser& parser,
                      const ldpm::Status& feed_status) {
   std::string out = feed_status.ToString();
+  if (parser.hello().has_value()) {
+    out += "|hello=" + std::to_string(*parser.hello());
+  }
   out += "|acked=" + std::to_string(parser.acked_offset());
   // Buffered-tail equality only holds while the stream is healthy: a
   // poisoned parser stops absorbing, so the two parsers legitimately hold
@@ -65,14 +69,19 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
                        Describe(chunked, chunked_status),
                    "segmentation changed the decode");
 
-  // Reset must clear the tail and poison but keep decoded facts.
+  // Reset must clear the tail, the poison and the hello but keep decoded
+  // facts: a new connection's stream opens with its own hello.
   const uint64_t acked_before = whole.acked_offset();
   whole.Reset();
   LDPM_FUZZ_ASSERT(whole.buffered_bytes() == 0, "Reset kept buffered bytes");
+  LDPM_FUZZ_ASSERT(!whole.hello().has_value(), "Reset kept the hello");
   LDPM_FUZZ_ASSERT(whole.acked_offset() == acked_before,
                    "Reset lost the acked offset");
-  const uint8_t ack[9] = {0x03, 1, 0, 0, 0, 0, 0, 0, 0};
-  LDPM_FUZZ_ASSERT(whole.Feed(ack, sizeof(ack)).ok(),
+  const uint8_t hello_then_ack[18] = {0x02, 5, 0, 0, 0, 0, 0, 0, 0,
+                                      0x03, 1, 0, 0, 0, 0, 0, 0, 0};
+  LDPM_FUZZ_ASSERT(whole.Feed(hello_then_ack, sizeof(hello_then_ack)).ok(),
                    "Reset did not clear the poison");
+  LDPM_FUZZ_ASSERT(whole.hello() == std::optional<uint64_t>(5),
+                   "hello after Reset not decoded");
   return 0;
 }

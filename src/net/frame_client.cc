@@ -1,5 +1,7 @@
 #include "net/frame_client.h"
 
+#include <sys/uio.h>
+
 #include <algorithm>
 #include <cstring>
 #include <random>
@@ -14,11 +16,11 @@ namespace net {
 
 namespace {
 
-uint64_t ReadU64(const uint8_t* bytes) {
-  uint64_t value = 0;
-  for (int b = 0; b < 8; ++b) value |= uint64_t{bytes[b]} << (8 * b);
-  return value;
-}
+/// Bounds of one gathered write: at most this many consecutive unsent
+/// frames, and at most this many bytes unless its first frame alone is
+/// larger.
+constexpr size_t kMaxGatherFrames = 64;
+constexpr size_t kMaxGatherBytes = size_t{1} << 20;
 
 void WriteU64(uint64_t value, uint8_t* bytes) {
   for (int b = 0; b < 8; ++b) bytes[b] = uint8_t(value >> (8 * b));
@@ -55,29 +57,14 @@ Status AfterAttempts(Status status, int attempts) {
 }  // namespace
 
 StatusOr<FrameClient> FrameClient::Connect(const std::string& address,
-                                           uint16_t port) {
-  // The original one-shot API: blocking connect, no deadlines, no retry.
-  FrameClientOptions options;
-  options.connect_timeout = std::chrono::milliseconds(0);
-  options.send_timeout = std::chrono::milliseconds(0);
-  options.recv_timeout = std::chrono::milliseconds(0);
-  options.retry.max_attempts = 1;
-  options.resume = false;
-  return Connect(address, port, options);
-}
-
-StatusOr<FrameClient> FrameClient::Connect(const std::string& address,
                                            uint16_t port,
                                            FrameClientOptions options) {
   FrameClient client;
   client.options_ = options;
-  client.resume_ = options.resume;
   client.address_ = address;
   client.port_ = port;
-  if (client.resume_) {
-    client.session_token_ =
-        options.session_token != 0 ? options.session_token : RandomToken();
-  }
+  client.session_token_ =
+      options.session_token != 0 ? options.session_token : RandomToken();
   client.rng_state_ = options.retry.seed != 0
                           ? options.retry.seed
                           : (client.session_token_ | 1);
@@ -89,7 +76,7 @@ StatusOr<FrameClient> FrameClient::Connect(const std::string& address,
     if (status.ok()) return std::move(client);
     if (!RetryableTransport(status)) return status;
     last = std::move(status);
-    client.DropConnection();
+    client.socket_.Close();
   }
   return AfterAttempts(std::move(last), attempts);
 }
@@ -108,46 +95,20 @@ Status FrameClient::EnsureConnected() {
 }
 
 Status FrameClient::Handshake() {
-  if (!resume_) {
-    return socket_.WriteAll(kPreamble, kPreambleBytes, options_.send_timeout);
-  }
-  uint8_t preamble[16];
+  uint8_t preamble[kPreambleBytes];
   std::memcpy(preamble, kPreambleMagic, sizeof(kPreambleMagic));
-  preamble[7] = kVersionResume;
-  WriteU64(session_token_, preamble + 8);
+  preamble[sizeof(kPreambleMagic)] = kVersion;
+  WriteU64(session_token_, preamble + sizeof(kPreambleMagic) + 1);
   LDPM_RETURN_IF_ERROR(
       socket_.WriteAll(preamble, sizeof(preamble), options_.send_timeout));
-  uint8_t code = 0;
-  LDPM_RETURN_IF_ERROR(socket_.ReadExact(&code, 1, options_.recv_timeout));
-  if (code == kReplyError) {
-    // The server refused the session outright (e.g. overload shedding):
-    // that is a verdict, decoded exactly like a final error reply.
-    uint8_t header[10];
-    LDPM_RETURN_IF_ERROR(
-        socket_.ReadExact(header, sizeof(header), options_.recv_timeout));
-    StreamReply reply;
-    reply.stream_offset = ReadU64(header);
-    const size_t message_size =
-        static_cast<size_t>(header[8]) | static_cast<size_t>(header[9]) << 8;
-    std::string message(message_size, '\0');
-    LDPM_RETURN_IF_ERROR(
-        socket_.ReadExact(reinterpret_cast<uint8_t*>(message.data()),
-                          message_size, options_.recv_timeout));
-    reply.status = Status::InvalidArgument(
-        "server rejected stream at byte " +
-        std::to_string(reply.stream_offset) + ": " + message);
-    final_reply_ = std::move(reply);
-    return final_reply_->status;
+  // The hello arrives through the record parser like every later record.
+  // A server that refuses the session outright (e.g. overload shedding)
+  // sends its final error record instead: a verdict.
+  while (!reply_parser_.hello() && !final_reply()) {
+    LDPM_RETURN_IF_ERROR(WaitForReply(options_.recv_timeout));
   }
-  if (code != kReplyHello) {
-    return Status::InvalidArgument(
-        "FrameClient: expected hello record, got reply code " +
-        std::to_string(code));
-  }
-  uint8_t offset_bytes[8];
-  LDPM_RETURN_IF_ERROR(socket_.ReadExact(offset_bytes, sizeof(offset_bytes),
-                                         options_.recv_timeout));
-  const uint64_t resume_offset = ReadU64(offset_bytes);
+  if (final_reply()) return EarlyVerdict();
+  const uint64_t resume_offset = *reply_parser_.hello();
   // The server's routed offset is authoritative; everything before it is
   // ingested and must never be resent, everything after it must be. It can
   // only fall behind our trimmed buffer if the server lost the session
@@ -166,31 +127,33 @@ Status FrameClient::Handshake() {
   // Whole frames are the ingest unit, so the offset must land on one of
   // our frame boundaries.
   uint64_t boundary = pending_base_;
-  for (const auto& frame : pending_) {
-    if (boundary >= resume_offset) break;
-    boundary += frame.size();
+  for (size_t i = 0; i < pending_.size() && boundary < resume_offset; ++i) {
+    boundary += pending_[i].size();
   }
-  if (boundary != resume_offset && resume_offset != next_offset_) {
+  if (boundary != resume_offset) {
     return Status::Internal("FrameClient: server resume offset " +
                             std::to_string(resume_offset) +
                             " is not on a frame boundary");
   }
-  if (resume_offset > acked_offset_) {
-    acked_offset_ = resume_offset;
-    TrimAcked();
-  }
+  // Everything before the offset is routed: trimming it leaves the frame
+  // that starts there at the front, the next to send.
+  acked_offset_ = std::max(acked_offset_, resume_offset);
   sent_offset_ = resume_offset;
+  unsent_index_ = 0;
+  TrimAcked();
   return Status::OK();
 }
-
-void FrameClient::DropConnection() { socket_.Close(); }
 
 void FrameClient::TrimAcked() {
   while (!pending_.empty() &&
          pending_base_ + pending_.front().size() <= acked_offset_) {
     pending_base_ += pending_.front().size();
     pending_.pop_front();
+    if (unsent_index_ > 0) --unsent_index_;
   }
+  // Only a misbehaving server acks past what this connection sent; the
+  // acked frames are gone, so sending resumes after them.
+  sent_offset_ = std::max(sent_offset_, pending_base_);
 }
 
 Status FrameClient::AbsorbReplyBytes(const uint8_t* data, size_t size) {
@@ -203,15 +166,12 @@ Status FrameClient::AbsorbReplyBytes(const uint8_t* data, size_t size) {
     acked_offset_ = reply_parser_.acked_offset();
     TrimAcked();
   }
-  if (reply_parser_.final_reply().has_value() && !final_reply_) {
-    final_reply_ = *reply_parser_.final_reply();
-  }
   return status;
 }
 
 Status FrameClient::PollAcksNonBlocking() {
   uint8_t buf[4096];
-  while (!final_reply_) {
+  while (!final_reply()) {
     auto n = socket_.ReadAvailable(buf, sizeof(buf));
     if (!n.ok()) return n.status();
     if (*n == 0) return Status::OK();
@@ -237,7 +197,7 @@ void FrameClient::TrySalvageVerdict() {
   // Bounded (bytes and per-read deadline) because the peer may be gone.
   size_t total = 0;
   uint8_t buf[4096];
-  while (!final_reply_ && total < (64u << 10)) {
+  while (!final_reply() && total < (64u << 10)) {
     auto n = socket_.ReadSome(buf, sizeof(buf), std::chrono::milliseconds(250));
     if (!n.ok() || *n == 0) return;
     total += *n;
@@ -245,52 +205,53 @@ void FrameClient::TrySalvageVerdict() {
   }
 }
 
+Status FrameClient::EarlyVerdict() const {
+  // ok-before-EOF is impossible, so a non-error verdict here is itself a
+  // protocol violation.
+  return final_reply()->status.ok()
+             ? Status::InvalidArgument(
+                   "FrameClient: server sent ok reply mid-stream")
+             : final_reply()->status;
+}
+
 Status FrameClient::TransmitPending() {
-  for (;;) {
-    // Re-locate the next unsent frame each round: ack processing may have
-    // trimmed the deque since the last iteration.
-    uint64_t offset = pending_base_;
-    size_t index = 0;
-    while (index < pending_.size() &&
-           offset + pending_[index].size() <= sent_offset_) {
-      offset += pending_[index].size();
-      ++index;
+  while (unsent_index_ < pending_.size()) {
+    // The next run of unsent frames leaves in one gathered write.
+    iovec run[kMaxGatherFrames];
+    size_t frames = 0;
+    size_t bytes = 0;
+    while (frames < kMaxGatherFrames &&
+           unsent_index_ + frames < pending_.size()) {
+      std::vector<uint8_t>& frame = pending_[unsent_index_ + frames];
+      if (frames > 0 && bytes + frame.size() > kMaxGatherBytes) break;
+      run[frames++] = iovec{frame.data(), frame.size()};
+      bytes += frame.size();
     }
-    if (index == pending_.size()) return Status::OK();
-    const std::vector<uint8_t>& frame = pending_[index];
-    if (offset < high_water_) ++frames_replayed_;
-    Status status =
-        socket_.WriteAll(frame.data(), frame.size(), options_.send_timeout);
+    Status status = socket_.WriteAll(run, frames, options_.send_timeout);
     if (!status.ok()) {
       TrySalvageVerdict();
-      if (final_reply_ && !final_reply_->status.ok()) {
-        return final_reply_->status;
-      }
-      return status;
+      const Status verdict = Verdict();
+      return verdict.ok() ? status : verdict;
     }
-    sent_offset_ = offset + frame.size();
+    for (size_t i = 0; i < frames; ++i) {
+      if (sent_offset_ < high_water_) ++frames_replayed_;
+      sent_offset_ += pending_[unsent_index_++].size();
+    }
     high_water_ = std::max(high_water_, sent_offset_);
     LDPM_RETURN_IF_ERROR(PollAcksNonBlocking());
-    if (final_reply_) {
-      // A verdict mid-send ends the stream; ok-before-EOF is impossible,
-      // so a non-error verdict here is itself a protocol violation.
-      return final_reply_->status.ok()
-                 ? Status::InvalidArgument(
-                       "FrameClient: server sent ok reply mid-stream")
-                 : final_reply_->status;
-    }
+    if (final_reply()) return EarlyVerdict();
   }
+  return Status::OK();
 }
 
 Status FrameClient::PumpOnce() {
   LDPM_RETURN_IF_ERROR(EnsureConnected());
   LDPM_RETURN_IF_ERROR(TransmitPending());
-  while (options_.max_unacked_bytes > 0 && !final_reply_ &&
+  while (options_.max_unacked_bytes > 0 && !final_reply() &&
          next_offset_ - acked_offset_ > options_.max_unacked_bytes) {
     LDPM_RETURN_IF_ERROR(WaitForReply(options_.recv_timeout));
   }
-  if (final_reply_ && !final_reply_->status.ok()) return final_reply_->status;
-  return Status::OK();
+  return Verdict();
 }
 
 Status FrameClient::PumpWithRetry() {
@@ -300,44 +261,30 @@ Status FrameClient::PumpWithRetry() {
     if (attempt > 0) std::this_thread::sleep_for(BackoffFor(attempt));
     Status status = PumpOnce();
     if (status.ok()) return status;
-    if (!RetryableTransport(status) ||
-        (final_reply_ && !final_reply_->status.ok())) {
-      return status;
-    }
+    if (!RetryableTransport(status) || !Verdict().ok()) return status;
     last = std::move(status);
-    DropConnection();
+    socket_.Close();
   }
   return AfterAttempts(std::move(last), attempts);
 }
 
-Status FrameClient::AppendPendingFrame(std::vector<uint8_t> frame) {
-  next_offset_ += frame.size();
-  pending_.push_back(std::move(frame));
-  return PumpWithRetry();
+Status FrameClient::CheckSendable() const {
+  LDPM_RETURN_IF_ERROR(Verdict());
+  if (finished_ || final_reply()) {
+    return Status::FailedPrecondition("FrameClient: stream already finished");
+  }
+  return Status::OK();
 }
 
 Status FrameClient::SendFrame(std::string_view collection_id,
                               const uint8_t* payload, size_t payload_size) {
-  if (!resume_) {
-    if (!connected()) {
-      return Status::FailedPrecondition("FrameClient: not connected");
-    }
-    std::vector<uint8_t> frame;
-    LDPM_RETURN_IF_ERROR(
-        AppendCollectionFrame(collection_id, payload, payload_size, frame));
-    return socket_.WriteAll(frame.data(), frame.size(),
-                            options_.send_timeout);
-  }
-  if (finished_ || final_reply_) {
-    return final_reply_ && !final_reply_->status.ok()
-               ? final_reply_->status
-               : Status::FailedPrecondition(
-                     "FrameClient: stream already finished");
-  }
+  LDPM_RETURN_IF_ERROR(CheckSendable());
   std::vector<uint8_t> frame;
   LDPM_RETURN_IF_ERROR(
       AppendCollectionFrame(collection_id, payload, payload_size, frame));
-  return AppendPendingFrame(std::move(frame));
+  next_offset_ += frame.size();
+  pending_.push_back(std::move(frame));
+  return PumpWithRetry();
 }
 
 Status FrameClient::SendFrame(std::string_view collection_id,
@@ -346,36 +293,34 @@ Status FrameClient::SendFrame(std::string_view collection_id,
 }
 
 Status FrameClient::SendBytes(const uint8_t* data, size_t size) {
-  if (!resume_) {
-    if (!connected()) {
-      return Status::FailedPrecondition("FrameClient: not connected");
-    }
-    return socket_.WriteAll(data, size, options_.send_timeout);
-  }
-  if (finished_ || final_reply_) {
-    return final_reply_ && !final_reply_->status.ok()
-               ? final_reply_->status
-               : Status::FailedPrecondition(
-                     "FrameClient: stream already finished");
-  }
-  // Replay is frame-granular, so a resumable stream only accepts whole
-  // frames; split the buffer at frame boundaries and buffer each one.
+  LDPM_RETURN_IF_ERROR(CheckSendable());
+  // Replay is frame-granular, so every whole frame gets its own replay
+  // copy. The copies are pumped out as soon as a full gathered write is
+  // buffered (or the unacked cap is reached), so a bulk stream costs one
+  // write per run of frames rather than one per frame, and the server
+  // starts on the first run while later ones are still being copied.
   CollectionFrameReader reader(data, size);
   std::string_view id;
   const uint8_t* payload = nullptr;
   size_t payload_size = 0;
   size_t consumed = 0;
   while (reader.Next(id, payload, payload_size)) {
-    std::vector<uint8_t> frame(data + reader.frame_offset(),
-                               data + reader.frame_end_offset());
+    pending_.emplace_back(data + reader.frame_offset(),
+                          data + reader.frame_end_offset());
     consumed = reader.frame_end_offset();
-    LDPM_RETURN_IF_ERROR(AppendPendingFrame(std::move(frame)));
+    next_offset_ += pending_.back().size();
+    if (pending_.size() - unsent_index_ >= kMaxGatherFrames ||
+        next_offset_ - sent_offset_ >= kMaxGatherBytes ||
+        (options_.max_unacked_bytes > 0 &&
+         unacked_bytes() > options_.max_unacked_bytes)) {
+      LDPM_RETURN_IF_ERROR(PumpWithRetry());
+    }
   }
+  if (unsent_index_ < pending_.size()) LDPM_RETURN_IF_ERROR(PumpWithRetry());
   LDPM_RETURN_IF_ERROR(reader.status());
   if (consumed != size) {
     return Status::InvalidArgument(
-        "FrameClient: SendBytes on a resumable stream requires whole "
-        "frames; trailing " +
+        "FrameClient: SendBytes requires whole frames; trailing " +
         std::to_string(size - consumed) + " bytes are a partial frame");
   }
   return Status::OK();
@@ -384,70 +329,35 @@ Status FrameClient::SendBytes(const uint8_t* data, size_t size) {
 Status FrameClient::FinishOnce() {
   LDPM_RETURN_IF_ERROR(EnsureConnected());
   Status status = TransmitPending();
-  if (final_reply_) return Status::OK();
+  if (final_reply()) return Status::OK();
   if (!status.ok()) return status;
   LDPM_RETURN_IF_ERROR(socket_.ShutdownWrite());
-  while (!final_reply_) {
+  while (!final_reply()) {
     LDPM_RETURN_IF_ERROR(WaitForReply(options_.recv_timeout));
   }
   return Status::OK();
 }
 
 StatusOr<StreamReply> FrameClient::Finish() {
-  if (!resume_) {
-    if (!connected()) {
-      return Status::FailedPrecondition("FrameClient: not connected");
-    }
-    LDPM_RETURN_IF_ERROR(socket_.ShutdownWrite());
-    uint8_t code = 0;
-    LDPM_RETURN_IF_ERROR(socket_.ReadExact(&code, 1, options_.recv_timeout));
-    StreamReply reply;
-    if (code == kReplyOk) {
-      uint8_t counters[16];
-      LDPM_RETURN_IF_ERROR(socket_.ReadExact(counters, sizeof(counters),
-                                             options_.recv_timeout));
-      reply.frames_routed = ReadU64(counters);
-      reply.bytes_routed = ReadU64(counters + 8);
-    } else if (code == kReplyError) {
-      uint8_t header[10];
-      LDPM_RETURN_IF_ERROR(
-          socket_.ReadExact(header, sizeof(header), options_.recv_timeout));
-      reply.stream_offset = ReadU64(header);
-      const size_t message_size = static_cast<size_t>(header[8]) |
-                                  static_cast<size_t>(header[9]) << 8;
-      std::string message(message_size, '\0');
-      LDPM_RETURN_IF_ERROR(
-          socket_.ReadExact(reinterpret_cast<uint8_t*>(message.data()),
-                            message_size, options_.recv_timeout));
-      reply.status = Status::InvalidArgument(
-          "server rejected stream at byte " +
-          std::to_string(reply.stream_offset) + ": " + message);
-    } else {
-      return Status::InvalidArgument("FrameClient: unknown reply code " +
-                                     std::to_string(code));
-    }
-    socket_.Close();
-    return reply;
-  }
   if (finished_) {
     return Status::FailedPrecondition("FrameClient: stream already finished");
   }
   const int attempts = std::max(1, options_.retry.max_attempts);
   Status last;
-  for (int attempt = 0; attempt < attempts && !final_reply_; ++attempt) {
+  for (int attempt = 0; attempt < attempts && !final_reply(); ++attempt) {
     if (attempt > 0) {
-      DropConnection();
+      socket_.Close();
       std::this_thread::sleep_for(BackoffFor(attempt));
     }
     Status status = FinishOnce();
-    if (final_reply_) break;
+    if (final_reply()) break;
     if (!status.ok() && !RetryableTransport(status)) return status;
     if (!status.ok()) last = std::move(status);
   }
-  if (!final_reply_) return AfterAttempts(std::move(last), attempts);
+  if (!final_reply()) return AfterAttempts(std::move(last), attempts);
   finished_ = true;
   socket_.Close();
-  return *final_reply_;
+  return *final_reply();
 }
 
 void FrameClient::Abort() {

@@ -2,25 +2,22 @@
 // net::IngestServer, streams collection frames, and reads the server's
 // close reply.
 //
-// Two modes share the API (see net/protocol.h for the wire formats):
+// Every stream is a resumable session (see net/protocol.h for the wire
+// format): the client names its stream with a session token, buffers
+// every sent frame until the server acks it, and on any transport failure
+// reconnects with capped-exponential-backoff-plus-jitter, replaying
+// exactly the frames the server's resume offset says were never routed.
+// Whole frames are the ingest unit and the server's offsets are
+// byte-precise, so a stream delivered through any number of connection
+// drops routes each frame exactly once. Server verdicts (rejected stream,
+// shed, unknown collection) are never retried — only transport failures
+// without a verdict are.
 //
-//  - One-shot (Connect(address, port)): a thin framing layer over one
-//    blocking socket. Callers bring their own wire batches exactly as they
-//    would hand them to Collector::IngestFrames, and the kernel's TCP flow
-//    control is the only queue: a saturated server makes Send block,
-//    pushing the backpressure all the way into the producer. Any transport
-//    failure kills the stream — the caller owns recovery.
-//
-//  - Resumable (Connect(address, port, options) with options.resume): the
-//    client opens a v2 session named by a token, buffers every sent frame
-//    until the server acks it, and on any transport failure reconnects
-//    with capped-exponential-backoff-plus-jitter, replaying exactly the
-//    frames the server's resume offset says were never routed. Whole
-//    frames are the ingest unit and the server's offsets are byte-precise,
-//    so a stream delivered through any number of connection drops routes
-//    each frame exactly once. Server verdicts (rejected stream, shed,
-//    unknown collection) are never retried — only transport failures
-//    without a verdict are.
+// Callers bring their own wire batches exactly as they would hand them to
+// Collector::IngestFrames. Consecutive unsent frames leave in gathered
+// writes, so a bulk SendBytes costs one system call per run of frames,
+// not one per frame. A saturated server makes sends block (the kernel's
+// TCP flow control), and max_unacked_bytes bounds the replay buffer.
 //
 // All operations honor the configured connect/send/recv deadlines, so a
 // stalled or half-open peer surfaces as DeadlineExceeded instead of a hang.
@@ -43,10 +40,10 @@
 namespace ldpm {
 namespace net {
 
-/// Reconnect/backoff schedule for resumable streams: attempt k (k >= 1)
-/// sleeps initial_backoff * multiplier^(k-1), capped at max_backoff, then
-/// scaled by a uniform factor in [1 - jitter, 1 + jitter] so a fleet of
-/// clients dropped by one server event does not reconnect in lockstep.
+/// Reconnect/backoff schedule: attempt k (k >= 1) sleeps
+/// initial_backoff * multiplier^(k-1), capped at max_backoff, then scaled
+/// by a uniform factor in [1 - jitter, 1 + jitter] so a fleet of clients
+/// dropped by one server event does not reconnect in lockstep.
 struct RetryPolicy {
   /// Total attempts per operation (first try included); <= 1 disables
   /// retry.
@@ -68,9 +65,6 @@ struct FrameClientOptions {
   /// Deadline for each wait on a server ack or final reply.
   std::chrono::milliseconds recv_timeout{30000};
   RetryPolicy retry;
-  /// True: v2 resumable session (buffer + replay). False: v1 one-shot with
-  /// the deadlines above but no retry beyond the initial connect.
-  bool resume = true;
   /// Session token; 0 picks a random one (session_token() reads it back).
   uint64_t session_token = 0;
   /// Pause sends once this many stream bytes are unacked, waiting for acks
@@ -89,61 +83,51 @@ class FrameClient {
   FrameClient(FrameClient&&) = default;
   FrameClient& operator=(FrameClient&&) = default;
 
-  /// One-shot v1 stream: connects (blocking, no deadline, no retry) and
-  /// sends the protocol preamble. The original API, byte-compatible.
-  static StatusOr<FrameClient> Connect(const std::string& address,
-                                       uint16_t port);
-
-  /// Deadline- and retry-aware connect; options.resume selects the
-  /// resumable v2 session protocol. The connect itself retries transport
-  /// failures per options.retry.
+  /// Connects, retrying transport failures per options.retry, and opens
+  /// the session (preamble + the server's hello).
   static StatusOr<FrameClient> Connect(const std::string& address,
                                        uint16_t port,
-                                       FrameClientOptions options);
-
-  bool connected() const { return socket_.valid(); }
+                                       FrameClientOptions options = {});
 
   /// Frames `payload` (a wire batch, possibly empty) for `collection_id`
-  /// and streams it. Blocks while the server applies backpressure. On a
-  /// resumable stream this also absorbs acks, enforces the unacked-byte
-  /// cap, and transparently reconnects + replays on transport failure; a
-  /// server verdict (error reply) is returned as-is and ends the stream.
+  /// and streams it. Blocks while the server applies backpressure. Also
+  /// absorbs acks, enforces the unacked-byte cap, and transparently
+  /// reconnects + replays on transport failure; a server verdict (error
+  /// reply) is returned as-is and ends the stream.
   Status SendFrame(std::string_view collection_id, const uint8_t* payload,
                    size_t payload_size);
   Status SendFrame(std::string_view collection_id,
                    const std::vector<uint8_t>& payload);
 
-  /// Streams pre-framed stream bytes verbatim (a concatenation of
-  /// collection frames, e.g. a spooled mux file). One-shot streams pass
-  /// anything through (the server rejects violations with a byte-precise
-  /// error); resumable streams require whole frames — replay is
-  /// frame-granular — and reject a partial trailing frame client-side.
+  /// Streams pre-framed stream bytes (a concatenation of collection
+  /// frames, e.g. a spooled mux file), with SendFrame's semantics. Replay
+  /// is frame-granular, so the bytes must be whole frames: the frames
+  /// before a partial trailing frame are sent, and the tail is rejected
+  /// client-side with InvalidArgument.
   Status SendBytes(const uint8_t* data, size_t size);
 
   /// Marks end-of-stream (half-close), waits for the server to absorb
-  /// everything, and returns its decoded reply. On a resumable stream this
-  /// retries through transport failures until a verdict arrives or
-  /// attempts run out. The connection is done afterwards.
+  /// everything, and returns its decoded reply — or the verdict that
+  /// already ended the stream. Retries through transport failures until a
+  /// verdict arrives or attempts run out. The stream is done afterwards.
   StatusOr<StreamReply> Finish();
 
   /// Hard-closes without end-of-stream — the "client died mid-stream"
-  /// path. Whole frames already received stay ingested; a partial
-  /// trailing frame is discarded by the server.
+  /// path. Frames the server already received stay ingested; the replay
+  /// buffer is dropped.
   void Abort();
 
-  /// The v2 session token in use (0 on one-shot streams).
+  /// The session token in use.
   uint64_t session_token() const { return session_token_; }
   /// Successful reconnects after the initial connect.
   uint64_t reconnects() const { return reconnects_; }
   /// Frames retransmitted during resume (each counted per retransmission).
   uint64_t frames_replayed() const { return frames_replayed_; }
-  /// Stream bytes sent but not yet acked (resumable streams).
+  /// Stream bytes sent but not yet acked.
   uint64_t unacked_bytes() const { return next_offset_ - acked_offset_; }
 
  private:
-  explicit FrameClient(Socket socket) : socket_(std::move(socket)) {}
-
-  // --- resumable-mode machinery (all no-ops in one-shot mode) ---
+  Status CheckSendable() const;
   Status EnsureConnected();
   Status Handshake();
   Status TransmitPending();
@@ -153,16 +137,25 @@ class FrameClient {
   Status AbsorbReplyBytes(const uint8_t* data, size_t size);
   Status PollAcksNonBlocking();
   Status WaitForReply(std::chrono::milliseconds timeout);
+  /// The status of a final record that arrived before end-of-stream: the
+  /// server's error, or a protocol violation for an early ok.
+  Status EarlyVerdict() const;
   void TrySalvageVerdict();
   void TrimAcked();
-  Status AppendPendingFrame(std::vector<uint8_t> frame);
   std::chrono::milliseconds BackoffFor(int completed_attempts);
   uint64_t NextRand();
-  void DropConnection();
+  /// The server's final ok/error record, once one has arrived on any
+  /// connection.
+  const std::optional<StreamReply>& final_reply() const {
+    return reply_parser_.final_reply();
+  }
+  /// The server's error verdict; OK while there is none.
+  Status Verdict() const {
+    return final_reply() ? final_reply()->status : Status::OK();
+  }
 
   Socket socket_;
   FrameClientOptions options_;
-  bool resume_ = false;
   bool finished_ = false;
   std::string address_;
   uint16_t port_ = 0;
@@ -175,18 +168,20 @@ class FrameClient {
   uint64_t pending_base_ = 0;
   /// Session offset one past the last appended frame.
   uint64_t next_offset_ = 0;
-  /// Session offset transmitted on the *current* connection (frame-aligned).
+  /// Session offset transmitted on the *current* connection (frame-aligned)
+  /// and the index in pending_ of the first frame past it — the next frame
+  /// to send.
   uint64_t sent_offset_ = 0;
+  size_t unsent_index_ = 0;
   /// Highest server-acked session offset.
   uint64_t acked_offset_ = 0;
   /// High-water transmitted offset across all connections (replay stats).
   uint64_t high_water_ = 0;
 
-  /// Decodes the server's reply records (acks can split across reads);
-  /// reset on reconnect — a new connection starts a new reply stream.
+  /// Decodes every server record, the hello included (records can split
+  /// across reads); reset on reconnect — a new connection starts a new
+  /// reply stream, while acks and the final reply survive.
   StreamReplyParser reply_parser_;
-  /// Set once the server's final ok/error record arrives.
-  std::optional<StreamReply> final_reply_;
 
   uint64_t connects_ = 0;
   uint64_t reconnects_ = 0;

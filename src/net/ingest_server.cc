@@ -62,9 +62,9 @@ IngestServer::IngestServer(engine::Collector* collector,
       "Idle connections reaped by the read deadline");
   sessions_resumed_ = metrics_->GetCounter(
       "ldpm_net_sessions_resumed_total",
-      "v2 resume sessions re-attached by a reconnecting client");
+      "Sessions re-attached by a reconnecting client");
   acks_sent_ = metrics_->GetCounter("ldpm_net_acks_sent_total",
-                                    "Ack records written to v2 clients");
+                                    "Ack records written to clients");
   drain_duration_ = metrics_->GetHistogram(
       "ldpm_net_drain_duration_ns", obs::LatencyBuckets(),
       "Graceful-stop duration: accept join, reader drain, collector drain");
@@ -82,6 +82,9 @@ StatusOr<std::unique_ptr<IngestServer>> IngestServer::Start(
   if (options.read_chunk_bytes == 0 || options.max_frame_bytes == 0) {
     return Status::InvalidArgument(
         "IngestServer: read_chunk_bytes and max_frame_bytes must be > 0");
+  }
+  if (options.idle_timeout.count() <= 0) {
+    return Status::InvalidArgument("IngestServer: idle_timeout must be > 0");
   }
   auto listener =
       Socket::Listen(options.bind_address, options.port, options.accept_backlog);
@@ -262,15 +265,20 @@ void IngestServer::ReapFinishedLocked() {
 void IngestServer::ServeConnection(Connection& connection) {
   connections_active_->Add(1);
   const StreamOutcome outcome = ServeStream(connection.socket);
+  // Count before replying: a peer that has read its final reply must no
+  // longer find its connection in the active gauge.
+  connections_active_->Add(-1);
   if (outcome.status.code() == StatusCode::kDeadlineExceeded) {
     connections_reaped_->Increment();
   }
-  if (outcome.status.code() == StatusCode::kUnavailable) {
-    // The transport itself failed (peer reset, injected connection drop):
-    // there is no one to reply to, and a reply record would read as a
-    // server verdict to a resuming client. Reset and move on.
+  if (outcome.status.code() == StatusCode::kUnavailable ||
+      outcome.status.code() == StatusCode::kDeadlineExceeded) {
+    // No verdict to give: the transport itself failed (peer reset,
+    // injected connection drop), or the peer went idle past idle_timeout.
+    // A reply record would read as a verdict, which a client never
+    // retries; a reset makes it reconnect, and its session resumes at the
+    // routed offset.
     connection.socket.CloseWithReset();
-    connections_active_->Add(-1);
     connection.finished.store(true, std::memory_order_release);
     return;
   }
@@ -279,19 +287,20 @@ void IngestServer::ServeConnection(Connection& connection) {
     // On a mid-stream rejection the peer usually has more frames in
     // flight. Closing with unread data makes TCP send a reset, which can
     // destroy the reply sitting in the peer's receive buffer before it is
-    // read — so sip the remainder until the peer reacts (EOF) or a cap.
-    // Stop() still wakes this recv via the socket shutdown.
+    // read — so sip the remainder until the peer reacts (EOF), a cap, or
+    // the idle deadline. Stop() still wakes this recv via the socket
+    // shutdown.
     uint8_t sink[4096];
     size_t drained = 0;
     constexpr size_t kMaxErrorDrainBytes = 1 << 20;
     while (drained < kMaxErrorDrainBytes) {
-      auto n = connection.socket.ReadSome(sink, sizeof(sink));
+      auto n = connection.socket.ReadSome(sink, sizeof(sink),
+                                          options_.idle_timeout);
       if (!n.ok() || *n == 0) break;
       drained += *n;
     }
   }
   (void)connection.socket.Shutdown();
-  connections_active_->Add(-1);
   connection.finished.store(true, std::memory_order_release);
 }
 
@@ -329,7 +338,7 @@ Status IngestServer::GateOnBudget() {
 }
 
 Status IngestServer::AcquireSession(uint64_t token, Socket& socket,
-                                    StreamContext* context) {
+                                    StreamOutcome* start) {
   core::MutexLock lock(sessions_mu_);
   const auto busy_deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
@@ -358,9 +367,7 @@ Status IngestServer::AcquireSession(uint64_t token, Socket& socket,
       session.active = true;
       session.owner = &socket;
       session.last_used = ++session_tick_;
-      context->token = token;
-      context->start_offset = 0;
-      context->start_frames = 0;
+      *start = StreamOutcome();
       return Status::OK();
     }
     Session& session = it->second;
@@ -368,9 +375,8 @@ Status IngestServer::AcquireSession(uint64_t token, Socket& socket,
       session.active = true;
       session.owner = &socket;
       session.last_used = ++session_tick_;
-      context->token = token;
-      context->start_offset = session.routed_bytes;
-      context->start_frames = session.routed_frames;
+      start->bytes = session.routed_bytes;
+      start->frames = session.routed_frames;
       sessions_resumed_->Increment();
       return Status::OK();
     }
@@ -391,11 +397,14 @@ Status IngestServer::AcquireSession(uint64_t token, Socket& socket,
   }
 }
 
-void IngestServer::ReleaseSession(uint64_t token) {
+void IngestServer::ReleaseSession(uint64_t token, uint64_t routed_bytes,
+                                  uint64_t routed_frames) {
   {
     core::MutexLock lock(sessions_mu_);
     auto it = sessions_.find(token);
     if (it != sessions_.end()) {
+      it->second.routed_bytes = routed_bytes;
+      it->second.routed_frames = routed_frames;
       it->second.active = false;
       it->second.owner = nullptr;
       it->second.last_used = ++session_tick_;
@@ -404,26 +413,16 @@ void IngestServer::ReleaseSession(uint64_t token) {
   sessions_cv_.NotifyAll();
 }
 
-void IngestServer::RecordSessionProgress(uint64_t token,
-                                         uint64_t routed_bytes,
-                                         uint64_t frames_delta) {
-  core::MutexLock lock(sessions_mu_);
-  auto it = sessions_.find(token);
-  if (it == sessions_.end()) return;
-  it->second.routed_bytes = routed_bytes;
-  it->second.routed_frames += frames_delta;
-}
-
 IngestServer::StreamOutcome IngestServer::ServeStream(Socket& socket) {
   StreamOutcome outcome;
 
-  // Connection preamble: 7 magic bytes + 1 version byte. The idle
-  // deadline applies from the first byte — a connection that never even
-  // sends its preamble is exactly the half-open client the reaper exists
-  // for.
+  // Connection preamble: 7 magic bytes + 1 version byte, checked before
+  // the session token is read. The idle deadline applies from the first
+  // byte — a connection that never even sends its preamble is exactly the
+  // half-open client the reaper exists for.
   uint8_t preamble[kPreambleBytes];
-  Status read =
-      socket.ReadExact(preamble, kPreambleBytes, options_.idle_timeout);
+  const size_t header_bytes = sizeof(kPreambleMagic) + 1;
+  Status read = socket.ReadExact(preamble, header_bytes, options_.idle_timeout);
   if (!read.ok()) {
     outcome.status =
         read.code() == StatusCode::kDeadlineExceeded
@@ -440,66 +439,56 @@ IngestServer::StreamOutcome IngestServer::ServeStream(Socket& socket) {
         "connection preamble does not start with \"LDPMNET\"");
     return outcome;
   }
-  const uint8_t version = preamble[kPreambleBytes - 1];
-  if (version == kVersionOneShot) {
-    return ServeStreamBody(socket, StreamContext{});
-  }
-  if (version != kVersionResume) {
+  const uint8_t version = preamble[sizeof(kPreambleMagic)];
+  if (version != kVersion) {
     outcome.status = Status::InvalidArgument(
         "unsupported protocol version " + std::to_string(version) +
-        " (expected " + std::to_string(kVersionOneShot) + " or " +
-        std::to_string(kVersionResume) + ")");
+        " (expected " + std::to_string(kVersion) + ")");
     return outcome;
   }
 
-  // v2: session token, then our hello record naming the resume offset.
-  uint8_t token_bytes[8];
-  Status token_read =
-      socket.ReadExact(token_bytes, sizeof(token_bytes), options_.idle_timeout);
+  // The session token, then our hello record naming the resume offset.
+  Status token_read = socket.ReadExact(preamble + header_bytes,
+                                       kPreambleBytes - header_bytes,
+                                       options_.idle_timeout);
   if (!token_read.ok()) {
     outcome.status = Status(
         token_read.code(), "reading session token: " + token_read.message());
     return outcome;
   }
-  const uint64_t token = ReadU64(token_bytes);
+  const uint64_t token = ReadU64(preamble + header_bytes);
   if (token == 0) {
     outcome.status =
         Status::InvalidArgument("session token must be nonzero");
     return outcome;
   }
-  StreamContext context;
-  Status acquired = AcquireSession(token, socket, &context);
+  Status acquired = AcquireSession(token, socket, &outcome);
   if (!acquired.ok()) {
     outcome.status = std::move(acquired);
     return outcome;
   }
   uint8_t hello[9];
   hello[0] = kReplyHello;
-  WriteU64(context.start_offset, hello + 1);
+  WriteU64(outcome.bytes, hello + 1);
   Status hello_write =
       socket.WriteAll(hello, sizeof(hello), options_.reply_write_timeout);
-  if (!hello_write.ok()) {
-    ReleaseSession(token);
+  if (hello_write.ok()) {
+    outcome = ServeStreamBody(socket, outcome);
+  } else {
     outcome.status = Status::Unavailable("writing hello record: " +
                                          hello_write.message());
-    outcome.stream_offset = context.start_offset;
-    return outcome;
+    outcome.stream_offset = outcome.bytes;
   }
-  outcome = ServeStreamBody(socket, context);
-  ReleaseSession(token);
+  ReleaseSession(token, outcome.bytes, outcome.frames);
   return outcome;
 }
 
 IngestServer::StreamOutcome IngestServer::ServeStreamBody(
-    Socket& socket, const StreamContext& context) {
-  StreamOutcome outcome;
-  outcome.frames = context.start_frames;
-  outcome.bytes = context.start_offset;
-
+    Socket& socket, StreamOutcome outcome) {
   std::vector<uint8_t> buffer;
   // Session-absolute offset of the stream bytes fully routed and
-  // discarded (v1 streams start at 0, so it is the plain stream offset).
-  uint64_t consumed = context.start_offset;
+  // discarded.
+  uint64_t consumed = outcome.bytes;
   for (;;) {
     const size_t old_size = buffer.size();
     buffer.resize(old_size + options_.read_chunk_bytes);
@@ -578,17 +567,10 @@ IngestServer::StreamOutcome IngestServer::ServeStreamBody(
         return outcome;
       }
       routed = frames.frame_end_offset();
-      if (context.token != 0) {
-        // Publish progress the instant the frame is routed: if this
-        // connection dies right now, the resume offset already covers the
-        // frame and the client will not replay it.
-        RecordSessionProgress(context.token, consumed + routed,
-                              result.frames_routed);
-      }
     }
     buffer.erase(buffer.begin(), buffer.begin() + routed);
     consumed += routed;
-    if (context.token != 0 && routed > 0) {
+    if (routed > 0) {
       // Ack the routing round so the client can trim its replay buffer.
       uint8_t ack[9];
       ack[0] = kReplyAck;

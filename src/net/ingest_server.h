@@ -2,10 +2,10 @@
 //
 // The paper's deployment model is millions of users each sending one
 // perturbed report to an aggregator; this server is that aggregator's
-// listening edge. Each accepted TCP connection carries one preamble-tagged
-// stream of collection frames (protocols/wire.h) which a dedicated reader
-// thread routes through Collector::IngestFrames into the zero-copy wire
-// path — one socket can interleave every registered collection.
+// listening edge. Each accepted TCP connection carries one session stream
+// of collection frames (protocols/wire.h) which a dedicated reader thread
+// routes through Collector::IngestFrames into the zero-copy wire path —
+// one socket can interleave every registered collection.
 //
 // Design points:
 //
@@ -27,14 +27,16 @@
 //     error reply naming the exact stream offset of the first unconsumed
 //     byte; frames before it stay ingested (the Collector's documented
 //     partial-stream semantics, surfaced by IngestFramesResult).
-//   * Resumable sessions. A v2 client names its stream with a session
+//   * Resumable sessions. Every client names its stream with a session
 //     token; the server remembers how many session-stream bytes it has
 //     routed, tells a reconnecting client exactly where to resume (hello
 //     record), and acks progress as it routes — exactly-once frame
 //     delivery through connection churn (see net/protocol.h).
-//   * Idle reaping. With idle_timeout set, a connection that delivers no
-//     bytes within the deadline is reaped with an error reply instead of
-//     holding a connection-cap slot forever (half-open clients).
+//   * Idle reaping. A connection that delivers no bytes within
+//     idle_timeout (10 s by default) is closed with a reset instead of
+//     holding a connection-cap slot forever (half-open clients). Its
+//     session keeps the routed offset, so a client that merely paused
+//     reconnects and resumes.
 //   * Graceful stop. Stop() stops accepting, wakes and joins every
 //     reader at a frame boundary, then runs Collector::Drain() — so a
 //     server shutdown flushes every queued batch and (when configured)
@@ -89,17 +91,18 @@ struct IngestServerOptions {
   /// sheds its connection with an overload error instead of waiting
   /// longer. 0 = wait as long as it takes (still stop-aware).
   std::chrono::milliseconds budget_shed_after{0};
-  /// When > 0: a connection that delivers no bytes for this long is
-  /// reaped — its reader sends a DeadlineExceeded error reply and closes,
-  /// so half-open or stalled clients cannot hold connection-cap slots
-  /// forever. Applies to the preamble/handshake reads too. 0 = wait
-  /// indefinitely (the original behavior).
-  std::chrono::milliseconds idle_timeout{0};
+  /// A connection that delivers no bytes for this long is reaped: closed
+  /// with a reset and no reply record, so half-open or stalled clients
+  /// cannot hold connection-cap slots forever. Applies to the
+  /// preamble/handshake reads too. The session keeps its routed offset, so
+  /// a client that only paused reconnects and resumes on its next send.
+  /// Must be > 0.
+  std::chrono::milliseconds idle_timeout{10000};
   /// When > 0: deadline on server-to-client record writes (hello, ack,
   /// final reply) so a peer that stopped reading cannot wedge a reader.
   /// 0 = blocking writes.
   std::chrono::milliseconds reply_write_timeout{0};
-  /// Cap on remembered v2 resume sessions; creating one past the cap
+  /// Cap on remembered resume sessions; creating one past the cap
   /// evicts the least-recently-used inactive session (a client resuming an
   /// evicted session restarts at offset 0 and fails its replay loudly).
   /// 0 = unbounded.
@@ -131,9 +134,9 @@ struct IngestServerStats {
   uint64_t bytes_routed = 0;
   /// Idle connections reaped by the read deadline.
   uint64_t connections_reaped = 0;
-  /// v2 sessions re-attached by a reconnecting client.
+  /// Sessions re-attached by a reconnecting client.
   uint64_t sessions_resumed = 0;
-  /// Ack records written to v2 clients.
+  /// Ack records written to clients.
   uint64_t acks_sent = 0;
 };
 
@@ -182,9 +185,9 @@ class IngestServer {
   };
 
   /// A reader's verdict on its stream: OK for a clean end-of-stream, or
-  /// the error to report, anchored at the stream offset of the first
-  /// unconsumed frame byte (counted from after the preamble) — plus what
-  /// this connection routed, for the reply record.
+  /// the error to report, anchored at the session offset of the first
+  /// unconsumed frame byte — plus what the session routed, for the reply
+  /// record.
   struct StreamOutcome {
     Status status;
     uint64_t stream_offset = 0;
@@ -192,9 +195,10 @@ class IngestServer {
     uint64_t bytes = 0;
   };
 
-  /// One v2 resume session: how far into the session's logical frame
-  /// stream the server has routed. Lives in server memory — it survives
-  /// connection churn (its purpose), not server restarts.
+  /// One resume session: how far into the session's logical frame
+  /// stream the server had routed when its last connection released it.
+  /// Lives in server memory — it survives connection churn (its purpose),
+  /// not server restarts.
   struct Session {
     uint64_t routed_bytes = 0;
     uint64_t routed_frames = 0;
@@ -205,31 +209,26 @@ class IngestServer {
     uint64_t last_used = 0;  // logical tick for LRU eviction
   };
 
-  /// Where a (re)attached stream starts: the session's routed state.
-  struct StreamContext {
-    uint64_t token = 0;  // 0 = one-shot v1 stream, no session
-    uint64_t start_offset = 0;
-    uint64_t start_frames = 0;
-  };
-
   IngestServer(engine::Collector* collector,
                const IngestServerOptions& options);
 
   void AcceptLoop();
   void ServeConnection(Connection& connection);
   StreamOutcome ServeStream(Socket& socket);
-  StreamOutcome ServeStreamBody(Socket& socket, const StreamContext& context);
+  /// Routes the session's frames, counting on from `start`'s routed
+  /// frames and bytes.
+  StreamOutcome ServeStreamBody(Socket& socket, StreamOutcome start);
   /// Claims the session for `socket`, waking and waiting out a half-open
-  /// previous owner. Fills `context` on success.
-  Status AcquireSession(uint64_t token, Socket& socket, StreamContext* context)
+  /// previous owner. On success `start` holds the session's routed frames
+  /// and bytes — where this connection's stream starts.
+  Status AcquireSession(uint64_t token, Socket& socket, StreamOutcome* start)
       LDPM_EXCLUDES(sessions_mu_);
-  void ReleaseSession(uint64_t token) LDPM_EXCLUDES(sessions_mu_);
-  /// Publishes the owning reader's routing progress into the session the
-  /// instant a frame is routed — the exactly-once line a reconnect
-  /// resumes from.
-  void RecordSessionProgress(uint64_t token, uint64_t routed_bytes,
-                             uint64_t frames_delta)
-      LDPM_EXCLUDES(sessions_mu_);
+  /// Frees the session, publishing the owning reader's routing progress
+  /// (session-absolute) — the exactly-once line a reconnect resumes from.
+  /// Publishing at release is soon enough: a reconnect reads the progress
+  /// only once AcquireSession has seen this release.
+  void ReleaseSession(uint64_t token, uint64_t routed_bytes,
+                      uint64_t routed_frames) LDPM_EXCLUDES(sessions_mu_);
   /// Waits (stop-aware) until the collector's shared budget shows
   /// headroom; non-OK on stop or shed timeout.
   Status GateOnBudget();

@@ -24,7 +24,18 @@ Status StreamReplyParser::Feed(const uint8_t* data, size_t size) {
   while (cursor < buffer_.size()) {
     const uint8_t code = buffer_[cursor];
     const size_t have = buffer_.size() - cursor;
-    if (code == kReplyAck) {
+    if (code == kReplyHello) {
+      if (stream_offset_ + cursor != 0) {
+        error_ = Status::InvalidArgument(
+            "reply stream: hello record at byte " +
+            std::to_string(stream_offset_ + cursor) +
+            " is not the first record");
+        break;
+      }
+      if (have < 9) break;
+      hello_ = ReadU64(&buffer_[cursor + 1]);
+      cursor += 9;
+    } else if (code == kReplyAck) {
       if (have < 9) break;
       const uint64_t acked = ReadU64(&buffer_[cursor + 1]);
       if (acked > acked_offset_) acked_offset_ = acked;
@@ -66,6 +77,7 @@ Status StreamReplyParser::Feed(const uint8_t* data, size_t size) {
 void StreamReplyParser::Reset() {
   buffer_.clear();
   stream_offset_ = 0;
+  hello_.reset();
   error_ = Status::OK();
 }
 

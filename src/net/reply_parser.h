@@ -1,8 +1,9 @@
 // Incremental decoder for the server's reply-record stream.
 //
-// On a v2 resumable connection the server talks back to the client in
+// On a session connection the server talks back to the client in
 // self-delimiting records (net/protocol.h):
 //
+//   hello  0x02 + u64 resume offset                      (first record)
 //   ack    0x03 + u64 acked session offset
 //   ok     0x00 + u64 frames routed + u64 bytes routed   (final)
 //   error  0x01 + u64 stream offset + u16 L + L message  (final)
@@ -13,10 +14,11 @@
 // of segmentation: feed it whatever bytes arrived, in any split, and it
 // consumes exactly the complete records, buffering a partial tail.
 //
-// Pulled out of FrameClient both so the decode is testable byte-by-byte
-// and because these are outside bytes: this is the seam the
-// fuzz_reply_stream harness drives (differentially — one-shot feed vs.
-// per-byte feed must agree exactly).
+// It is FrameClient's one decoder for server bytes, handshake included,
+// both so the decode is testable byte-by-byte and because these are
+// outside bytes: this is the seam the fuzz_reply_stream harness drives
+// (differentially — a whole-buffer feed and a chunked feed must agree
+// exactly).
 //
 // Not thread-safe; owned by a single FrameClient streaming thread.
 
@@ -52,11 +54,16 @@ class StreamReplyParser {
  public:
   /// Absorbs `size` received bytes and decodes every record they
   /// complete; a record split across Feed calls is buffered until its
-  /// remainder arrives. Returns InvalidArgument on an unknown reply code,
-  /// naming its offset in the connection's reply stream; the parser stays
-  /// poisoned afterwards (further Feeds return the same error without
-  /// consuming anything — the stream cannot be resynchronized).
+  /// remainder arrives. Returns InvalidArgument on an unknown reply code
+  /// or on a hello that is not the connection's first record, naming its
+  /// offset in the connection's reply stream; the parser stays poisoned
+  /// afterwards (further Feeds return the same error without consuming
+  /// anything — the stream cannot be resynchronized).
   Status Feed(const uint8_t* data, size_t size);
+
+  /// The resume offset of this connection's hello, once decoded. A hello
+  /// is accepted only as the first record since Reset (or construction).
+  const std::optional<uint64_t>& hello() const { return hello_; }
 
   /// Highest acked session offset decoded so far (never decreases; a
   /// final ok's bytes_routed counts as an ack of everything).
@@ -73,8 +80,8 @@ class StreamReplyParser {
   /// Bytes buffered awaiting the remainder of a split record.
   size_t buffered_bytes() const { return buffer_.size(); }
 
-  /// Forgets buffered bytes, the poison, and the stream offset — the
-  /// reconnect reset (a new connection starts a new reply stream).
+  /// Forgets buffered bytes, the poison, the stream offset and the hello
+  /// — the reconnect reset (a new connection starts a new reply stream).
   /// Decoded facts survive: acks are session-absolute and a verdict ends
   /// the stream no matter which connection delivered it.
   void Reset();
@@ -82,8 +89,9 @@ class StreamReplyParser {
  private:
   std::vector<uint8_t> buffer_;
   /// Bytes consumed from this connection's reply stream — the error
-  /// anchor for an unknown code.
+  /// anchor for an unknown code or a misplaced hello.
   uint64_t stream_offset_ = 0;
+  std::optional<uint64_t> hello_;
   uint64_t acked_offset_ = 0;
   std::optional<StreamReply> final_reply_;
   Status error_ = Status::OK();

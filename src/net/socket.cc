@@ -8,7 +8,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstring>
 
 #include "core/failpoint.h"
@@ -230,44 +232,55 @@ Status Socket::ReadExact(uint8_t* data, size_t size,
 }
 
 Status Socket::WriteAll(const uint8_t* data, size_t size) {
-  LDPM_FAILPOINT("net.socket.write");
-  size_t sent = 0;
-  while (sent < size) {
-    // MSG_NOSIGNAL: a peer that vanished must surface as a Status the
-    // caller can handle, not a process-wide SIGPIPE.
-    const ssize_t n = ::send(fd_, data + sent, size - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return ErrnoStatus("send", errno);
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return Status::OK();
+  return WriteAll(data, size, std::chrono::milliseconds(0));
 }
 
 Status Socket::WriteAll(const uint8_t* data, size_t size,
                         std::chrono::milliseconds timeout) {
-  if (timeout.count() <= 0) return WriteAll(data, size);
+  iovec buffer{const_cast<uint8_t*>(data), size};
+  return WriteAll(&buffer, 1, timeout);
+}
+
+Status Socket::WriteAll(iovec* buffers, size_t count,
+                        std::chrono::milliseconds timeout) {
   LDPM_FAILPOINT("net.socket.write");
   const auto deadline = std::chrono::steady_clock::now() + timeout;
-  size_t sent = 0;
-  while (sent < size) {
-    const ssize_t n = ::send(fd_, data + sent, size - sent,
-                             MSG_NOSIGNAL | MSG_DONTWAIT);
+  size_t size = 0;
+  for (size_t i = 0; i < count; ++i) size += buffers[i].iov_len;
+  for (size_t sent = 0; sent < size;) {
+    msghdr message{};
+    message.msg_iov = buffers;
+    message.msg_iovlen = std::min<size_t>(count, IOV_MAX);
+    // MSG_NOSIGNAL: a peer that vanished must surface as a Status the
+    // caller can handle, not a process-wide SIGPIPE. MSG_DONTWAIT: a full
+    // send buffer waits in the poll below, where the deadline lives.
+    const ssize_t n = ::sendmsg(fd_, &message, MSG_NOSIGNAL | MSG_DONTWAIT);
     if (n > 0) {
       sent += static_cast<size_t>(n);
+      // Step past the buffers written whole; trim the one cut short.
+      size_t left = static_cast<size_t>(n);
+      for (; left > 0 && left >= buffers->iov_len; ++buffers, --count) {
+        left -= buffers->iov_len;
+      }
+      if (left > 0) {
+        buffers->iov_base = static_cast<uint8_t*>(buffers->iov_base) + left;
+        buffers->iov_len -= left;
+      }
       continue;
     }
     if (n < 0 && errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK) {
       return ErrnoStatus("send", errno);
     }
-    const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    if (remaining.count() <= 0) {
-      return Status::DeadlineExceeded(
-          "send: timed out after " + std::to_string(timeout.count()) +
-          "ms with " + std::to_string(size - sent) + " of " +
-          std::to_string(size) + " bytes unsent");
+    std::chrono::milliseconds remaining{0};
+    if (timeout.count() > 0) {
+      remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
+          deadline - std::chrono::steady_clock::now());
+      if (remaining.count() <= 0) {
+        return Status::DeadlineExceeded(
+            "send: timed out after " + std::to_string(timeout.count()) +
+            "ms with " + std::to_string(size - sent) + " of " +
+            std::to_string(size) + " bytes unsent");
+      }
     }
     LDPM_RETURN_IF_ERROR(WaitReady(fd_, POLLOUT, remaining, "send"));
   }

@@ -15,6 +15,8 @@
 #ifndef LDPM_NET_SOCKET_H_
 #define LDPM_NET_SOCKET_H_
 
+#include <sys/uio.h>
+
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -102,6 +104,14 @@ class Socket {
   /// an unknown prefix is in flight; the stream is no longer frame-aligned
   /// and the caller should close.
   Status WriteAll(const uint8_t* data, size_t size,
+                  std::chrono::milliseconds timeout);
+
+  /// The gathered form, and the one send loop the two above wrap: writes
+  /// `count` buffers in order, handing the kernel as many of them per
+  /// sendmsg as it takes, so a run of small buffers costs one system call
+  /// instead of one each. Advances `buffers` in place as bytes are
+  /// accepted. Same deadline contract as above.
+  Status WriteAll(iovec* buffers, size_t count,
                   std::chrono::milliseconds timeout);
 
   /// Half-closes the write side (the client's end-of-stream marker).

@@ -152,7 +152,6 @@ TEST_F(ChaosTest, ConnectionDropsResumeToBitwiseEqualExactlyOnceDelivery) {
   failpoint::Arm("net.server.read", read_stall);
 
   FrameClientOptions client_options;
-  client_options.resume = true;
   client_options.retry.max_attempts = 10;
   client_options.retry.initial_backoff = std::chrono::milliseconds(5);
   client_options.retry.max_backoff = std::chrono::milliseconds(50);
@@ -357,15 +356,12 @@ TEST_F(ChaosTest, CorruptNewestGenerationFallsBackAndReingestConverges) {
   const std::vector<uint8_t> stream1 = BuildStream(8, 120, 41);
   const std::vector<uint8_t> stream2 = BuildStream(6, 120, 43);
 
-  FrameClientOptions client_options;
-  client_options.resume = true;
   CollectorOptions options;
   options.checkpoint_generations = 2;
   {
     auto collector = RegisteredCollector(options);
     auto server = MustStart(collector.get());
-    auto client = FrameClient::Connect(kLoopback, server->port(),
-                                       client_options);
+    auto client = FrameClient::Connect(kLoopback, server->port());
     ASSERT_TRUE(client.ok()) << client.status().ToString();
     ASSERT_TRUE(client->SendBytes(stream1.data(), stream1.size()).ok());
     auto reply = client->Finish();
@@ -374,8 +370,7 @@ TEST_F(ChaosTest, CorruptNewestGenerationFallsBackAndReingestConverges) {
     ASSERT_TRUE(collector->Flush().ok());
     ASSERT_TRUE(collector->CheckpointTo(path).ok());  // cut 1: stream1
 
-    auto client2 = FrameClient::Connect(kLoopback, server->port(),
-                                        client_options);
+    auto client2 = FrameClient::Connect(kLoopback, server->port());
     ASSERT_TRUE(client2.ok());
     ASSERT_TRUE(client2->SendBytes(stream2.data(), stream2.size()).ok());
     auto reply2 = client2->Finish();
@@ -402,8 +397,7 @@ TEST_F(ChaosTest, CorruptNewestGenerationFallsBackAndReingestConverges) {
             1u);
   EXPECT_EQ(ReportsAbsorbed(*reloaded), 8u * 120u);
   auto server = MustStart(reloaded.get());
-  auto client = FrameClient::Connect(kLoopback, server->port(),
-                                     client_options);
+  auto client = FrameClient::Connect(kLoopback, server->port());
   ASSERT_TRUE(client.ok());
   ASSERT_TRUE(client->SendBytes(stream2.data(), stream2.size()).ok());
   auto reply = client->Finish();

@@ -1,6 +1,7 @@
-// FrameClient error-path tests against scripted fake servers: refused
-// connects, resets mid-send, handshake rejections, malformed and truncated
-// reply records. Every failure must surface as a precise Status — the
+// FrameClient tests against scripted fake servers: refused connects,
+// resets mid-send, handshake rejections, malformed and truncated reply
+// records, and a bulk SendBytes that must arrive byte-exact across its
+// gathered writes. Every failure must surface as a precise Status — the
 // client may never hang. Happy-path resume/retry behavior against the real
 // server lives in tests/integration/chaos_test.cc.
 
@@ -34,7 +35,7 @@ void WriteU64(uint64_t value, uint8_t* bytes) {
 
 /// Options tuned so every failure mode resolves in well under a second per
 /// attempt: tests assert errors, not patience.
-FrameClientOptions FastOptions(bool resume, int attempts = 1) {
+FrameClientOptions FastOptions(int attempts = 1) {
   FrameClientOptions options;
   options.connect_timeout = std::chrono::milliseconds(2000);
   options.send_timeout = std::chrono::milliseconds(2000);
@@ -42,7 +43,6 @@ FrameClientOptions FastOptions(bool resume, int attempts = 1) {
   options.retry.max_attempts = attempts;
   options.retry.initial_backoff = std::chrono::milliseconds(10);
   options.retry.max_backoff = std::chrono::milliseconds(50);
-  options.resume = resume;
   return options;
 }
 
@@ -78,8 +78,8 @@ class FakeServer {
   uint16_t port_ = 0;
 };
 
-/// Reads the 16-byte v2 preamble (magic + version + session token).
-bool ReadV2Preamble(Socket& conn) {
+/// Reads the 16-byte session preamble (magic + version + session token).
+bool ReadPreamble(Socket& conn) {
   uint8_t preamble[16];
   return conn.ReadExact(preamble, sizeof(preamble)).ok();
 }
@@ -110,8 +110,7 @@ TEST(FrameClient, ConnectRefusedIsUnavailableAfterAllAttempts) {
     dead_port = *port;
   }
   const auto start = std::chrono::steady_clock::now();
-  auto client = FrameClient::Connect(kLoopback, dead_port,
-                                     FastOptions(/*resume=*/true, 2));
+  auto client = FrameClient::Connect(kLoopback, dead_port, FastOptions(2));
   const auto elapsed = std::chrono::steady_clock::now() - start;
   ASSERT_FALSE(client.ok());
   EXPECT_EQ(client.status().code(), StatusCode::kUnavailable)
@@ -124,7 +123,7 @@ TEST(FrameClient, ConnectRefusedIsUnavailableAfterAllAttempts) {
 
 TEST(FrameClient, HandshakeRejectionIsVerdictNotRetried) {
   FakeServer server([](Socket conn) {
-    if (!ReadV2Preamble(conn)) return;
+    if (!ReadPreamble(conn)) return;
     const std::string message = "session shed";
     std::vector<uint8_t> reply(11 + message.size());
     reply[0] = net::kReplyError;
@@ -136,8 +135,7 @@ TEST(FrameClient, HandshakeRejectionIsVerdictNotRetried) {
     DrainUntilEof(conn);
   });
   // max_attempts = 3, but a verdict must return immediately, unretried.
-  auto client = FrameClient::Connect(kLoopback, server.port(),
-                                     FastOptions(/*resume=*/true, 3));
+  auto client = FrameClient::Connect(kLoopback, server.port(), FastOptions(3));
   ASSERT_FALSE(client.ok());
   EXPECT_EQ(client.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(client.status().message().find("server rejected stream at byte 0"),
@@ -148,30 +146,28 @@ TEST(FrameClient, HandshakeRejectionIsVerdictNotRetried) {
 
 TEST(FrameClient, GarbageHelloCodeIsInvalidArgument) {
   FakeServer server([](Socket conn) {
-    if (!ReadV2Preamble(conn)) return;
+    if (!ReadPreamble(conn)) return;
     const uint8_t garbage = 0x42;
     EXPECT_TRUE(conn.WriteAll(&garbage, 1).ok());
     DrainUntilEof(conn);
   });
-  auto client = FrameClient::Connect(kLoopback, server.port(),
-                                     FastOptions(/*resume=*/true));
+  auto client = FrameClient::Connect(kLoopback, server.port(), FastOptions());
   ASSERT_FALSE(client.ok());
   EXPECT_EQ(client.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(client.status().message().find("expected hello record"),
+  EXPECT_NE(client.status().message().find("unknown reply code 66 at byte 0"),
             std::string::npos)
       << client.status().ToString();
 }
 
 TEST(FrameClient, UnknownReplyCodeAfterStreamIsInvalidArgument) {
   FakeServer server([](Socket conn) {
-    if (!ReadV2Preamble(conn)) return;
+    if (!ReadPreamble(conn)) return;
     SendHello(conn, 0);
     DrainUntilEof(conn);
     const uint8_t garbage = 0x7F;
     (void)conn.WriteAll(&garbage, 1);
   });
-  auto client = FrameClient::Connect(kLoopback, server.port(),
-                                     FastOptions(/*resume=*/true, 2));
+  auto client = FrameClient::Connect(kLoopback, server.port(), FastOptions(2));
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   const std::vector<uint8_t> payload = {1, 2, 3};
   ASSERT_TRUE(client->SendFrame("c", payload).ok());
@@ -185,7 +181,7 @@ TEST(FrameClient, UnknownReplyCodeAfterStreamIsInvalidArgument) {
 
 TEST(FrameClient, TruncatedFinalReplyFailsWithinDeadlineNeverHangs) {
   FakeServer server([](Socket conn) {
-    if (!ReadV2Preamble(conn)) return;
+    if (!ReadPreamble(conn)) return;
     SendHello(conn, 0);
     DrainUntilEof(conn);
     // First 5 bytes of a 17-byte ok record, then a clean close: the
@@ -193,8 +189,7 @@ TEST(FrameClient, TruncatedFinalReplyFailsWithinDeadlineNeverHangs) {
     const uint8_t partial[5] = {net::kReplyOk, 1, 0, 0, 0};
     (void)conn.WriteAll(partial, sizeof(partial));
   });
-  auto client = FrameClient::Connect(kLoopback, server.port(),
-                                     FastOptions(/*resume=*/true, 2));
+  auto client = FrameClient::Connect(kLoopback, server.port(), FastOptions(2));
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   const std::vector<uint8_t> payload = {9, 9};
   ASSERT_TRUE(client->SendFrame("c", payload).ok());
@@ -216,14 +211,14 @@ TEST(FrameClient, TruncatedFinalReplyFailsWithinDeadlineNeverHangs) {
   EXPECT_LT(elapsed, std::chrono::seconds(10));
 }
 
-TEST(FrameClient, OneShotResetMidSendSurfacesUnavailable) {
+TEST(FrameClient, ResetMidSendSurfacesUnavailable) {
   FakeServer server([](Socket conn) {
-    uint8_t preamble[net::kPreambleBytes];
-    if (!conn.ReadExact(preamble, sizeof(preamble)).ok()) return;
+    if (!ReadPreamble(conn)) return;
+    SendHello(conn, 0);
     conn.CloseWithReset();
   });
-  auto client = FrameClient::Connect(kLoopback, server.port(),
-                                     FastOptions(/*resume=*/false));
+  // One attempt: the reset must surface, not be retried away.
+  auto client = FrameClient::Connect(kLoopback, server.port(), FastOptions());
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   // The reset may land after many sends succeed into local buffers; keep
   // streaming until the failure surfaces. Bounded: every send carries a
@@ -242,12 +237,11 @@ TEST(FrameClient, OneShotResetMidSendSurfacesUnavailable) {
 
 TEST(FrameClient, ResumableStreamRejectsPartialTrailingFrame) {
   FakeServer server([](Socket conn) {
-    if (!ReadV2Preamble(conn)) return;
+    if (!ReadPreamble(conn)) return;
     SendHello(conn, 0);
     DrainUntilEof(conn);
   });
-  auto client = FrameClient::Connect(kLoopback, server.port(),
-                                     FastOptions(/*resume=*/true));
+  auto client = FrameClient::Connect(kLoopback, server.port(), FastOptions());
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   std::vector<uint8_t> stream;
   const std::vector<uint8_t> payload = {1, 2, 3, 4};
@@ -296,13 +290,12 @@ TEST(FrameClient, TruncatedHelloNeverHangs) {
   // bytes before closing: the handshake read must fail within the recv
   // deadline with a transport-category error, never block.
   FakeServer server([](Socket conn) {
-    if (!ReadV2Preamble(conn)) return;
+    if (!ReadPreamble(conn)) return;
     const uint8_t partial[4] = {net::kReplyHello, 0x01, 0x02, 0x03};
     (void)conn.WriteAll(partial, sizeof(partial));
   });
   const auto start = std::chrono::steady_clock::now();
-  auto client = FrameClient::Connect(kLoopback, server.port(),
-                                     FastOptions(/*resume=*/true, 1));
+  auto client = FrameClient::Connect(kLoopback, server.port(), FastOptions(1));
   const auto elapsed = std::chrono::steady_clock::now() - start;
   ASSERT_FALSE(client.ok());
   const StatusCode code = client.status().code();
@@ -317,12 +310,11 @@ TEST(FrameClient, ResumeOffsetPastSentBytesIsInternal) {
   // A hello claiming the server already routed 999 bytes of a session
   // that never sent any is a protocol violation, not a retry case.
   FakeServer server([](Socket conn) {
-    if (!ReadV2Preamble(conn)) return;
+    if (!ReadPreamble(conn)) return;
     SendHello(conn, 999);
     DrainUntilEof(conn);
   });
-  auto client = FrameClient::Connect(kLoopback, server.port(),
-                                     FastOptions(/*resume=*/true, 3));
+  auto client = FrameClient::Connect(kLoopback, server.port(), FastOptions(3));
   ASSERT_FALSE(client.ok());
   EXPECT_EQ(client.status().code(), StatusCode::kInternal);
   EXPECT_NE(client.status().message().find("past the"), std::string::npos)
@@ -345,8 +337,7 @@ TEST(FrameClient, ResumeOffsetOffFrameBoundaryIsInternal) {
     SendHello(conn, 3);
     DrainUntilEof(conn);
   });
-  auto client = FrameClient::Connect(kLoopback, server.port(),
-                                     FastOptions(/*resume=*/true, 3));
+  auto client = FrameClient::Connect(kLoopback, server.port(), FastOptions(3));
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   const std::vector<uint8_t> payload = {1, 2, 3};
   Status status = client->SendFrame("c", payload);
@@ -366,7 +357,7 @@ TEST(FrameClient, SplitAckAndOkRecordsReassemble) {
   // client must reassemble them regardless of segmentation. 10 = the
   // encoded size of the single frame sent below.
   FakeServer server([](Socket conn) {
-    if (!ReadV2Preamble(conn)) return;
+    if (!ReadPreamble(conn)) return;
     SendHello(conn, 0);
     DrainUntilEof(conn);
     uint8_t records[9 + 17];
@@ -380,8 +371,7 @@ TEST(FrameClient, SplitAckAndOkRecordsReassemble) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
-  auto client = FrameClient::Connect(kLoopback, server.port(),
-                                     FastOptions(/*resume=*/true, 2));
+  auto client = FrameClient::Connect(kLoopback, server.port(), FastOptions(2));
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   const std::vector<uint8_t> payload = {1, 2, 3};
   ASSERT_TRUE(client->SendFrame("c", payload).ok());
@@ -399,7 +389,7 @@ TEST(FrameClient, TruncatedErrorReplyBodyNeverHangs) {
   // the transport fails, then surface a bounded retryable error — never
   // fabricate a verdict from a partial record.
   FakeServer server([](Socket conn) {
-    if (!ReadV2Preamble(conn)) return;
+    if (!ReadPreamble(conn)) return;
     SendHello(conn, 0);
     DrainUntilEof(conn);
     uint8_t record[11 + 10];
@@ -410,8 +400,7 @@ TEST(FrameClient, TruncatedErrorReplyBodyNeverHangs) {
     for (int i = 0; i < 10; ++i) record[11 + i] = 'x';
     (void)conn.WriteAll(record, sizeof(record));
   });
-  auto client = FrameClient::Connect(kLoopback, server.port(),
-                                     FastOptions(/*resume=*/true, 2));
+  auto client = FrameClient::Connect(kLoopback, server.port(), FastOptions(2));
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   const std::vector<uint8_t> payload = {7};
   ASSERT_TRUE(client->SendFrame("c", payload).ok());
@@ -427,23 +416,49 @@ TEST(FrameClient, TruncatedErrorReplyBodyNeverHangs) {
   EXPECT_LT(elapsed, std::chrono::seconds(10));
 }
 
-TEST(FrameClient, OneShotUnknownFinalReplyCodeIsInvalidArgument) {
-  FakeServer server([](Socket conn) {
-    uint8_t preamble[net::kPreambleBytes];
-    if (!conn.ReadExact(preamble, sizeof(preamble)).ok()) return;
-    DrainUntilEof(conn);
-    const uint8_t garbage = 0x9C;
-    (void)conn.WriteAll(&garbage, 1);
-  });
-  auto client = FrameClient::Connect(kLoopback, server.port(),
-                                     FastOptions(/*resume=*/false));
-  ASSERT_TRUE(client.ok()) << client.status().ToString();
-  auto reply = client->Finish();
-  ASSERT_FALSE(reply.ok());
-  EXPECT_EQ(reply.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(reply.status().message().find("unknown reply code"),
-            std::string::npos)
-      << reply.status().ToString();
+TEST(FrameClient, BulkSendBytesArrivesByteExactAcrossGatheredWrites) {
+  // ~3 MiB of frames of many sizes: several 1 MiB batches, runs cut at 64
+  // frames, and (while the server holds off reading) sendmsg calls that
+  // stop partway through a frame. The server must receive exactly the
+  // stream, in order.
+  std::vector<uint8_t> stream;
+  size_t frames = 0;
+  for (size_t size = 1; stream.size() < (3u << 20); size = size * 7 % 9973) {
+    const std::vector<uint8_t> payload(size, static_cast<uint8_t>(size));
+    ASSERT_TRUE(AppendCollectionFrame("c", payload, stream).ok());
+    ++frames;
+  }
+  std::vector<uint8_t> received;
+  {
+    FakeServer server([&](Socket conn) {
+      if (!ReadPreamble(conn)) return;
+      SendHello(conn, 0);
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      uint8_t buf[1 << 16];
+      for (;;) {
+        auto n = conn.ReadSome(buf, sizeof(buf));
+        if (!n.ok() || *n == 0) break;
+        received.insert(received.end(), buf, buf + *n);
+      }
+      uint8_t ok[17];
+      ok[0] = net::kReplyOk;
+      WriteU64(frames, ok + 1);
+      WriteU64(received.size(), ok + 9);
+      (void)conn.WriteAll(ok, sizeof(ok));
+    });
+    FrameClientOptions options = FastOptions();
+    options.recv_timeout = std::chrono::seconds(10);
+    auto client = FrameClient::Connect(kLoopback, server.port(), options);
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    ASSERT_TRUE(client->SendBytes(stream.data(), stream.size()).ok());
+    auto reply = client->Finish();
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_TRUE(reply->status.ok());
+    EXPECT_EQ(reply->bytes_routed, stream.size());
+    EXPECT_EQ(client->unacked_bytes(), 0u);
+  }  // joins the server thread before `received` is read
+  EXPECT_TRUE(received == stream)
+      << received.size() << " bytes received of " << stream.size();
 }
 
 }  // namespace

@@ -3,10 +3,11 @@
 // The acceptance invariant: N concurrent clients streaming interleaved
 // mixed-kind collection frames into net::IngestServer yield query results
 // bitwise-identical to the same bytes fed directly to
-// Collector::IngestFrames. Plus the failure surface: preamble rejection,
-// unknown collection ids with byte-precise offsets, oversized frames,
-// kill-mid-stream partial-frame discard, connection shedding, graceful
-// stop with shutdown-checkpoint durability, and budget backpressure.
+// Collector::IngestFrames. Plus the failure surface: preamble and version
+// rejection, unknown collection ids with byte-precise offsets, oversized
+// frames, kill-mid-stream partial-frame discard, connection shedding,
+// idle reaping that a paused session survives, graceful stop with
+// shutdown-checkpoint durability, and budget backpressure.
 
 #include "net/ingest_server.h"
 
@@ -23,6 +24,7 @@
 
 #include "net/frame_client.h"
 #include "net/protocol.h"
+#include "net/session_common.h"
 #include "protocols/test_util.h"
 #include "protocols/wire.h"
 
@@ -77,7 +79,8 @@ struct NetFixture {
   };
   std::vector<Stream> streams;
   /// client_streams[c]: the byte stream client c sends (interleaved
-  /// collection frames, ready for SendBytes / IngestFrames).
+  /// collection frames, ready for SendBytes / a raw session /
+  /// IngestFrames).
   std::vector<std::vector<uint8_t>> client_streams;
 
   static NetFixture Build(int clients, int frames_per_client,
@@ -149,8 +152,8 @@ TEST(IngestServer, ConcurrentClientsMatchDirectIngestFramesBitwise) {
   std::atomic<int> failures{0};
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      auto client = FrameClient::Connect(kLoopback, server->port());
-      if (!client.ok()) {
+      auto session = test::OpenRawSession(server->port(), c + 1);
+      if (!session.ok()) {
         ++failures;
         return;
       }
@@ -159,12 +162,12 @@ TEST(IngestServer, ConcurrentClientsMatchDirectIngestFramesBitwise) {
       const size_t slice = 1000 + 97 * static_cast<size_t>(c);
       for (size_t begin = 0; begin < stream.size(); begin += slice) {
         const size_t n = std::min(slice, stream.size() - begin);
-        if (!client->SendBytes(stream.data() + begin, n).ok()) {
+        if (!session->WriteAll(stream.data() + begin, n).ok()) {
           ++failures;
           return;
         }
       }
-      auto reply = client->Finish();
+      auto reply = test::FinishRawSession(*session);
       if (!reply.ok() || !reply->status.ok()) {
         ++failures;
         return;
@@ -239,13 +242,13 @@ TEST(IngestServer, KillMidStreamKeepsWholeFramesAndShutdownCheckpointHasThem) {
     ASSERT_TRUE(handle.ok());
     auto server = MustStart(collector.get());
 
-    auto client = FrameClient::Connect(kLoopback, server->port());
-    ASSERT_TRUE(client.ok());
-    ASSERT_TRUE(
-        client->SendBytes(two_frames.data(), two_frames.size()).ok());
+    // A raw session: FrameClient only ever sends whole frames.
+    auto session = test::OpenRawSession(server->port(), 1);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    ASSERT_TRUE(session->WriteAll(two_frames.data(), two_frames.size()).ok());
     // ... then die 10 bytes into a third frame.
-    ASSERT_TRUE(client->SendBytes(two_frames.data(), 10).ok());
-    client->Abort();
+    ASSERT_TRUE(session->WriteAll(two_frames.data(), 10).ok());
+    session->Close();
 
     // The server notices the dead peer and finishes the connection. Wait
     // for accepted-then-finished, not just "no active connection" — the
@@ -295,20 +298,30 @@ TEST(IngestServer, RejectsBadPreambleAndWrongVersion) {
     ASSERT_TRUE(socket->ReadExact(&code, 1).ok());
     EXPECT_EQ(code, net::kReplyError);
   }
-  {
-    // Right magic, unsupported version.
+  // Right magic, unsupported version. Version 1, the retired one-shot
+  // stream without sessions, is rejected like any other.
+  for (const uint8_t version : {uint8_t{0x01}, uint8_t{0x7F}}) {
     auto socket = net::Socket::Connect(kLoopback, server->port());
     ASSERT_TRUE(socket.ok());
     uint8_t preamble[8];
-    std::copy(std::begin(net::kPreamble), std::end(net::kPreamble),
+    std::copy(std::begin(net::kPreambleMagic), std::end(net::kPreambleMagic),
               std::begin(preamble));
-    preamble[7] = 0x7F;
+    preamble[7] = version;
     ASSERT_TRUE(socket->WriteAll(preamble, sizeof(preamble)).ok());
     ASSERT_TRUE(socket->ShutdownWrite().ok());
-    uint8_t code = 0xFF;
-    ASSERT_TRUE(socket->ReadExact(&code, 1).ok());
-    EXPECT_EQ(code, net::kReplyError);
+    auto reply = test::ReadFinalReply(*socket);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_FALSE(reply->status.ok());
+    EXPECT_EQ(reply->stream_offset, 0u);
+    EXPECT_NE(reply->status.message().find("unsupported protocol version " +
+                                           std::to_string(version)),
+              std::string::npos)
+        << reply->status.ToString();
   }
+  // All three rejections are InvalidArgument on the server side.
+  EXPECT_EQ(collector->metrics()->CounterValue(
+                "ldpm_net_error_replies_total{code=\"InvalidArgument\"}"),
+            3u);
   EXPECT_TRUE(server->Stop().ok());
 }
 
@@ -333,12 +346,17 @@ TEST(IngestServer, UnknownCollectionIdGetsBytePreciseErrorAndPrefixStays) {
   const uint64_t rogue_offset =
       6 + std::string("known").size() + batch->size();
   // The rogue frame and one more valid frame after it: nothing past the
-  // rogue frame may be ingested.
-  ASSERT_TRUE(client->SendBytes(rogue_frame.data(), rogue_frame.size()).ok());
-  (void)client->SendFrame("known", *batch);  // may race the server's close
+  // rogue frame may be ingested. The client polls for records after each
+  // write, so the verdict may surface at either send or only at Finish.
+  const Status rogue_sent =
+      client->SendBytes(rogue_frame.data(), rogue_frame.size());
+  const Status last_sent = client->SendFrame("known", *batch);
   auto reply = client->Finish();
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_FALSE(reply->status.ok());
+  for (const Status& sent : {rogue_sent, last_sent}) {
+    if (!sent.ok()) EXPECT_EQ(sent.ToString(), reply->status.ToString());
+  }
   EXPECT_EQ(reply->stream_offset, rogue_offset);
   EXPECT_NE(reply->status.message().find("unknown collection id \"rogue\""),
             std::string::npos)
@@ -359,8 +377,8 @@ TEST(IngestServer, OversizedFrameIsRejectedBeforeBuffering) {
   options.max_frame_bytes = 1024;
   auto server = MustStart(collector.get(), options);
 
-  auto client = FrameClient::Connect(kLoopback, server->port());
-  ASSERT_TRUE(client.ok());
+  auto session = test::OpenRawSession(server->port(), 1);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
   // A frame header claiming a 1 MiB payload; the server must reject from
   // the header alone, before any payload arrives.
   std::vector<uint8_t> header;
@@ -371,8 +389,8 @@ TEST(IngestServer, OversizedFrameIsRejectedBeforeBuffering) {
   for (int b = 0; b < 4; ++b) {
     header.push_back(static_cast<uint8_t>(huge >> (8 * b)));
   }
-  ASSERT_TRUE(client->SendBytes(header.data(), header.size()).ok());
-  auto reply = client->Finish();
+  ASSERT_TRUE(session->WriteAll(header.data(), header.size()).ok());
+  auto reply = test::FinishRawSession(*session);
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_FALSE(reply->status.ok());
   EXPECT_NE(reply->status.message().find("max_frame_bytes"),
@@ -411,10 +429,12 @@ TEST(IngestServer, OversizedFrameArrivingWholeIsRejectedTheSameWay) {
 
   auto client = FrameClient::Connect(kLoopback, server->port());
   ASSERT_TRUE(client.ok());
-  ASSERT_TRUE(client->SendBytes(stream.data(), stream.size()).ok());
+  // The verdict may surface at SendBytes or only at Finish.
+  const Status sent = client->SendBytes(stream.data(), stream.size());
   auto reply = client->Finish();
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_FALSE(reply->status.ok());
+  if (!sent.ok()) EXPECT_EQ(sent.ToString(), reply->status.ToString());
   EXPECT_EQ(reply->stream_offset, big_at);
   EXPECT_NE(reply->status.message().find("max_frame_bytes"),
             std::string::npos)
@@ -614,8 +634,8 @@ TEST(IngestServer, IdleConnectionIsReapedByReadDeadline) {
   auto silent = net::Socket::Connect(kLoopback, server->port());
   ASSERT_TRUE(silent.ok());
   uint8_t buf[256];
-  // The server ends the connection within the deadline (error record or
-  // plain close — either unblocks this read with data or EOF).
+  // The server ends the connection within the deadline with a reset (no
+  // reply record), which unblocks this read with an error.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (server->stats().connections_reaped == 0) {
@@ -642,7 +662,99 @@ TEST(IngestServer, IdleConnectionIsReapedByReadDeadline) {
   ASSERT_TRUE(server->Stop().ok());
 }
 
-// The resumable (v2) session protocol end to end against the real server:
+TEST(IngestServer, TightReplayWindowRoutesEveryFrameOnceOnOneConnection) {
+  // A one-byte replay window makes the client wait for each frame's ack
+  // before it sends the next, so acks trim the replay buffer between every
+  // two sends — through SendBytes and through SendFrame. Every frame must
+  // still go out exactly once, on the first connection.
+  const NetFixture fixture = NetFixture::Build(1, 4, 40);
+  auto networked = MustCreate();
+  fixture.RegisterAll(networked.get());
+  auto server = MustStart(networked.get());
+
+  FrameClientOptions options;
+  options.max_unacked_bytes = 1;
+  options.recv_timeout = std::chrono::seconds(5);
+  auto client = FrameClient::Connect(kLoopback, server->port(), options);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  const std::vector<uint8_t>& stream = fixture.client_streams[0];
+  ASSERT_TRUE(client->SendBytes(stream.data(), stream.size()).ok());
+  size_t bytes = stream.size();
+  for (const auto& s : fixture.streams) {
+    ASSERT_TRUE(client->SendFrame(s.id, s.frames[0][0]).ok());
+    bytes += 6 + s.id.size() + s.frames[0][0].size();
+  }
+  auto reply = client->Finish();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_TRUE(reply->status.ok()) << reply->status.ToString();
+  EXPECT_EQ(reply->frames_routed, 5u * fixture.streams.size());
+  EXPECT_EQ(reply->bytes_routed, bytes);
+  EXPECT_EQ(client->reconnects(), 0u);
+  EXPECT_EQ(client->frames_replayed(), 0u);
+  EXPECT_EQ(client->unacked_bytes(), 0u);
+  ASSERT_TRUE(server->Stop().ok());
+}
+
+TEST(IngestServer, StartRequiresAPositiveIdleTimeout) {
+  // Every reader thread a client can start is bounded by the read
+  // deadline, so it is on by default and cannot be turned off.
+  EXPECT_EQ(IngestServerOptions().idle_timeout, std::chrono::seconds(10));
+  auto collector = MustCreate();
+  for (const auto timeout :
+       {std::chrono::milliseconds(0), std::chrono::milliseconds(-1)}) {
+    IngestServerOptions options;
+    options.idle_timeout = timeout;
+    auto server = IngestServer::Start(collector.get(), options);
+    ASSERT_FALSE(server.ok());
+    EXPECT_EQ(server.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(server.status().message().find("idle_timeout"),
+              std::string::npos)
+        << server.status().ToString();
+  }
+}
+
+TEST(IngestServer, PausedSessionResumesAfterIdleReap) {
+  // A session that pauses longer than idle_timeout between two frames is
+  // reaped with a reset, not a verdict: its next send reconnects, the
+  // hello resumes it at the routed offset, and each frame is routed once.
+  const ProtocolConfig config = MakeConfig(6, 2);
+  auto collector = MustCreate();
+  auto handle = collector->Register("clicks", ProtocolKind::kInpHT, config);
+  ASSERT_TRUE(handle.ok());
+  IngestServerOptions options;
+  options.idle_timeout = std::chrono::milliseconds(100);
+  auto server = MustStart(collector.get(), options);
+
+  auto encoder = CreateProtocol(ProtocolKind::kInpHT, config);
+  ASSERT_TRUE(encoder.ok());
+  auto batch = SerializeReportBatch(ProtocolKind::kInpHT, config,
+                                    EncodeReportStream(**encoder, 64, 5));
+  ASSERT_TRUE(batch.ok());
+  std::vector<uint8_t> frame;
+  ASSERT_TRUE(AppendCollectionFrame("clicks", *batch, frame).ok());
+
+  auto client = FrameClient::Connect(kLoopback, server->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_TRUE(client->SendFrame("clicks", *batch).ok());
+  std::this_thread::sleep_for(3 * options.idle_timeout);
+  const Status second = client->SendFrame("clicks", *batch);
+  ASSERT_TRUE(second.ok()) << second.ToString();
+  auto reply = client->Finish();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_TRUE(reply->status.ok()) << reply->status.ToString();
+  EXPECT_EQ(reply->frames_routed, 2u);
+  EXPECT_EQ(reply->bytes_routed, 2 * frame.size());
+  EXPECT_GE(client->reconnects(), 1u);
+  EXPECT_GE(server->stats().connections_reaped, 1u);
+  EXPECT_GE(server->stats().sessions_resumed, 1u);
+  ASSERT_TRUE(server->Stop().ok());
+  EXPECT_EQ(server->stats().frames_routed, 2u);
+  auto absorbed = handle->ReportsAbsorbed();
+  ASSERT_TRUE(absorbed.ok());
+  EXPECT_EQ(*absorbed, 128u);
+}
+
+// The session protocol end to end against the real server:
 // acked frames, session counters in the final reply, and results bitwise
 // equal to direct ingest. (Resume across connection drops is exercised in
 // tests/integration/chaos_test.cc.)
@@ -652,9 +764,7 @@ TEST(IngestServer, ResumableSessionStreamsAndAcksEndToEnd) {
   fixture.RegisterAll(networked.get());
   auto server = MustStart(networked.get());
 
-  FrameClientOptions options;
-  options.resume = true;
-  auto client = FrameClient::Connect(kLoopback, server->port(), options);
+  auto client = FrameClient::Connect(kLoopback, server->port());
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   EXPECT_NE(client->session_token(), 0u);
   const std::vector<uint8_t>& stream = fixture.client_streams[0];

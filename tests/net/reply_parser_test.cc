@@ -1,7 +1,8 @@
 // StreamReplyParser tests: segmentation independence (byte-by-byte vs
-// one-shot feeds), record decoding, unknown-code poisoning, and the
-// reconnect Reset semantics. The fuzz_reply_stream harness drives the
-// same differential property over arbitrary bytes.
+// whole-buffer feeds), record decoding (the hello included), poisoning by
+// an unknown code or a misplaced hello, and the reconnect Reset semantics.
+// The fuzz_reply_stream harness drives the same differential property
+// over arbitrary bytes.
 
 #include "net/reply_parser.h"
 
@@ -19,6 +20,12 @@ namespace {
 
 void PutU64(std::vector<uint8_t>& out, uint64_t v) {
   for (int b = 0; b < 8; ++b) out.push_back(static_cast<uint8_t>(v >> (8 * b)));
+}
+
+std::vector<uint8_t> HelloRecord(uint64_t resume_offset) {
+  std::vector<uint8_t> out = {kReplyHello};
+  PutU64(out, resume_offset);
+  return out;
 }
 
 std::vector<uint8_t> AckRecord(uint64_t offset) {
@@ -151,6 +158,75 @@ TEST(StreamReplyParser, MaximalErrorMessageRoundTrips) {
   ASSERT_TRUE(parser.final_reply().has_value());
   EXPECT_NE(parser.final_reply()->status.message().find(message),
             std::string::npos);
+}
+
+TEST(StreamReplyParser, HelloIsDecodedAsTheFirstRecord) {
+  std::vector<uint8_t> stream = HelloRecord(40);
+  const std::vector<uint8_t> ack = AckRecord(70);
+  stream.insert(stream.end(), ack.begin(), ack.end());
+
+  StreamReplyParser whole;
+  ASSERT_TRUE(whole.Feed(stream.data(), stream.size()).ok());
+  ASSERT_TRUE(whole.hello().has_value());
+  EXPECT_EQ(*whole.hello(), 40u);
+  EXPECT_EQ(whole.acked_offset(), 70u);
+  EXPECT_FALSE(whole.final_reply().has_value());
+
+  StreamReplyParser split;
+  for (const uint8_t byte : stream) {
+    ASSERT_TRUE(split.Feed(&byte, 1).ok());
+  }
+  EXPECT_EQ(split.hello(), whole.hello());
+  EXPECT_EQ(split.acked_offset(), whole.acked_offset());
+}
+
+TEST(StreamReplyParser, SecondHelloPoisonsAtItsOffset) {
+  std::vector<uint8_t> stream = HelloRecord(0);
+  const std::vector<uint8_t> ack = AckRecord(12);
+  stream.insert(stream.end(), ack.begin(), ack.end());
+  const std::vector<uint8_t> again = HelloRecord(12);
+  stream.insert(stream.end(), again.begin(), again.end());
+
+  StreamReplyParser parser;
+  const Status status = parser.Feed(stream.data(), stream.size());
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  // The misplaced hello sits after a 9-byte hello and a 9-byte ack.
+  EXPECT_NE(status.message().find(
+                "hello record at byte 18 is not the first record"),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(*parser.hello(), 0u);  // the first hello still stands
+  EXPECT_EQ(parser.acked_offset(), 12u);
+  const std::vector<uint8_t> fin = OkRecord(1, 12);
+  EXPECT_FALSE(parser.Feed(fin.data(), fin.size()).ok());
+  EXPECT_FALSE(parser.final_reply().has_value());
+
+  // Fed byte by byte, the second hello opens a Feed of its own; it is
+  // still not the stream's first record.
+  StreamReplyParser split;
+  Status split_status = Status::OK();
+  for (const uint8_t byte : stream) {
+    split_status = split.Feed(&byte, 1);
+    if (!split_status.ok()) break;
+  }
+  EXPECT_EQ(split_status.ToString(), status.ToString());
+}
+
+TEST(StreamReplyParser, ResetForgetsTheHello) {
+  StreamReplyParser parser;
+  const std::vector<uint8_t> first = HelloRecord(0);
+  ASSERT_TRUE(parser.Feed(first.data(), first.size()).ok());
+  const std::vector<uint8_t> ack = AckRecord(30);
+  ASSERT_TRUE(parser.Feed(ack.data(), ack.size()).ok());
+
+  parser.Reset();  // reconnect: the new connection sends its own hello
+  EXPECT_FALSE(parser.hello().has_value());
+  EXPECT_EQ(parser.acked_offset(), 30u);
+  const std::vector<uint8_t> second = HelloRecord(30);
+  ASSERT_TRUE(parser.Feed(second.data(), second.size()).ok());
+  ASSERT_TRUE(parser.hello().has_value());
+  EXPECT_EQ(*parser.hello(), 30u);
 }
 
 }  // namespace

@@ -1,0 +1,88 @@
+// Socket send-loop tests over a Unix socketpair with tiny kernel buffers,
+// so every gathered write is cut short many times: the buffers must still
+// arrive whole and in order (empty ones and runs longer than IOV_MAX
+// included), and a peer that stops reading must surface as
+// DeadlineExceeded, never a hang.
+
+#include "net/socket.h"
+
+#include <sys/socket.h>
+#include <sys/uio.h>
+
+#include <chrono>
+#include <cstdint>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+namespace ldpm {
+namespace {
+
+using net::Socket;
+
+/// A connected pair whose writer side holds at most a few KiB in flight.
+void TinyBufferedPair(Socket* writer, Socket* reader) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const int n = 4096;  // kernel buffer bytes on each side
+  ASSERT_EQ(::setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &n, sizeof(n)), 0);
+  ASSERT_EQ(::setsockopt(fds[1], SOL_SOCKET, SO_RCVBUF, &n, sizeof(n)), 0);
+  *writer = Socket(fds[0]);
+  *reader = Socket(fds[1]);
+}
+
+TEST(Socket, GatheredWriteAllDeliversEveryBufferThroughShortWrites) {
+  Socket writer;
+  Socket reader;
+  TinyBufferedPair(&writer, &reader);
+
+  // 1500 buffers (more than IOV_MAX), every 13th one empty, ~1.5 MB.
+  std::vector<std::vector<uint8_t>> buffers(1500);
+  std::vector<uint8_t> expected;
+  for (size_t i = 0; i < buffers.size(); ++i) {
+    const size_t size = i % 13 == 0 ? 0 : (i * 7919) % 2003;
+    for (size_t j = 0; j < size; ++j) {
+      buffers[i].push_back(static_cast<uint8_t>(i * 31 + j));
+    }
+    expected.insert(expected.end(), buffers[i].begin(), buffers[i].end());
+  }
+  std::vector<iovec> run;
+  for (auto& buffer : buffers) run.push_back({buffer.data(), buffer.size()});
+
+  std::vector<uint8_t> received;
+  std::thread drain([&] {
+    uint8_t chunk[1000];
+    for (;;) {
+      auto n = reader.ReadSome(chunk, sizeof(chunk));
+      if (!n.ok() || *n == 0) return;
+      received.insert(received.end(), chunk, chunk + *n);
+    }
+  });
+  const Status written =
+      writer.WriteAll(run.data(), run.size(), std::chrono::seconds(20));
+  EXPECT_TRUE(writer.ShutdownWrite().ok());
+  drain.join();
+  ASSERT_TRUE(written.ok()) << written.ToString();
+  EXPECT_TRUE(received == expected)
+      << received.size() << " bytes received of " << expected.size();
+}
+
+TEST(Socket, GatheredWriteAllToAStalledPeerHitsItsDeadline) {
+  Socket writer;
+  Socket reader;  // never read
+  TinyBufferedPair(&writer, &reader);
+  std::vector<uint8_t> big(1 << 20, 0x5A);
+  iovec one{big.data(), big.size()};
+  const auto start = std::chrono::steady_clock::now();
+  const Status status =
+      writer.WriteAll(&one, 1, std::chrono::milliseconds(200));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  ASSERT_EQ(status.code(), StatusCode::kDeadlineExceeded) << status.ToString();
+  EXPECT_NE(status.message().find("send: timed out"), std::string::npos)
+      << status.ToString();
+}
+
+}  // namespace
+}  // namespace ldpm
