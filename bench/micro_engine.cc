@@ -35,6 +35,12 @@
 // (keys like "InpRR.wire_rps", "InpRR.engine1_wire_rps") — the bench's
 // regression record (BENCH_ingest.json).
 //
+// The EM section decodes every selector of order <= k from the InpEM
+// state the wire path absorbed, and reports EM iterations per second
+// ("InpEM.em_iter_rps"): the snapshot-export stage's decode kernel, as a
+// rate that smoke and quick runs share although their iteration counts
+// differ.
+//
 // The encode path (rows shipped raw, shard workers run the client encoder)
 // is unchanged from PR 1 and measured in the last section.
 
@@ -49,8 +55,10 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "core/marginal.h"
 #include "engine/collector.h"
 #include "protocols/factory.h"
+#include "protocols/inp_em.h"
 #include "protocols/wire.h"
 
 namespace {
@@ -128,6 +136,9 @@ int main(int argc, char** argv) {
   config.d = d;
   config.k = 2;
   config.epsilon = 1.0;
+
+  // The InpEM state the wire path absorbed, decoded in the EM section.
+  std::unique_ptr<ldpm::MarginalProtocol> em_state;
 
   std::printf("== absorb paths: per-report/parse vs batch/wire (single "
               "aggregator) and engine wire ingest ==\n");
@@ -220,6 +231,7 @@ int main(int argc, char** argv) {
     LDPM_CHECK(SameState(**perreport, **parse));
     LDPM_CHECK(SameState(**perreport, **batched));
     LDPM_CHECK(SameState(**perreport, **wire));
+    if (kind == ProtocolKind::kInpEM) em_state = *std::move(wire);
 
     // Engine wire ingest at 1/2/4 shards (1 shard = SPSC queue fast path),
     // hosted as one collection of a Collector.
@@ -249,6 +261,40 @@ int main(int argc, char** argv) {
     json.Add(name + ".wire_speedup_vs_absorb", perreport_seconds / wire_seconds);
     json.Add(name + ".batch_speedup", perreport_seconds / batch_seconds);
     ldpm::bench::Row(cells);
+  }
+
+  // EM decode: every selector of order <= k, as a snapshot export runs it.
+  // The sweep is repeated and the median sweep reported.
+  std::printf("\n== InpEM decode: every selector of order <= %d, %zu "
+              "reports ==\n",
+              config.k, sparse_reports);
+  {
+    const auto& em = dynamic_cast<const ldpm::InpEmProtocol&>(*em_state);
+    const std::vector<uint64_t> selectors =
+        ldpm::FullKWaySelectors(d, config.k);
+    constexpr int kSweeps = 5;
+    uint64_t iterations = 0;
+    std::vector<double> sweep_seconds;
+    for (int sweep = 0; sweep < kSweeps; ++sweep) {
+      iterations = 0;
+      const auto start = std::chrono::steady_clock::now();
+      for (uint64_t beta : selectors) {
+        auto decoded = em.Decode(beta);
+        LDPM_CHECK(decoded.ok());
+        iterations += static_cast<uint64_t>(decoded->iterations);
+      }
+      sweep_seconds.push_back(Seconds(start));
+    }
+    std::sort(sweep_seconds.begin(), sweep_seconds.end());
+    const double seconds = sweep_seconds[kSweeps / 2];
+    char ms[32];
+    std::snprintf(ms, sizeof(ms), "%.2f", seconds * 1e3);
+    ldpm::bench::Row({"selectors", "EM iterations", "sweep ms", "iter/s"}, 16);
+    ldpm::bench::Row({std::to_string(selectors.size()),
+                      std::to_string(iterations), ms,
+                      Rate(static_cast<double>(iterations), seconds)},
+                     16);
+    json.Add("InpEM.em_iter_rps", static_cast<double>(iterations) / seconds);
   }
 
   // Checkpoint/restore throughput: CheckpointTo is flush + per-shard

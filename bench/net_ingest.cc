@@ -24,6 +24,11 @@
 // --json the keys merge into BENCH_ingest.json, where the release CI
 // job's regression gate watches every *_frame_rps key.
 //
+// A --smoke window streams for only a few milliseconds, so one window is
+// mostly scheduling noise; --smoke times every client count over several
+// windows, each into a fresh server and collector, and reports the median
+// window. The longer quick and --full windows run once.
+//
 // The mux stream interleaves three mixed-kind collections (InpRR bitmap,
 // MargPS, categorical InpES) like the engine mux bench, so routing,
 // mixed-record parsing, and InpES's packed values all sit on the hot path.
@@ -31,6 +36,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -142,6 +148,47 @@ ldpm::engine::CollectorOptions MakeCollectorOptions(int shards) {
   return options;
 }
 
+/// One timed window: `clients` concurrent sessions stream their muxes
+/// into `collector` through a fresh IngestServer. Returns the seconds from
+/// the first connect through the Flush barrier, after checking that all
+/// `reports` reached their collections.
+double StreamWindow(const Fixture& fixture, int clients, size_t reports,
+                    ldpm::engine::Collector* collector) {
+  fixture.RegisterAll(collector);
+  auto server = ldpm::net::IngestServer::Start(collector);
+  LDPM_CHECK(server.ok());
+  const uint16_t port = (*server)->port();
+  auto start = std::chrono::steady_clock::now();
+  std::vector<std::thread> threads;
+  threads.reserve(clients);
+  for (int c = 0; c < clients; ++c) {
+    threads.emplace_back([&, c] {
+      auto client = ldpm::net::FrameClient::Connect("127.0.0.1", port);
+      LDPM_CHECK(client.ok());
+      const auto& mux = fixture.client_streams[c];
+      LDPM_CHECK(client->SendBytes(mux.bytes.data(), mux.bytes.size()).ok());
+      auto reply = client->Finish();
+      LDPM_CHECK(reply.ok());
+      LDPM_CHECK(reply->status.ok());
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  LDPM_CHECK(collector->Flush().ok());
+  const double seconds = Seconds(start);
+  LDPM_CHECK((*server)->Stop().ok());
+  // Cross-check: every report reached its collection.
+  uint64_t absorbed = 0;
+  for (const auto& stream : fixture.streams) {
+    auto handle = collector->Handle(stream.id);
+    LDPM_CHECK(handle.ok());
+    auto count = handle->ReportsAbsorbed();
+    LDPM_CHECK(count.ok());
+    absorbed += *count;
+  }
+  LDPM_CHECK(absorbed == reports);
+  return seconds;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -190,48 +237,26 @@ int main(int argc, char** argv) {
   }
 
   // Networked: N concurrent clients over loopback TCP.
+  const int windows = args.smoke ? 9 : 1;
   for (int clients : client_counts) {
-    auto collector = ldpm::engine::Collector::Create(MakeCollectorOptions(shards));
-    LDPM_CHECK(collector.ok());
-    fixture.RegisterAll(collector->get());
-    auto server = ldpm::net::IngestServer::Start(collector->get());
-    LDPM_CHECK(server.ok());
-    const uint16_t port = (*server)->port();
-
     size_t reports = 0;
     size_t bytes = 0;
     for (int c = 0; c < clients; ++c) {
       reports += fixture.client_streams[c].reports;
       bytes += fixture.client_streams[c].bytes.size();
     }
-    auto start = std::chrono::steady_clock::now();
-    std::vector<std::thread> threads;
-    threads.reserve(clients);
-    for (int c = 0; c < clients; ++c) {
-      threads.emplace_back([&, c] {
-        auto client = ldpm::net::FrameClient::Connect("127.0.0.1", port);
-        LDPM_CHECK(client.ok());
-        const auto& mux = fixture.client_streams[c];
-        LDPM_CHECK(client->SendBytes(mux.bytes.data(), mux.bytes.size()).ok());
-        auto reply = client->Finish();
-        LDPM_CHECK(reply.ok());
-        LDPM_CHECK(reply->status.ok());
-      });
+    std::vector<double> window_seconds;
+    std::unique_ptr<ldpm::engine::Collector> collector;
+    for (int w = 0; w < windows; ++w) {
+      auto fresh =
+          ldpm::engine::Collector::Create(MakeCollectorOptions(shards));
+      LDPM_CHECK(fresh.ok());
+      collector = *std::move(fresh);
+      window_seconds.push_back(
+          StreamWindow(fixture, clients, reports, collector.get()));
     }
-    for (auto& thread : threads) thread.join();
-    LDPM_CHECK((*collector)->Flush().ok());
-    const double seconds = Seconds(start);
-    LDPM_CHECK((*server)->Stop().ok());
-    // Cross-check: every report reached its collection.
-    uint64_t absorbed = 0;
-    for (const auto& stream : fixture.streams) {
-      auto handle = (*collector)->Handle(stream.id);
-      LDPM_CHECK(handle.ok());
-      auto count = handle->ReportsAbsorbed();
-      LDPM_CHECK(count.ok());
-      absorbed += *count;
-    }
-    LDPM_CHECK(absorbed == reports);
+    std::sort(window_seconds.begin(), window_seconds.end());
+    const double seconds = window_seconds[windows / 2];
 
     const std::string label = "net c" + std::to_string(clients);
     char mbps[32];
@@ -247,8 +272,9 @@ int main(int argc, char** argv) {
 
     if (clients == max_clients) {
       // Routing-latency quantiles from the server's own histogram (the
-      // collector owns the registry the server published into).
-      auto latency = (*collector)->metrics()->HistogramValues(
+      // last window's collector owns the registry the server published
+      // into).
+      auto latency = collector->metrics()->HistogramValues(
           "ldpm_net_frame_route_latency_ns");
       LDPM_CHECK(latency.ok());
       const double p50_us = latency->Quantile(0.5) / 1e3;

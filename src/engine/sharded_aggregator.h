@@ -190,6 +190,12 @@ class ShardedAggregator {
   /// engine's lifetime; scrape it with MetricsRegistry::TextExposition().
   obs::MetricsRegistry* metrics() const { return metrics_; }
 
+  /// The engine's work-items-enqueued counter, published in metrics() as
+  /// ldpm_engine_batches_enqueued_total under the engine's label. Every
+  /// ingest call that enqueues work advances it; restores and resets do
+  /// not. Valid for the engine's lifetime.
+  const obs::Counter& batches_enqueued() const { return *batches_total_; }
+
  private:
   struct Shard {
     /// Serializes the worker's state mutation against control-plane reads

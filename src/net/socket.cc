@@ -207,19 +207,22 @@ Status Socket::ReadExact(uint8_t* data, size_t size,
                          std::chrono::milliseconds timeout) {
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   size_t have = 0;
+  const auto timed_out = [&] {
+    return Status::DeadlineExceeded(
+        "recv: timed out after " + std::to_string(timeout.count()) +
+        "ms with " + std::to_string(have) + " of " + std::to_string(size) +
+        " bytes read");
+  };
   while (have < size) {
     std::chrono::milliseconds remaining{0};
     if (timeout.count() > 0) {
       remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
           deadline - std::chrono::steady_clock::now());
-      if (remaining.count() <= 0) {
-        return Status::DeadlineExceeded(
-            "recv: timed out after " + std::to_string(timeout.count()) +
-            "ms with " + std::to_string(have) + " of " +
-            std::to_string(size) + " bytes read");
-      }
+      if (remaining.count() <= 0) return timed_out();
     }
     auto n = ReadSome(data + have, size - have, remaining);
+    // A wait that runs out of the remaining time is the deadline expiring.
+    if (n.status().code() == StatusCode::kDeadlineExceeded) return timed_out();
     if (!n.ok()) return n.status();
     if (*n == 0) {
       return Status::FailedPrecondition(
@@ -247,7 +250,14 @@ Status Socket::WriteAll(iovec* buffers, size_t count,
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   size_t size = 0;
   for (size_t i = 0; i < count; ++i) size += buffers[i].iov_len;
-  for (size_t sent = 0; sent < size;) {
+  size_t sent = 0;
+  const auto timed_out = [&] {
+    return Status::DeadlineExceeded(
+        "send: timed out after " + std::to_string(timeout.count()) +
+        "ms with " + std::to_string(size - sent) + " of " +
+        std::to_string(size) + " bytes unsent");
+  };
+  while (sent < size) {
     msghdr message{};
     message.msg_iov = buffers;
     message.msg_iovlen = std::min<size_t>(count, IOV_MAX);
@@ -275,14 +285,12 @@ Status Socket::WriteAll(iovec* buffers, size_t count,
     if (timeout.count() > 0) {
       remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
           deadline - std::chrono::steady_clock::now());
-      if (remaining.count() <= 0) {
-        return Status::DeadlineExceeded(
-            "send: timed out after " + std::to_string(timeout.count()) +
-            "ms with " + std::to_string(size - sent) + " of " +
-            std::to_string(size) + " bytes unsent");
-      }
+      if (remaining.count() <= 0) return timed_out();
     }
-    LDPM_RETURN_IF_ERROR(WaitReady(fd_, POLLOUT, remaining, "send"));
+    const Status ready = WaitReady(fd_, POLLOUT, remaining, "send");
+    // A wait that runs out of the remaining time is the deadline expiring.
+    if (ready.code() == StatusCode::kDeadlineExceeded) return timed_out();
+    LDPM_RETURN_IF_ERROR(ready);
   }
   return Status::OK();
 }

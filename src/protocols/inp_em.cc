@@ -1,6 +1,7 @@
 #include "protocols/inp_em.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <string>
 
@@ -9,6 +10,67 @@
 #include "protocols/wire.h"
 
 namespace ldpm {
+
+namespace {
+
+// Iterates EM from the guess `mu` until it converges or reaches the
+// iteration cap, recording the diagnostics in `result`. Q(y|z) is
+// q_by_flips[y ^ z]. `Cells` is std::vector<double>, or std::array<double,
+// 2^|beta|> for |beta| <= 3, where the fixed count lets the compiler unroll
+// the loops and keep the guess in registers. Either way the sums and
+// products run in the same order.
+template <typename Cells>
+void RunEm(const Cells& observed, const Cells& q_by_flips,
+           const ProtocolConfig& config, Cells& mu, EmDecodeResult& result) {
+  const size_t cells = mu.size();
+  Cells next = mu;
+  for (int iter = 1; iter <= config.em_max_iterations; ++iter) {
+    std::fill(next.begin(), next.end(), 0.0);
+    // E + M fused: next(z) = sum_y obs(y) * mu(z) Q(y|z) / sum_z' mu(z')Q(y|z')
+    for (size_t y = 0; y < cells; ++y) {
+      if (observed[y] == 0.0) continue;
+      double denom = 0.0;
+      for (size_t z = 0; z < cells; ++z) {
+        denom += mu[z] * q_by_flips[y ^ z];
+      }
+      if (denom <= 0.0) continue;
+      const double w = observed[y] / denom;
+      for (size_t z = 0; z < cells; ++z) {
+        next[z] += w * mu[z] * q_by_flips[y ^ z];
+      }
+    }
+
+    // "Change in the current guess" is measured as the max per-cell move
+    // (L-infinity); see the header note on the failure criterion.
+    double change = 0.0;
+    for (size_t z = 0; z < cells; ++z) {
+      change = std::max(change, std::fabs(next[z] - mu[z]));
+    }
+    std::swap(mu, next);
+    result.iterations = iter;
+    result.final_change = change;
+    if (change < config.em_convergence_threshold) {
+      result.failed_to_leave_prior = (iter == 1);
+      break;
+    }
+  }
+}
+
+// RunEm on fixed-size copies of the three inputs.
+template <size_t kCells>
+void RunFixedEm(const std::vector<double>& observed,
+                const std::vector<double>& q_by_flips,
+                const ProtocolConfig& config, std::vector<double>& mu,
+                EmDecodeResult& result) {
+  std::array<double, kCells> fixed_observed, fixed_q, fixed_mu;
+  std::copy(observed.begin(), observed.end(), fixed_observed.begin());
+  std::copy(q_by_flips.begin(), q_by_flips.end(), fixed_q.begin());
+  std::copy(mu.begin(), mu.end(), fixed_mu.begin());
+  RunEm(fixed_observed, fixed_q, config, fixed_mu, result);
+  std::copy(fixed_mu.begin(), fixed_mu.end(), mu.begin());
+}
+
+}  // namespace
 
 InpEmProtocol::InpEmProtocol(const ProtocolConfig& config,
                              RandomizedResponse per_bit_rr)
@@ -112,59 +174,61 @@ StatusOr<EmDecodeResult> InpEmProtocol::Decode(uint64_t beta) const {
   const uint64_t cells = uint64_t{1} << k;
 
   // Observed counts over the 2^k response combinations for beta's bits.
-  // The counts are integers below 2^53, so the double sums are exact and
-  // both paths give the same counts.
-  std::vector<double> observed(cells, 0.0);
-  for (uint64_t y = 0; y < histogram_.size(); ++y) {
-    observed[ExtractBits(y, beta)] += static_cast<double>(histogram_[y]);
+  // They are summed as integers below 2^53: exact in any order, so both
+  // paths give the same counts. The histogram is walked in rows of 2^(d/2)
+  // cells, and a cell's projection is its row's OR its column's, so
+  // ExtractBits runs once per row and per column instead of once per cell.
+  std::vector<uint64_t> counts(cells, 0);
+  if (UsesHistogram()) {
+    const uint64_t row_size = uint64_t{1} << (config_.d / 2);
+    std::vector<uint64_t> column_cell(row_size);
+    for (uint64_t column = 0; column < row_size; ++column) {
+      column_cell[column] = ExtractBits(column, beta);
+    }
+    for (uint64_t row = 0; row < histogram_.size(); row += row_size) {
+      const uint64_t row_cell = ExtractBits(row, beta);
+      for (uint64_t column = 0; column < row_size; ++column) {
+        counts[row_cell | column_cell[column]] += histogram_[row + column];
+      }
+    }
   }
-  for (uint64_t r : reports_) observed[ExtractBits(r, beta)] += 1.0;
+  for (uint64_t r : reports_) ++counts[ExtractBits(r, beta)];
   const double n = static_cast<double>(reports_absorbed());
-  for (double& o : observed) o /= n;
+  std::vector<double> observed(cells);
+  for (uint64_t y = 0; y < cells; ++y) {
+    observed[y] = static_cast<double>(counts[y]) / n;
+  }
 
   // Channel likelihoods Q(y|z) depend only on the Hamming distance between
-  // observed y and latent z across the k projected bits.
+  // observed y and latent z across the k projected bits, so one table
+  // indexed by the flip pattern y ^ z holds the whole channel: 2^k entries,
+  // where the full matrix would take 4^k.
   const double p = per_bit_rr_.keep_probability();
   std::vector<double> q_by_distance(k + 1);
   for (int h = 0; h <= k; ++h) {
     q_by_distance[h] = std::pow(1.0 - p, h) * std::pow(p, k - h);
   }
+  std::vector<double> q_by_flips(cells);
+  for (uint64_t x = 0; x < cells; ++x) {
+    q_by_flips[x] = q_by_distance[Popcount(x)];
+  }
 
   EmDecodeResult result{MarginalTable::Uniform(config_.d, beta)};
   std::vector<double> mu(result.estimate.values());
-  std::vector<double> next(cells, 0.0);
-
-  for (int iter = 1; iter <= config_.em_max_iterations; ++iter) {
-    std::fill(next.begin(), next.end(), 0.0);
-    // E + M fused: next(z) = sum_y obs(y) * mu(z) Q(y|z) / sum_z' mu(z')Q(y|z')
-    for (uint64_t y = 0; y < cells; ++y) {
-      if (observed[y] == 0.0) continue;
-      double denom = 0.0;
-      for (uint64_t z = 0; z < cells; ++z) {
-        denom += mu[z] * q_by_distance[Popcount(y ^ z)];
-      }
-      if (denom <= 0.0) continue;
-      const double w = observed[y] / denom;
-      for (uint64_t z = 0; z < cells; ++z) {
-        next[z] += w * mu[z] * q_by_distance[Popcount(y ^ z)];
-      }
-    }
-
-    // "Change in the current guess" is measured as the max per-cell move
-    // (L-infinity); see the header note on the failure criterion.
-    double change = 0.0;
-    for (uint64_t z = 0; z < cells; ++z) {
-      change = std::max(change, std::fabs(next[z] - mu[z]));
-    }
-    mu = next;
-    result.iterations = iter;
-    result.final_change = change;
-    if (change < config_.em_convergence_threshold) {
-      result.failed_to_leave_prior = (iter == 1);
+  switch (cells) {
+    case 2:
+      RunFixedEm<2>(observed, q_by_flips, config_, mu, result);
       break;
-    }
+    case 4:
+      RunFixedEm<4>(observed, q_by_flips, config_, mu, result);
+      break;
+    case 8:
+      RunFixedEm<8>(observed, q_by_flips, config_, mu, result);
+      break;
+    default:
+      RunEm(observed, q_by_flips, config_, mu, result);
+      break;
   }
-
   result.estimate.values() = mu;
   return result;
 }

@@ -59,15 +59,13 @@ MarginalCache::MarginalCache(engine::Collector* collector,
                              engine::CollectionHandle handle,
                              std::string collection,
                              const MarginalCacheOptions& options)
-    : collector_(collector),
-      handle_(std::move(handle)),
+    : handle_(std::move(handle)),
       collection_(std::move(collection)),
       options_(options),
       d_(handle_.config().d),
-      watermark_series_(obs::WithLabels("ldpm_engine_batches_enqueued_total",
-                                       {{"collection", collection_}})),
+      watermark_(&handle_.aggregator().batches_enqueued()),
       selectors_(FullKWaySelectors(d_, options_.max_order)) {
-  obs::MetricsRegistry* metrics = collector_->metrics();
+  obs::MetricsRegistry* metrics = collector->metrics();
   requests_ = metrics->GetCounter(
       QueryMetricName("ldpm_query_requests_total", collection_),
       "Marginal-cache reads");
@@ -116,9 +114,7 @@ StatusOr<std::unique_ptr<MarginalCache>> MarginalCache::Create(
       collector, *std::move(handle), collection, resolved));
 }
 
-uint64_t MarginalCache::LiveWatermark() const {
-  return collector_->metrics()->CounterValue(watermark_series_);
-}
+uint64_t MarginalCache::LiveWatermark() const { return watermark_->Value(); }
 
 StatusOr<std::shared_ptr<const Snapshot>> MarginalCache::Get() {
   requests_->Increment();

@@ -21,8 +21,12 @@
 //     shared_ptr under a small mutex that is held only to copy or swap
 //     the pointer. A cache hit is that copy, a rank computation, and a
 //     copy of 2^k doubles. No shard merge.
-//   * Epochs are keyed on an ingest *watermark* — the collection's
-//     `ldpm_engine_batches_enqueued_total` counter. A snapshot built at
+//   * Epochs are keyed on an ingest *watermark* — the collection
+//     engine's own batches-enqueued counter
+//     (ShardedAggregator::batches_enqueued(), published as
+//     `ldpm_engine_batches_enqueued_total` under whatever label and
+//     registry the engine was given), resolved once at Create and read
+//     without a registry lookup. A snapshot built at
 //     watermark W serves until the counter advances past W; the next
 //     read then rebuilds (or, with serve_stale, keeps serving the old
 //     epoch while one thread rebuilds). The watermark is captured
@@ -204,12 +208,12 @@ class MarginalCache {
   void Publish(std::shared_ptr<const Snapshot> snap)
       LDPM_EXCLUDES(snapshot_mu_);
 
-  engine::Collector* const collector_;
   engine::CollectionHandle handle_;
   const std::string collection_;
   MarginalCacheOptions options_;  // max_order resolved at Create
   int d_ = 0;
-  std::string watermark_series_;
+  // The engine's batches-enqueued counter, resolved once at Create.
+  const obs::Counter* watermark_ = nullptr;
   std::vector<uint64_t> selectors_;
 
   // A leaf lock, held only to copy or swap the pointer, never across a

@@ -1,8 +1,8 @@
 // Socket send-loop tests over a Unix socketpair with tiny kernel buffers,
 // so every gathered write is cut short many times: the buffers must still
 // arrive whole and in order (empty ones and runs longer than IOV_MAX
-// included), and a peer that stops reading must surface as
-// DeadlineExceeded, never a hang.
+// included), and a peer that stops reading or writing must surface as
+// DeadlineExceeded naming the deadline, never a hang.
 
 #include "net/socket.h"
 
@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <regex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -80,8 +81,33 @@ TEST(Socket, GatheredWriteAllToAStalledPeerHitsItsDeadline) {
       writer.WriteAll(&one, 1, std::chrono::milliseconds(200));
   EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
   ASSERT_EQ(status.code(), StatusCode::kDeadlineExceeded) << status.ToString();
-  EXPECT_NE(status.message().find("send: timed out"), std::string::npos)
-      << status.ToString();
+  // The message names the configured deadline, not the slice left for the
+  // last wait, and how much of the buffer the peer never took.
+  std::smatch unsent;
+  const std::string message = status.message();
+  ASSERT_TRUE(std::regex_match(
+      message, unsent,
+      std::regex("send: timed out after 200ms with ([0-9]+) of 1048576 "
+                 "bytes unsent")))
+      << message;
+  EXPECT_GT(std::stoull(unsent[1]), 0u);
+  EXPECT_LT(std::stoull(unsent[1]), big.size());
+}
+
+TEST(Socket, ReadExactFromASilentPeerHitsItsDeadline) {
+  Socket writer;  // sends a prefix, then nothing
+  Socket reader;
+  TinyBufferedPair(&writer, &reader);
+  const uint8_t prefix[3] = {1, 2, 3};
+  ASSERT_TRUE(writer.WriteAll(prefix, sizeof(prefix)).ok());
+  uint8_t buffer[16];
+  const auto start = std::chrono::steady_clock::now();
+  const Status status =
+      reader.ReadExact(buffer, sizeof(buffer), std::chrono::milliseconds(200));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  ASSERT_EQ(status.code(), StatusCode::kDeadlineExceeded) << status.ToString();
+  EXPECT_EQ(status.message(),
+            "recv: timed out after 200ms with 3 of 16 bytes read");
 }
 
 }  // namespace

@@ -124,20 +124,44 @@ void ExpectDecodesLikeLog(const InpEmProtocol& protocol,
   EXPECT_GT(iterated, 0);
 }
 
+// True when some selector of order 1..k projects `log` onto a response
+// cell that no report falls in, so Decode's skip of unobserved cells runs.
+bool SomeProjectedCellIsEmpty(const ProtocolConfig& config,
+                              const std::vector<uint64_t>& log) {
+  for (uint64_t beta : test::AllQueries(config.d, config.k)) {
+    std::vector<size_t> counts(size_t{1} << Popcount(beta), 0);
+    for (uint64_t r : log) ++counts[ExtractBits(r, beta)];
+    if (std::find(counts.begin(), counts.end(), 0) != counts.end()) {
+      return true;
+    }
+  }
+  return false;
+}
+
 // The histogram path (d <= 16) and the log path (d = 20) against the
-// log-projecting reference, directly and after merging two halves.
+// log-projecting reference, directly and after merging two halves. The
+// d = 8, eps = 1 cases run at eps/d = 1/8, where EM takes thousands of
+// iterations per selector; the 12-report population leaves projected cells
+// empty; the 40-iteration cap stops EM before it converges.
 TEST(InpEm, DecodeMatchesReportLogReferenceBitForBit) {
   struct Case {
     int d;
     int k;
     double eps;
+    size_t n = 20000;
+    int max_iterations = ProtocolConfig().em_max_iterations;
   };
-  for (const Case& c : {Case{4, 4, 2.0}, Case{8, 3, 4.0}, Case{16, 2, 8.0},
-                        Case{20, 2, 10.0}}) {
-    SCOPED_TRACE("d=" + std::to_string(c.d));
-    const ProtocolConfig config = Config(c.d, c.k, c.eps);
+  for (const Case& c :
+       {Case{4, 4, 2.0}, Case{8, 3, 4.0}, Case{16, 2, 8.0}, Case{20, 2, 10.0},
+        Case{8, 3, 1.0}, Case{6, 3, 6.0, 12}, Case{8, 3, 1.0, 20000, 40}}) {
+    SCOPED_TRACE("d=" + std::to_string(c.d) + " k=" + std::to_string(c.k) +
+                 " eps=" + std::to_string(c.eps) + " n=" +
+                 std::to_string(c.n) + " cap=" +
+                 std::to_string(c.max_iterations));
+    ProtocolConfig config = Config(c.d, c.k, c.eps);
+    config.em_max_iterations = c.max_iterations;
     auto whole = MustCreate(config);
-    const std::vector<uint64_t> log = EncodeLog(*whole, 20000, 180 + c.d);
+    const std::vector<uint64_t> log = EncodeLog(*whole, c.n, 180 + c.d);
     AbsorbLog(*whole, log);
     ExpectDecodesLikeLog(*whole, log);
 
@@ -149,6 +173,19 @@ TEST(InpEm, DecodeMatchesReportLogReferenceBitForBit) {
     ASSERT_TRUE(left->MergeFrom(*right).ok());
     EXPECT_EQ(left->reports_absorbed(), log.size());
     ExpectDecodesLikeLog(*left, log);
+
+    // Guard each new input's own strength.
+    if (c.n < 20000) EXPECT_TRUE(SomeProjectedCellIsEmpty(config, log));
+    if (c.max_iterations < ProtocolConfig().em_max_iterations) {
+      int capped = 0;
+      for (uint64_t beta : test::AllQueries(config.d, config.k)) {
+        auto decoded = whole->Decode(beta);
+        ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+        capped += decoded->iterations == c.max_iterations &&
+                  decoded->final_change >= config.em_convergence_threshold;
+      }
+      EXPECT_GT(capped, 0);
+    }
   }
 }
 

@@ -27,6 +27,7 @@
 #include <atomic>
 #include <cmath>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -318,6 +319,44 @@ TEST(MarginalCacheEpochs, WatermarkInvalidatesHitsAndRefreshesCount) {
   auto latency = metrics->HistogramValues(name("ldpm_query_refresh_latency_ns"));
   ASSERT_TRUE(latency.ok());
   EXPECT_EQ(latency->count, 4u);
+}
+
+// The watermark is the engine's own batches-enqueued counter, wherever the
+// engine publishes it: under a label other than the collection id, or in a
+// registry of its own, ingest still advances it and the next read rebuilds.
+TEST(MarginalCacheEpochs, WatermarkFollowsAnEnginePublishingElsewhere) {
+  const int d = 6;
+  obs::MetricsRegistry own_registry;  // outlives every engine below
+  engine::EngineOptions renamed;
+  renamed.metrics_collection = "renamed";
+  engine::EngineOptions separate;
+  separate.metrics = &own_registry;
+  for (const auto& [label, overrides] :
+       {std::pair{"renamed label", renamed},
+        std::pair{"separate registry", separate}}) {
+    SCOPED_TRACE(label);
+    auto collector = MakeCollector();
+    auto handle = collector->Register("c", ProtocolKind::kInpHT,
+                                      MakeConfig(d, 2), overrides);
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    ASSERT_TRUE(handle->IngestRows(SkewedRows(d, 5000, 7)).ok());
+    ASSERT_TRUE(handle->Flush().ok());
+    auto cache = MarginalCache::Create(collector.get(), "c");
+    ASSERT_TRUE(cache.ok());
+
+    auto first = (*cache)->Get();
+    ASSERT_TRUE(first.ok());
+    EXPECT_GT((*first)->watermark(), 0u);
+    EXPECT_EQ((*first)->reports_absorbed(), 5000u);
+
+    ASSERT_TRUE(handle->IngestRows(SkewedRows(d, 5000, 8)).ok());
+    ASSERT_TRUE(handle->Flush().ok());
+    EXPECT_GT((*cache)->LiveWatermark(), (*first)->watermark());
+    auto second = (*cache)->Get();
+    ASSERT_TRUE(second.ok());
+    EXPECT_EQ((*second)->epoch(), 2u);
+    EXPECT_EQ((*second)->reports_absorbed(), 10000u);
+  }
 }
 
 TEST(MarginalCacheEpochs, ServeStaleAnswersFromOldEpochDuringRebuild) {

@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Bench regression gate for the release-smoke CI job.
 
-Compares the wire-ingest throughput keys of a freshly measured
-micro_engine JSON against the committed baseline (BENCH_ingest.json) and
-fails when any key drops below --min-ratio times the baseline. The default
-ratio of 0.5 is the deliberately generous ">2x regression" threshold from
-the ROADMAP note: runner hardware varies a lot run to run, but a halving
-of wire-ingest throughput means the zero-copy fast path has structurally
+Compares the gated throughput keys of a freshly measured record (the
+merged micro_engine, net_ingest and query_serve smoke output) against the
+committed baseline (BENCH_ingest.json) and fails when any key drops below
+--min-ratio times the baseline. The gated keys are the wire-ingest rates,
+the frame-routing rates, the query cache-hit rate and InpEM's EM decode
+rate (EM iterations per second over a snapshot export's selectors). The
+default ratio of 0.5 is the deliberately generous ">2x regression"
+threshold from the ROADMAP note: runner hardware varies a lot run to run,
+but a halving of one of these rates means its fast path has structurally
 regressed.
 
 Usage:
@@ -18,11 +21,13 @@ import json
 import sys
 
 
-def wire_keys(record):
+def gated_keys(record):
     """The gated throughput keys: single-aggregator wire absorb, engine
     wire ingest at every shard count, the multiplexed collection-frame
-    path, and the query plane's cache-hit serving rate (a structural
-    regression there means reads fell off the published-snapshot path)."""
+    path, the query plane's cache-hit serving rate (a structural
+    regression there means reads fell off the published-snapshot path),
+    and InpEM's EM iterations per second (the decode kernel of a snapshot
+    export; a per-iteration rate, so smoke and quick runs compare)."""
     return {
         key
         for key in record
@@ -30,6 +35,7 @@ def wire_keys(record):
         or key.endswith("_frame_rps")
         or key.endswith(".frame_rps")
         or key == "query.cache_hit_rps"
+        or key == "InpEM.em_iter_rps"
     }
 
 
@@ -50,9 +56,9 @@ def main():
     with open(args.current, encoding="utf-8") as f:
         current = json.load(f)
 
-    keys = sorted(wire_keys(baseline))
+    keys = sorted(gated_keys(baseline))
     if not keys:
-        print(f"error: no wire-ingest keys in {args.baseline}")
+        print(f"error: no gated keys in {args.baseline}")
         return 1
 
     failures = []
@@ -79,7 +85,7 @@ def main():
         for failure in failures:
             print(f"  {failure}")
         return 1
-    print(f"\nbench regression gate passed: {len(keys)} wire-ingest keys "
+    print(f"\nbench regression gate passed: {len(keys)} gated keys "
           f"within {args.min_ratio}x of baseline")
     return 0
 
