@@ -1,32 +1,28 @@
 // Engine microbench: the batched zero-copy ingest pipeline vs. the classic
 // per-report path, plus shard scaling.
 //
-// Four aggregator-side ingest paths are measured per protocol:
+// Three aggregator-side ingest paths are measured per protocol:
 //
 //   * perreport — one virtual Absorb() call per pre-encoded in-memory
-//     Report (the pre-batching in-memory baseline);
+//     Report (the in-memory baseline);
 //   * parse     — DeserializeReport() + Absorb() per wire record: the
-//     pre-PR path for reports arriving as bytes, which materializes a
+//     naive path for reports arriving as bytes, which materializes a
 //     Report (and for InpRR its heap-allocated `ones` vector) per record;
-//   * batch     — AbsorbBatch() over slices of the same Report stream
-//     (columnar overrides, validation hoisted, integer scratch);
 //   * wire      — AbsorbWireBatch() over the same wire batch frames
 //     (zero-copy: records parsed in place, no Report materialization; for
 //     InpRR the packed bitmaps are summed by a Harley–Seal carry-save tree
 //     into vertical bit-plane counters).
 //
-// All four aggregators must end in bitwise-identical state; the bench
+// All three aggregators must end in bitwise-identical state; the bench
 // checks their snapshots and aborts otherwise, so an optimized build whose
 // kernels diverge fails here.
 //
 // The acceptance comparison for the batched pipeline is wire vs parse —
-// both start from identical wire bytes; parse is what a pre-PR collector
-// had to do with them. perreport-vs-batch isolates the in-memory gain.
+// both start from identical wire bytes.
 //
 // The engine section feeds the wire frames through an engine::Collector
-// collection at 1/2/4 shards (the 1-shard row exercises the lock-free SPSC
-// queue path), and a mux section routes an interleaved multi-collection
-// frame stream through Collector::IngestFrames.
+// collection at 1/2/4 shards, and a mux section routes an interleaved
+// multi-collection frame stream through Collector::IngestFrames.
 // Shard scaling requires cores: expect flat numbers on one hardware thread.
 // The checkpoint section measures CheckpointTo / RestoreFrom end to end
 // (snapshot + serialize + CRC32C + atomic write, and the reverse).
@@ -35,14 +31,14 @@
 // (keys like "InpRR.wire_rps", "InpRR.engine1_wire_rps") — the bench's
 // regression record (BENCH_ingest.json).
 //
-// The EM section decodes every selector of order <= k from the InpEM
-// state the wire path absorbed, and reports EM iterations per second
-// ("InpEM.em_iter_rps"): the snapshot-export stage's decode kernel, as a
-// rate that smoke and quick runs share although their iteration counts
-// differ.
+// The EM section decodes every selector of order <= k from an InpEM state
+// absorbed from a skewed population (uniform rows would be EM's own
+// prior), and reports EM iterations per second ("InpEM.em_iter_rps"): the
+// snapshot-export stage's decode kernel, as a rate that smoke and quick
+// runs share although their iteration counts differ.
 //
 // The encode path (rows shipped raw, shard workers run the client encoder)
-// is unchanged from PR 1 and measured in the last section.
+// is measured in the last section.
 
 #include <algorithm>
 #include <bit>
@@ -56,6 +52,7 @@
 
 #include "bench_common.h"
 #include "core/marginal.h"
+#include "data/synthetic.h"
 #include "engine/collector.h"
 #include "protocols/factory.h"
 #include "protocols/inp_em.h"
@@ -107,8 +104,7 @@ std::string Speedup(double base_seconds, double seconds) {
 int main(int argc, char** argv) {
   const ldpm::bench::BenchArgs args = ldpm::bench::Parse(argc, argv);
   ldpm::bench::Banner("micro_engine",
-                      "batched/wire/sharded ingest vs per-report absorb",
-                      args);
+                      "wire/sharded ingest vs per-report absorb", args);
   std::printf("hardware threads: %u\n\n",
               std::thread::hardware_concurrency());
   ldpm::bench::JsonWriter json;
@@ -137,13 +133,10 @@ int main(int argc, char** argv) {
   config.k = 2;
   config.epsilon = 1.0;
 
-  // The InpEM state the wire path absorbed, decoded in the EM section.
-  std::unique_ptr<ldpm::MarginalProtocol> em_state;
-
-  std::printf("== absorb paths: per-report/parse vs batch/wire (single "
+  std::printf("== absorb paths: per-report/parse vs wire (single "
               "aggregator) and engine wire ingest ==\n");
-  ldpm::bench::Row({"protocol", "perreport", "parse", "batch", "wire",
-                    "eng 1shard", "eng 2shard", "eng 4shard", "wire/parse"});
+  ldpm::bench::Row({"protocol", "perreport", "parse", "wire", "eng 1shard",
+                    "eng 2shard", "eng 4shard", "wire/parse"});
   for (ProtocolKind kind : kinds) {
     const std::string name(ldpm::ProtocolKindName(kind));
     std::vector<std::string> cells{name};
@@ -180,7 +173,7 @@ int main(int argc, char** argv) {
     json.Add(name + ".perreport_rps",
              static_cast<double>(num_reports) / perreport_seconds);
 
-    // Pre-PR wire ingest: parse every record into a Report, then Absorb.
+    // Naive wire ingest: parse every record into a Report, then Absorb.
     auto parse = CreateProtocol(kind, config);
     LDPM_CHECK(parse.ok());
     start = std::chrono::steady_clock::now();
@@ -200,20 +193,6 @@ int main(int argc, char** argv) {
     json.Add(name + ".parse_rps",
              static_cast<double>(num_reports) / parse_seconds);
 
-    // Columnar batch path over the same in-memory reports.
-    auto batched = CreateProtocol(kind, config);
-    LDPM_CHECK(batched.ok());
-    start = std::chrono::steady_clock::now();
-    for (size_t begin = 0; begin < reports.size(); begin += batch) {
-      const size_t end = std::min(begin + batch, reports.size());
-      LDPM_CHECK(
-          (*batched)->AbsorbBatch(reports.data() + begin, end - begin).ok());
-    }
-    const double batch_seconds = Seconds(start);
-    cells.push_back(Rate(static_cast<double>(num_reports), batch_seconds));
-    json.Add(name + ".batch_rps",
-             static_cast<double>(num_reports) / batch_seconds);
-
     // Zero-copy wire path over pre-serialized frames.
     auto wire = CreateProtocol(kind, config);
     LDPM_CHECK(wire.ok());
@@ -226,15 +205,13 @@ int main(int argc, char** argv) {
     json.Add(name + ".wire_rps",
              static_cast<double>(num_reports) / wire_seconds);
 
-    // All four paths must agree exactly.
+    // All three paths must agree exactly.
     LDPM_CHECK((*perreport)->reports_absorbed() == num_reports);
     LDPM_CHECK(SameState(**perreport, **parse));
-    LDPM_CHECK(SameState(**perreport, **batched));
     LDPM_CHECK(SameState(**perreport, **wire));
-    if (kind == ProtocolKind::kInpEM) em_state = *std::move(wire);
 
-    // Engine wire ingest at 1/2/4 shards (1 shard = SPSC queue fast path),
-    // hosted as one collection of a Collector.
+    // Engine wire ingest at 1/2/4 shards, hosted as one collection of a
+    // Collector.
     for (int shards : shard_counts) {
       ldpm::engine::CollectorOptions options;
       options.engine_defaults.num_shards = shards;
@@ -259,17 +236,28 @@ int main(int argc, char** argv) {
     cells.push_back(Speedup(parse_seconds, wire_seconds));
     json.Add(name + ".wire_speedup_vs_parse", parse_seconds / wire_seconds);
     json.Add(name + ".wire_speedup_vs_absorb", perreport_seconds / wire_seconds);
-    json.Add(name + ".batch_speedup", perreport_seconds / batch_seconds);
     ldpm::bench::Row(cells);
   }
 
-  // EM decode: every selector of order <= k, as a snapshot export runs it.
-  // The sweep is repeated and the median sweep reported.
+  // EM decode: every selector of order <= k, as a snapshot export runs it,
+  // over a skewed population's state. The sweep is repeated and the median
+  // sweep reported.
   std::printf("\n== InpEM decode: every selector of order <= %d, %zu "
-              "reports ==\n",
+              "skewed reports ==\n",
               config.k, sparse_reports);
   {
-    const auto& em = dynamic_cast<const ldpm::InpEmProtocol&>(*em_state);
+    // Independent bits with biases spread over [0.1, 0.9]: skewed
+    // marginals, far from EM's uniform prior.
+    std::vector<double> bias;
+    for (int j = 0; j < d; ++j) bias.push_back(0.1 + 0.8 * j / (d - 1));
+    auto population = ldpm::GenerateIndependent(sparse_reports, bias,
+                                                 args.seed + 5);
+    LDPM_CHECK(population.ok());
+    auto em_state = CreateProtocol(ProtocolKind::kInpEM, config);
+    LDPM_CHECK(em_state.ok());
+    Rng rng(args.seed + 6);
+    LDPM_CHECK((*em_state)->AbsorbPopulation(population->rows(), rng).ok());
+    const auto& em = dynamic_cast<const ldpm::InpEmProtocol&>(**em_state);
     const std::vector<uint64_t> selectors =
         ldpm::FullKWaySelectors(d, config.k);
     constexpr int kSweeps = 5;
@@ -328,7 +316,14 @@ int main(int argc, char** argv) {
     LDPM_CHECK(collector.ok());
     auto handle = (*collector)->Register(name, kind, config);
     LDPM_CHECK(handle.ok());
-    LDPM_CHECK(handle->IngestBatch(std::move(reports)).ok());
+    for (size_t begin = 0; begin < reports.size(); begin += batch) {
+      const size_t end = std::min(begin + batch, reports.size());
+      auto frame = ldpm::SerializeReportBatch(
+          kind, config,
+          std::vector<Report>(reports.begin() + begin, reports.begin() + end));
+      LDPM_CHECK(frame.ok());
+      LDPM_CHECK(handle->IngestWireBatch(*std::move(frame)).ok());
+    }
     LDPM_CHECK(handle->Flush().ok());
 
     auto start = std::chrono::steady_clock::now();
@@ -476,9 +471,9 @@ int main(int argc, char** argv) {
       json.Add(name + ".encode" + std::to_string(shards) + "_rps",
                static_cast<double>(num_rows) / last_seconds);
 
-      auto stats = handle->Stats();
-      LDPM_CHECK(stats.ok());
-      LDPM_CHECK(stats->reports == num_rows);
+      auto absorbed = handle->ReportsAbsorbed();
+      LDPM_CHECK(absorbed.ok());
+      LDPM_CHECK(*absorbed == num_rows);
     }
     cells.push_back(Speedup(one_shard_seconds, last_seconds));
     ldpm::bench::Row(cells);

@@ -52,21 +52,8 @@ const ProtocolConfig& CollectionHandle::config() const {
   return collection_->config;
 }
 
-Status CollectionHandle::Ingest(const Report& report) {
-  return collection_->engine->Ingest(report);
-}
-
-Status CollectionHandle::IngestBatch(std::vector<Report> reports) {
-  return collection_->engine->IngestBatch(std::move(reports));
-}
-
 Status CollectionHandle::IngestWireBatch(std::vector<uint8_t> frame) {
   return collection_->engine->IngestWireBatch(std::move(frame));
-}
-
-Status CollectionHandle::IngestRows(std::vector<uint64_t> rows,
-                                    bool fast_path) {
-  return collection_->engine->IngestRows(std::move(rows), fast_path);
 }
 
 Status CollectionHandle::IngestPopulation(const std::vector<uint64_t>& rows,
@@ -103,10 +90,6 @@ StatusOr<CategoricalMarginal> CollectionHandle::QueryCategorical(
 }
 
 Status CollectionHandle::Flush() { return collection_->engine->Flush(); }
-
-StatusOr<IngestStats> CollectionHandle::Stats() {
-  return collection_->engine->Stats();
-}
 
 StatusOr<uint64_t> CollectionHandle::ReportsAbsorbed() {
   return collection_->engine->ReportsAbsorbed();
@@ -170,16 +153,9 @@ StatusOr<std::unique_ptr<Collector>> Collector::Create(
 
 Collector::~Collector() {
   if (options_.checkpoint_on_shutdown) {
-    // Flush BEFORE the snapshot cut — a bare CheckpointTo would silently
-    // miss queued batches and coalescing-buffer tails — but best effort
-    // on BOTH steps, not Drain(): a flush error must not skip the write
-    // attempt. (A collection whose shards hold a sticky absorb error
-    // still fails the attempt inside CheckpointTo: the container write is
-    // all-or-nothing, because a file that left that collection out would
-    // restore it empty with no error. Drain() reports the Status; use it
-    // when the result matters.)
-    (void)Flush();
-    (void)CheckpointTo(options_.checkpoint_path);
+    // Best effort: Drain() flushes and writes the checkpoint even when the
+    // flush reports an absorb error. Use Drain() when the Status matters.
+    (void)Drain();
   }
 }
 
@@ -481,11 +457,13 @@ Status Collector::RestoreFrom(const std::string& path) {
 }
 
 Status Collector::Drain() {
-  LDPM_RETURN_IF_ERROR(Flush());
+  // An absorb error cost only its own work item, so it must not skip the
+  // shutdown checkpoint (which drains again before its cut).
+  Status flushed = Flush();
   if (options_.checkpoint_on_shutdown) {
-    return CheckpointTo(options_.checkpoint_path);
+    LDPM_RETURN_IF_ERROR(CheckpointTo(options_.checkpoint_path));
   }
-  return Status::OK();
+  return flushed;
 }
 
 }  // namespace engine

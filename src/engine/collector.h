@@ -17,12 +17,11 @@
 //     collection atomically in one container file (engine/checkpoint.h);
 //     the Collector is the only checkpoint writer and reader.
 //
-// Ingest is either per-collection through a typed CollectionHandle
-// (Ingest / IngestBatch / IngestWireBatch / rows) or multiplexed:
-// IngestFrames routes a stream of self-describing collection frames
-// (protocols/wire.h) to the right aggregators, so one socket or file can
-// interleave every registered stream straight into the zero-copy wire
-// path. Queries are answered per collection from its merged shard state.
+// Ingest is either per-collection through a typed CollectionHandle (wire
+// batch frames or user rows) or multiplexed: IngestFrames routes a stream
+// of self-describing collection frames (protocols/wire.h) to the right
+// aggregators, so one socket or file can interleave every registered
+// stream straight into the zero-copy wire path. Queries are answered per collection from its merged shard state.
 //
 // ShardedAggregator remains public as the advanced per-collection layer
 // (CollectionHandle::aggregator() exposes it); new code should start here.
@@ -90,18 +89,15 @@ class CollectionHandle {
   const ProtocolConfig& config() const;
 
   // Ingest — see the ShardedAggregator methods of the same names.
-  Status Ingest(const Report& report);
-  Status IngestBatch(std::vector<Report> reports);
   Status IngestWireBatch(std::vector<uint8_t> frame);
-  Status IngestRows(std::vector<uint64_t> rows, bool fast_path = false);
   Status IngestPopulation(const std::vector<uint64_t>& rows,
                           bool fast_path = true);
 
-  /// Flushes and estimates the marginal for selector beta from this
-  /// collection's merged state.
+  /// Estimates the marginal for selector beta from this collection's
+  /// merged state (ShardedAggregator::Merged).
   StatusOr<MarginalTable> Query(uint64_t beta);
 
-  /// Flushes once and exports the merged state's Fourier coefficients up
+  /// Merges once and exports the merged state's Fourier coefficients up
   /// to max_order (MarginalProtocol::EstimateCoefficients): every
   /// marginal of order <= max_order reconstructs from them, all from one
   /// engine state. A non-null `reports_absorbed` receives that same
@@ -114,7 +110,6 @@ class CollectionHandle {
   StatusOr<CategoricalMarginal> QueryCategorical(const std::vector<int>& attrs);
 
   Status Flush();
-  StatusOr<IngestStats> Stats();
   StatusOr<uint64_t> ReportsAbsorbed();
 
   /// The advanced per-collection layer (snapshots, re-sharding, merged
@@ -153,8 +148,8 @@ class Collector {
   StatusOr<CollectionHandle> Register(std::string id, ProtocolKind kind,
                                       const ProtocolConfig& config);
 
-  /// Same, with explicit per-collection EngineOptions (shard count, batch
-  /// sizes, ...). The collector's shared backpressure budget is installed
+  /// Same, with explicit per-collection EngineOptions (shard count, queue
+  /// bound, ...). The collector's shared backpressure budget is installed
   /// regardless, and the engine seed is still decorrelated per collection
   /// (a deterministic function of overrides.seed and the id), so
   /// same-config collections never share bitwise-identical perturbation
@@ -231,8 +226,9 @@ class Collector {
   /// collection id stops ingestion at that frame with an InvalidArgument
   /// naming the exact byte offset; frames before it stay ingested, and
   /// `result` (optional) reports exactly how much was consumed.
-  /// (A payload mismatching its collection's protocol surfaces at the
-  /// next Flush/Query, like any asynchronous absorb error.)
+  /// (A payload mismatching its collection's protocol is an asynchronous
+  /// absorb error: it costs only its own frame, and the next Flush
+  /// reports it once.)
   Status IngestFrames(const uint8_t* data, size_t size,
                       IngestFramesResult* result = nullptr);
   Status IngestFrames(const std::vector<uint8_t>& stream,
@@ -240,8 +236,8 @@ class Collector {
 
   // ---- Query -------------------------------------------------------------
 
-  /// Flushes `collection` and estimates the marginal for selector beta
-  /// from its merged state.
+  /// Estimates the marginal for selector beta from `collection`'s merged
+  /// state.
   StatusOr<MarginalTable> Query(std::string_view collection, uint64_t beta);
 
   /// Categorical marginal from an InpES collection (see
@@ -249,12 +245,12 @@ class Collector {
   StatusOr<CategoricalMarginal> QueryCategorical(std::string_view collection,
                                                  const std::vector<int>& attrs);
 
-  /// Flushes every collection; first error wins, all are flushed.
+  /// Flushes every collection; first absorb error wins, all are flushed.
   Status Flush();
 
   // ---- Durability --------------------------------------------------------
 
-  /// Flushes every collection and atomically writes one container holding
+  /// Drains every collection and atomically writes one container holding
   /// all of them (ascending id order). Each collection's snapshot set is
   /// an exact cut of everything its handle ingested before this call.
   Status CheckpointTo(const std::string& path);
@@ -272,7 +268,9 @@ class Collector {
   Status RestoreFrom(const std::string& path);
 
   /// Flushes every collection, then writes the shutdown checkpoint when
-  /// checkpoint_on_shutdown is set. The collector stays usable afterwards.
+  /// checkpoint_on_shutdown is set, even when the flush reported an absorb
+  /// error. Returns the checkpoint's error, else the flush's. The collector
+  /// stays usable afterwards.
   Status Drain();
 
  private:

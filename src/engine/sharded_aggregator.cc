@@ -36,33 +36,24 @@ std::string ShardMetricName(const char* base, const std::string& collection,
 StatusOr<std::unique_ptr<ShardedAggregator>> ShardedAggregator::Create(
     ProtocolKind kind, const ProtocolConfig& config,
     const EngineOptions& options) {
-  return Create([kind, config] { return CreateProtocol(kind, config); },
-                options);
-}
-
-StatusOr<std::unique_ptr<ShardedAggregator>> ShardedAggregator::Create(
-    const ProtocolFactory& factory, const EngineOptions& options) {
-  if (!factory) {
-    return Status::InvalidArgument("ShardedAggregator: null protocol factory");
-  }
   if (options.num_shards < 1 || options.num_shards > kMaxShards) {
     return Status::InvalidArgument(
         "ShardedAggregator: num_shards must be in [1, " +
         std::to_string(kMaxShards) + "], got " +
         std::to_string(options.num_shards));
   }
-  if (options.batch_size < 1 || options.max_pending_batches < 1) {
+  if (options.max_pending_batches < 1) {
     return Status::InvalidArgument(
-        "ShardedAggregator: batch_size and max_pending_batches must be >= 1");
+        "ShardedAggregator: max_pending_batches must be >= 1");
   }
-  // Build every shard aggregator up front so a bad factory/config fails the
+  // Build every shard aggregator up front so a bad config fails the
   // construction rather than the first ingest.
   std::unique_ptr<ShardedAggregator> engine(
-      new ShardedAggregator(factory, options));
+      new ShardedAggregator(kind, config, options));
   Rng seeder(options.seed);
   for (int s = 0; s < options.num_shards; ++s) {
     auto shard = std::make_unique<Shard>(options.max_pending_batches);
-    auto protocol = factory();
+    auto protocol = engine->NewProtocol();
     if (!protocol.ok()) return protocol.status();
     {
       // No worker exists yet; the lock exists for the analysis (rng and the
@@ -85,9 +76,15 @@ StatusOr<std::unique_ptr<ShardedAggregator>> ShardedAggregator::Create(
   return engine;
 }
 
-ShardedAggregator::ShardedAggregator(ProtocolFactory factory,
+ShardedAggregator::ShardedAggregator(ProtocolKind kind,
+                                     const ProtocolConfig& config,
                                      const EngineOptions& options)
-    : factory_(std::move(factory)), options_(options) {}
+    : kind_(kind), config_(config), options_(options) {}
+
+StatusOr<std::unique_ptr<MarginalProtocol>> ShardedAggregator::NewProtocol()
+    const {
+  return CreateProtocol(kind_, config_);
+}
 
 void ShardedAggregator::InitMetrics() {
   if (options_.metrics != nullptr) {
@@ -106,6 +103,9 @@ void ShardedAggregator::InitMetrics() {
   report_bits_total_ = metrics_->GetCounter(
       MetricName("ldpm_engine_report_bits_total", id),
       "Measured communication absorbed, in bits (paper Table 2)");
+  absorb_errors_total_ = metrics_->GetCounter(
+      MetricName("ldpm_engine_absorb_errors_total", id),
+      "Work items whose absorb failed (their valid prefix stays absorbed)");
   absorb_latency_ = metrics_->GetHistogram(
       MetricName("ldpm_engine_absorb_latency_ns", id), obs::LatencyBuckets(),
       "Shard-worker latency absorbing one work item");
@@ -124,7 +124,7 @@ void ShardedAggregator::InitMetrics() {
   // programmer error (two subsystems fighting over one series name), not
   // a recoverable state, so fail loudly at construction.
   LDPM_CHECK(reports_total_ && batches_total_ && report_bits_total_ &&
-             absorb_latency_ && budget_wait_);
+             absorb_errors_total_ && absorb_latency_ && budget_wait_);
 }
 
 ShardedAggregator::~ShardedAggregator() {
@@ -141,32 +141,28 @@ void ShardedAggregator::WorkerLoop(Shard& shard) {
       core::MutexLock state_lock(shard.state_mu);
       const uint64_t reports_before = shard.protocol->reports_absorbed();
       const double bits_before = shard.protocol->total_report_bits();
-      // After the first error the shard keeps draining (so Flush terminates)
-      // but stops mutating state; the sticky error surfaces at Flush.
-      if (shard.error.ok()) {
+      Status status = Status::OK();
+      {
         obs::ScopedTimer absorb_timer(absorb_latency_);
-        if (!item.reports.empty()) {
-          shard.error = shard.protocol->AbsorbBatch(item.reports.data(),
-                                                    item.reports.size());
-        }
-        if (shard.error.ok() && !item.wire.empty()) {
-          shard.error = shard.protocol->AbsorbWireBatch(item.wire.data(),
-                                                        item.wire.size());
-        }
-        if (shard.error.ok() && !item.rows.empty()) {
-          if (item.fast_path) {
-            shard.error = shard.protocol->AbsorbPopulation(item.rows, shard.rng);
-          } else {
-            for (uint64_t row : item.rows) {
-              Status status =
-                  shard.protocol->Absorb(shard.protocol->Encode(row, shard.rng));
-              if (!status.ok()) {
-                shard.error = std::move(status);
-                break;
-              }
-            }
+        if (!item.wire.empty()) {
+          status = shard.protocol->AbsorbWireBatch(item.wire.data(),
+                                                   item.wire.size());
+        } else if (item.fast_path) {
+          status = shard.protocol->AbsorbPopulation(item.rows, shard.rng);
+        } else {
+          for (uint64_t row : item.rows) {
+            status =
+                shard.protocol->Absorb(shard.protocol->Encode(row, shard.rng));
+            if (!status.ok()) break;
           }
         }
+      }
+      // An error costs only its own item: the valid prefix stays absorbed,
+      // later items are absorbed as usual, and the next Flush reports the
+      // first error once.
+      if (!status.ok()) {
+        absorb_errors_total_->Increment();
+        if (shard.error.ok()) shard.error = std::move(status);
       }
       reports_total_->Increment(shard.protocol->reports_absorbed() -
                                 reports_before);
@@ -182,30 +178,6 @@ void ShardedAggregator::WorkerLoop(Shard& shard) {
     // must not leak budget and wedge sibling collections.
     if (options_.shared_budget) options_.shared_budget->Release();
   }
-}
-
-void ShardedAggregator::NoteIngestStarted() {
-  ingest_epoch_.fetch_add(1, std::memory_order_acq_rel);
-  core::MutexLock lock(window_mu_);
-  if (!window_open_) {
-    window_open_ = true;
-    window_start_ = std::chrono::steady_clock::now();
-  }
-}
-
-Status ShardedAggregator::Ingest(const Report& report) {
-  std::vector<Report> ready;
-  {
-    core::MutexLock lock(pending_mu_);
-    pending_.push_back(report);
-    if (pending_.size() < options_.batch_size) {
-      NoteIngestStarted();
-      return Status::OK();
-    }
-    ready = std::move(pending_);
-    pending_.clear();
-  }
-  return IngestBatch(std::move(ready));
 }
 
 Status ShardedAggregator::EnqueueWork(WorkItem item) {
@@ -226,32 +198,16 @@ Status ShardedAggregator::EnqueueWork(WorkItem item) {
         "ShardedAggregator: engine is shutting down");
   }
   batches_total_->Increment();
+  // Only after the push: a Merged() that reads the new version drains a
+  // queue that already holds the item.
+  state_version_.fetch_add(1, std::memory_order_acq_rel);
   return Status::OK();
-}
-
-Status ShardedAggregator::IngestBatch(std::vector<Report> reports) {
-  if (reports.empty()) return Status::OK();
-  NoteIngestStarted();
-  WorkItem item;
-  item.reports = std::move(reports);
-  return EnqueueWork(std::move(item));
 }
 
 Status ShardedAggregator::IngestWireBatch(std::vector<uint8_t> frame) {
   if (frame.empty()) return Status::OK();
-  NoteIngestStarted();
   WorkItem item;
   item.wire = std::move(frame);
-  return EnqueueWork(std::move(item));
-}
-
-Status ShardedAggregator::IngestRows(std::vector<uint64_t> rows,
-                                     bool fast_path) {
-  if (rows.empty()) return Status::OK();
-  NoteIngestStarted();
-  WorkItem item;
-  item.rows = std::move(rows);
-  item.fast_path = fast_path;
   return EnqueueWork(std::move(item));
 }
 
@@ -264,60 +220,51 @@ Status ShardedAggregator::IngestPopulation(const std::vector<uint64_t>& rows,
   const size_t chunk = (rows.size() + num_shards - 1) / num_shards;
   for (size_t begin = 0; begin < rows.size(); begin += chunk) {
     const size_t end = std::min(begin + chunk, rows.size());
-    LDPM_RETURN_IF_ERROR(IngestRows(
-        std::vector<uint64_t>(rows.begin() + begin, rows.begin() + end),
-        fast_path));
+    WorkItem item;
+    item.rows.assign(rows.begin() + begin, rows.begin() + end);
+    item.fast_path = fast_path;
+    LDPM_RETURN_IF_ERROR(EnqueueWork(std::move(item)));
   }
   return Status::OK();
 }
 
-Status ShardedAggregator::FlushPending() {
-  std::vector<Report> ready;
-  {
-    core::MutexLock lock(pending_mu_);
-    if (pending_.empty()) return Status::OK();
-    ready = std::move(pending_);
-    pending_.clear();
-  }
-  return IngestBatch(std::move(ready));
-}
-
-Status ShardedAggregator::DrainAndCollectErrors() {
+void ShardedAggregator::Drain() {
   for (auto& shard : shards_) shard->queue.WaitDrained();
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    core::MutexLock state_lock(shards_[s]->state_mu);
-    if (!shards_[s]->error.ok()) {
-      return Status(shards_[s]->error.code(),
-                    "shard " + std::to_string(s) + ": " +
-                        shards_[s]->error.message());
-    }
-  }
-  return Status::OK();
 }
 
 Status ShardedAggregator::Flush() {
-  LDPM_RETURN_IF_ERROR(FlushPending());
-  return DrainAndCollectErrors();
+  Drain();
+  Status first = Status::OK();
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    core::MutexLock state_lock(shards_[s]->state_mu);
+    Status& error = shards_[s]->error;
+    if (!error.ok() && first.ok()) {
+      first = Status(error.code(),
+                     "shard " + std::to_string(s) + ": " + error.message());
+    }
+    error = Status::OK();
+  }
+  return first;
 }
 
 StatusOr<std::shared_ptr<const MarginalProtocol>> ShardedAggregator::Merged() {
   core::MutexLock merge_lock(merge_mu_);
-  // Push the coalescing buffer first (it bumps the epoch), THEN record the
-  // epoch, then drain: work that lands during the drain or the merge is
-  // included in the shard states we read but not in the recorded epoch, so
-  // the next query conservatively rebuilds.
-  LDPM_RETURN_IF_ERROR(FlushPending());
-  const uint64_t epoch = ingest_epoch_.load(std::memory_order_acquire);
-  LDPM_RETURN_IF_ERROR(DrainAndCollectErrors());
-  if (merged_ == nullptr || merged_epoch_ != epoch) {
-    auto merged = factory_();
+  // Record the version, THEN drain: every item counted in it was pushed
+  // before this load, so the drain absorbs it. Work that lands during the
+  // drain or the merge may be included in the shard states we read but
+  // not in the recorded version, so the next query conservatively
+  // rebuilds.
+  const uint64_t version = state_version();
+  Drain();
+  if (merged_ == nullptr || merged_version_ != version) {
+    auto merged = NewProtocol();
     if (!merged.ok()) return merged.status();
     for (auto& shard : shards_) {
       core::MutexLock state_lock(shard->state_mu);
       LDPM_RETURN_IF_ERROR((*merged)->MergeFrom(*shard->protocol));
     }
     merged_ = *std::move(merged);
-    merged_epoch_ = epoch;
+    merged_version_ = version;
   }
   return merged_;
 }
@@ -328,39 +275,8 @@ StatusOr<MarginalTable> ShardedAggregator::EstimateMarginal(uint64_t beta) {
   return (*merged)->EstimateMarginal(beta);
 }
 
-StatusOr<IngestStats> ShardedAggregator::Stats() {
-  LDPM_RETURN_IF_ERROR(Flush());
-  IngestStats stats;
-  {
-    // The registry counter is monotonic (the Prometheus contract); the
-    // stats window subtracts the baseline recorded at the last Reset().
-    core::MutexLock lock(window_mu_);
-    stats.batches = batches_total_->Value() - window_base_batches_;
-  }
-  for (auto& shard : shards_) {
-    core::MutexLock state_lock(shard->state_mu);
-    stats.per_shard_reports.push_back(shard->protocol->reports_absorbed());
-    stats.reports += shard->protocol->reports_absorbed();
-    stats.bits += shard->protocol->total_report_bits();
-  }
-  {
-    core::MutexLock lock(window_mu_);
-    if (window_open_) {
-      stats.wall_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - window_start_)
-                               .count();
-    }
-  }
-  if (stats.wall_seconds > 0.0) {
-    stats.reports_per_second =
-        static_cast<double>(stats.reports) / stats.wall_seconds;
-    stats.bits_per_second = stats.bits / stats.wall_seconds;
-  }
-  return stats;
-}
-
 StatusOr<uint64_t> ShardedAggregator::ReportsAbsorbed() {
-  LDPM_RETURN_IF_ERROR(Flush());
+  Drain();
   uint64_t total = 0;
   for (auto& shard : shards_) {
     core::MutexLock state_lock(shard->state_mu);
@@ -370,7 +286,7 @@ StatusOr<uint64_t> ShardedAggregator::ReportsAbsorbed() {
 }
 
 StatusOr<std::vector<AggregatorSnapshot>> ShardedAggregator::SnapshotShards() {
-  LDPM_RETURN_IF_ERROR(Flush());
+  Drain();
   std::vector<AggregatorSnapshot> snapshots;
   snapshots.reserve(shards_.size());
   core::MutexLock cut_lock(state_cut_mu_);
@@ -383,53 +299,33 @@ StatusOr<std::vector<AggregatorSnapshot>> ShardedAggregator::SnapshotShards() {
 
 Status ShardedAggregator::RestoreShards(
     const std::vector<AggregatorSnapshot>& snapshots) {
-  LDPM_RETURN_IF_ERROR(Flush());
+  Drain();
   // Stage each snapshot in a scratch instance first so a malformed snapshot
   // list cannot leave the engine half-restored.
   std::vector<std::unique_ptr<MarginalProtocol>> staged;
   staged.reserve(snapshots.size());
   for (const AggregatorSnapshot& snapshot : snapshots) {
-    auto scratch = factory_();
+    auto scratch = NewProtocol();
     if (!scratch.ok()) return scratch.status();
     LDPM_RETURN_IF_ERROR((*scratch)->Restore(snapshot));
     staged.push_back(*std::move(scratch));
   }
+  Status restored = Status::OK();
   {
     core::MutexLock cut_lock(state_cut_mu_);
     for (auto& shard : shards_) {
       core::MutexLock state_lock(shard->state_mu);
       shard->protocol->Reset();
     }
-    for (size_t i = 0; i < staged.size(); ++i) {
+    for (size_t i = 0; i < staged.size() && restored.ok(); ++i) {
       Shard& target = *shards_[i % shards_.size()];
       core::MutexLock state_lock(target.state_mu);
-      LDPM_RETURN_IF_ERROR(target.protocol->MergeFrom(*staged[i]));
+      restored = target.protocol->MergeFrom(*staged[i]);
     }
   }
-  ingest_epoch_.fetch_add(1, std::memory_order_acq_rel);
-  return Status::OK();
-}
-
-Status ShardedAggregator::Reset() {
-  LDPM_RETURN_IF_ERROR(FlushPending());
-  for (auto& shard : shards_) shard->queue.WaitDrained();
-  {
-    core::MutexLock cut_lock(state_cut_mu_);
-    for (auto& shard : shards_) {
-      core::MutexLock state_lock(shard->state_mu);
-      shard->protocol->Reset();
-      shard->error = Status::OK();
-    }
-  }
-  ingest_epoch_.fetch_add(1, std::memory_order_acq_rel);
-  {
-    core::MutexLock merge_lock(merge_mu_);
-    merged_.reset();
-  }
-  core::MutexLock lock(window_mu_);
-  window_open_ = false;
-  window_base_batches_ = batches_total_->Value();
-  return Status::OK();
+  // The shards changed even when a merge failed part-way.
+  state_version_.fetch_add(1, std::memory_order_acq_rel);
+  return restored;
 }
 
 }  // namespace engine

@@ -8,9 +8,10 @@
 //
 //   * the engine owns S independent MarginalProtocol instances, one per
 //     shard, each with a deterministically derived Rng stream;
-//   * producers enqueue batches of reports (or raw rows to encode) onto
-//     per-shard bounded queues; one worker thread per shard drains its
-//     queue into its shard aggregator with no cross-shard synchronization;
+//   * producers enqueue work in two forms — wire batch frames and user
+//     rows to encode — onto per-shard bounded queues; one worker thread
+//     per shard drains its queue into its shard aggregator with no
+//     cross-shard synchronization;
 //   * queries merge the shard states on demand into a cached combined
 //     aggregator and answer from it, so an idle engine pays the merge once
 //     no matter how many marginals are asked.
@@ -25,8 +26,6 @@
 #define LDPM_ENGINE_SHARDED_AGGREGATOR_H_
 
 #include <atomic>
-#include <chrono>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -35,7 +34,6 @@
 
 #include "core/sync.h"
 #include "engine/ingest_budget.h"
-#include "engine/ingest_stats.h"
 #include "engine/shard_queue.h"
 #include "obs/metrics.h"
 #include "protocols/factory.h"
@@ -48,8 +46,6 @@ struct EngineOptions {
   /// Number of shards (and worker threads). 1 reproduces the single-
   /// aggregator deployment behind the same interface.
   int num_shards = 1;
-  /// Reports coalesced per batch by the single-report Ingest() path.
-  size_t batch_size = 4096;
   /// Per-shard queue bound; producers block when a shard falls this far
   /// behind (backpressure).
   size_t max_pending_batches = 64;
@@ -57,7 +53,7 @@ struct EngineOptions {
   uint64_t seed = 0x5EED;
   /// Optional engine-wide backpressure budget shared with other engines
   /// (the Collector gives every collection the same one). When set, each
-  /// ingest call acquires a slot before enqueueing — blocking while the
+  /// work item acquires a slot before it is enqueued — blocking while the
   /// whole group's in-flight work is at the budget's limit — and the shard
   /// worker releases it after absorbing the item.
   std::shared_ptr<IngestBudget> shared_budget;
@@ -65,8 +61,8 @@ struct EngineOptions {
   /// counters, queue-depth gauges, absorb/budget-wait latency
   /// histograms — docs/observability.md catalogs them). Null gives the
   /// engine a private registry, so instrumentation is always on (the
-  /// counters double as the IngestStats source of truth) but invisible
-  /// until a registry is shared. The registry must outlive the engine.
+  /// counters are the engine's one throughput record) but invisible until
+  /// a registry is shared. The registry must outlive the engine.
   /// Two engines sharing a registry AND a metrics_collection label share
   /// series — give each engine a distinct label (the Collector does).
   obs::MetricsRegistry* metrics = nullptr;
@@ -74,13 +70,6 @@ struct EngineOptions {
   /// emits; empty emits unlabeled series (single-engine deployments).
   std::string metrics_collection;
 };
-
-/// Builds one aggregator instance; called once per shard plus once for the
-/// merged query-side instance, so it must be repeatable. Use this overload
-/// for protocols outside the factory enum (oracle-backed paths, custom
-/// parameterizations).
-using ProtocolFactory =
-    std::function<StatusOr<std::unique_ptr<MarginalProtocol>>()>;
 
 /// The multi-core collector: S shard aggregators fed by bounded queues,
 /// merged on demand for queries, and snapshot-able for re-sharding and
@@ -91,11 +80,6 @@ class ShardedAggregator {
   /// Creates an engine whose shards run `kind` under `config`.
   static StatusOr<std::unique_ptr<ShardedAggregator>> Create(
       ProtocolKind kind, const ProtocolConfig& config,
-      const EngineOptions& options = EngineOptions());
-
-  /// Creates an engine from an arbitrary protocol factory.
-  static StatusOr<std::unique_ptr<ShardedAggregator>> Create(
-      const ProtocolFactory& factory,
       const EngineOptions& options = EngineOptions());
 
   /// Drains and joins all workers.
@@ -119,87 +103,81 @@ class ShardedAggregator {
   }
 
   // ---- Ingest (thread-safe) ----------------------------------------------
-
-  /// Enqueues one report; coalesced into batches of options.batch_size.
-  Status Ingest(const Report& report);
-
-  /// Enqueues a batch of pre-encoded reports onto the next shard
-  /// (round-robin). Blocks when that shard's queue is full. The worker
-  /// absorbs the batch through the protocol's columnar AbsorbBatch path.
-  Status IngestBatch(std::vector<Report> reports);
+  //
+  // Work reaches the shards in two forms. Each call acquires a shared
+  // budget slot (when configured), blocks while the target shard's queue
+  // is full, and advances state_version() once per enqueued item.
 
   /// Enqueues a wire batch frame (protocols/wire.h: u32-length-prefixed
-  /// SerializeReport records) onto the next shard. The worker parses and
-  /// absorbs the records in place via AbsorbWireBatch — the zero-copy path
-  /// from network bytes to protocol state.
+  /// SerializeReport records) onto the next shard (round-robin). The
+  /// worker parses and absorbs the records in place via AbsorbWireBatch —
+  /// the zero-copy path from network bytes to protocol state. A malformed
+  /// record costs only its own frame: the records before it stay absorbed,
+  /// the error is counted and reported once by the next Flush(), and later
+  /// frames are absorbed as usual.
   Status IngestWireBatch(std::vector<uint8_t> frame);
 
-  /// Enqueues raw user rows; the receiving shard's worker encodes them with
-  /// the shard's own Rng stream and absorbs the reports. With `fast_path`
-  /// the worker uses the protocol's distribution-exact AbsorbPopulation.
-  Status IngestRows(std::vector<uint64_t> rows, bool fast_path = false);
-
-  /// Splits a population across all shards in contiguous chunks and ingests
-  /// each chunk as row work. Distribution-equivalent to a single
-  /// aggregator's AbsorbPopulation.
+  /// Splits user rows across all shards in contiguous chunks, one work item
+  /// per shard; each receiving worker encodes its chunk with the shard's
+  /// own Rng stream and absorbs the reports. With `fast_path` the worker
+  /// uses the protocol's distribution-exact AbsorbPopulation.
+  /// Distribution-equivalent to a single aggregator's AbsorbPopulation.
   Status IngestPopulation(const std::vector<uint64_t>& rows,
                           bool fast_path = true);
 
-  /// Barrier: blocks until every enqueued item (including the coalescing
-  /// buffer) has been absorbed, then reports the first worker error, if any.
+  /// Barrier: blocks until every enqueued item has been absorbed, then
+  /// reports the first absorb error since the previous Flush, once (every
+  /// failed item is counted in ldpm_engine_absorb_errors_total).
   Status Flush();
 
   // ---- Query -------------------------------------------------------------
 
-  /// Flushes, merges shard state (cached until the next ingest), and
-  /// estimates the marginal for selector beta.
+  /// Merges shard state (Merged()) and estimates the marginal for
+  /// selector beta.
   StatusOr<MarginalTable> EstimateMarginal(uint64_t beta);
 
-  /// Flushes and exposes the merged aggregator. The caller shares
-  /// ownership: the state it holds stays alive and unchanged even when a
-  /// later Merged() at a newer epoch, or a Reset(), replaces the engine's
-  /// copy.
+  /// Drains the queues and exposes the merged aggregator, cached until
+  /// state_version() advances. The caller shares ownership: the state it
+  /// holds stays alive and unchanged even when a later Merged() at a newer
+  /// version replaces the engine's copy.
   StatusOr<std::shared_ptr<const MarginalProtocol>> Merged();
 
   // ---- Introspection -----------------------------------------------------
 
-  /// Flushes and reports ingest throughput over the window since the first
-  /// ingest after construction/Reset.
-  StatusOr<IngestStats> Stats();
-
-  /// Total reports absorbed by all shards (flushes first).
+  /// Total reports absorbed by all shards (drains the queues first).
   StatusOr<uint64_t> ReportsAbsorbed();
 
   // ---- State management --------------------------------------------------
 
-  /// Flushes and captures one snapshot per shard. Restoring the set into an
-  /// engine with ANY shard count (see RestoreShards) reproduces the merged
-  /// state exactly — the crash-free re-sharding path.
+  /// Drains the queues and captures one snapshot per shard. Restoring the
+  /// set into an engine with ANY shard count (see RestoreShards)
+  /// reproduces the merged state exactly — the crash-free re-sharding
+  /// path.
   StatusOr<std::vector<AggregatorSnapshot>> SnapshotShards();
 
   /// Replaces all shard state with the given snapshots, distributing them
   /// round-robin over this engine's shards (snapshot count need not match
-  /// the shard count).
+  /// the shard count), and advances state_version().
   Status RestoreShards(const std::vector<AggregatorSnapshot>& snapshots);
-
-  /// Flushes and clears all shard state and the stats window.
-  Status Reset();
 
   /// The registry this engine's metrics live in (the options' registry,
   /// or the engine-private one when none was given). Valid for the
   /// engine's lifetime; scrape it with MetricsRegistry::TextExposition().
   obs::MetricsRegistry* metrics() const { return metrics_; }
 
-  /// The engine's work-items-enqueued counter, published in metrics() as
-  /// ldpm_engine_batches_enqueued_total under the engine's label. Every
-  /// ingest call that enqueues work advances it; restores and resets do
-  /// not. Valid for the engine's lifetime.
-  const obs::Counter& batches_enqueued() const { return *batches_total_; }
+  /// The engine's state version: advanced once per work item, after its
+  /// push, and once per RestoreShards; nothing else moves it, so it is
+  /// monotone. A state merged after reading version V holds every item
+  /// counted in V. Merged() caches on it and query::MarginalCache keys its
+  /// snapshots on it (the served watermark).
+  uint64_t state_version() const {
+    return state_version_.load(std::memory_order_acquire);
+  }
 
  private:
   struct Shard {
     /// Serializes the worker's state mutation against control-plane reads
-    /// (merge, stats, snapshot); held per work item, so uncontended in
+    /// (merge, counts, snapshot); held per work item, so uncontended in
     /// steady state.
     core::Mutex state_mu;
     /// The pointer itself is set once in Create (before the worker starts);
@@ -208,7 +186,8 @@ class ShardedAggregator {
     Rng rng LDPM_GUARDED_BY(state_mu){0};
     ShardQueue queue;
     std::thread worker;
-    /// First absorb/encode error, sticky until Reset.
+    /// First absorb/encode error since the last Flush, which reports and
+    /// clears it. It never stops the worker.
     Status error LDPM_GUARDED_BY(state_mu);
     /// Live work items on this shard's queue (producer +1, worker -1
     /// after absorb) and the high-water mark it has reached.
@@ -218,69 +197,57 @@ class ShardedAggregator {
     explicit Shard(size_t max_pending) : queue(max_pending) {}
   };
 
-  ShardedAggregator(ProtocolFactory factory, const EngineOptions& options);
+  ShardedAggregator(ProtocolKind kind, const ProtocolConfig& config,
+                    const EngineOptions& options);
+
+  /// A fresh protocol instance of this engine's kind and configuration.
+  StatusOr<std::unique_ptr<MarginalProtocol>> NewProtocol() const;
 
   /// Creates/caches this engine's metric instruments in metrics_ (labeled
   /// with options.metrics_collection). Called once from Create.
   void InitMetrics();
 
   void WorkerLoop(Shard& shard);
-  void NoteIngestStarted();
-  /// The common enqueue tail: budget acquire (timed), queue push, depth
-  /// gauges, batch counter.
+  /// The common enqueue path: budget acquire (timed), queue push, depth
+  /// gauges, batch counter, state version.
   Status EnqueueWork(WorkItem item);
-  Status FlushPending();  // pushes the coalescing buffer, if any
-  Status DrainAndCollectErrors();
+  /// Blocks until every shard queue is drained.
+  void Drain();
 
-  ProtocolFactory factory_;
+  const ProtocolKind kind_;
+  const ProtocolConfig config_;
   EngineOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
   /// Metrics destination (never null after Create) and, when the options
   /// brought no registry, the engine-private one backing it. These
-  /// counters ARE the throughput accounting: IngestStats is a windowed
-  /// view over them (see Stats()/Reset()), not a parallel tally.
+  /// counters ARE the throughput accounting.
   obs::MetricsRegistry* metrics_ = nullptr;
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
   obs::Counter* reports_total_ = nullptr;        // absorbed, all shards
   obs::Counter* batches_total_ = nullptr;        // work items enqueued
   obs::Counter* report_bits_total_ = nullptr;    // paper Table-2 bits
+  obs::Counter* absorb_errors_total_ = nullptr;  // work items that failed
   obs::Histogram* absorb_latency_ = nullptr;     // per work item, ns
   obs::Histogram* budget_wait_ = nullptr;        // shared-budget waits, ns
 
-  core::Mutex pending_mu_;
-  /// Single-report coalescing buffer.
-  std::vector<Report> pending_ LDPM_GUARDED_BY(pending_mu_);
-
   std::atomic<uint64_t> next_shard_{0};
 
-  /// Monotonic count of ingest/restore/reset events. The merged cache is
-  /// valid only for the epoch it was built at; comparing epochs (instead of
-  /// a clearable flag) cannot lose an invalidation that lands mid-merge.
-  std::atomic<uint64_t> ingest_epoch_{0};
+  /// See state_version(). The merged cache is valid only for the version
+  /// it was built at; comparing versions (instead of a clearable flag)
+  /// cannot lose an invalidation that lands mid-merge.
+  std::atomic<uint64_t> state_version_{0};
   core::Mutex merge_mu_;
   std::shared_ptr<const MarginalProtocol> merged_ LDPM_GUARDED_BY(merge_mu_);
-  uint64_t merged_epoch_ LDPM_GUARDED_BY(merge_mu_) = ~uint64_t{0};
+  uint64_t merged_version_ LDPM_GUARDED_BY(merge_mu_) = ~uint64_t{0};
 
   /// Makes cross-shard state transitions atomic against snapshot capture:
   /// held across the whole shard loop by SnapshotShards and by
-  /// Reset/RestoreShards, so a checkpoint cut racing a reset or restore
-  /// sees all shards before or all shards after, never a mix (per-shard
-  /// state_mu alone orders only within one shard). Always acquired before
-  /// any state_mu, never the other way around (docs/operations.md, "Lock
-  /// ordering").
+  /// RestoreShards, so a checkpoint cut racing a restore sees all shards
+  /// before or all shards after, never a mix (per-shard state_mu alone
+  /// orders only within one shard). Always acquired before any state_mu,
+  /// never the other way around (docs/operations.md, "Lock ordering").
   core::Mutex state_cut_mu_;
-
-  core::Mutex window_mu_;
-  bool window_open_ LDPM_GUARDED_BY(window_mu_) = false;
-  std::chrono::steady_clock::time_point window_start_
-      LDPM_GUARDED_BY(window_mu_);
-  /// Batch-counter value at the last Reset: the registry counter is
-  /// monotonic for the scrapers' sake, so the resettable IngestStats
-  /// window subtracts this baseline instead of zeroing it. (Reports and
-  /// bits need no baseline — Reset clears the shard protocols they are
-  /// read from.)
-  uint64_t window_base_batches_ LDPM_GUARDED_BY(window_mu_) = 0;
 };
 
 }  // namespace engine

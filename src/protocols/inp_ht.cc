@@ -61,13 +61,6 @@ Status InpHtProtocol::Absorb(const Report& report) {
   return Status::OK();
 }
 
-Status InpHtProtocol::AbsorbBatch(const Report* reports, size_t count) {
-  for (size_t i = 0; i < count; ++i) {
-    LDPM_RETURN_IF_ERROR(InpHtProtocol::Absorb(reports[i]));
-  }
-  return Status::OK();
-}
-
 Status InpHtProtocol::AbsorbWireBatch(const uint8_t* data, size_t size) {
   const int d = config_.d;
   const size_t payload_bytes = (static_cast<size_t>(d) + 1 + 7) / 8;

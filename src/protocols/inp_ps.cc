@@ -38,13 +38,6 @@ Status InpPsProtocol::Absorb(const Report& report) {
   return Status::OK();
 }
 
-Status InpPsProtocol::AbsorbBatch(const Report* reports, size_t count) {
-  for (size_t i = 0; i < count; ++i) {
-    LDPM_RETURN_IF_ERROR(InpPsProtocol::Absorb(reports[i]));
-  }
-  return Status::OK();
-}
-
 Status InpPsProtocol::AbsorbWireBatch(const uint8_t* data, size_t size) {
   const int d = config_.d;
   const size_t payload_bytes = (static_cast<size_t>(d) + 7) / 8;

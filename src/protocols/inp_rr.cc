@@ -198,32 +198,6 @@ void InpRrProtocol::FoldBatchCounts() {
   }
 }
 
-Status InpRrProtocol::AbsorbBatch(const Report* reports, size_t count) {
-  const uint64_t domain = uint64_t{1} << config_.d;
-  EnsureBatchScratch();
-  Status error = Status::OK();
-  uint64_t since_fold = 0;
-  for (size_t i = 0; i < count; ++i) {
-    bool valid = true;
-    for (uint64_t pos : reports[i].ones) {
-      if (pos >= domain) {
-        error = Status::InvalidArgument("InpRR::Absorb: position outside domain");
-        valid = false;
-        break;
-      }
-    }
-    if (!valid) break;
-    for (uint64_t pos : reports[i].ones) ++batch_counts_[pos];
-    NoteAbsorbed(reports[i]);
-    if (++since_fold >= kMaxPendingPerCell) {
-      FoldBatchCounts();
-      since_fold = 0;
-    }
-  }
-  FoldBatchCounts();
-  return error;
-}
-
 Status InpRrProtocol::AbsorbWireBatch(const uint8_t* data, size_t size) {
   const uint64_t domain = uint64_t{1} << config_.d;
   const size_t payload_bytes = (domain + 7) / 8;

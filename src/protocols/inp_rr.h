@@ -30,11 +30,6 @@ class InpRrProtocol final : public MarginalProtocol {
   Report Encode(uint64_t user_value, Rng& rng) const override;
   Status Absorb(const Report& report) override;
 
-  /// Columnar batch ingest: validates and accumulates the reported
-  /// positions into a per-cell integer scratch array, folded into the
-  /// double counts once per batch. Bitwise-identical to per-report Absorb.
-  Status AbsorbBatch(const Report* reports, size_t count) override;
-
   /// Zero-copy wire ingest: each record payload is the raw 2^d-bit report
   /// bitmap, summed as packed 64-bit words by a carry-save adder tree over
   /// vertical bit-plane counters (no Report materialization, no

@@ -64,13 +64,6 @@ Status MargHtProtocol::Absorb(const Report& report) {
   return Status::OK();
 }
 
-Status MargHtProtocol::AbsorbBatch(const Report* reports, size_t count) {
-  for (size_t i = 0; i < count; ++i) {
-    LDPM_RETURN_IF_ERROR(MargHtProtocol::Absorb(reports[i]));
-  }
-  return Status::OK();
-}
-
 Status MargHtProtocol::AbsorbWireBatch(const uint8_t* data, size_t size) {
   const int d = config_.d;
   const int k = config_.k;

@@ -47,13 +47,6 @@ Status MargPsProtocol::Absorb(const Report& report) {
   return Status::OK();
 }
 
-Status MargPsProtocol::AbsorbBatch(const Report* reports, size_t count) {
-  for (size_t i = 0; i < count; ++i) {
-    LDPM_RETURN_IF_ERROR(MargPsProtocol::Absorb(reports[i]));
-  }
-  return Status::OK();
-}
-
 Status MargPsProtocol::AbsorbWireBatch(const uint8_t* data, size_t size) {
   const int d = config_.d;
   const int k = config_.k;

@@ -26,9 +26,6 @@ class MargRrProtocol final : public MargProtocolBase {
   Report Encode(uint64_t user_value, Rng& rng) const override;
   Status Absorb(const Report& report) override;
 
-  /// Batch ingest with the virtual dispatch hoisted out of the loop.
-  Status AbsorbBatch(const Report* reports, size_t count) override;
-
   /// Zero-copy wire ingest: parses the (beta, 2^k-cell bitmap) layout with
   /// one word load per record when it fits 64 bits (d + 2^k <= 64), falling
   /// back to the generic record parser otherwise.

@@ -28,13 +28,6 @@ Status MarginalProtocol::ValidateCommon(const ProtocolConfig& config) {
   return Status::OK();
 }
 
-Status MarginalProtocol::AbsorbBatch(const Report* reports, size_t count) {
-  for (size_t i = 0; i < count; ++i) {
-    LDPM_RETURN_IF_ERROR(Absorb(reports[i]));
-  }
-  return Status::OK();
-}
-
 Status MarginalProtocol::AbsorbWireBatch(const uint8_t* data, size_t size) {
   auto kind = ProtocolKindFromName(name());
   if (!kind.ok()) {

@@ -149,20 +149,14 @@ class MarginalProtocol {
   /// protocol's domain) are rejected with a Status and leave state intact.
   virtual Status Absorb(const Report& report) = 0;
 
-  /// Accumulates `count` reports. State-identical to absorbing them in
-  /// order: on a malformed report the reports before it stay absorbed and
-  /// its error is returned (the rest of the batch is not absorbed). The hot
-  /// protocols override this with columnar fast paths — validation hoisted
-  /// out of the loop, integer accumulators folded into the double sums once
-  /// per batch — that stay bitwise-identical to the per-report path.
-  virtual Status AbsorbBatch(const Report* reports, size_t count);
-
   /// Wire-level batched ingest: absorbs every record of a wire batch frame
   /// (see protocols/wire.h: records are u32-length-prefixed SerializeReport
-  /// payloads, concatenated). The default parses each record into a Report
-  /// and absorbs it; overrides parse the fixed per-protocol layouts in
-  /// place without materializing Report objects. Same prefix semantics as
-  /// AbsorbBatch: records before a malformed one stay absorbed.
+  /// payloads, concatenated). State-identical to absorbing the parsed
+  /// reports in order: on a malformed record the records before it stay
+  /// absorbed and its error is returned (the rest of the frame is not
+  /// absorbed). The default parses each record into a Report and absorbs
+  /// it; overrides parse the fixed per-protocol layouts in place without
+  /// materializing Report objects and stay bitwise-identical to Absorb.
   virtual Status AbsorbWireBatch(const uint8_t* data, size_t size);
 
   /// Feeds an entire population through the protocol. Equivalent in

@@ -63,7 +63,7 @@ MarginalCache::MarginalCache(engine::Collector* collector,
       collection_(std::move(collection)),
       options_(options),
       d_(handle_.config().d),
-      watermark_(&handle_.aggregator().batches_enqueued()),
+      engine_(&handle_.aggregator()),
       selectors_(FullKWaySelectors(d_, options_.max_order)) {
   obs::MetricsRegistry* metrics = collector->metrics();
   requests_ = metrics->GetCounter(
@@ -114,7 +114,9 @@ StatusOr<std::unique_ptr<MarginalCache>> MarginalCache::Create(
       collector, *std::move(handle), collection, resolved));
 }
 
-uint64_t MarginalCache::LiveWatermark() const { return watermark_->Value(); }
+uint64_t MarginalCache::LiveWatermark() const {
+  return engine_->state_version();
+}
 
 StatusOr<std::shared_ptr<const Snapshot>> MarginalCache::Get() {
   requests_->Increment();
@@ -174,8 +176,6 @@ Status MarginalCache::Refresh() {
   core::MutexLock lock(refresh_mu_);
   return RebuildLocked();
 }
-
-void MarginalCache::Invalidate() { Publish(nullptr); }
 
 std::shared_ptr<const Snapshot> MarginalCache::Current() const {
   core::MutexLock lock(snapshot_mu_);

@@ -21,23 +21,19 @@
 //     shared_ptr under a small mutex that is held only to copy or swap
 //     the pointer. A cache hit is that copy, a rank computation, and a
 //     copy of 2^k doubles. No shard merge.
-//   * Epochs are keyed on an ingest *watermark* — the collection
-//     engine's own batches-enqueued counter
-//     (ShardedAggregator::batches_enqueued(), published as
-//     `ldpm_engine_batches_enqueued_total` under whatever label and
-//     registry the engine was given), resolved once at Create and read
-//     without a registry lookup. A snapshot built at
-//     watermark W serves until the counter advances past W; the next
-//     read then rebuilds (or, with serve_stale, keeps serving the old
-//     epoch while one thread rebuilds). The watermark is captured
-//     *before* the rebuild takes the merged state, so a snapshot's
-//     watermark is always a lower bound on the ingest it reflects —
-//     concurrent ingest during a rebuild makes the fresh snapshot
-//     immediately stale, never silently under-reported.
-//
-// Restores and resets do not advance the batch counter; operational
-// paths that replace engine state out-of-band (Collector::RestoreFrom)
-// must call Invalidate() to force the next read to rebuild.
+//   * Epochs are keyed on a *watermark* — the collection engine's state
+//     version (ShardedAggregator::state_version()), the same counter the
+//     engine's merged state is cached on. It rises by one per enqueued
+//     work item, after the push, and by one per restore
+//     (Collector::RestoreFrom), so a restored state is served like new
+//     ingest. A snapshot built at watermark W serves until the version
+//     advances past W; the next read then rebuilds (or, with
+//     serve_stale, keeps serving the old epoch while one thread
+//     rebuilds). The watermark is captured *before* the rebuild takes the
+//     merged state, and the merge drains every item counted in it, so a
+//     snapshot's watermark is always a lower bound on the ingest it
+//     reflects — concurrent ingest during a rebuild makes the fresh
+//     snapshot immediately stale, never silently under-reported.
 //
 // Reproducibility contract (verified bitwise in tests/query/): a cache
 // answer for beta at watermark W equals
@@ -100,8 +96,8 @@ struct MarginalCacheOptions {
 /// fitted model is memoized under std::call_once).
 class Snapshot {
  public:
-  /// Ingest watermark (batches-enqueued counter) captured before the
-  /// rebuild took the merged state: a lower bound on the state served.
+  /// Engine state version captured before the rebuild took the merged
+  /// state: a lower bound on the state served.
   uint64_t watermark() const { return watermark_; }
   /// Monotone rebuild sequence number, starting at 1.
   uint64_t epoch() const { return epoch_; }
@@ -171,7 +167,7 @@ class MarginalCache {
       const MarginalCacheOptions& options = MarginalCacheOptions());
 
   /// The current snapshot, rebuilding first when none exists or the
-  /// ingest watermark advanced. Under serve_stale a read that loses the
+  /// watermark advanced. Under serve_stale a read that loses the
   /// rebuild race returns the previous epoch instead of waiting.
   StatusOr<std::shared_ptr<const Snapshot>> Get();
 
@@ -182,11 +178,7 @@ class MarginalCache {
   /// Forces a rebuild now, regardless of the watermark.
   Status Refresh();
 
-  /// Drops the current snapshot so the next read rebuilds — for state
-  /// changes the watermark cannot see (Collector::RestoreFrom).
-  void Invalidate();
-
-  /// The live batches-enqueued counter the staleness check reads.
+  /// The live engine state version the staleness check reads.
   uint64_t LiveWatermark() const;
 
   int dimensions() const { return d_; }
@@ -212,8 +204,8 @@ class MarginalCache {
   const std::string collection_;
   MarginalCacheOptions options_;  // max_order resolved at Create
   int d_ = 0;
-  // The engine's batches-enqueued counter, resolved once at Create.
-  const obs::Counter* watermark_ = nullptr;
+  // The collection's engine, whose state version is the watermark.
+  const engine::ShardedAggregator* engine_ = nullptr;
   std::vector<uint64_t> selectors_;
 
   // A leaf lock, held only to copy or swap the pointer, never across a

@@ -30,6 +30,7 @@ using engine::DecodeCollectorCheckpoint;
 using engine::EncodeCollectorCheckpoint;
 using test::EncodeReportStream;
 using test::ExpectBitwiseEqualEstimates;
+using test::IngestReports;
 using test::MakeConfig;
 
 std::string TestPath(const std::string& name) {
@@ -87,7 +88,7 @@ LoadedCollector MakeLoadedCollector(ProtocolKind kind, int num_shards,
   for (const Report& r : reports) {
     EXPECT_TRUE((*reference)->Absorb(r).ok());
   }
-  EXPECT_TRUE(handle->IngestBatch(reports).ok());
+  EXPECT_TRUE(IngestReports(*handle, kind, reports).ok());
   EXPECT_TRUE(handle->Flush().ok());
   return {std::move(collector), *std::move(handle), *std::move(reference)};
 }
@@ -144,8 +145,9 @@ TEST_P(CheckpointPerProtocolTest, FileRoundTripAcrossShardCounts) {
   // Reports ingested AFTER the checkpoint must not leak into the file.
   auto encoder = CreateProtocol(kind, MakeConfig(6, 2));
   ASSERT_TRUE(encoder.ok());
-  ASSERT_TRUE(
-      loaded.handle.IngestBatch(EncodeReportStream(**encoder, 300, 77)).ok());
+  ASSERT_TRUE(IngestReports(loaded.handle, kind,
+                            EncodeReportStream(**encoder, 300, 77))
+                  .ok());
 
   for (int target_shards : {1, 2, 4}) {
     auto restored = MakeCollector(kind, target_shards);
@@ -309,9 +311,13 @@ TEST(CheckpointGenerations, FallbackSkipsCorruptNewestAndQuarantines) {
   ASSERT_TRUE(handle.ok());
   auto encoder = CreateProtocol(ProtocolKind::kInpHT, MakeConfig(6, 2));
   ASSERT_TRUE(encoder.ok());
-  ASSERT_TRUE(handle->IngestBatch(EncodeReportStream(**encoder, 400, 3)).ok());
+  ASSERT_TRUE(IngestReports(*handle, ProtocolKind::kInpHT,
+                            EncodeReportStream(**encoder, 400, 3))
+                  .ok());
   ASSERT_TRUE(collector->CheckpointTo(path).ok());
-  ASSERT_TRUE(handle->IngestBatch(EncodeReportStream(**encoder, 300, 5)).ok());
+  ASSERT_TRUE(IngestReports(*handle, ProtocolKind::kInpHT,
+                            EncodeReportStream(**encoder, 300, 5))
+                  .ok());
   ASSERT_TRUE(collector->CheckpointTo(path).ok());
 
   // Corrupt the newest generation in place.

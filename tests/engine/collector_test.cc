@@ -32,6 +32,7 @@ using engine::CollectorOptions;
 using engine::EngineOptions;
 using test::EncodeReportStream;
 using test::ExpectBitwiseEqualEstimates;
+using test::IngestReports;
 using test::MakeConfig;
 
 std::string TempPath(const std::string& name) {
@@ -81,10 +82,11 @@ TEST(Collector, RegistryBasics) {
 
   // Outstanding handles outlive Unregister.
   Rng rng(4);
-  ASSERT_TRUE(clicks->Ingest((*CreateProtocol(ProtocolKind::kInpHT,
-                                              MakeConfig(6, 2)))
-                                 ->Encode(5, rng))
-                  .ok());
+  auto encoder = CreateProtocol(ProtocolKind::kInpHT, MakeConfig(6, 2));
+  ASSERT_TRUE(encoder.ok());
+  ASSERT_TRUE(
+      IngestReports(*clicks, ProtocolKind::kInpHT, {(*encoder)->Encode(5, rng)})
+          .ok());
   EXPECT_TRUE(clicks->Flush().ok());
 }
 
@@ -139,14 +141,12 @@ TEST(Collector, SharedBackpressureBudgetIsReleasedByWorkers) {
   const std::vector<Report> stream_a = EncodeReportStream(**encoder_a, 800, 3);
   const std::vector<Report> stream_b = EncodeReportStream(**encoder_b, 800, 4);
   for (size_t begin = 0; begin < 800; begin += 50) {
-    ASSERT_TRUE(a->IngestBatch(std::vector<Report>(
-                                   stream_a.begin() + begin,
-                                   stream_a.begin() + begin + 50))
-                    .ok());
-    ASSERT_TRUE(b->IngestBatch(std::vector<Report>(
-                                   stream_b.begin() + begin,
-                                   stream_b.begin() + begin + 50))
-                    .ok());
+    const std::vector<Report> frame_a(stream_a.begin() + begin,
+                                      stream_a.begin() + begin + 50);
+    const std::vector<Report> frame_b(stream_b.begin() + begin,
+                                      stream_b.begin() + begin + 50);
+    ASSERT_TRUE(IngestReports(*a, ProtocolKind::kInpHT, frame_a).ok());
+    ASSERT_TRUE(IngestReports(*b, ProtocolKind::kMargPS, frame_b).ok());
   }
   ASSERT_TRUE(collector->Flush().ok());
   auto absorbed_a = a->ReportsAbsorbed();
@@ -401,7 +401,7 @@ TEST(Collector, ShutdownCheckpointWritesFinalState) {
     auto collector = MustCreate(options);
     auto handle = collector->Register("only", ProtocolKind::kInpHT, config);
     ASSERT_TRUE(handle.ok());
-    ASSERT_TRUE(handle->IngestBatch(reports).ok());
+    ASSERT_TRUE(IngestReports(*handle, ProtocolKind::kInpHT, reports).ok());
     // Drain reports the write's status; the destructor would also write.
     ASSERT_TRUE(collector->Drain().ok());
   }  // destructor: second (idempotent) final checkpoint
@@ -417,12 +417,11 @@ TEST(Collector, ShutdownCheckpointWritesFinalState) {
 }
 
 TEST(Collector, DestructorShutdownCheckpointIncludesQueuedTail) {
-  // Regression: the destructor must run the FULL Drain() path — flush the
-  // coalescing buffers and queued batches of every collection BEFORE the
-  // snapshot cut — not a bare CheckpointTo. Queue work on two collections
-  // (batches plus a partially filled single-report coalescing buffer) and
-  // destroy the collector with no explicit Drain(): the restored state
-  // must hold every report.
+  // Regression: the destructor must run the FULL Drain() path — absorb
+  // the queued frames of every collection BEFORE the snapshot cut. Queue
+  // work on two collections (large frames plus a tail of one-report
+  // frames) and destroy the collector with no explicit Drain(): the
+  // restored state must hold every report.
   const std::string path = TempPath("ldpm_collector_dtor_tail.ckpt");
   std::filesystem::remove(path);
   const ProtocolConfig config = MakeConfig(6, 2);
@@ -444,12 +443,12 @@ TEST(Collector, DestructorShutdownCheckpointIncludesQueuedTail) {
     auto b = collector->Register("b", ProtocolKind::kMargPS, config);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
-    ASSERT_TRUE(a->IngestBatch(batch_a).ok());
-    ASSERT_TRUE(b->IngestBatch(batch_b).ok());
-    // These stay in the engine's single-report coalescing buffer (far
-    // below the default batch size) — the classic shutdown tail.
+    ASSERT_TRUE(IngestReports(*a, ProtocolKind::kInpHT, batch_a).ok());
+    ASSERT_TRUE(IngestReports(*b, ProtocolKind::kMargPS, batch_b).ok());
+    // One frame per report, each its own work item: part of this tail
+    // is typically still queued when the destructor runs.
     for (const Report& report : tail_a) {
-      ASSERT_TRUE(a->Ingest(report).ok());
+      ASSERT_TRUE(IngestReports(*a, ProtocolKind::kInpHT, {report}).ok());
     }
     // No Drain(), no Flush(): the destructor alone must not lose them.
   }
@@ -489,7 +488,7 @@ TEST(Collector, UnregisterReleasesEngineOutsideTheRegistryLock) {
   // hardware, enqueued in small batches so it is underway, not pending.
   for (int batch = 0; batch < 50; ++batch) {
     std::vector<uint64_t> rows(1000, 0x2A5);
-    ASSERT_TRUE(slow->IngestRows(std::move(rows), /*fast_path=*/false).ok());
+    ASSERT_TRUE(slow->IngestPopulation(rows, /*fast_path=*/false).ok());
   }
 
   const auto unregister_start = std::chrono::steady_clock::now();
@@ -618,12 +617,15 @@ TEST(Collector, QueryAndQueryCategorical) {
   auto click_encoder = CreateProtocol(ProtocolKind::kInpHT, MakeConfig(6, 2));
   ASSERT_TRUE(device_encoder.ok());
   ASSERT_TRUE(click_encoder.ok());
+  std::vector<Report> device_reports;
+  std::vector<Report> click_reports;
   for (int i = 0; i < 5000; ++i) {
-    ASSERT_TRUE(
-        devices->Ingest((*device_encoder)->Encode(rng() % 24, rng)).ok());
-    ASSERT_TRUE(
-        clicks->Ingest((*click_encoder)->Encode(rng() % 64, rng)).ok());
+    device_reports.push_back((*device_encoder)->Encode(rng() % 24, rng));
+    click_reports.push_back((*click_encoder)->Encode(rng() % 64, rng));
   }
+  ASSERT_TRUE(
+      IngestReports(*devices, ProtocolKind::kInpES, device_reports).ok());
+  ASSERT_TRUE(IngestReports(*clicks, ProtocolKind::kInpHT, click_reports).ok());
   auto table = collector->Query("clicks", 0b11);
   ASSERT_TRUE(table.ok()) << table.status().ToString();
   EXPECT_EQ(table->size(), 4u);
@@ -651,8 +653,9 @@ TEST(Collector, CheckpointsWrittenCountsContainerWrites) {
   ASSERT_TRUE(clicks.ok());
   auto encoder = CreateProtocol(ProtocolKind::kMargPS, MakeConfig(6, 2));
   ASSERT_TRUE(encoder.ok());
-  ASSERT_TRUE(
-      clicks->IngestBatch(EncodeReportStream(**encoder, 100, 11)).ok());
+  ASSERT_TRUE(IngestReports(*clicks, ProtocolKind::kMargPS,
+                            EncodeReportStream(**encoder, 100, 11))
+                  .ok());
 
   ASSERT_TRUE(collector->CheckpointTo(path).ok());
   EXPECT_EQ(collector->checkpoints_written(), 1u);
@@ -696,12 +699,14 @@ TEST(Collector, RestoreFallsBackPastCorruptNewestGeneration) {
   ASSERT_TRUE(clicks.ok());
   auto encoder = CreateProtocol(ProtocolKind::kMargPS, MakeConfig(6, 2));
   ASSERT_TRUE(encoder.ok());
-  ASSERT_TRUE(
-      clicks->IngestBatch(EncodeReportStream(**encoder, 100, 21)).ok());
+  ASSERT_TRUE(IngestReports(*clicks, ProtocolKind::kMargPS,
+                            EncodeReportStream(**encoder, 100, 21))
+                  .ok());
   ASSERT_TRUE(clicks->Flush().ok());
   ASSERT_TRUE(collector->CheckpointTo(path).ok());
-  ASSERT_TRUE(
-      clicks->IngestBatch(EncodeReportStream(**encoder, 50, 23)).ok());
+  ASSERT_TRUE(IngestReports(*clicks, ProtocolKind::kMargPS,
+                            EncodeReportStream(**encoder, 50, 23))
+                  .ok());
   ASSERT_TRUE(clicks->Flush().ok());
   ASSERT_TRUE(collector->CheckpointTo(path).ok());
 

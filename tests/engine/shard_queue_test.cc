@@ -1,6 +1,6 @@
-// Tests for the shard work queue: FIFO delivery on the SPSC ring path,
-// multi-producer fallback, capacity backpressure, the drain barrier, and
-// close semantics.
+// Tests for the shard work queue: FIFO delivery, multiple producers, the
+// exact capacity bound and backpressure, the drain barrier, and close
+// semantics.
 
 #include "engine/shard_queue.h"
 
@@ -21,12 +21,10 @@ WorkItem RowItem(uint64_t row) {
   return item;
 }
 
-// Single producer, single consumer: every pushed item arrives, in order.
-// The capacity exceeds the item count so every push takes the SPSC ring
-// path, which preserves FIFO (once the ring overflows into the mutex
-// deque, only delivery — not global order — is guaranteed).
+// Single producer, single consumer: every pushed item arrives, in order,
+// also while the producer is held back by the bound.
 TEST(ShardQueue, SingleProducerDeliversInOrder) {
-  ShardQueue queue(512);
+  ShardQueue queue(8);
   constexpr uint64_t kItems = 500;
   std::vector<uint64_t> received;
   std::thread consumer([&] {
@@ -46,8 +44,7 @@ TEST(ShardQueue, SingleProducerDeliversInOrder) {
   for (uint64_t i = 0; i < kItems; ++i) EXPECT_EQ(received[i], i);
 }
 
-// Multiple producer threads fall back to the mutex path (at most one can
-// own the ring); nothing is lost or duplicated.
+// Multiple producer threads: nothing is lost or duplicated.
 TEST(ShardQueue, MultiProducerDeliversEverything) {
   ShardQueue queue(4);
   constexpr int kProducers = 4;
@@ -80,7 +77,7 @@ TEST(ShardQueue, MultiProducerDeliversEverything) {
 }
 
 // WaitDrained must not return while the consumer is mid-item (popped but
-// not Done) even when both queues look empty.
+// not Done) even when the queue looks empty.
 TEST(ShardQueue, WaitDrainedCoversInFlightItem) {
   ShardQueue queue(4);
   std::atomic<bool> processing{false};
@@ -97,7 +94,7 @@ TEST(ShardQueue, WaitDrainedCoversInFlightItem) {
   });
   ASSERT_TRUE(queue.Push(RowItem(1)));
   while (!processing.load()) std::this_thread::yield();
-  // The single item is popped (ring empty) but not Done.
+  // The single item is popped (queue empty) but not Done.
   std::thread waiter([&] {
     queue.WaitDrained();
     drained.store(true);
@@ -137,13 +134,41 @@ TEST(ShardQueue, FullQueueAppliesBackpressure) {
   EXPECT_EQ(received.load(), kItems);
 }
 
+// max_pending is the exact bound: with two items queued, a third Push
+// blocks until the consumer pops one.
+TEST(ShardQueue, PushBeyondTheBoundBlocksUntilAPop) {
+  ShardQueue queue(2);
+  ASSERT_TRUE(queue.Push(RowItem(1)));
+  ASSERT_TRUE(queue.Push(RowItem(2)));
+  std::atomic<bool> pushed{false};
+  std::thread producer([&] {
+    EXPECT_TRUE(queue.Push(RowItem(3)));
+    pushed.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(pushed.load());
+  WorkItem item;
+  ASSERT_TRUE(queue.Pop(item));
+  EXPECT_EQ(item.rows[0], 1u);
+  producer.join();
+  EXPECT_TRUE(pushed.load());
+  queue.Done();
+  for (uint64_t want : {2u, 3u}) {
+    ASSERT_TRUE(queue.Pop(item));
+    EXPECT_EQ(item.rows[0], want);
+    queue.Done();
+  }
+  queue.Close();
+  EXPECT_FALSE(queue.Pop(item));
+}
+
 // After Close: queued items still drain, Pop then returns false, and new
-// pushes are rejected from both producer paths.
+// pushes are rejected from every thread.
 TEST(ShardQueue, CloseDrainsThenRejects) {
   ShardQueue queue(8);
-  ASSERT_TRUE(queue.Push(RowItem(7)));  // this thread owns the ring
+  ASSERT_TRUE(queue.Push(RowItem(7)));
   queue.Close();
-  EXPECT_FALSE(queue.Push(RowItem(8)));  // ring-producer push after close
+  EXPECT_FALSE(queue.Push(RowItem(8)));
   std::thread other([&] { EXPECT_FALSE(queue.Push(RowItem(9))); });
   other.join();
   WorkItem item;

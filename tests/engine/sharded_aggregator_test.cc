@@ -1,12 +1,14 @@
 // Tests for the sharded aggregation engine: shard-count invariance (the
 // merged S-shard state must be bitwise-identical to a single aggregator fed
-// the same report stream), snapshot-based re-sharding, stats, and error
-// surfacing.
+// the same report stream), snapshot-based re-sharding, the throughput
+// counters and the drain barrier, and error surfacing.
 
 #include "engine/sharded_aggregator.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <iterator>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -16,8 +18,6 @@
 #include <gtest/gtest.h>
 
 #include "core/marginal.h"
-#include "oracle/cms.h"
-#include "oracle/olh.h"
 #include "protocols/factory.h"
 #include "protocols/test_util.h"
 #include "protocols/wire.h"
@@ -29,7 +29,13 @@ using engine::EngineOptions;
 using engine::ShardedAggregator;
 using test::EncodeReportStream;
 using test::ExpectBitwiseEqualEstimates;
+using test::IngestReports;
 using test::MakeConfig;
+
+/// The value of an engine counter in its (unlabeled) private registry.
+uint64_t CounterValue(const ShardedAggregator& engine, const char* name) {
+  return engine.metrics()->CounterValue(name);
+}
 
 class ShardCountInvarianceTest : public ::testing::TestWithParam<ProtocolKind> {
 };
@@ -49,17 +55,20 @@ TEST_P(ShardCountInvarianceTest, MergedEstimatesMatchSingleAggregator) {
   for (int shards : {1, 3, 4}) {
     EngineOptions options;
     options.num_shards = shards;
-    options.batch_size = 128;
     auto eng = ShardedAggregator::Create(kind, config, options);
     ASSERT_TRUE(eng.ok()) << eng.status().ToString();
-    // Mix the batch and single-report ingest paths.
+    // Uneven frames: half the stream in one, the rest in frames of 128.
     const size_t half = reports.size() / 2;
-    ASSERT_TRUE((*eng)
-                    ->IngestBatch(std::vector<Report>(
-                        reports.begin(), reports.begin() + half))
+    ASSERT_TRUE(IngestReports(**eng, kind,
+                              std::vector<Report>(reports.begin(),
+                                                  reports.begin() + half))
                     .ok());
-    for (size_t i = half; i < reports.size(); ++i) {
-      ASSERT_TRUE((*eng)->Ingest(reports[i]).ok());
+    for (size_t begin = half; begin < reports.size(); begin += 128) {
+      const size_t end = std::min(begin + 128, reports.size());
+      ASSERT_TRUE(IngestReports(**eng, kind,
+                                std::vector<Report>(reports.begin() + begin,
+                                                    reports.begin() + end))
+                      .ok());
     }
     auto merged = (*eng)->Merged();
     ASSERT_TRUE(merged.ok()) << merged.status().ToString();
@@ -106,46 +115,6 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(ProtocolKindName(info.param));
     });
 
-// The oracle-backed frequency oracles ride through the factory-callback
-// constructor; they must shard exactly like the native protocols.
-TEST(ShardedAggregator, OracleBackedProtocolsShard) {
-  const ProtocolConfig config = MakeConfig(6, 2);
-  struct Case {
-    std::string name;
-    engine::ProtocolFactory factory;
-  };
-  const std::vector<Case> cases = {
-      {"InpHTCMS",
-       [config]() -> StatusOr<std::unique_ptr<MarginalProtocol>> {
-         CmsParams params;
-         params.width = 64;
-         auto p = InpHtCmsProtocol::Create(config, params, 99);
-         if (!p.ok()) return p.status();
-         return std::unique_ptr<MarginalProtocol>(*std::move(p));
-       }},
-      {"InpOLH", [config]() -> StatusOr<std::unique_ptr<MarginalProtocol>> {
-         auto p = InpOlhProtocol::Create(config);
-         if (!p.ok()) return p.status();
-         return std::unique_ptr<MarginalProtocol>(*std::move(p));
-       }},
-  };
-  for (const Case& test_case : cases) {
-    auto single = test_case.factory();
-    ASSERT_TRUE(single.ok());
-    const std::vector<Report> reports = EncodeReportStream(**single, 1500, 23);
-    for (const Report& r : reports) ASSERT_TRUE((*single)->Absorb(r).ok());
-
-    EngineOptions options;
-    options.num_shards = 4;
-    auto eng = ShardedAggregator::Create(test_case.factory, options);
-    ASSERT_TRUE(eng.ok()) << test_case.name;
-    ASSERT_TRUE((*eng)->IngestBatch(reports).ok());
-    auto merged = (*eng)->Merged();
-    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-    ExpectBitwiseEqualEstimates(**single, **merged);
-  }
-}
-
 // Row ingest runs the client encoders on the shard workers with independent
 // Rng streams: not bitwise-reproducible across shard counts, but the
 // estimates must still converge to the population's marginals.
@@ -182,7 +151,9 @@ TEST(ShardedAggregator, SnapshotRestoresAcrossShardCounts) {
     ASSERT_TRUE(eng.ok());
     auto encoder = CreateProtocol(kind, config);
     ASSERT_TRUE(encoder.ok());
-    ASSERT_TRUE((*eng)->IngestBatch(EncodeReportStream(**encoder, 2000, 31)).ok());
+    ASSERT_TRUE(
+        IngestReports(**eng, kind, EncodeReportStream(**encoder, 2000, 31))
+            .ok());
     auto merged_before = (*eng)->Merged();
     ASSERT_TRUE(merged_before.ok());
 
@@ -209,61 +180,70 @@ TEST(ShardedAggregator, SnapshotRestoresAcrossShardCounts) {
   }
 }
 
-TEST(ShardedAggregator, StatsCountPerShard) {
+// Every work item counts once in ldpm_engine_batches_enqueued_total and
+// advances the state version once: a wire frame, and each per-shard chunk
+// of a population.
+TEST(ShardedAggregator, CountsOneBatchPerFrameAndPopulationChunk) {
   const ProtocolConfig config = MakeConfig(6, 2);
   EngineOptions options;
-  options.num_shards = 3;
+  options.num_shards = 2;
   auto eng = ShardedAggregator::Create(ProtocolKind::kMargPS, config, options);
   ASSERT_TRUE(eng.ok());
   auto encoder = CreateProtocol(ProtocolKind::kMargPS, config);
   ASSERT_TRUE(encoder.ok());
-  const std::vector<Report> reports = EncodeReportStream(**encoder, 900, 41);
-  // Three batches of 300: round-robin lands one on each shard.
-  for (int b = 0; b < 3; ++b) {
-    ASSERT_TRUE((*eng)
-                    ->IngestBatch(std::vector<Report>(
-                        reports.begin() + b * 300,
-                        reports.begin() + (b + 1) * 300))
-                    .ok());
+  const std::vector<Report> reports = EncodeReportStream(**encoder, 600, 9);
+
+  // 3 wire frames + 2 population chunks = 5 work items.
+  for (size_t begin = 0; begin < 600; begin += 200) {
+    const std::vector<Report> frame(reports.begin() + begin,
+                                    reports.begin() + begin + 200);
+    ASSERT_TRUE(IngestReports(**eng, ProtocolKind::kMargPS, frame).ok());
   }
-  auto stats = (*eng)->Stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->reports, 900u);
-  ASSERT_EQ(stats->per_shard_reports.size(), 3u);
-  for (uint64_t per_shard : stats->per_shard_reports) {
-    EXPECT_EQ(per_shard, 300u);
-  }
-  EXPECT_GT(stats->wall_seconds, 0.0);
-  EXPECT_GT(stats->reports_per_second, 0.0);
-  EXPECT_GT(stats->bits_per_second, 0.0);
-  EXPECT_FALSE(stats->ToString().empty());
+  EXPECT_EQ(CounterValue(**eng, "ldpm_engine_batches_enqueued_total"), 3u);
+  ASSERT_TRUE((*eng)->IngestPopulation(std::vector<uint64_t>(100, 5)).ok());
+  EXPECT_EQ(CounterValue(**eng, "ldpm_engine_batches_enqueued_total"), 5u);
+  EXPECT_EQ((*eng)->state_version(), 5u);
+  // Empty work enqueues nothing.
+  ASSERT_TRUE((*eng)->IngestWireBatch({}).ok());
+  ASSERT_TRUE((*eng)->IngestPopulation({}).ok());
+  EXPECT_EQ((*eng)->state_version(), 5u);
+
+  ASSERT_TRUE((*eng)->Flush().ok());
+  auto absorbed = (*eng)->ReportsAbsorbed();
+  ASSERT_TRUE(absorbed.ok());
+  EXPECT_EQ(*absorbed, 700u);  // 600 encoded + 100 rows
+  EXPECT_EQ(CounterValue(**eng, "ldpm_engine_reports_absorbed_total"), 700u);
 }
 
-TEST(ShardedAggregator, ResetClearsAllShards) {
+// Flush is a drain barrier: with work queued on every shard, the counts it
+// leaves behind are exact — per shard, in the counters, and in bits.
+TEST(ShardedAggregator, FlushLeavesExactCounts) {
   const ProtocolConfig config = MakeConfig(6, 2);
   EngineOptions options;
-  options.num_shards = 4;
+  options.num_shards = 3;
   auto eng = ShardedAggregator::Create(ProtocolKind::kInpHT, config, options);
-  auto fresh = ShardedAggregator::Create(ProtocolKind::kInpHT, config, options);
   ASSERT_TRUE(eng.ok());
-  ASSERT_TRUE(fresh.ok());
   auto encoder = CreateProtocol(ProtocolKind::kInpHT, config);
   ASSERT_TRUE(encoder.ok());
-
-  ASSERT_TRUE((*eng)->IngestBatch(EncodeReportStream(**encoder, 1000, 51)).ok());
-  ASSERT_TRUE((*eng)->Reset().ok());
-  auto total = (*eng)->ReportsAbsorbed();
-  ASSERT_TRUE(total.ok());
-  EXPECT_EQ(*total, 0u);
-
-  const std::vector<Report> second = EncodeReportStream(**encoder, 1000, 52);
-  ASSERT_TRUE((*eng)->IngestBatch(second).ok());
-  ASSERT_TRUE((*fresh)->IngestBatch(second).ok());
-  auto merged_reset = (*eng)->Merged();
-  auto merged_fresh = (*fresh)->Merged();
-  ASSERT_TRUE(merged_reset.ok());
-  ASSERT_TRUE(merged_fresh.ok());
-  ExpectBitwiseEqualEstimates(**merged_reset, **merged_fresh);
+  // 30 frames of 100: round-robin lands 10 on each shard.
+  const std::vector<Report> reports = EncodeReportStream(**encoder, 3000, 13);
+  for (size_t begin = 0; begin < reports.size(); begin += 100) {
+    const std::vector<Report> frame(reports.begin() + begin,
+                                    reports.begin() + begin + 100);
+    ASSERT_TRUE(IngestReports(**eng, ProtocolKind::kInpHT, frame).ok());
+  }
+  ASSERT_TRUE((*eng)->Flush().ok());
+  EXPECT_EQ(CounterValue(**eng, "ldpm_engine_reports_absorbed_total"), 3000u);
+  EXPECT_EQ(CounterValue(**eng, "ldpm_engine_batches_enqueued_total"), 30u);
+  const uint64_t bits_per_report = static_cast<uint64_t>(config.d) + 1;
+  EXPECT_EQ(CounterValue(**eng, "ldpm_engine_report_bits_total"),
+            bits_per_report * 3000);
+  auto snapshots = (*eng)->SnapshotShards();
+  ASSERT_TRUE(snapshots.ok());
+  ASSERT_EQ(snapshots->size(), 3u);
+  for (const AggregatorSnapshot& shard : *snapshots) {
+    EXPECT_EQ(shard.reports_absorbed, 1000u);
+  }
 }
 
 // A reader's merged state must outlive a re-merge at a newer epoch. Two
@@ -324,19 +304,41 @@ TEST(ShardedAggregator, MergedStateOutlivesAConcurrentRemerge) {
   EXPECT_EQ(*total, kFrames);
 }
 
+// A malformed record costs only its own frame: the records before it stay
+// absorbed, the next Flush reports the error once, later frames are
+// absorbed, and no read fails on it.
 TEST(ShardedAggregator, WorkerErrorsSurfaceAtFlush) {
   const ProtocolConfig config = MakeConfig(6, 2);
   EngineOptions options;
   options.num_shards = 2;
   auto eng = ShardedAggregator::Create(ProtocolKind::kMargPS, config, options);
   ASSERT_TRUE(eng.ok());
-  Report malformed;
-  malformed.selector = (uint64_t{1} << 6) - 1;  // order-6 selector: rejected
-  malformed.value = 0;
-  ASSERT_TRUE((*eng)->IngestBatch({malformed}).ok());  // enqueue succeeds
+  auto encoder = CreateProtocol(ProtocolKind::kMargPS, config);
+  ASSERT_TRUE(encoder.ok());
+  // Ten good records, then an 8-byte record where MargPS's are 1 byte.
+  auto frame = SerializeReportBatch(ProtocolKind::kMargPS, config,
+                                    EncodeReportStream(**encoder, 10, 71));
+  ASSERT_TRUE(frame.ok());
+  const uint8_t bad_record[] = {8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0};
+  frame->insert(frame->end(), std::begin(bad_record), std::end(bad_record));
+  ASSERT_TRUE((*eng)->IngestWireBatch(*std::move(frame)).ok());  // enqueues
+  // Two good frames before any Flush: round-robin puts one on each shard,
+  // so one queues behind the bad frame.
+  for (uint64_t seed : {72, 73}) {
+    ASSERT_TRUE(IngestReports(**eng, ProtocolKind::kMargPS,
+                              EncodeReportStream(**encoder, 20, seed))
+                    .ok());
+  }
   const Status flushed = (*eng)->Flush();
   EXPECT_FALSE(flushed.ok());
   EXPECT_NE(flushed.message().find("shard"), std::string::npos);
+  EXPECT_TRUE((*eng)->Flush().ok());  // reported once
+  EXPECT_EQ(CounterValue(**eng, "ldpm_engine_absorb_errors_total"), 1u);
+  auto absorbed = (*eng)->ReportsAbsorbed();
+  ASSERT_TRUE(absorbed.ok());
+  EXPECT_EQ(*absorbed, 50u);
+  EXPECT_TRUE((*eng)->Merged().ok());
+  EXPECT_TRUE((*eng)->SnapshotShards().ok());
 }
 
 TEST(ShardedAggregator, RejectsBadOptions) {
@@ -346,12 +348,9 @@ TEST(ShardedAggregator, RejectsBadOptions) {
   EXPECT_FALSE(
       ShardedAggregator::Create(ProtocolKind::kInpHT, config, options).ok());
   options.num_shards = 2;
-  options.batch_size = 0;
+  options.max_pending_batches = 0;
   EXPECT_FALSE(
       ShardedAggregator::Create(ProtocolKind::kInpHT, config, options).ok());
-  EXPECT_FALSE(
-      ShardedAggregator::Create(engine::ProtocolFactory(), EngineOptions())
-          .ok());
 }
 
 }  // namespace

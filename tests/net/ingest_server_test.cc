@@ -5,9 +5,10 @@
 // bitwise-identical to the same bytes fed directly to
 // Collector::IngestFrames. Plus the failure surface: preamble and version
 // rejection, unknown collection ids with byte-precise offsets, oversized
-// frames, kill-mid-stream partial-frame discard, connection shedding,
-// idle reaping that a paused session survives, graceful stop with
-// shutdown-checkpoint durability, and budget backpressure.
+// frames, a mismatched payload that costs only its own frame,
+// kill-mid-stream partial-frame discard, connection shedding, idle reaping
+// that a paused session survives, graceful stop with shutdown-checkpoint
+// durability, and budget backpressure.
 
 #include "net/ingest_server.h"
 
@@ -27,6 +28,7 @@
 #include "net/session_common.h"
 #include "protocols/test_util.h"
 #include "protocols/wire.h"
+#include "query/marginal_cache.h"
 
 namespace ldpm {
 namespace {
@@ -797,6 +799,69 @@ TEST(IngestServer, ResumableSessionStreamsAndAcksEndToEnd) {
     ASSERT_TRUE(direct_merged.ok());
     ExpectBitwiseEqualEstimates(**networked_merged, **direct_merged);
   }
+}
+
+// One client's malformed frame costs only that frame. Client 2 sends InpRR
+// records to an InpHT collection; routing accepts the frame (its payload
+// is only checked on absorb), so every client is acked. Every later
+// client's reports must still be absorbed, the next Flush must report the
+// error once, and every read, the cache and the checkpoint must keep
+// working.
+TEST(IngestServer, MalformedFrameCostsOnlyItself) {
+  const ProtocolConfig config = MakeConfig(6, 2);
+  auto collector = MustCreate();
+  auto handle = collector->Register("clicks", ProtocolKind::kInpHT, config);
+  ASSERT_TRUE(handle.ok());
+  auto cache = query::MarginalCache::Create(collector.get(), "clicks");
+  ASSERT_TRUE(cache.ok());
+  auto server = MustStart(collector.get());
+
+  const auto send = [&](ProtocolKind kind, size_t reports, uint64_t seed) {
+    auto encoder = CreateProtocol(kind, config);
+    ASSERT_TRUE(encoder.ok());
+    auto batch = SerializeReportBatch(
+        kind, config, EncodeReportStream(**encoder, reports, seed));
+    ASSERT_TRUE(batch.ok());
+    auto client = FrameClient::Connect(kLoopback, server->port());
+    ASSERT_TRUE(client.ok());
+    ASSERT_TRUE(client->SendFrame("clicks", *batch).ok());
+    auto reply = client->Finish();
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_TRUE(reply->status.ok()) << reply->status.ToString();
+  };
+  send(ProtocolKind::kInpHT, 1000, 1);
+  send(ProtocolKind::kInpRR, 5, 2);  // 8-byte records; InpHT's are 1 byte
+  send(ProtocolKind::kInpHT, 1000, 3);
+  send(ProtocolKind::kInpHT, 1000, 4);
+
+  const Status flushed = collector->Flush();
+  EXPECT_FALSE(flushed.ok());
+  EXPECT_NE(flushed.message().find("record is 8 bytes, expected 1"),
+            std::string::npos)
+      << flushed.ToString();
+  EXPECT_TRUE(collector->Flush().ok());  // reported once
+
+  auto absorbed = handle->ReportsAbsorbed();
+  ASSERT_TRUE(absorbed.ok()) << absorbed.status().ToString();
+  EXPECT_EQ(*absorbed, 3000u);
+  EXPECT_TRUE(handle->Query(0b11).ok());
+  auto snapshot = (*cache)->Get();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  EXPECT_EQ((*snapshot)->reports_absorbed(), 3000u);
+  const std::string path = TempPath("malformed_frame.ckpt");
+  EXPECT_TRUE(collector->CheckpointTo(path).ok());
+  std::filesystem::remove(path);
+
+  obs::MetricsRegistry* metrics = collector->metrics();
+  const auto series = [](const char* base) {
+    return obs::WithLabels(base, {{"collection", "clicks"}});
+  };
+  EXPECT_EQ(metrics->CounterValue(series("ldpm_engine_absorb_errors_total")),
+            1u);
+  EXPECT_EQ(
+      metrics->CounterValue(series("ldpm_engine_reports_absorbed_total")),
+      3000u);
+  EXPECT_TRUE(server->Stop().ok());
 }
 
 }  // namespace

@@ -57,7 +57,9 @@ class QueryServerTest : public ::testing::Test {
                                        MakeConfig(4, 2));
     ASSERT_TRUE(handle.ok());
     handle_ = *std::move(handle);
-    ASSERT_TRUE(handle_.IngestRows(SkewedRows(4, 4000, 17)).ok());
+    ASSERT_TRUE(
+        handle_.IngestPopulation(SkewedRows(4, 4000, 17), /*fast_path=*/false)
+            .ok());
     ASSERT_TRUE(handle_.Flush().ok());
     auto server = QueryServer::Start(collector_.get(), QueryServerOptions());
     ASSERT_TRUE(server.ok()) << server.status().ToString();
@@ -190,7 +192,9 @@ TEST_F(QueryServerTest, WatermarkAndEpochAdvanceOverHttp) {
       ResponseBody(Get("/v1/marginal?collection=c&attrs=0,1"));
   EXPECT_NE(second.find("\"epoch\":1"), std::string::npos);
   // New ingest moves the watermark; the next request sees epoch 2.
-  ASSERT_TRUE(handle_.IngestRows(SkewedRows(4, 500, 18)).ok());
+  ASSERT_TRUE(
+      handle_.IngestPopulation(SkewedRows(4, 500, 18), /*fast_path=*/false)
+          .ok());
   ASSERT_TRUE(handle_.Flush().ok());
   const std::string third =
       ResponseBody(Get("/v1/marginal?collection=c&attrs=0"));

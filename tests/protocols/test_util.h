@@ -9,7 +9,9 @@
 
 #include "core/marginal.h"
 #include "core/random.h"
+#include "protocols/factory.h"
 #include "protocols/protocol.h"
+#include "protocols/wire.h"
 
 namespace ldpm {
 namespace test {
@@ -70,6 +72,17 @@ inline std::vector<Report> EncodeReportStream(const MarginalProtocol& protocol,
     reports.push_back(protocol.Encode(rng() & mask, rng));
   }
   return reports;
+}
+
+/// Serializes `reports` into one wire batch frame (SerializeReportBatch)
+/// and enqueues it with `engine.IngestWireBatch` — an
+/// engine::ShardedAggregator or an engine::CollectionHandle running `kind`.
+template <typename Engine>
+Status IngestReports(Engine& engine, ProtocolKind kind,
+                     const std::vector<Report>& reports) {
+  auto frame = SerializeReportBatch(kind, engine.config(), reports);
+  if (!frame.ok()) return frame.status();
+  return engine.IngestWireBatch(*std::move(frame));
 }
 
 /// All selectors of order 1..k — every marginal an aggregator can answer.

@@ -44,7 +44,9 @@ TEST(MarginalCacheConcurrency, ReadersNeverSeeTornOrMixedEpochSnapshots) {
   auto handle =
       (*collector)->Register("c", ProtocolKind::kInpHT, MakeConfig(d, k));
   ASSERT_TRUE(handle.ok());
-  ASSERT_TRUE(handle->IngestRows(SkewedRows(d, 2000, 1)).ok());
+  ASSERT_TRUE(
+      handle->IngestPopulation(SkewedRows(d, 2000, 1), /*fast_path=*/false)
+          .ok());
   ASSERT_TRUE(handle->Flush().ok());
 
   auto cache = MarginalCache::Create(collector->get(), "c");
@@ -113,8 +115,8 @@ TEST(MarginalCacheConcurrency, ReadersNeverSeeTornOrMixedEpochSnapshots) {
 
   std::thread writer([&] {
     for (int chunk = 0; chunk < kWriterChunks && !stop.load(); ++chunk) {
-      auto status =
-          handle->IngestRows(SkewedRows(d, 200, 100 + uint64_t(chunk)));
+      auto status = handle->IngestPopulation(
+          SkewedRows(d, 200, 100 + uint64_t(chunk)), /*fast_path=*/false);
       if (!status.ok()) failures.fetch_add(1);
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }

@@ -18,14 +18,20 @@
 //       population stay within the protocol's analytic error bound
 //       (protocols/accuracy.h) with a constant-factor allowance.
 //
-// Plus the epoch machinery itself: watermark-keyed invalidation, hit /
-// refresh / stale metrics, serve_stale semantics (driven through the
-// query.cache.rebuild failpoint), and the Create-time domain guards.
+// Plus the epoch machinery itself: invalidation keyed on the engine's
+// state version (ingest and live restores), hit / refresh / stale
+// metrics, serve_stale semantics (driven through the query.cache.rebuild
+// failpoint), and the Create-time domain guards.
 
 #include "query/marginal_cache.h"
 
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <filesystem>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -45,9 +51,12 @@ namespace {
 
 using engine::Collector;
 using engine::CollectorOptions;
+using engine::IngestBudget;
 using query::MarginalCache;
 using query::MarginalCacheOptions;
 using query::Snapshot;
+using test::EncodeReportStream;
+using test::IngestReports;
 using test::MakeConfig;
 using test::SkewedRows;
 
@@ -65,7 +74,7 @@ engine::CollectionHandle Fill(Collector& collector, const std::string& id,
                               const std::vector<uint64_t>& rows) {
   auto handle = collector.Register(id, kind, config);
   EXPECT_TRUE(handle.ok()) << handle.status().ToString();
-  EXPECT_TRUE(handle->IngestRows(rows).ok());
+  EXPECT_TRUE(handle->IngestPopulation(rows, /*fast_path=*/false).ok());
   EXPECT_TRUE(handle->Flush().ok());
   return *std::move(handle);
 }
@@ -283,9 +292,11 @@ TEST(MarginalCacheEpochs, WatermarkInvalidatesHitsAndRefreshesCount) {
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->get(), first->get());
 
-  // Ingest advances the watermark (enqueue alone moves the counter);
-  // the next read must rebuild.
-  ASSERT_TRUE(handle.IngestRows(SkewedRows(d, 500, 6)).ok());
+  // Ingest advances the watermark (enqueue alone moves it); the next read
+  // must rebuild.
+  ASSERT_TRUE(
+      handle.IngestPopulation(SkewedRows(d, 500, 6), /*fast_path=*/false)
+          .ok());
   EXPECT_GT((*cache)->LiveWatermark(), (*first)->watermark());
   auto third = (*cache)->Get();
   ASSERT_TRUE(third.ok());
@@ -293,12 +304,26 @@ TEST(MarginalCacheEpochs, WatermarkInvalidatesHitsAndRefreshesCount) {
   EXPECT_GT((*third)->watermark(), (*first)->watermark());
   EXPECT_EQ((*third)->reports_absorbed(), 2500u);
 
-  // Invalidate forces a rebuild even with an unchanged watermark.
-  (*cache)->Invalidate();
+  // A live restore replaces the state and advances the watermark by one:
+  // the next read serves the restored state.
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       (std::to_string(::getpid()) + "_cache_live_restore.ckpt"))
+          .string();
+  {
+    auto donor = MakeCollector();
+    Fill(*donor, "c", ProtocolKind::kInpHT, MakeConfig(d, 2),
+         SkewedRows(d, 6000, 10));
+    ASSERT_TRUE(donor->CheckpointTo(path).ok());
+  }
+  ASSERT_TRUE(collector->RestoreFrom(path).ok());
+  std::filesystem::remove(path);
+  EXPECT_EQ((*cache)->LiveWatermark(), (*third)->watermark() + 1);
   auto fourth = (*cache)->Get();
   ASSERT_TRUE(fourth.ok());
   EXPECT_EQ((*fourth)->epoch(), 3u);
-  EXPECT_EQ((*fourth)->watermark(), (*third)->watermark());
+  EXPECT_EQ((*fourth)->watermark(), (*third)->watermark() + 1);
+  EXPECT_EQ((*fourth)->reports_absorbed(), 6000u);
 
   // Refresh forces one more.
   ASSERT_TRUE((*cache)->Refresh().ok());
@@ -321,9 +346,10 @@ TEST(MarginalCacheEpochs, WatermarkInvalidatesHitsAndRefreshesCount) {
   EXPECT_EQ(latency->count, 4u);
 }
 
-// The watermark is the engine's own batches-enqueued counter, wherever the
-// engine publishes it: under a label other than the collection id, or in a
-// registry of its own, ingest still advances it and the next read rebuilds.
+// The watermark is the engine's own state version, wherever the engine
+// publishes its metrics: under a label other than the collection id, or in
+// a registry of its own, ingest still advances it and the next read
+// rebuilds.
 TEST(MarginalCacheEpochs, WatermarkFollowsAnEnginePublishingElsewhere) {
   const int d = 6;
   obs::MetricsRegistry own_registry;  // outlives every engine below
@@ -339,7 +365,9 @@ TEST(MarginalCacheEpochs, WatermarkFollowsAnEnginePublishingElsewhere) {
     auto handle = collector->Register("c", ProtocolKind::kInpHT,
                                       MakeConfig(d, 2), overrides);
     ASSERT_TRUE(handle.ok()) << handle.status().ToString();
-    ASSERT_TRUE(handle->IngestRows(SkewedRows(d, 5000, 7)).ok());
+    ASSERT_TRUE(
+        handle->IngestPopulation(SkewedRows(d, 5000, 7), /*fast_path=*/false)
+            .ok());
     ASSERT_TRUE(handle->Flush().ok());
     auto cache = MarginalCache::Create(collector.get(), "c");
     ASSERT_TRUE(cache.ok());
@@ -349,7 +377,9 @@ TEST(MarginalCacheEpochs, WatermarkFollowsAnEnginePublishingElsewhere) {
     EXPECT_GT((*first)->watermark(), 0u);
     EXPECT_EQ((*first)->reports_absorbed(), 5000u);
 
-    ASSERT_TRUE(handle->IngestRows(SkewedRows(d, 5000, 8)).ok());
+    ASSERT_TRUE(
+        handle->IngestPopulation(SkewedRows(d, 5000, 8), /*fast_path=*/false)
+            .ok());
     ASSERT_TRUE(handle->Flush().ok());
     EXPECT_GT((*cache)->LiveWatermark(), (*first)->watermark());
     auto second = (*cache)->Get();
@@ -357,6 +387,58 @@ TEST(MarginalCacheEpochs, WatermarkFollowsAnEnginePublishingElsewhere) {
     EXPECT_EQ((*second)->epoch(), 2u);
     EXPECT_EQ((*second)->reports_absorbed(), 10000u);
   }
+}
+
+// The watermark counts only work already on a shard queue. A frame that
+// waits for a shared-budget slot while a snapshot is cut is not in that
+// snapshot's state; once it lands, every read serves it.
+TEST(MarginalCacheEpochs, FrameWaitingForABudgetSlotIsServedOnceItLands) {
+  const int d = 6;
+  const ProtocolConfig config = MakeConfig(d, 2);
+  CollectorOptions options;
+  options.max_pending_batches_total = 1;
+  auto collector = Collector::Create(options);
+  ASSERT_TRUE(collector.ok());
+  auto handle = (*collector)->Register("y", ProtocolKind::kInpHT, config);
+  ASSERT_TRUE(handle.ok());
+  auto encoder = CreateProtocol(ProtocolKind::kInpHT, config);
+  ASSERT_TRUE(encoder.ok());
+  const std::vector<Report> reports = EncodeReportStream(**encoder, 2, 5);
+  ASSERT_TRUE(IngestReports(*handle, ProtocolKind::kInpHT, {reports[0]}).ok());
+  ASSERT_TRUE(handle->Flush().ok());
+  auto cache = MarginalCache::Create(collector->get(), "y");
+  ASSERT_TRUE(cache.ok());
+
+  // Hold the only slot, as a slow ingest on another collection would, so
+  // the second frame waits for it while the reads below run.
+  IngestBudget& budget = *(*collector)->shared_budget();
+  budget.Acquire();
+  std::thread sender([&] {
+    EXPECT_TRUE(
+        IngestReports(*handle, ProtocolKind::kInpHT, {reports[1]}).ok());
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  uint64_t absorbed = 0;
+  ASSERT_TRUE(handle->Coefficients(1, &absorbed).ok());
+  EXPECT_EQ(absorbed, 1u);
+  auto early = (*cache)->Get();
+  ASSERT_TRUE(early.ok());
+  EXPECT_EQ((*early)->reports_absorbed(), 1u);
+  EXPECT_EQ((*early)->watermark(), 1u);
+  budget.Release();
+  sender.join();
+  ASSERT_TRUE(handle->Flush().ok());
+
+  auto total = handle->ReportsAbsorbed();
+  ASSERT_TRUE(total.ok());
+  EXPECT_EQ(*total, 2u);
+  ASSERT_TRUE(handle->Coefficients(1, &absorbed).ok());
+  EXPECT_EQ(absorbed, 2u);
+  auto late = (*cache)->Get();
+  ASSERT_TRUE(late.ok());
+  EXPECT_EQ((*late)->reports_absorbed(), 2u);
+  EXPECT_EQ((*late)->watermark(), 2u);
+  EXPECT_EQ((*late)->watermark(), (*cache)->LiveWatermark());
 }
 
 TEST(MarginalCacheEpochs, ServeStaleAnswersFromOldEpochDuringRebuild) {
@@ -378,7 +460,9 @@ TEST(MarginalCacheEpochs, ServeStaleAnswersFromOldEpochDuringRebuild) {
   // Make the snapshot stale, then stall the rebuild: a reader arriving
   // while another thread rebuilds must be answered from the old epoch
   // instead of blocking.
-  ASSERT_TRUE(handle.IngestRows(SkewedRows(d, 500, 8)).ok());
+  ASSERT_TRUE(
+      handle.IngestPopulation(SkewedRows(d, 500, 8), /*fast_path=*/false)
+          .ok());
   failpoint::Spec stall;
   stall.mode = failpoint::Mode::kDelay;
   stall.delay = std::chrono::milliseconds(400);
