@@ -457,8 +457,7 @@ int main(int argc, char** argv) {
     engine::CollectorOptions options;
     options.engine_defaults.num_shards = num_shards;
     options.max_pending_batches_total = 128;
-    options.checkpoint_path = checkpoint_path;
-    options.checkpoint_on_shutdown = true;  // durability on graceful stop
+    options.checkpoint_path = checkpoint_path;  // shutdown checkpoint on stop
     auto collector = engine::Collector::Create(options);
     DEMO_CHECK(collector.ok(), "collector create");
     DEMO_CHECK((*collector)

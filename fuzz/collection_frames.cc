@@ -16,17 +16,18 @@
 
 namespace {
 
-// Walks `data[0, limit)` strictly; returns the number of whole frames and
-// asserts basic geometry. `expect_clean` demands an OK end-of-stream.
+// Walks `data[0, limit)` strictly; returns the encoded size of the first
+// whole frame (0 when there is none) and asserts basic geometry.
+// `expect_clean` demands an OK end-of-stream exactly at `limit`.
 size_t StrictWalk(const uint8_t* data, size_t limit, bool expect_clean) {
   ldpm::CollectionFrameReader reader(data, limit);
   std::string_view id;
   const uint8_t* payload = nullptr;
   size_t payload_size = 0;
-  size_t frames = 0;
+  size_t first_frame_bytes = 0;
   size_t last_end = 0;
   while (reader.Next(id, payload, payload_size)) {
-    ++frames;
+    if (first_frame_bytes == 0) first_frame_bytes = reader.frame_end_offset();
     LDPM_FUZZ_ASSERT(!id.empty(), "decoded frame has an empty id");
     LDPM_FUZZ_ASSERT(reader.frame_offset() == last_end,
                      "frames are not contiguous");
@@ -44,7 +45,7 @@ size_t StrictWalk(const uint8_t* data, size_t limit, bool expect_clean) {
     LDPM_FUZZ_ASSERT(last_end == limit,
                      "strict walk of a whole-frame prefix left bytes over");
   }
-  return frames;
+  return first_frame_bytes;
 }
 
 }  // namespace
@@ -58,11 +59,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   LDPM_FUZZ_ASSERT(prefix.bytes <= size, "prefix.bytes past the buffer");
 
   // Differential check: everything the prescan called complete must
-  // strict-walk cleanly to exactly the same frame count.
-  const size_t strict_frames =
+  // strict-walk cleanly, ending exactly at a frame boundary.
+  const size_t first_frame_bytes =
       StrictWalk(data, prefix.bytes, /*expect_clean=*/true);
-  LDPM_FUZZ_ASSERT(strict_frames == prefix.frames,
-                   "prescan and strict walk disagree on frame count");
   if (!scan.ok()) {
     // The only unfixable-by-more-bytes violation is an empty id; the
     // strict reader must reject the full buffer too.
@@ -70,14 +69,13 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   }
 
   // A frame-size cap can only shrink the accepted prefix, never grow it
-  // or change its byte count mid-frame.
+  // or end it mid-frame.
   ldpm::FrameStreamPrefix capped;
-  const size_t cap = 1 + prefix.first_frame_bytes / 2;
+  const size_t cap = 1 + first_frame_bytes / 2;
   (void)ldpm::ScanCompleteFrames(data, size, &capped, cap);
-  LDPM_FUZZ_ASSERT(capped.frames <= prefix.frames,
-                   "a size cap admitted extra frames");
   LDPM_FUZZ_ASSERT(capped.bytes <= prefix.bytes,
                    "a size cap admitted extra bytes");
+  StrictWalk(data, capped.bytes, /*expect_clean=*/true);
 
   // The strict walk over the raw buffer must never crash either way.
   StrictWalk(data, size, /*expect_clean=*/false);

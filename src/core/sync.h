@@ -17,7 +17,6 @@
 //   - Methods:  void ReapLocked() LDPM_REQUIRES(mu_);   // caller holds mu_
 //               void Stop() LDPM_EXCLUDES(mu_);         // caller must NOT
 //   - Scopes:   core::MutexLock lock(mu_);              // RAII, whole scope
-//               core::ReleasableMutexLock lock(mu_);    // may drop mid-scope
 //   - Waiting:  while (!pred()) cv_.Wait(mu_);          // explicit loop; the
 //     std predicate-lambda form is NOT used because the analysis treats
 //     lambdas as separate functions and cannot see the held capability.
@@ -113,35 +112,6 @@ class LDPM_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-// RAII locker that can drop the mutex mid-scope (condition-variable
-// hand-off sequences) and take it back, with the analysis tracking the
-// held/released state across Release()/Reacquire().
-class LDPM_SCOPED_CAPABILITY ReleasableMutexLock {
- public:
-  explicit ReleasableMutexLock(Mutex& mu) LDPM_ACQUIRE(mu) : mu_(mu) {
-    mu_.Lock();
-  }
-  ~ReleasableMutexLock() LDPM_RELEASE() {
-    if (held_) mu_.Unlock();
-  }
-
-  void Release() LDPM_RELEASE() {
-    held_ = false;
-    mu_.Unlock();
-  }
-  void Reacquire() LDPM_ACQUIRE() {
-    mu_.Lock();
-    held_ = true;
-  }
-
-  ReleasableMutexLock(const ReleasableMutexLock&) = delete;
-  ReleasableMutexLock& operator=(const ReleasableMutexLock&) = delete;
-
- private:
-  Mutex& mu_;
-  bool held_ = true;
 };
 
 // Condition variable over core::Mutex. Wait() requires the mutex held and

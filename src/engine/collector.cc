@@ -106,12 +106,6 @@ Collector::Collector(const CollectorOptions& options) : options_(options) {
     budget_ =
         std::make_shared<IngestBudget>(options_.max_pending_batches_total);
   }
-  if (options_.metrics != nullptr) {
-    metrics_ = options_.metrics;
-  } else {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
   collections_gauge_ = metrics_->GetGauge("ldpm_collector_collections",
                                           "Live registered collections");
   unknown_collection_total_ = metrics_->GetCounter(
@@ -144,15 +138,11 @@ StatusOr<std::unique_ptr<Collector>> Collector::Create(
     return Status::InvalidArgument(
         "Collector: max_worker_threads must be >= 0");
   }
-  if (options.checkpoint_on_shutdown && options.checkpoint_path.empty()) {
-    return Status::InvalidArgument(
-        "Collector: checkpoint_on_shutdown requires a checkpoint_path");
-  }
   return std::unique_ptr<Collector>(new Collector(options));
 }
 
 Collector::~Collector() {
-  if (options_.checkpoint_on_shutdown) {
+  if (!options_.checkpoint_path.empty()) {
     // Best effort: Drain() flushes and writes the checkpoint even when the
     // flush reports an absorb error. Use Drain() when the Status matters.
     (void)Drain();
@@ -173,7 +163,7 @@ StatusOr<CollectionHandle> Collector::Register(std::string id,
   options.shared_budget = budget_;
   // Engines publish into the collector's registry (labeled by collection
   // id below) unless an override brought its own.
-  if (options.metrics == nullptr) options.metrics = metrics_;
+  if (options.metrics == nullptr) options.metrics = metrics_.get();
   // Decorrelate the per-shard Rng streams across collections on EVERY
   // registration path (see PerCollectionSeed): determinism per (seed, id)
   // is preserved, bitwise-shared randomness across collections is not.
@@ -460,7 +450,7 @@ Status Collector::Drain() {
   // An absorb error cost only its own work item, so it must not skip the
   // shutdown checkpoint (which drains again before its cut).
   Status flushed = Flush();
-  if (options_.checkpoint_on_shutdown) {
+  if (!options_.checkpoint_path.empty()) {
     LDPM_RETURN_IF_ERROR(CheckpointTo(options_.checkpoint_path));
   }
   return flushed;

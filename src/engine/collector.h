@@ -54,23 +54,15 @@ struct CollectorOptions {
   /// all collections; 0 = unbounded. Enforced by a shared IngestBudget.
   size_t max_pending_batches_total = 0;
   /// Destination of Checkpoint() and the shutdown checkpoint: a container
-  /// holding every collection.
+  /// holding every collection. When set, Drain() and (best-effort) the
+  /// destructor write a final all-collection checkpoint here.
   std::string checkpoint_path;
-  /// Write a final all-collection checkpoint in Drain() and (best-effort)
-  /// the destructor. Requires a non-empty checkpoint_path.
-  bool checkpoint_on_shutdown = false;
   /// Container checkpoint generations kept on disk: each write rotates
   /// checkpoint_path -> .1 -> .2 ... before atomically installing the new
   /// file, and RestoreFrom falls back newest-to-oldest past corrupt
   /// generations, quarantining them as *.corrupt
   /// (engine/checkpoint.h). 1 keeps only the newest file.
   int checkpoint_generations = 1;
-  /// Metrics registry the collector and every collection engine publish
-  /// into (must outlive the collector). Null makes the collector own a
-  /// private registry, exposed via metrics() — so a QueryServer can serve
-  /// it either way. Explicit Register overrides with their own non-null
-  /// EngineOptions::metrics keep theirs.
-  obs::MetricsRegistry* metrics = nullptr;
 };
 
 class Collector;
@@ -84,6 +76,9 @@ class CollectionHandle {
   CollectionHandle() = default;
 
   bool valid() const { return collection_ != nullptr; }
+  /// True when both handles name the same registration: an id that was
+  /// unregistered and registered again names a new one.
+  bool operator==(const CollectionHandle& other) const = default;
   const std::string& id() const;
   ProtocolKind kind() const;
   const ProtocolConfig& config() const;
@@ -131,7 +126,7 @@ class Collector {
   static StatusOr<std::unique_ptr<Collector>> Create(
       const CollectorOptions& options = CollectorOptions());
 
-  /// Drains every collection; with checkpoint_on_shutdown set, writes a
+  /// Drains every collection; with a checkpoint_path set, writes a
   /// best-effort final all-collection checkpoint first (use Drain() when
   /// the write's Status matters).
   ~Collector();
@@ -184,11 +179,11 @@ class Collector {
     return budget_;
   }
 
-  /// The registry all collector/engine metrics land in: the configured
-  /// CollectorOptions::metrics, or the collector-owned private registry
-  /// when none was configured. Never null; valid for the collector's
+  /// The collector-owned registry all collector, engine and server
+  /// metrics land in (unless a Register override brings its own
+  /// EngineOptions::metrics). Never null; valid for the collector's
   /// lifetime. net::QueryServer serves it at /metrics.
-  obs::MetricsRegistry* metrics() const { return metrics_; }
+  obs::MetricsRegistry* metrics() const { return metrics_.get(); }
 
   /// Checkpoints written since construction: successful CheckpointTo /
   /// Checkpoint / Drain / shutdown container writes.
@@ -268,7 +263,7 @@ class Collector {
   Status RestoreFrom(const std::string& path);
 
   /// Flushes every collection, then writes the shutdown checkpoint when
-  /// checkpoint_on_shutdown is set, even when the flush reported an absorb
+  /// checkpoint_path is set, even when the flush reported an absorb
   /// error. Returns the checkpoint's error, else the flush's. The collector
   /// stays usable afterwards.
   Status Drain();
@@ -286,9 +281,10 @@ class Collector {
   CollectorOptions options_;
   std::shared_ptr<IngestBudget> budget_;  // null when unbounded
 
-  /// See metrics(): points at options_.metrics or owned_metrics_.
-  obs::MetricsRegistry* metrics_ = nullptr;
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  /// See metrics(). Declared before collections_: the engines publish
+  /// into it until they are destroyed.
+  const std::unique_ptr<obs::MetricsRegistry> metrics_ =
+      std::make_unique<obs::MetricsRegistry>();
   obs::Gauge* collections_gauge_ = nullptr;
   obs::Counter* unknown_collection_total_ = nullptr;
   obs::Counter* ckpt_writes_total_ = nullptr;

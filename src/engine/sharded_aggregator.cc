@@ -42,17 +42,13 @@ StatusOr<std::unique_ptr<ShardedAggregator>> ShardedAggregator::Create(
         std::to_string(kMaxShards) + "], got " +
         std::to_string(options.num_shards));
   }
-  if (options.max_pending_batches < 1) {
-    return Status::InvalidArgument(
-        "ShardedAggregator: max_pending_batches must be >= 1");
-  }
   // Build every shard aggregator up front so a bad config fails the
   // construction rather than the first ingest.
   std::unique_ptr<ShardedAggregator> engine(
       new ShardedAggregator(kind, config, options));
   Rng seeder(options.seed);
   for (int s = 0; s < options.num_shards; ++s) {
-    auto shard = std::make_unique<Shard>(options.max_pending_batches);
+    auto shard = std::make_unique<Shard>();
     auto protocol = engine->NewProtocol();
     if (!protocol.ok()) return protocol.status();
     {

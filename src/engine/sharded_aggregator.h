@@ -41,14 +41,15 @@
 namespace ldpm {
 namespace engine {
 
+/// Per-shard queue bound: producers block when a shard falls this many
+/// work items behind (backpressure).
+inline constexpr size_t kMaxPendingBatches = 64;
+
 /// Engine-level configuration.
 struct EngineOptions {
   /// Number of shards (and worker threads). 1 reproduces the single-
   /// aggregator deployment behind the same interface.
   int num_shards = 1;
-  /// Per-shard queue bound; producers block when a shard falls this far
-  /// behind (backpressure).
-  size_t max_pending_batches = 64;
   /// Base seed for the per-shard Rng streams (row ingest / fast path).
   uint64_t seed = 0x5EED;
   /// Optional engine-wide backpressure budget shared with other engines
@@ -184,7 +185,7 @@ class ShardedAggregator {
     /// the protocol state behind it mutates only under state_mu.
     std::unique_ptr<MarginalProtocol> protocol LDPM_PT_GUARDED_BY(state_mu);
     Rng rng LDPM_GUARDED_BY(state_mu){0};
-    ShardQueue queue;
+    ShardQueue queue{kMaxPendingBatches};
     std::thread worker;
     /// First absorb/encode error since the last Flush, which reports and
     /// clears it. It never stops the worker.
@@ -193,8 +194,6 @@ class ShardedAggregator {
     /// after absorb) and the high-water mark it has reached.
     obs::Gauge* queue_depth = nullptr;
     obs::Gauge* queue_depth_hwm = nullptr;
-
-    explicit Shard(size_t max_pending) : queue(max_pending) {}
   };
 
   ShardedAggregator(ProtocolKind kind, const ProtocolConfig& config,

@@ -48,6 +48,10 @@ uint64_t RandomToken() {
   return token == 0 ? 1 : token;
 }
 
+/// The backoff schedule's growth per attempt and its fractional jitter.
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kBackoffJitter = 0.2;
+
 Status AfterAttempts(Status status, int attempts) {
   if (attempts <= 1) return status;
   return Status(status.code(), status.message() + " (after " +
@@ -63,11 +67,8 @@ StatusOr<FrameClient> FrameClient::Connect(const std::string& address,
   client.options_ = options;
   client.address_ = address;
   client.port_ = port;
-  client.session_token_ =
-      options.session_token != 0 ? options.session_token : RandomToken();
-  client.rng_state_ = options.retry.seed != 0
-                          ? options.retry.seed
-                          : (client.session_token_ | 1);
+  client.session_token_ = RandomToken();
+  client.rng_state_ = client.session_token_ | 1;
   const int attempts = std::max(1, options.retry.max_attempts);
   Status last;
   for (int attempt = 0; attempt < attempts; ++attempt) {
@@ -102,8 +103,8 @@ Status FrameClient::Handshake() {
   LDPM_RETURN_IF_ERROR(
       socket_.WriteAll(preamble, sizeof(preamble), options_.send_timeout));
   // The hello arrives through the record parser like every later record.
-  // A server that refuses the session outright (e.g. overload shedding)
-  // sends its final error record instead: a verdict.
+  // A server that refuses the session outright (e.g. at its connection
+  // cap) sends its final error record instead: a verdict.
   while (!reply_parser_.hello() && !final_reply()) {
     LDPM_RETURN_IF_ERROR(WaitForReply(options_.recv_timeout));
   }
@@ -369,13 +370,11 @@ void FrameClient::Abort() {
 std::chrono::milliseconds FrameClient::BackoffFor(int completed_attempts) {
   const RetryPolicy& retry = options_.retry;
   double ms = static_cast<double>(retry.initial_backoff.count());
-  for (int i = 1; i < completed_attempts; ++i) ms *= retry.multiplier;
+  for (int i = 1; i < completed_attempts; ++i) ms *= kBackoffMultiplier;
   ms = std::min(ms, static_cast<double>(retry.max_backoff.count()));
-  if (retry.jitter > 0) {
-    const double unit =
-        static_cast<double>(NextRand() % 1000) / 999.0;  // [0, 1]
-    ms *= 1.0 + retry.jitter * (2.0 * unit - 1.0);
-  }
+  const double unit =
+      static_cast<double>(NextRand() % 1000) / 999.0;  // [0, 1]
+  ms *= 1.0 + kBackoffJitter * (2.0 * unit - 1.0);
   return std::chrono::milliseconds(
       ms > 0 ? static_cast<int64_t>(ms) : int64_t{0});
 }

@@ -41,20 +41,16 @@ namespace ldpm {
 namespace net {
 
 /// Reconnect/backoff schedule: attempt k (k >= 1) sleeps
-/// initial_backoff * multiplier^(k-1), capped at max_backoff, then scaled
-/// by a uniform factor in [1 - jitter, 1 + jitter] so a fleet of clients
-/// dropped by one server event does not reconnect in lockstep.
+/// initial_backoff * 2^(k-1), capped at max_backoff, then scaled by a
+/// uniform factor in [0.8, 1.2] (drawn from a PRNG seeded by the session
+/// token) so a fleet of clients dropped by one server event does not
+/// reconnect in lockstep.
 struct RetryPolicy {
   /// Total attempts per operation (first try included); <= 1 disables
   /// retry.
   int max_attempts = 5;
   std::chrono::milliseconds initial_backoff{50};
   std::chrono::milliseconds max_backoff{2000};
-  double multiplier = 2.0;
-  /// Fractional jitter in [0, 1].
-  double jitter = 0.2;
-  /// Seed for the jitter PRNG; 0 derives one from the session token.
-  uint64_t seed = 0;
 };
 
 struct FrameClientOptions {
@@ -65,8 +61,6 @@ struct FrameClientOptions {
   /// Deadline for each wait on a server ack or final reply.
   std::chrono::milliseconds recv_timeout{30000};
   RetryPolicy retry;
-  /// Session token; 0 picks a random one (session_token() reads it back).
-  uint64_t session_token = 0;
   /// Pause sends once this many stream bytes are unacked, waiting for acks
   /// (bounds the replay buffer). 0 = unbounded.
   size_t max_unacked_bytes = 64u << 20;
@@ -117,7 +111,7 @@ class FrameClient {
   /// buffer is dropped.
   void Abort();
 
-  /// The session token in use.
+  /// The session token in use: random, drawn at Connect.
   uint64_t session_token() const { return session_token_; }
   /// Successful reconnects after the initial connect.
   uint64_t reconnects() const { return reconnects_; }

@@ -22,6 +22,9 @@ namespace net {
 
 namespace {
 
+/// Kernel accept backlog of the listening socket.
+constexpr int kAcceptBacklog = 16;
+
 /// Extracts method and path+query from "METHOD SP TARGET SP VERSION...".
 /// Returns false on anything that does not parse as a request line.
 bool ParseRequestLine(std::string_view request, std::string_view& method,
@@ -334,9 +337,8 @@ class HttpServer::Loop {
         c.out_sent = 0;
       }
       const HttpHeadSplit head = SplitHttpRequestHead(c.in);
-      if (head.length > server_.options_.max_request_bytes ||
-          (head.length == 0 &&
-           c.in.size() >= server_.options_.max_request_bytes)) {
+      if (head.length > kMaxHttpRequestBytes ||
+          (head.length == 0 && c.in.size() >= kMaxHttpRequestBytes)) {
         Respond(c, {400, "text/plain", "request too large\n"}, false);
         continue;
       }
@@ -460,14 +462,11 @@ StatusOr<std::unique_ptr<HttpServer>> HttpServer::Start(
   if (handler == nullptr) {
     return Status::InvalidArgument("HttpServer: handler must not be null");
   }
-  if (options.max_request_bytes == 0) {
-    return Status::InvalidArgument("HttpServer: max_request_bytes must be > 0");
-  }
   if (options.idle_timeout.count() <= 0) {
     return Status::InvalidArgument("HttpServer: idle_timeout must be > 0");
   }
   auto listener =
-      Socket::Listen(options.bind_address, options.port, options.accept_backlog);
+      Socket::Listen(options.bind_address, options.port, kAcceptBacklog);
   if (!listener.ok()) return listener.status();
   auto port = listener->local_port();
   if (!port.ok()) return port.status();

@@ -14,7 +14,7 @@
 //   * GET only: any other method is answered `405 Method Not Allowed`
 //     before the handler runs.
 //   * The request head is read until CRLFCRLF (or LFLF); bodies are never
-//     read. A head that exceeds max_request_bytes without terminating is
+//     read. A head that reaches kMaxHttpRequestBytes without terminating is
 //     answered `400 Bad Request` ("request too large"); one that does not
 //     parse as a request line, or that EOF cuts short, is answered `400`
 //     ("malformed request").
@@ -70,16 +70,15 @@ namespace net {
 /// is answered 503 and closed.
 inline constexpr size_t kMaxHttpConnections = 256;
 
+/// Cap on request-head bytes read before answering; a client that streams
+/// an oversized head is answered 400 and closed.
+inline constexpr size_t kMaxHttpRequestBytes = 8 * 1024;
+
 struct HttpServerOptions {
   /// Numeric IPv4 address to bind.
   std::string bind_address = "127.0.0.1";
   /// TCP port; 0 picks an ephemeral port (read it back with port()).
   uint16_t port = 0;
-  /// Kernel accept backlog.
-  int accept_backlog = 16;
-  /// Cap on request-head bytes read before answering; a client that
-  /// streams an oversized head is answered 400 and closed.
-  size_t max_request_bytes = 8 * 1024;
   /// The no-progress deadline: a connection that neither delivers a byte
   /// nor accepts one for this long is closed (see the file comment).
   /// Must be > 0.

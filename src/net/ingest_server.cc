@@ -28,44 +28,65 @@ void WriteU64(uint64_t value, uint8_t* bytes) {
   for (int b = 0; b < 8; ++b) bytes[b] = uint8_t(value >> (8 * b));
 }
 
+/// Kernel accept backlog of the listening socket.
+constexpr int kAcceptBacklog = 64;
+
+/// Slice of the stop-aware budget wait: while the collector's shared
+/// IngestBudget has no headroom, a reader re-probes at this period and
+/// re-checks the server's stop flag in between.
+constexpr std::chrono::milliseconds kBudgetPoll{20};
+
+/// The outcome of a hello or ack write that failed: a peer that did not
+/// accept the record within the idle deadline is reaped like an idle
+/// reader; any other failure is a transport failure.
+Status RecordWriteFailure(const Status& write, const char* record,
+                          std::chrono::milliseconds idle_timeout) {
+  if (write.code() == StatusCode::kDeadlineExceeded) {
+    return Status::DeadlineExceeded(
+        std::string("peer stopped reading: ") + record +
+        " not accepted within " + std::to_string(idle_timeout.count()) +
+        "ms; reaping");
+  }
+  return Status::Unavailable(std::string("writing ") + record + ": " +
+                             write.message());
+}
+
 }  // namespace
 
 IngestServer::IngestServer(engine::Collector* collector,
                            const IngestServerOptions& options)
     : collector_(collector), options_(options) {
-  metrics_ =
-      options_.metrics != nullptr ? options_.metrics : collector_->metrics();
+  obs::MetricsRegistry* metrics = collector_->metrics();
   connections_accepted_ =
-      metrics_->GetCounter("ldpm_net_connections_accepted_total",
-                           "TCP connections accepted and handed a reader");
-  connections_shed_ = metrics_->GetCounter(
-      "ldpm_net_connections_shed_total",
-      "Connections rejected at the cap or dropped by the budget shed "
-      "timeout");
+      metrics->GetCounter("ldpm_net_connections_accepted_total",
+                          "TCP connections accepted and handed a reader");
+  connections_shed_ =
+      metrics->GetCounter("ldpm_net_connections_shed_total",
+                          "Connections rejected at the connection cap");
   frames_routed_ =
-      metrics_->GetCounter("ldpm_net_frames_routed_total",
-                           "Whole collection frames routed into the collector");
-  batches_enqueued_ = metrics_->GetCounter(
+      metrics->GetCounter("ldpm_net_frames_routed_total",
+                          "Whole collection frames routed into the collector");
+  batches_enqueued_ = metrics->GetCounter(
       "ldpm_net_batches_enqueued_total",
       "Wire batches handed to engines (empty-payload frames route without "
       "enqueueing work)");
-  bytes_routed_ = metrics_->GetCounter(
+  bytes_routed_ = metrics->GetCounter(
       "ldpm_net_bytes_routed_total",
       "Bytes of routed frames (excluding preambles and partial tails)");
-  connections_active_ = metrics_->GetGauge(
+  connections_active_ = metrics->GetGauge(
       "ldpm_net_connections_active", "Connections currently being served");
-  route_latency_ = metrics_->GetHistogram(
+  route_latency_ = metrics->GetHistogram(
       "ldpm_net_frame_route_latency_ns", obs::LatencyBuckets(),
       "Per-frame latency of Collector::IngestFrames from a reader thread");
-  connections_reaped_ = metrics_->GetCounter(
+  connections_reaped_ = metrics->GetCounter(
       "ldpm_net_connections_reaped_total",
-      "Idle connections reaped by the read deadline");
-  sessions_resumed_ = metrics_->GetCounter(
+      "Connections reaped by the no-progress deadline (idle_timeout)");
+  sessions_resumed_ = metrics->GetCounter(
       "ldpm_net_sessions_resumed_total",
       "Sessions re-attached by a reconnecting client");
-  acks_sent_ = metrics_->GetCounter("ldpm_net_acks_sent_total",
-                                    "Ack records written to clients");
-  drain_duration_ = metrics_->GetHistogram(
+  acks_sent_ = metrics->GetCounter("ldpm_net_acks_sent_total",
+                                   "Ack records written to clients");
+  drain_duration_ = metrics->GetHistogram(
       "ldpm_net_drain_duration_ns", obs::LatencyBuckets(),
       "Graceful-stop duration: accept join, reader drain, collector drain");
   LDPM_CHECK(connections_accepted_ && connections_shed_ && frames_routed_ &&
@@ -87,7 +108,7 @@ StatusOr<std::unique_ptr<IngestServer>> IngestServer::Start(
     return Status::InvalidArgument("IngestServer: idle_timeout must be > 0");
   }
   auto listener =
-      Socket::Listen(options.bind_address, options.port, options.accept_backlog);
+      Socket::Listen(options.bind_address, options.port, kAcceptBacklog);
   if (!listener.ok()) return listener.status();
   auto port = listener->local_port();
   if (!port.ok()) return port.status();
@@ -147,9 +168,7 @@ Status IngestServer::Stop() {
   }
   to_drain.clear();
   listener_.Close();
-  stop_status_ = options_.drain_collector_on_stop && started_
-                     ? collector_->Drain()
-                     : Status::OK();
+  stop_status_ = started_ ? collector_->Drain() : Status::OK();
   stopped_ = true;
   return stop_status_;
 }
@@ -237,7 +256,7 @@ void IngestServer::AcceptLoop() {
       outcome.status = Status::ResourceExhausted(
           "IngestServer: connection limit (" +
           std::to_string(options_.max_connections) + ") reached");
-      SendReply(*accepted, outcome, 0, 0);
+      (void)SendReply(*accepted, outcome);
       drain_available();
       continue;
     }
@@ -268,21 +287,30 @@ void IngestServer::ServeConnection(Connection& connection) {
   // Count before replying: a peer that has read its final reply must no
   // longer find its connection in the active gauge.
   connections_active_->Add(-1);
-  if (outcome.status.code() == StatusCode::kDeadlineExceeded) {
-    connections_reaped_->Increment();
-  }
-  if (outcome.status.code() == StatusCode::kUnavailable ||
-      outcome.status.code() == StatusCode::kDeadlineExceeded) {
-    // No verdict to give: the transport itself failed (peer reset,
-    // injected connection drop), or the peer went idle past idle_timeout.
-    // A reply record would read as a verdict, which a client never
-    // retries; a reset makes it reconnect, and its session resumes at the
-    // routed offset.
-    connection.socket.CloseWithReset();
+  // No verdict to give when the transport itself failed (peer reset,
+  // injected connection drop) or the peer made no progress within
+  // idle_timeout: a reply record would read as a verdict, which a client
+  // never retries; a reset makes it reconnect, and its session resumes at
+  // the routed offset. A final reply the peer does not take within the
+  // deadline ends the connection the same way.
+  const StatusCode code = outcome.status.code();
+  const bool verdict =
+      code != StatusCode::kUnavailable && code != StatusCode::kDeadlineExceeded;
+  const Status ended =
+      verdict ? SendReply(connection.socket, outcome) : outcome.status;
+  if (!ended.ok()) {
+    if (ended.code() == StatusCode::kDeadlineExceeded) {
+      connections_reaped_->Increment();
+    }
+    {
+      // Under the list lock: Stop() reads every listed socket's descriptor
+      // to wake its reader, and must not find this one mid-close.
+      core::MutexLock lock(connections_mu_);
+      connection.socket.CloseWithReset();
+    }
     connection.finished.store(true, std::memory_order_release);
     return;
   }
-  SendReply(connection.socket, outcome, outcome.frames, outcome.bytes);
   if (!outcome.status.ok()) {
     // On a mid-stream rejection the peer usually has more frames in
     // flight. Closing with unread data makes TCP send a reset, which can
@@ -318,20 +346,10 @@ Status IngestServer::GateOnBudget() {
     budget->Release();
     return Status::OK();
   }
-  const bool shed_enabled = options_.budget_shed_after.count() > 0;
-  const auto shed_deadline =
-      std::chrono::steady_clock::now() + options_.budget_shed_after;
   while (!stopping()) {
-    if (budget->AcquireFor(options_.budget_poll)) {
+    if (budget->AcquireFor(kBudgetPoll)) {
       budget->Release();
       return Status::OK();
-    }
-    if (shed_enabled && std::chrono::steady_clock::now() >= shed_deadline) {
-      connections_shed_->Increment();
-      return Status::ResourceExhausted(
-          "IngestServer: no ingest-budget headroom for " +
-          std::to_string(options_.budget_shed_after.count()) +
-          "ms; shedding connection");
     }
   }
   return Status::FailedPrecondition("IngestServer: server is stopping");
@@ -345,8 +363,7 @@ Status IngestServer::AcquireSession(uint64_t token, Socket& socket,
   for (;;) {
     auto it = sessions_.find(token);
     if (it == sessions_.end()) {
-      if (options_.max_sessions > 0 &&
-          sessions_.size() >= options_.max_sessions) {
+      if (sessions_.size() >= kMaxIngestSessions) {
         auto victim = sessions_.end();
         for (auto s = sessions_.begin(); s != sessions_.end(); ++s) {
           if (!s->second.active &&
@@ -358,7 +375,7 @@ Status IngestServer::AcquireSession(uint64_t token, Socket& socket,
         if (victim == sessions_.end()) {
           return Status::ResourceExhausted(
               "IngestServer: session table full (" +
-              std::to_string(options_.max_sessions) +
+              std::to_string(kMaxIngestSessions) +
               " sessions, all active)");
         }
         sessions_.erase(victim);
@@ -471,12 +488,12 @@ IngestServer::StreamOutcome IngestServer::ServeStream(Socket& socket) {
   hello[0] = kReplyHello;
   WriteU64(outcome.bytes, hello + 1);
   Status hello_write =
-      socket.WriteAll(hello, sizeof(hello), options_.reply_write_timeout);
+      socket.WriteAll(hello, sizeof(hello), options_.idle_timeout);
   if (hello_write.ok()) {
     outcome = ServeStreamBody(socket, outcome);
   } else {
-    outcome.status = Status::Unavailable("writing hello record: " +
-                                         hello_write.message());
+    outcome.status = RecordWriteFailure(hello_write, "hello record",
+                                        options_.idle_timeout);
     outcome.stream_offset = outcome.bytes;
   }
   ReleaseSession(token, outcome.bytes, outcome.frames);
@@ -576,10 +593,10 @@ IngestServer::StreamOutcome IngestServer::ServeStreamBody(
       ack[0] = kReplyAck;
       WriteU64(consumed, ack + 1);
       Status ack_write =
-          socket.WriteAll(ack, sizeof(ack), options_.reply_write_timeout);
+          socket.WriteAll(ack, sizeof(ack), options_.idle_timeout);
       if (!ack_write.ok()) {
-        outcome.status =
-            Status::Unavailable("writing ack record: " + ack_write.message());
+        outcome.status = RecordWriteFailure(ack_write, "ack record",
+                                            options_.idle_timeout);
         outcome.stream_offset = consumed;
         return outcome;
       }
@@ -630,19 +647,18 @@ IngestServer::StreamOutcome IngestServer::ServeStreamBody(
   }
 }
 
-void IngestServer::SendReply(Socket& socket, const StreamOutcome& outcome,
-                             uint64_t frames, uint64_t bytes) {
-  // Best effort throughout: the peer may already be gone, and the reply
-  // is advisory — ingested frames stay ingested either way.
+Status IngestServer::SendReply(Socket& socket, const StreamOutcome& outcome) {
+  // The peer may already be gone, and the reply is advisory — ingested
+  // frames stay ingested either way.
   std::vector<uint8_t> reply;
   if (outcome.status.ok()) {
     reply.push_back(kReplyOk);
-    AppendU64(frames, reply);
-    AppendU64(bytes, reply);
+    AppendU64(outcome.frames, reply);
+    AppendU64(outcome.bytes, reply);
   } else {
     // Error replies are rare (one per failed connection), so the
     // per-code counter lookup takes the registry path instead of a cache.
-    obs::Counter* errors = metrics_->GetCounter(
+    obs::Counter* errors = collector_->metrics()->GetCounter(
         obs::WithLabels("ldpm_net_error_replies_total",
                         {{"code", StatusCodeToString(outcome.status.code())}}),
         "Error replies sent to clients, by status code");
@@ -657,7 +673,7 @@ void IngestServer::SendReply(Socket& socket, const StreamOutcome& outcome,
     reply.push_back(static_cast<uint8_t>(message.size() >> 8));
     reply.insert(reply.end(), message.begin(), message.end());
   }
-  (void)socket.WriteAll(reply.data(), reply.size());
+  return socket.WriteAll(reply.data(), reply.size(), options_.idle_timeout);
 }
 
 }  // namespace net

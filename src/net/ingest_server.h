@@ -18,10 +18,8 @@
 //     saturated the reader stops consuming the socket and the kernel's
 //     TCP flow control pushes back on the client. With a shared
 //     IngestBudget configured, readers additionally gate on budget
-//     headroom with stop-aware timed probes (IngestBudget::AcquireFor) —
-//     a saturated collector never wedges server shutdown, and an optional
-//     shed timeout turns sustained overload into a clean connection
-//     rejection instead of an unbounded stall.
+//     headroom with stop-aware timed probes (IngestBudget::AcquireFor), so
+//     a saturated collector never wedges server shutdown.
 //   * Byte-precise failure. A mid-stream violation (unknown collection
 //     id, malformed frame, oversized frame) stops the connection with an
 //     error reply naming the exact stream offset of the first unconsumed
@@ -32,15 +30,17 @@
 //     routed, tells a reconnecting client exactly where to resume (hello
 //     record), and acks progress as it routes — exactly-once frame
 //     delivery through connection churn (see net/protocol.h).
-//   * Idle reaping. A connection that delivers no bytes within
-//     idle_timeout (10 s by default) is closed with a reset instead of
-//     holding a connection-cap slot forever (half-open clients). Its
-//     session keeps the routed offset, so a client that merely paused
-//     reconnects and resumes.
+//   * One no-progress deadline. A connection that delivers no bytes, or
+//     accepts none of a hello, ack or final reply, within idle_timeout
+//     (10 s by default) is closed with a reset instead of holding a
+//     reader thread and a connection-cap slot forever (half-open clients,
+//     clients that stopped reading). Its session keeps the routed offset,
+//     so a client that merely paused reconnects and resumes.
 //   * Graceful stop. Stop() stops accepting, wakes and joins every
 //     reader at a frame boundary, then runs Collector::Drain() — so a
-//     server shutdown flushes every queued batch and (when configured)
-//     writes the shutdown checkpoint. The destructor calls Stop().
+//     server shutdown flushes every queued batch and (when the collector
+//     has a checkpoint_path) writes the shutdown checkpoint. The
+//     destructor calls Stop().
 //
 // The Collector must outlive the server. See docs/wire-format.md
 // ("Network stream framing") for the connection protocol bytes and
@@ -66,6 +66,11 @@
 namespace ldpm {
 namespace net {
 
+/// Resume sessions one IngestServer remembers; creating one past the cap
+/// evicts the least-recently-used inactive session (a client resuming an
+/// evicted session restarts at offset 0 and fails its replay loudly).
+inline constexpr size_t kMaxIngestSessions = 1024;
+
 /// Tuning knobs for an IngestServer. The defaults run a loopback server
 /// on an ephemeral port with generous frame and connection bounds.
 struct IngestServerOptions {
@@ -73,8 +78,6 @@ struct IngestServerOptions {
   std::string bind_address = "127.0.0.1";
   /// TCP port; 0 picks an ephemeral port (read it back with port()).
   uint16_t port = 0;
-  /// Kernel accept backlog.
-  int accept_backlog = 64;
   /// Live connection cap; connections beyond it are shed at accept with
   /// an error reply. 0 = unbounded.
   int max_connections = 64;
@@ -83,38 +86,15 @@ struct IngestServerOptions {
   size_t max_frame_bytes = 64 * 1024 * 1024;
   /// Socket read size per recv call.
   size_t read_chunk_bytes = 64 * 1024;
-  /// Slice of the stop-aware budget wait: while the collector's shared
-  /// IngestBudget has no headroom, readers re-probe at this period and
-  /// re-check the server's stop flag in between.
-  std::chrono::milliseconds budget_poll{20};
-  /// When > 0: a reader that has seen no budget headroom for this long
-  /// sheds its connection with an overload error instead of waiting
-  /// longer. 0 = wait as long as it takes (still stop-aware).
-  std::chrono::milliseconds budget_shed_after{0};
-  /// A connection that delivers no bytes for this long is reaped: closed
-  /// with a reset and no reply record, so half-open or stalled clients
-  /// cannot hold connection-cap slots forever. Applies to the
-  /// preamble/handshake reads too. The session keeps its routed offset, so
-  /// a client that only paused reconnects and resumes on its next send.
-  /// Must be > 0.
+  /// The no-progress deadline on every socket operation of a connection:
+  /// one that delivers no bytes for this long, or does not accept the
+  /// server's hello, ack or final reply within it, is reaped — closed
+  /// with a reset and no reply record, so half-open, stalled or
+  /// non-reading clients cannot hold reader threads and connection-cap
+  /// slots forever. Applies to the preamble/handshake reads too. The
+  /// session keeps its routed offset, so a client that only paused
+  /// reconnects and resumes on its next send. Must be > 0.
   std::chrono::milliseconds idle_timeout{10000};
-  /// When > 0: deadline on server-to-client record writes (hello, ack,
-  /// final reply) so a peer that stopped reading cannot wedge a reader.
-  /// 0 = blocking writes.
-  std::chrono::milliseconds reply_write_timeout{0};
-  /// Cap on remembered resume sessions; creating one past the cap
-  /// evicts the least-recently-used inactive session (a client resuming an
-  /// evicted session restarts at offset 0 and fails its replay loudly).
-  /// 0 = unbounded.
-  size_t max_sessions = 1024;
-  /// Run Collector::Drain() at the end of Stop() — the graceful-shutdown
-  /// step that flushes all collections and writes the shutdown
-  /// checkpoint when the collector is configured for one.
-  bool drain_collector_on_stop = true;
-  /// Registry the server publishes its ldpm_net_* metrics into (must
-  /// outlive the server). Null uses the collector's registry — the common
-  /// wiring, putting the whole pipeline behind one /stats endpoint.
-  obs::MetricsRegistry* metrics = nullptr;
 };
 
 /// Monotonic counters describing everything the server has done so far.
@@ -122,8 +102,7 @@ struct IngestServerOptions {
 /// series /stats serves).
 struct IngestServerStats {
   uint64_t connections_accepted = 0;
-  /// Connections rejected at accept (connection cap) or dropped by the
-  /// budget shed timeout.
+  /// Connections rejected at accept (connection cap).
   uint64_t connections_shed = 0;
   /// Whole collection frames routed into the collector.
   uint64_t frames_routed = 0;
@@ -132,7 +111,7 @@ struct IngestServerStats {
   uint64_t batches_enqueued = 0;
   /// Bytes of routed frames (excluding preambles and partial tails).
   uint64_t bytes_routed = 0;
-  /// Idle connections reaped by the read deadline.
+  /// Connections reaped by the no-progress deadline (idle_timeout).
   uint64_t connections_reaped = 0;
   /// Sessions re-attached by a reconnecting client.
   uint64_t sessions_resumed = 0;
@@ -159,7 +138,7 @@ class IngestServer {
   uint16_t port() const { return port_; }
 
   /// Graceful stop: stop accepting, wake and join every connection
-  /// reader, then (by default) Drain() the collector. Idempotent; every
+  /// reader, then Drain() the collector. Idempotent; every
   /// call returns the first stop's drain Status. Safe to call while
   /// clients are mid-stream: their connections end with a server-stopping
   /// error reply (best effort — a client still blasting may observe the
@@ -213,7 +192,8 @@ class IngestServer {
                const IngestServerOptions& options);
 
   void AcceptLoop();
-  void ServeConnection(Connection& connection);
+  void ServeConnection(Connection& connection)
+      LDPM_EXCLUDES(connections_mu_);
   StreamOutcome ServeStream(Socket& socket);
   /// Routes the session's frames, counting on from `start`'s routed
   /// frames and bytes.
@@ -230,10 +210,10 @@ class IngestServer {
   void ReleaseSession(uint64_t token, uint64_t routed_bytes,
                       uint64_t routed_frames) LDPM_EXCLUDES(sessions_mu_);
   /// Waits (stop-aware) until the collector's shared budget shows
-  /// headroom; non-OK on stop or shed timeout.
+  /// headroom; non-OK on stop.
   Status GateOnBudget();
-  void SendReply(Socket& socket, const StreamOutcome& outcome,
-                 uint64_t frames, uint64_t bytes);
+  /// Writes the final ok/error record under the idle deadline.
+  Status SendReply(Socket& socket, const StreamOutcome& outcome);
   /// Joins and drops connections whose readers have finished (called from
   /// the accept thread so a long-lived server does not accumulate them).
   void ReapFinishedLocked() LDPM_REQUIRES(connections_mu_);
@@ -261,10 +241,9 @@ class IngestServer {
   bool stopped_ LDPM_GUARDED_BY(stop_mu_) = false;
   Status stop_status_ LDPM_GUARDED_BY(stop_mu_);
 
-  /// Server metrics, owned by metrics_ (options_.metrics or the
-  /// collector's registry). The IngestServerStats accessors read the same
-  /// counters, so the admin endpoint and the in-process view always agree.
-  obs::MetricsRegistry* metrics_ = nullptr;
+  /// Server metrics, in the collector's registry. The IngestServerStats
+  /// accessors read the same counters, so the admin endpoint and the
+  /// in-process view always agree.
   obs::Counter* connections_accepted_ = nullptr;
   obs::Counter* connections_shed_ = nullptr;
   obs::Counter* frames_routed_ = nullptr;

@@ -35,11 +35,12 @@
 //   sessions start over at offset 0.
 //
 // The server may also reply with an error and close mid-stream (unknown
-// collection id, oversized frame, overload shedding, server stop); the
-// client then sees its sends fail or its reply read surface the error
-// record. A connection that dies without a verdict — a transport failure,
-// or an idle connection the server reaps — closes with a reset and no
-// record, and the client reconnects and resumes.
+// collection id, oversized frame, server stop); the client then sees its
+// sends fail or its reply read surface the error record. A connection
+// that dies without a verdict — a transport failure, or a connection the
+// server reaps for making no progress (idle, or not reading its records)
+// — closes with a reset and no record, and the client reconnects and
+// resumes.
 
 #ifndef LDPM_NET_PROTOCOL_H_
 #define LDPM_NET_PROTOCOL_H_

@@ -95,21 +95,18 @@ bool ParseAttrs(const std::string& raw, int d, std::vector<int>& attrs,
 
 }  // namespace
 
-QueryServer::QueryServer(engine::Collector* collector,
-                         const QueryServerOptions& options)
-    : collector_(collector), options_(options) {}
+QueryServer::QueryServer(engine::Collector* collector)
+    : collector_(collector) {}
 
 StatusOr<std::unique_ptr<QueryServer>> QueryServer::Start(
     engine::Collector* collector, const QueryServerOptions& options) {
   if (collector == nullptr) {
     return Status::InvalidArgument("QueryServer: collector must not be null");
   }
-  std::unique_ptr<QueryServer> server(new QueryServer(collector, options));
+  std::unique_ptr<QueryServer> server(new QueryServer(collector));
   HttpServerOptions http_options;
   http_options.bind_address = options.bind_address;
   http_options.port = options.port;
-  http_options.accept_backlog = options.accept_backlog;
-  http_options.max_request_bytes = options.max_request_bytes;
   http_options.idle_timeout = options.idle_timeout;
   obs::MetricsRegistry* registry = collector->metrics();
   http_options.requests_counter = registry->GetCounter(
@@ -133,23 +130,41 @@ StatusOr<std::unique_ptr<QueryServer>> QueryServer::Start(
 
 StatusOr<query::MarginalCache*> QueryServer::CacheFor(
     const std::string& collection) {
+  auto cache = Cache(collection);
+  if (!cache.ok()) return cache.status();
+  return cache->get();
+}
+
+StatusOr<std::shared_ptr<query::MarginalCache>> QueryServer::Cache(
+    const std::string& collection) {
+  // The registry names the engine the id serves now. A cache over any
+  // other engine (its collection unregistered, or the id registered anew)
+  // is dropped, which releases its handle and with it the old engine.
+  auto registered = collector_->Handle(collection);
+  std::shared_ptr<query::MarginalCache> dropped;  // released unlocked
   {
     core::MutexLock lock(caches_mu_);
     auto it = caches_.find(collection);
-    if (it != caches_.end()) return it->second.get();
+    if (it != caches_.end()) {
+      if (registered.ok() && it->second->handle() == *registered) {
+        return it->second;
+      }
+      dropped = std::move(it->second);
+      caches_.erase(it);
+    }
   }
+  if (!registered.ok()) return registered.status();
   // Built outside the lock: Create validates the collection against the
   // collector and precomputes the full selector set, and one slow
   // first-touch must not block queries against every other collection.
-  auto cache = query::MarginalCache::Create(collector_, collection,
-                                            options_.cache);
+  auto cache = query::MarginalCache::Create(collector_, collection);
   if (!cache.ok()) return cache.status();
   core::MutexLock lock(caches_mu_);
   // Two first-touch requests can race the build; emplace keeps the winner
   // and both callers serve from the installed instance.
   auto [it, inserted] = caches_.emplace(collection, *std::move(cache));
   (void)inserted;
-  return it->second.get();
+  return it->second;
 }
 
 HttpResponse QueryServer::Handle(const HttpRequest& request) {
@@ -171,7 +186,7 @@ HttpResponse QueryServer::HandleMarginal(const HttpRequest& request) {
   if (!collection.has_value() || collection->empty()) {
     return BadRequest("missing required parameter: collection");
   }
-  auto cache = CacheFor(*collection);
+  auto cache = Cache(*collection);
   if (!cache.ok()) {
     if (cache.status().code() == StatusCode::kNotFound) {
       return NotFound("unknown collection: " + *collection);
@@ -225,7 +240,7 @@ HttpResponse QueryServer::HandleModel(const HttpRequest& request) {
   if (!collection.has_value() || collection->empty()) {
     return BadRequest("missing required parameter: collection");
   }
-  auto cache = CacheFor(*collection);
+  auto cache = Cache(*collection);
   if (!cache.ok()) {
     if (cache.status().code() == StatusCode::kNotFound) {
       return NotFound("unknown collection: " + *collection);

@@ -30,9 +30,12 @@
 // is 405 (from the shared plumbing).
 //
 // One MarginalCache per collection, created lazily on first touch, so
-// collections registered after Start() are served too. Reads that hit a
-// live snapshot never merge shards or take the refresh lock — the
-// endpoint's throughput is the cache-hit rate (bench/query_serve.cc).
+// collections registered after Start() are served too. Every request
+// checks the id against the collector's registry: the cache of an
+// unregistered collection is dropped (404), and an id registered again
+// gets a cache over its new engine. Reads that hit a live snapshot never
+// merge shards or take the refresh lock — the endpoint's throughput is
+// the cache-hit rate (bench/query_serve.cc).
 //
 // The collector must outlive the server.
 
@@ -59,15 +62,9 @@ struct QueryServerOptions {
   std::string bind_address = "127.0.0.1";
   /// TCP port; 0 picks an ephemeral port (read it back with port()).
   uint16_t port = 0;
-  /// Kernel accept backlog.
-  int accept_backlog = 16;
-  /// Cap on request bytes read before answering 400.
-  size_t max_request_bytes = 8 * 1024;
   /// No-progress deadline per connection (HttpServerOptions::idle_timeout:
   /// 408 mid-head, close when idle, reset when not reading). Must be > 0.
   std::chrono::milliseconds idle_timeout{10000};
-  /// Cache tuning applied to every collection's MarginalCache.
-  query::MarginalCacheOptions cache;
 };
 
 /// The query endpoint (see the file comment). Start() binds and serves
@@ -94,13 +91,21 @@ class QueryServer {
   /// ldpm_query_http_connections and ldpm_query_http_connections_shed_total.
   uint64_t requests_served() const { return http_->requests_served(); }
 
-  /// The collection's cache (created now if this is its first touch) —
-  /// the library-side view of exactly what HTTP answers serve, for
-  /// smoke tests that diff the two.
+  /// The cache serving the collection registered under `collection` now
+  /// (created on its first touch, or again after the id was registered
+  /// anew) — the library-side view of exactly what HTTP answers serve, for
+  /// smoke tests that diff the two. NotFound once the id is unregistered.
+  /// The pointer stays valid until a later call or request finds the id
+  /// unregistered or registered anew.
   StatusOr<query::MarginalCache*> CacheFor(const std::string& collection);
 
  private:
-  QueryServer(engine::Collector* collector, const QueryServerOptions& options);
+  explicit QueryServer(engine::Collector* collector);
+
+  /// CacheFor with shared ownership, so a request keeps its cache alive
+  /// while another caller drops it.
+  StatusOr<std::shared_ptr<query::MarginalCache>> Cache(
+      const std::string& collection);
 
   HttpResponse Handle(const HttpRequest& request);
   HttpResponse HandleMarginal(const HttpRequest& request);
@@ -108,10 +113,9 @@ class QueryServer {
   HttpResponse HandleCollections();
 
   engine::Collector* const collector_;
-  const QueryServerOptions options_;
 
   core::Mutex caches_mu_;
-  std::map<std::string, std::unique_ptr<query::MarginalCache>> caches_
+  std::map<std::string, std::shared_ptr<query::MarginalCache>> caches_
       LDPM_GUARDED_BY(caches_mu_);
 
   std::unique_ptr<HttpServer> http_;

@@ -420,10 +420,6 @@ Status ScanCompleteFrames(const uint8_t* data, size_t size,
     }
     (void)cursor.Skip(payload_len, "payload");
     prefix->bytes = cursor.offset();
-    ++prefix->frames;
-    if (prefix->first_frame_bytes == 0) {
-      prefix->first_frame_bytes = static_cast<size_t>(frame_bytes);
-    }
   }
   return Status::OK();
 }

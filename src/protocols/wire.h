@@ -198,8 +198,6 @@ class CollectionFrameReader {
 /// arrived whole within one read.
 struct FrameStreamPrefix {
   size_t bytes = 0;                ///< bytes of whole frames at the front
-  size_t frames = 0;               ///< number of whole frames in `bytes`
-  size_t first_frame_bytes = 0;    ///< encoded size of the first whole frame
   size_t pending_frame_bytes = 0;  ///< full size of the first excluded frame
 };
 

@@ -11,6 +11,10 @@ namespace query {
 
 namespace {
 
+/// Conditional-probability floor of the lazily fitted Chow-Liu tree model
+/// (Snapshot::Model).
+constexpr double kModelSmoothing = 1e-6;
+
 std::string QueryMetricName(const char* base, const std::string& collection) {
   return obs::WithLabels(base, {{"collection", collection}});
 }
@@ -42,7 +46,7 @@ StatusOr<const TreeModel*> Snapshot::Model() const {
       }
       return *table;
     };
-    auto model = TreeModel::LearnAndFit(d_, provider, model_smoothing_);
+    auto model = TreeModel::LearnAndFit(d_, provider, kModelSmoothing);
     if (!model.ok()) {
       model_status_ = model.status();
       return;
@@ -57,14 +61,13 @@ StatusOr<const TreeModel*> Snapshot::Model() const {
 
 MarginalCache::MarginalCache(engine::Collector* collector,
                              engine::CollectionHandle handle,
-                             std::string collection,
-                             const MarginalCacheOptions& options)
+                             std::string collection)
     : handle_(std::move(handle)),
       collection_(std::move(collection)),
-      options_(options),
       d_(handle_.config().d),
+      max_order_(handle_.config().k),
       engine_(&handle_.aggregator()),
-      selectors_(FullKWaySelectors(d_, options_.max_order)) {
+      selectors_(FullKWaySelectors(d_, max_order_)) {
   obs::MetricsRegistry* metrics = collector->metrics();
   requests_ = metrics->GetCounter(
       QueryMetricName("ldpm_query_requests_total", collection_),
@@ -75,17 +78,13 @@ MarginalCache::MarginalCache(engine::Collector* collector,
   refreshes_ = metrics->GetCounter(
       QueryMetricName("ldpm_query_cache_refreshes_total", collection_),
       "Snapshot rebuilds (epoch advances)");
-  stale_served_ = metrics->GetCounter(
-      QueryMetricName("ldpm_query_stale_served_total", collection_),
-      "Stale-epoch answers served while a rebuild ran (serve_stale)");
   refresh_latency_ = metrics->GetHistogram(
       QueryMetricName("ldpm_query_refresh_latency_ns", collection_),
       obs::LatencyBuckets(), "Snapshot rebuild duration in nanoseconds");
 }
 
 StatusOr<std::unique_ptr<MarginalCache>> MarginalCache::Create(
-    engine::Collector* collector, const std::string& collection,
-    const MarginalCacheOptions& options) {
+    engine::Collector* collector, const std::string& collection) {
   if (collector == nullptr) {
     return Status::InvalidArgument("MarginalCache: collector must not be null");
   }
@@ -102,16 +101,8 @@ StatusOr<std::unique_ptr<MarginalCache>> MarginalCache::Create(
       }
     }
   }
-  MarginalCacheOptions resolved = options;
-  if (resolved.max_order == 0) resolved.max_order = config.k;
-  if (resolved.max_order < 1 || resolved.max_order > config.k) {
-    return Status::InvalidArgument(
-        "MarginalCache: max_order must be in [1, k] — the engine only "
-        "estimates marginals up to the configured order k=" +
-        std::to_string(config.k));
-  }
-  return std::unique_ptr<MarginalCache>(new MarginalCache(
-      collector, *std::move(handle), collection, resolved));
+  return std::unique_ptr<MarginalCache>(
+      new MarginalCache(collector, *std::move(handle), collection));
 }
 
 uint64_t MarginalCache::LiveWatermark() const {
@@ -124,23 +115,6 @@ StatusOr<std::shared_ptr<const Snapshot>> MarginalCache::Get() {
   if (snap != nullptr && snap->watermark() == LiveWatermark()) {
     hits_->Increment();
     return snap;
-  }
-  if (snap != nullptr && options_.serve_stale) {
-    if (!refresh_mu_.TryLock()) {
-      // Another thread is rebuilding; answer from the old epoch now.
-      stale_served_->Increment();
-      return snap;
-    }
-    // Explicit TryLock/Unlock (no early returns in between) so the
-    // analysis sees a single acquire/release pair on both branches.
-    Status rebuilt = Status::OK();
-    auto current = Current();
-    if (current == nullptr || current->watermark() != LiveWatermark()) {
-      rebuilt = RebuildLocked();
-    }
-    refresh_mu_.Unlock();
-    if (!rebuilt.ok()) return rebuilt;
-    return Current();
   }
   core::MutexLock lock(refresh_mu_);
   auto current = Current();
@@ -161,7 +135,7 @@ StatusOr<MarginalAnswer> MarginalCache::Marginal(uint64_t beta) {
     return Status::InvalidArgument(
         "MarginalCache: selector outside the cached set (order must be in "
         "[1, " +
-        std::to_string(options_.max_order) + "], attributes in [0, " +
+        std::to_string(max_order_) + "], attributes in [0, " +
         std::to_string(d_) + "))");
   }
   MarginalAnswer answer;
@@ -191,8 +165,8 @@ void MarginalCache::Publish(std::shared_ptr<const Snapshot> snap) {
 }
 
 Status MarginalCache::RebuildLocked() {
-  // Injection seam for rebuild stalls and failures (the serve_stale and
-  // error-propagation tests drive through it).
+  // Injection seam for rebuild stalls and failures (the error-propagation
+  // test drives through it).
   LDPM_FAILPOINT("query.cache.rebuild");
   obs::ScopedTimer timer(refresh_latency_);
   // Captured before the export: concurrent ingest during the rebuild
@@ -201,10 +175,10 @@ Status MarginalCache::RebuildLocked() {
   const uint64_t watermark = LiveWatermark();
   // One merged engine state answers every table and the report count.
   uint64_t reports = 0;
-  auto coefficients = handle_.Coefficients(options_.max_order, &reports);
+  auto coefficients = handle_.Coefficients(max_order_, &reports);
   if (!coefficients.ok()) return coefficients.status();
 
-  std::shared_ptr<Snapshot> snap(new Snapshot(d_, options_.max_order));
+  std::shared_ptr<Snapshot> snap(new Snapshot(d_, max_order_));
   snap->marginals_.reserve(selectors_.size());
   for (uint64_t beta : selectors_) {
     auto table = coefficients->ReconstructMarginal(beta);
@@ -216,7 +190,6 @@ Status MarginalCache::RebuildLocked() {
   snap->reports_absorbed_ = reports;
   snap->kind_ = handle_.kind();
   snap->collection_ = collection_;
-  snap->model_smoothing_ = options_.model_smoothing;
   snap->selectors_ = selectors_;
   Publish(std::move(snap));
   refreshes_->Increment();

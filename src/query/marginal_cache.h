@@ -4,19 +4,20 @@
 // The write path (net::IngestServer -> engine::Collector) absorbs
 // millions of reports; the read path a deployment needs is the opposite
 // shape — millions of identical cheap reads over state that changes
-// rarely. Today `Collector::Query` re-merges shard state per call and
-// answers each marginal independently, so overlapping answers disagree
-// (the artifact src/analysis/consistency.h exists to remove). The
-// MarginalCache closes both gaps:
+// rarely. `Collector::Query` estimates each marginal afresh per call from
+// the merged engine state (merged once per engine state version) and
+// answers each one independently, so overlapping answers disagree (the
+// artifact src/analysis/consistency.h exists to remove). The MarginalCache
+// closes both gaps:
 //
 //   * Once per *epoch* it snapshots a collection: it takes the merged
 //     engine state once and exports its low-order Fourier coefficients
 //     (CollectionHandle::Coefficients, one shared coefficient vector,
-//     Barak-style), rebuilds every marginal selector up to `max_order`
-//     from them by Lemma 3.7, and freezes the result into an immutable
-//     Snapshot. Every answer served from one snapshot comes from one
-//     engine state and agrees exactly with every other on all attribute
-//     overlaps, by construction.
+//     Barak-style), rebuilds every marginal selector up to the
+//     collection's order k from them by Lemma 3.7, and freezes the result
+//     into an immutable Snapshot. Every answer served from one snapshot
+//     comes from one engine state and agrees exactly with every other on
+//     all attribute overlaps, by construction.
 //   * Reads never wait for a rebuild: the current snapshot hangs off one
 //     shared_ptr under a small mutex that is held only to copy or swap
 //     the pointer. A cache hit is that copy, a rank computation, and a
@@ -27,9 +28,9 @@
 //     work item, after the push, and by one per restore
 //     (Collector::RestoreFrom), so a restored state is served like new
 //     ingest. A snapshot built at watermark W serves until the version
-//     advances past W; the next read then rebuilds (or, with
-//     serve_stale, keeps serving the old epoch while one thread
-//     rebuilds). The watermark is captured *before* the rebuild takes the
+//     advances past W; the next read then rebuilds, and reads that arrive
+//     meanwhile wait for that one rebuild. The watermark is captured
+//     *before* the rebuild takes the
 //     merged state, and the merge drains every item counted in it, so a
 //     snapshot's watermark is always a lower bound on the ingest it
 //     reflects — concurrent ingest during a rebuild makes the fresh
@@ -37,8 +38,8 @@
 //
 // Reproducibility contract (verified bitwise in tests/query/): a cache
 // answer for beta at watermark W equals
-// `CollectionHandle::Coefficients(max_order)->ReconstructMarginal(beta)`
-// at W. It also matches `CollectionHandle::Query` for every selector +
+// `CollectionHandle::Coefficients(k)->ReconstructMarginal(beta)` at W. It
+// also matches `CollectionHandle::Query` for every selector +
 // `MakeConsistent` (equal weights) over the same selector set at W to
 // within 1e-12 per cell (the same fit, up to rounding).
 //
@@ -51,7 +52,6 @@
 //   ldpm_query_requests_total        every cache read
 //   ldpm_query_cache_hits_total      reads answered from the live snapshot
 //   ldpm_query_cache_refreshes_total snapshot rebuilds
-//   ldpm_query_stale_served_total    stale answers under serve_stale
 //   ldpm_query_refresh_latency_ns    rebuild duration histogram
 
 #ifndef LDPM_QUERY_MARGINAL_CACHE_H_
@@ -74,22 +74,6 @@
 
 namespace ldpm {
 namespace query {
-
-struct MarginalCacheOptions {
-  /// Highest marginal order materialized per snapshot: every selector
-  /// beta with 1 <= |beta| <= max_order is cached. 0 means the
-  /// collection's configured k.
-  int max_order = 0;
-  /// When a read finds the snapshot stale and another thread is already
-  /// rebuilding, serve the stale epoch (counted in
-  /// ldpm_query_stale_served_total) instead of blocking behind the
-  /// rebuild. The default blocks: every answer reflects the live
-  /// watermark at the time it was served.
-  bool serve_stale = false;
-  /// Conditional-probability floor for the lazily fitted Chow-Liu tree
-  /// model (Snapshot::Model).
-  double model_smoothing = 1e-6;
-};
 
 /// One immutable epoch of served state. Shared out to readers by
 /// shared_ptr; a snapshot never mutates after publication (the lazily
@@ -119,7 +103,7 @@ class Snapshot {
 
   /// The Chow-Liu tree model fitted over this snapshot's 2-way
   /// marginals; fitted on first call, memoized (thread-safe). Requires
-  /// max_order >= 2 and d >= 2.
+  /// max_order >= 2 (a collection with k >= 2) and d >= 2.
   StatusOr<const TreeModel*> Model() const;
 
  private:
@@ -133,7 +117,6 @@ class Snapshot {
   int max_order_ = 0;
   ProtocolKind kind_ = ProtocolKind::kInpRR;
   std::string collection_;
-  double model_smoothing_ = 1e-6;
   std::vector<uint64_t> selectors_;
   std::vector<MarginalTable> marginals_;  // in index_ order
   LowOrderIndex index_;                   // beta -> marginals_ slot
@@ -148,7 +131,9 @@ struct MarginalAnswer {
   MarginalTable table;
   uint64_t watermark = 0;
   uint64_t epoch = 0;
-  /// True when the answer predates the live watermark (serve_stale only).
+  /// True when ingest (or a restore) had advanced the live watermark past
+  /// the snapshot's by the time this answer was taken from it: the answer
+  /// may miss that work.
   bool stale = false;
 
   MarginalAnswer() : table(0, 0) {}
@@ -158,17 +143,16 @@ struct MarginalAnswer {
 /// that hit the live snapshot take only the pointer mutex.
 class MarginalCache {
  public:
-  /// Builds a cache over one registered collection. Fails NotFound for
-  /// an unknown id and FailedPrecondition for a non-binary categorical
-  /// (InpES) domain. No snapshot is cut yet — the first read pays the
-  /// first rebuild.
+  /// Builds a cache over one registered collection, serving every
+  /// selector of order 1..k. Fails NotFound for an unknown id and
+  /// FailedPrecondition for a non-binary categorical (InpES) domain. No
+  /// snapshot is cut yet — the first read pays the first rebuild.
   static StatusOr<std::unique_ptr<MarginalCache>> Create(
-      engine::Collector* collector, const std::string& collection,
-      const MarginalCacheOptions& options = MarginalCacheOptions());
+      engine::Collector* collector, const std::string& collection);
 
   /// The current snapshot, rebuilding first when none exists or the
-  /// watermark advanced. Under serve_stale a read that loses the
-  /// rebuild race returns the previous epoch instead of waiting.
+  /// watermark advanced; a read that finds another thread rebuilding
+  /// waits for it.
   StatusOr<std::shared_ptr<const Snapshot>> Get();
 
   /// Get() + lookup + copy of the single table for `beta`.
@@ -182,13 +166,16 @@ class MarginalCache {
   uint64_t LiveWatermark() const;
 
   int dimensions() const { return d_; }
-  int max_order() const { return options_.max_order; }
+  /// The highest cached order: the collection's k.
+  int max_order() const { return max_order_; }
   ProtocolKind kind() const { return handle_.kind(); }
   const std::string& collection() const { return collection_; }
+  /// The registration this cache serves.
+  const engine::CollectionHandle& handle() const { return handle_; }
 
  private:
   MarginalCache(engine::Collector* collector, engine::CollectionHandle handle,
-                std::string collection, const MarginalCacheOptions& options);
+                std::string collection);
 
   /// Cuts and publishes a fresh snapshot.
   Status RebuildLocked() LDPM_REQUIRES(refresh_mu_);
@@ -202,8 +189,8 @@ class MarginalCache {
 
   engine::CollectionHandle handle_;
   const std::string collection_;
-  MarginalCacheOptions options_;  // max_order resolved at Create
   int d_ = 0;
+  int max_order_ = 0;
   // The collection's engine, whose state version is the watermark.
   const engine::ShardedAggregator* engine_ = nullptr;
   std::vector<uint64_t> selectors_;
@@ -218,7 +205,6 @@ class MarginalCache {
   obs::Counter* requests_ = nullptr;
   obs::Counter* hits_ = nullptr;
   obs::Counter* refreshes_ = nullptr;
-  obs::Counter* stale_served_ = nullptr;
   obs::Histogram* refresh_latency_ = nullptr;
 };
 

@@ -67,46 +67,6 @@ TEST(MutexLockTest, ReleasesOnScopeExit) {
   mu.Unlock();
 }
 
-TEST(ReleasableMutexLockTest, ReleaseFreesAndReacquireTakes) {
-  Mutex mu;
-  ReleasableMutexLock lock(mu);
-  lock.Release();
-
-  std::atomic<bool> acquired{false};
-  std::thread probe([&] {
-    if (mu.TryLock()) {
-      acquired = true;
-      mu.Unlock();
-    }
-  });
-  probe.join();
-  EXPECT_TRUE(acquired.load());
-
-  lock.Reacquire();
-  std::atomic<bool> acquired_again{true};
-  std::thread probe_again([&] {
-    if (mu.TryLock()) {
-      mu.Unlock();
-    } else {
-      acquired_again = false;
-    }
-  });
-  probe_again.join();
-  EXPECT_FALSE(acquired_again.load());
-}
-
-TEST(ReleasableMutexLockTest, DestructorAfterReleaseDoesNotUnlockTwice) {
-  Mutex mu;
-  {
-    ReleasableMutexLock lock(mu);
-    lock.Release();
-  }
-  // If the destructor unlocked an unheld mutex the behavior would be
-  // undefined; reaching here with the mutex free is the pass condition.
-  ASSERT_TRUE(mu.TryLock());
-  mu.Unlock();
-}
-
 TEST(CondVarTest, WaitReleasesMutexAndWakesOnNotify) {
   Mutex mu;
   CondVar cv;

@@ -397,7 +397,6 @@ TEST(Collector, ShutdownCheckpointWritesFinalState) {
   {
     CollectorOptions options;
     options.checkpoint_path = path;
-    options.checkpoint_on_shutdown = true;
     auto collector = MustCreate(options);
     auto handle = collector->Register("only", ProtocolKind::kInpHT, config);
     ASSERT_TRUE(handle.ok());
@@ -437,7 +436,6 @@ TEST(Collector, DestructorShutdownCheckpointIncludesQueuedTail) {
     CollectorOptions options;
     options.engine_defaults.num_shards = 2;
     options.checkpoint_path = path;
-    options.checkpoint_on_shutdown = true;
     auto collector = MustCreate(options);
     auto a = collector->Register("a", ProtocolKind::kInpHT, config);
     auto b = collector->Register("b", ProtocolKind::kMargPS, config);
@@ -765,15 +763,6 @@ TEST(Collector, MetricsRegistryExposesPipelineCounters) {
   EXPECT_FALSE(collector->IngestFrames(bad).ok());
   EXPECT_EQ(registry->CounterValue("ldpm_collector_unknown_collection_total"),
             1u);
-  // A caller-supplied registry is used instead of an owned one.
-  obs::MetricsRegistry external;
-  CollectorOptions options;
-  options.metrics = &external;
-  auto shared = MustCreate(options);
-  EXPECT_EQ(shared->metrics(), &external);
-  ASSERT_TRUE(shared->Register("c", ProtocolKind::kInpRR, MakeConfig(5, 2))
-                  .ok());
-  EXPECT_EQ(external.GaugeValue("ldpm_collector_collections"), 1);
 }
 
 }  // namespace

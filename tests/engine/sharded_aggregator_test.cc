@@ -344,13 +344,11 @@ TEST(ShardedAggregator, WorkerErrorsSurfaceAtFlush) {
 TEST(ShardedAggregator, RejectsBadOptions) {
   const ProtocolConfig config = MakeConfig(6, 2);
   EngineOptions options;
-  options.num_shards = 0;
-  EXPECT_FALSE(
-      ShardedAggregator::Create(ProtocolKind::kInpHT, config, options).ok());
-  options.num_shards = 2;
-  options.max_pending_batches = 0;
-  EXPECT_FALSE(
-      ShardedAggregator::Create(ProtocolKind::kInpHT, config, options).ok());
+  for (const int shards : {0, 1025}) {
+    options.num_shards = shards;
+    EXPECT_FALSE(
+        ShardedAggregator::Create(ProtocolKind::kInpHT, config, options).ok());
+  }
 }
 
 }  // namespace

@@ -7,8 +7,9 @@
 // rejection, unknown collection ids with byte-precise offsets, oversized
 // frames, a mismatched payload that costs only its own frame,
 // kill-mid-stream partial-frame discard, connection shedding, idle reaping
-// that a paused session survives, graceful stop with shutdown-checkpoint
-// durability, and budget backpressure.
+// that a paused session survives, reaping a client that never reads its
+// acks, graceful stop with shutdown-checkpoint durability, and budget
+// backpressure.
 
 #include "net/ingest_server.h"
 
@@ -17,6 +18,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -219,9 +221,9 @@ TEST(IngestServer, ConcurrentClientsMatchDirectIngestFramesBitwise) {
 
 TEST(IngestServer, KillMidStreamKeepsWholeFramesAndShutdownCheckpointHasThem) {
   // A client dies mid-frame; every whole frame it sent stays ingested and
-  // the partial tail is discarded. Then the collector shuts down with
-  // checkpoint_on_shutdown (via the server's graceful stop -> Drain) and a
-  // restarted collector restores every flushed batch — no tail loss.
+  // the partial tail is discarded. Then the collector, which has a
+  // checkpoint_path, shuts down (via the server's graceful stop -> Drain)
+  // and a restarted collector restores every flushed batch — no tail loss.
   const std::string path = TempPath("ldpm_net_kill.ckpt");
   std::filesystem::remove(path);
   const ProtocolConfig config = MakeConfig(6, 2);
@@ -238,7 +240,6 @@ TEST(IngestServer, KillMidStreamKeepsWholeFramesAndShutdownCheckpointHasThem) {
   {
     CollectorOptions options;
     options.checkpoint_path = path;
-    options.checkpoint_on_shutdown = true;
     auto collector = MustCreate(options);
     auto handle = collector->Register("clicks", ProtocolKind::kInpHT, config);
     ASSERT_TRUE(handle.ok());
@@ -572,25 +573,28 @@ TEST(ScanCompleteFrames, ReportsWholePrefixPendingSizeAndEmptyIdError) {
   ASSERT_TRUE(AppendCollectionFrame("bb", std::vector<uint8_t>{}, stream).ok());
   const size_t whole = stream.size();
 
+  // Frame "a" encodes to 2 + 1 + 4 + 3 = 10 bytes, frame "bb" to 8.
+  ASSERT_EQ(whole, 18u);
   FrameStreamPrefix prefix;
   ASSERT_TRUE(ScanCompleteFrames(stream.data(), stream.size(), &prefix).ok());
   EXPECT_EQ(prefix.bytes, whole);
-  EXPECT_EQ(prefix.frames, 2u);
-  EXPECT_EQ(prefix.first_frame_bytes, 2u + 1u + 4u + 3u);  // frame "a"
+  EXPECT_EQ(prefix.pending_frame_bytes, 0u);
+  // Cut one byte short of the end: only frame "a" is whole, and the cut
+  // header of frame "bb" does not size it yet.
+  ASSERT_TRUE(ScanCompleteFrames(stream.data(), whole - 1, &prefix).ok());
+  EXPECT_EQ(prefix.bytes, 10u);
   EXPECT_EQ(prefix.pending_frame_bytes, 0u);
 
   // A frame-size cap stops the scan at an over-cap frame even though it
   // is fully buffered: enforcement must not depend on how the transport
-  // segmented the bytes. Frame "a" encodes to 10 bytes, frame "bb" to 8.
+  // segmented the bytes.
   ASSERT_TRUE(
       ScanCompleteFrames(stream.data(), stream.size(), &prefix, 9).ok());
   EXPECT_EQ(prefix.bytes, 0u);
-  EXPECT_EQ(prefix.frames, 0u);
   EXPECT_EQ(prefix.pending_frame_bytes, 10u);  // the over-cap frame's size
   ASSERT_TRUE(
       ScanCompleteFrames(stream.data(), stream.size(), &prefix, 10).ok());
   EXPECT_EQ(prefix.bytes, whole);  // cap 10 admits both frames (10 and 8)
-  EXPECT_EQ(prefix.frames, 2u);
 
   // Append a partial frame: whole header present, payload cut short.
   std::vector<uint8_t> with_tail = stream;
@@ -602,7 +606,6 @@ TEST(ScanCompleteFrames, ReportsWholePrefixPendingSizeAndEmptyIdError) {
   ASSERT_TRUE(
       ScanCompleteFrames(with_tail.data(), with_tail.size(), &prefix).ok());
   EXPECT_EQ(prefix.bytes, whole);
-  EXPECT_EQ(prefix.frames, 2u);
   EXPECT_EQ(prefix.pending_frame_bytes, tail_frame_bytes);
 
   // Every cut of the stream scans clean with a monotone prefix.
@@ -618,7 +621,6 @@ TEST(ScanCompleteFrames, ReportsWholePrefixPendingSizeAndEmptyIdError) {
   const Status status = ScanCompleteFrames(bad.data(), bad.size(), &prefix);
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(prefix.bytes, whole);
-  EXPECT_EQ(prefix.frames, 2u);
   EXPECT_NE(status.message().find("empty collection id"), std::string::npos);
 }
 
@@ -662,6 +664,63 @@ TEST(IngestServer, IdleConnectionIsReapedByReadDeadline) {
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_TRUE(reply->status.ok()) << reply->status.ToString();
   ASSERT_TRUE(server->Stop().ok());
+}
+
+// A client that streams frames and never reads its acks fills its receive
+// window and then the server's send buffer, and the reader blocks writing
+// an ack. The ack write runs under the same no-progress deadline as the
+// reads, so the connection is reaped like an idle one (reset, counted),
+// and neither the reader thread nor Stop() waits on the client.
+TEST(IngestServer, ClientThatNeverReadsAcksIsReaped) {
+  using Clock = std::chrono::steady_clock;
+  auto collector = MustCreate();
+  ASSERT_TRUE(
+      collector->Register("c", ProtocolKind::kInpHT, MakeConfig(6, 2)).ok());
+  IngestServerOptions options;
+  options.read_chunk_bytes = 7;  // one 7-byte frame per read, one ack each
+  options.idle_timeout = std::chrono::milliseconds(300);
+  auto server = MustStart(collector.get(), options);
+
+  auto session = test::OpenRawSession(server->port(), 1);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  std::vector<uint8_t> burst;  // 1000 empty-payload frames
+  while (burst.size() < 7000) {
+    ASSERT_TRUE(AppendCollectionFrame("c", std::vector<uint8_t>{}, burst).ok());
+  }
+  ASSERT_EQ(burst.size(), 7000u);
+  // Streams until the connection fails. Once the reader blocks in an ack
+  // write it stops reading, and these sends block too until the reap's
+  // reset ends them. No send deadline: the stream stays frame-aligned.
+  std::thread streamer([&] {
+    while (session->WriteAll(burst.data(), burst.size()).ok()) {
+    }
+  });
+
+  // The acks fill the buffers only after a few MB of frames, which takes
+  // seconds in a sanitizer build.
+  const auto reap_deadline = Clock::now() + std::chrono::seconds(30);
+  while (server->stats().connections_reaped == 0 &&
+         Clock::now() < reap_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(server->stats().connections_reaped, 1u);
+  EXPECT_EQ(collector->metrics()->GaugeValue("ldpm_net_connections_active"),
+            0);
+
+  std::promise<Status> stop_promise;
+  std::future<Status> stopped = stop_promise.get_future();
+  std::thread stopper([&] { stop_promise.set_value(server->Stop()); });
+  EXPECT_EQ(stopped.wait_for(std::chrono::seconds(2)),
+            std::future_status::ready)
+      << "Stop() waited on a client that never reads";
+  // Wake the streamer, then close with the acks unread: the reset frees a
+  // reader still blocked in its ack write, so a failing run ends here
+  // instead of hanging.
+  (void)session->Shutdown();
+  streamer.join();
+  session->Close();
+  stopper.join();
+  EXPECT_TRUE(stopped.get().ok());
 }
 
 TEST(IngestServer, TightReplayWindowRoutesEveryFrameOnceOnOneConnection) {

@@ -303,6 +303,62 @@ TEST_F(QueryServerTest, NonBinaryCategoricalCollectionIs400WithReadPathHint) {
             std::string::npos);
 }
 
+// Every request asks the registry what a collection id names now. An id
+// registered anew is served from its new engine, not from the cache built
+// over the old one, and an unregistered id answers 404.
+TEST_F(QueryServerTest, ServesTheEngineRegisteredUnderTheIdNow) {
+  const auto register_x = [&](size_t reports) {
+    auto handle =
+        collector_->Register("x", ProtocolKind::kInpHT, MakeConfig(4, 2));
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    ASSERT_TRUE(handle
+                    ->IngestPopulation(SkewedRows(4, reports, 19),
+                                       /*fast_path=*/false)
+                    .ok());
+    ASSERT_TRUE(handle->Flush().ok());
+  };
+  const auto reports_served = [&]() -> uint64_t {
+    auto cache = server_->CacheFor("x");
+    EXPECT_TRUE(cache.ok()) << cache.status().ToString();
+    if (!cache.ok()) return 0;
+    auto snapshot = (*cache)->Get();
+    EXPECT_TRUE(snapshot.ok());
+    return snapshot.ok() ? (*snapshot)->reports_absorbed() : 0;
+  };
+
+  register_x(5000);
+  EXPECT_NE(Get("/v1/marginal?collection=x&attrs=0").find("HTTP/1.1 200"),
+            std::string::npos);
+  EXPECT_EQ(reports_served(), 5000u);
+
+  ASSERT_TRUE(collector_->Unregister("x").ok());
+  register_x(200);
+  EXPECT_EQ(reports_served(), 200u);
+  // Over HTTP too: the cells are the new engine's.
+  auto handle = collector_->Handle("x");
+  ASSERT_TRUE(handle.ok());
+  auto coefficients = handle->Coefficients(2);
+  ASSERT_TRUE(coefficients.ok());
+  auto expected = coefficients->ReconstructMarginal(0b0011);
+  ASSERT_TRUE(expected.ok());
+  std::string cells = "\"cells\":[";
+  for (uint64_t i = 0; i < expected->size(); ++i) {
+    if (i != 0) cells += ",";
+    cells += Format17g(expected->at_compact(i));
+  }
+  cells += "]";
+  const std::string body =
+      ResponseBody(Get("/v1/marginal?collection=x&attrs=0,1"));
+  EXPECT_NE(body.find(cells), std::string::npos) << body;
+
+  ASSERT_TRUE(collector_->Unregister("x").ok());
+  const std::string gone = Get("/v1/marginal?collection=x&attrs=0");
+  EXPECT_NE(gone.find("HTTP/1.1 404"), std::string::npos) << gone;
+  EXPECT_EQ(ResponseBody(gone), "unknown collection: x\n");
+  EXPECT_EQ(server_->CacheFor("x").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(collector_->worker_threads_in_use(), 2);  // "c" only
+}
+
 TEST_F(QueryServerTest, HttpRequestCounterCountsAllStatuses) {
   Get("/healthz");
   Get("/nope");

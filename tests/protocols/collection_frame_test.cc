@@ -209,7 +209,6 @@ TEST(CollectionFrame, HostilePayloadLengthDoesNotWrapScanArithmetic) {
   ASSERT_TRUE(
       ScanCompleteFrames(stream, sizeof(stream), &prefix).ok());
   EXPECT_EQ(prefix.bytes, 0u);
-  EXPECT_EQ(prefix.frames, 0u);
   EXPECT_EQ(prefix.pending_frame_bytes, 4294967302ull);
 
   // With a frame cap the same frame is excluded for size, not treated as
@@ -240,7 +239,6 @@ TEST(CollectionFrame, HostileIdLengthIsIncompleteNotOverRead) {
   FrameStreamPrefix prefix;
   ASSERT_TRUE(ScanCompleteFrames(stream, sizeof(stream), &prefix).ok());
   EXPECT_EQ(prefix.bytes, 0u);
-  EXPECT_EQ(prefix.frames, 0u);
 
   CollectionFrameReader reader(stream, sizeof(stream));
   std::string_view id;

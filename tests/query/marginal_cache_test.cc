@@ -19,15 +19,14 @@
 //       (protocols/accuracy.h) with a constant-factor allowance.
 //
 // Plus the epoch machinery itself: invalidation keyed on the engine's
-// state version (ingest and live restores), hit / refresh / stale
-// metrics, serve_stale semantics (driven through the query.cache.rebuild
-// failpoint), and the Create-time domain guards.
+// state version (ingest and live restores), hit / refresh metrics, rebuild
+// errors (driven through the query.cache.rebuild failpoint), and the
+// Create-time domain guards.
 
 #include "query/marginal_cache.h"
 
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
@@ -53,7 +52,6 @@ using engine::Collector;
 using engine::CollectorOptions;
 using engine::IngestBudget;
 using query::MarginalCache;
-using query::MarginalCacheOptions;
 using query::Snapshot;
 using test::EncodeReportStream;
 using test::IngestReports;
@@ -197,17 +195,16 @@ TEST(MarginalCacheTolerance, CacheMatchesQueryPlusMakeConsistent) {
   }
 }
 
-// Find answers exactly the cached selectors: 1 <= |beta| <= max_order and
-// every attribute inside [0, d).
+// Find answers exactly the cached selectors: 1 <= |beta| <= k and every
+// attribute inside [0, d).
 TEST(MarginalCacheSnapshot, FindIsNullOutsideTheCachedSet) {
   const int d = 5;
   auto collector = MakeCollector();
-  Fill(*collector, "c", ProtocolKind::kInpHT, MakeConfig(d, 3),
+  Fill(*collector, "c", ProtocolKind::kInpHT, MakeConfig(d, 2),
        SkewedRows(d, 2000, 17));
-  MarginalCacheOptions options;
-  options.max_order = 2;
-  auto cache = MarginalCache::Create(collector.get(), "c", options);
+  auto cache = MarginalCache::Create(collector.get(), "c");
   ASSERT_TRUE(cache.ok());
+  EXPECT_EQ((*cache)->max_order(), 2);
   auto snapshot = (*cache)->Get();
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
   const auto& selectors = (*snapshot)->selectors();
@@ -340,7 +337,6 @@ TEST(MarginalCacheEpochs, WatermarkInvalidatesHitsAndRefreshesCount) {
   EXPECT_EQ(metrics->CounterValue(name("ldpm_query_cache_hits_total")), 2u);
   EXPECT_EQ(metrics->CounterValue(name("ldpm_query_cache_refreshes_total")),
             4u);
-  EXPECT_EQ(metrics->CounterValue(name("ldpm_query_stale_served_total")), 0u);
   auto latency = metrics->HistogramValues(name("ldpm_query_refresh_latency_ns"));
   ASSERT_TRUE(latency.ok());
   EXPECT_EQ(latency->count, 4u);
@@ -441,55 +437,6 @@ TEST(MarginalCacheEpochs, FrameWaitingForABudgetSlotIsServedOnceItLands) {
   EXPECT_EQ((*late)->watermark(), (*cache)->LiveWatermark());
 }
 
-TEST(MarginalCacheEpochs, ServeStaleAnswersFromOldEpochDuringRebuild) {
-  failpoint::DisarmAll();
-  const int d = 5;
-  auto collector = MakeCollector();
-  auto handle =
-      Fill(*collector, "c", ProtocolKind::kMargPS, MakeConfig(d, 2),
-           SkewedRows(d, 2000, 7));
-  MarginalCacheOptions options;
-  options.serve_stale = true;
-  auto cache = MarginalCache::Create(collector.get(), "c", options);
-  ASSERT_TRUE(cache.ok());
-
-  auto first = (*cache)->Get();
-  ASSERT_TRUE(first.ok());
-  const uint64_t first_epoch = (*first)->epoch();
-
-  // Make the snapshot stale, then stall the rebuild: a reader arriving
-  // while another thread rebuilds must be answered from the old epoch
-  // instead of blocking.
-  ASSERT_TRUE(
-      handle.IngestPopulation(SkewedRows(d, 500, 8), /*fast_path=*/false)
-          .ok());
-  failpoint::Spec stall;
-  stall.mode = failpoint::Mode::kDelay;
-  stall.delay = std::chrono::milliseconds(400);
-  stall.count = 1;
-  failpoint::Arm("query.cache.rebuild", stall);
-
-  std::atomic<bool> rebuilt{false};
-  std::thread rebuilder([&] {
-    auto fresh = (*cache)->Get();
-    EXPECT_TRUE(fresh.ok());
-    if (fresh.ok()) EXPECT_GT((*fresh)->epoch(), first_epoch);
-    rebuilt.store(true);
-  });
-  // Give the rebuilder time to take the refresh lock and enter the stall.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  auto stale = (*cache)->Get();
-  ASSERT_TRUE(stale.ok());
-  EXPECT_EQ((*stale)->epoch(), first_epoch);
-  EXPECT_FALSE(rebuilt.load());
-  rebuilder.join();
-
-  EXPECT_GE(collector->metrics()->CounterValue(obs::WithLabels(
-                "ldpm_query_stale_served_total", {{"collection", "c"}})),
-            1u);
-  failpoint::DisarmAll();
-}
-
 TEST(MarginalCacheEpochs, RebuildErrorPropagates) {
   failpoint::DisarmAll();
   auto collector = MakeCollector();
@@ -527,31 +474,6 @@ TEST(MarginalCacheCreate, NonBinaryCategoricalDomainRejected) {
   EXPECT_NE(cache.status().message().find("non-binary"), std::string::npos);
 }
 
-TEST(MarginalCacheCreate, MaxOrderBeyondConfiguredKRejected) {
-  auto collector = MakeCollector();
-  Fill(*collector, "c", ProtocolKind::kInpHT, MakeConfig(5, 2),
-       SkewedRows(5, 100, 3));
-  MarginalCacheOptions options;
-  options.max_order = 3;
-  auto cache = MarginalCache::Create(collector.get(), "c", options);
-  EXPECT_FALSE(cache.ok());
-  EXPECT_EQ(cache.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(MarginalCacheCreate, MaxOrderOneServesOnlySingletons) {
-  auto collector = MakeCollector();
-  Fill(*collector, "c", ProtocolKind::kInpHT, MakeConfig(5, 2),
-       SkewedRows(5, 1000, 3));
-  MarginalCacheOptions options;
-  options.max_order = 1;
-  auto cache = MarginalCache::Create(collector.get(), "c", options);
-  ASSERT_TRUE(cache.ok());
-  EXPECT_TRUE((*cache)->Marginal(0b00001).ok());
-  auto pair = (*cache)->Marginal(0b00011);
-  EXPECT_FALSE(pair.ok());
-  EXPECT_EQ(pair.status().code(), StatusCode::kInvalidArgument);
-}
-
 // ---- the model over the cached 2-ways --------------------------------------
 
 TEST(MarginalCacheModel, FitsChowLiuTreeFromSnapshotAndMemoizes) {
@@ -576,13 +498,16 @@ TEST(MarginalCacheModel, FitsChowLiuTreeFromSnapshotAndMemoizes) {
 }
 
 TEST(MarginalCacheModel, ModelNeedsTwoWayMarginals) {
+  // A k = 1 collection caches singletons only.
   auto collector = MakeCollector();
-  Fill(*collector, "c", ProtocolKind::kInpHT, MakeConfig(5, 2),
+  Fill(*collector, "c", ProtocolKind::kInpHT, MakeConfig(5, 1),
        SkewedRows(5, 1000, 3));
-  MarginalCacheOptions options;
-  options.max_order = 1;
-  auto cache = MarginalCache::Create(collector.get(), "c", options);
+  auto cache = MarginalCache::Create(collector.get(), "c");
   ASSERT_TRUE(cache.ok());
+  EXPECT_TRUE((*cache)->Marginal(0b00001).ok());
+  auto pair = (*cache)->Marginal(0b00011);
+  EXPECT_FALSE(pair.ok());
+  EXPECT_EQ(pair.status().code(), StatusCode::kInvalidArgument);
   auto snapshot = (*cache)->Get();
   ASSERT_TRUE(snapshot.ok());
   auto model = (*snapshot)->Model();

@@ -41,15 +41,6 @@ class Correct {
     return v;
   }
 
-  void SetSlowly(int v) {
-    ldpm::core::ReleasableMutexLock lock(mu_);
-    value_ = v;
-    lock.Release();
-    // ... slow work without the lock ...
-    lock.Reacquire();
-    value_ = v + 1;
-  }
-
   int UnlockedRead() LDPM_REQUIRES(mu_) { return value_; }
 
   int LockAndRead() {
@@ -68,7 +59,6 @@ class Correct {
 int main() {
   Correct c;
   c.Set(1);
-  c.SetSlowly(2);
   (void)c.GetWhenPositive();
   (void)c.TryGet(-1);
   (void)c.LockAndRead();
