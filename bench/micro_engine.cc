@@ -364,7 +364,8 @@ int main(int argc, char** argv) {
 
   // Multiplexed ingest: one interleaved collection-frame stream carrying
   // three protocol streams, routed by Collector::IngestFrames into each
-  // collection's zero-copy wire path (the one-socket-many-streams shape).
+  // collection's wire path (the one-socket-many-streams shape; one payload
+  // copy per frame at routing).
   std::printf("\n== multiplexed collection-frame ingest (3 collections, "
               "2 shards each) ==\n");
   {

@@ -127,7 +127,8 @@ int main(int argc, char** argv) {
   std::printf("mux stream: %.1f MB of interleaved collection frames\n",
               static_cast<double>(mux.size()) / (1024.0 * 1024.0));
 
-  // One call routes every frame to its collection's zero-copy wire path.
+  // One call routes every frame to its collection's wire path (one payload
+  // copy at routing, then absorbed in place).
   if (auto s = (*collector)->IngestFrames(mux); !s.ok()) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;

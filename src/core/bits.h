@@ -212,6 +212,9 @@ class LowOrderIndex {
   /// Number of indexed masks: sum_{r=1..k} C(d, r).
   size_t size() const { return offsets_[k_ + 1]; }
 
+  /// The slot of the first popcount-r mask, 1 <= r <= k.
+  size_t FirstSlot(int r) const { return offsets_[r]; }
+
   /// The slot of `mask`, or kNone when |mask| is outside [1, k] or mask
   /// selects a bit at or above d.
   size_t Of(uint64_t mask) const {

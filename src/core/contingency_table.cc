@@ -1,5 +1,6 @@
 #include "core/contingency_table.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <numeric>
@@ -49,6 +50,13 @@ MarginalTable::MarginalTable(int d, uint64_t beta)
   LDPM_CHECK(d >= 0 && d <= kMaxDimensions);
   LDPM_CHECK(beta < (uint64_t{1} << d) || d == 0);
   values_.assign(uint64_t{1} << k_, 0.0);
+}
+
+MarginalTable::MarginalTable(int d, uint64_t beta,
+                             std::span<const double> cells)
+    : MarginalTable(d, beta) {
+  LDPM_CHECK(cells.size() == values_.size());
+  std::ranges::copy(cells, values_.begin());
 }
 
 MarginalTable MarginalTable::Uniform(int d, uint64_t beta) {

@@ -11,6 +11,7 @@
 #define LDPM_CORE_CONTINGENCY_TABLE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -82,6 +83,10 @@ class MarginalTable {
  public:
   /// An all-zero marginal for selector beta over a d-attribute domain.
   MarginalTable(int d, uint64_t beta);
+
+  /// A marginal for selector beta holding `cells` in compact order (e.g. a
+  /// query::Snapshot::Find span). Check-fails unless there are 2^|beta|.
+  MarginalTable(int d, uint64_t beta, std::span<const double> cells);
 
   /// The uniform marginal (every cell 2^-k) for selector beta.
   static MarginalTable Uniform(int d, uint64_t beta);

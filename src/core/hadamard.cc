@@ -4,7 +4,7 @@
 
 namespace ldpm {
 
-void FastWalshHadamard(std::vector<double>& data) {
+void FastWalshHadamard(std::span<double> data) {
   LDPM_CHECK(!data.empty() && std::has_single_bit(data.size()));
   const size_t n = data.size();
   for (size_t len = 1; len < n; len <<= 1) {
@@ -19,7 +19,7 @@ void FastWalshHadamard(std::vector<double>& data) {
   }
 }
 
-void InverseFastWalshHadamard(std::vector<double>& data) {
+void InverseFastWalshHadamard(std::span<double> data) {
   FastWalshHadamard(data);
   const double scale = 1.0 / static_cast<double>(data.size());
   for (double& v : data) v *= scale;
@@ -69,6 +69,45 @@ StatusOr<MarginalTable> FourierCoefficients::ReconstructMarginal(
         if (value == nullptr) return std::nullopt;
         return *value;
       });
+}
+
+StatusOr<std::vector<double>> FourierCoefficients::ReconstructAllMarginals()
+    const {
+  if (stored_ != values_.size()) {
+    return Status::FailedPrecondition(
+        "ReconstructAllMarginals: the coefficient export is incomplete");
+  }
+  const int d = dimensions();
+  size_t total = 0;
+  for (int r = 1; r <= max_order(); ++r) total += BinomialLookup(d, r) << r;
+  std::vector<double> cells(total);
+  double* table = cells.data();
+  int position[kMaxDimensions] = {};  // [i]: bit of beta's i-th attribute
+  for (int r = 1; r <= max_order(); ++r) {
+    const size_t size = size_t{1} << r;
+    ForEachMaskWithPopcount(d, r, [&](uint64_t beta) {
+      LDPM_DCHECK(table == cells.data() + MarginalCellOffset(d, beta));
+      int i = 0;
+      for (uint64_t bits = beta; bits != 0; bits &= bits - 1) {
+        position[i++] = std::countr_zero(bits);
+      }
+      // Cell c holds f_alpha for alpha = DepositBits(c, beta), whose slot
+      // is its order's first slot plus its colex rank: sum_j C(p_j, j)
+      // over its set bits p_1 < p_2 < ...
+      table[0] = 1.0;
+      for (uint64_t c = 1; c < size; ++c) {
+        size_t rank = 0;
+        int order = 0;
+        for (uint64_t bits = c; bits != 0; bits &= bits - 1) {
+          rank += BinomialLookup(position[std::countr_zero(bits)], ++order);
+        }
+        table[c] = values_[index_.FirstSlot(order) + rank];
+      }
+      InverseFastWalshHadamard({table, size});
+      table += size;
+    });
+  }
+  return cells;
 }
 
 FourierCoefficients FourierCoefficients::FromCells(std::vector<double> cells,

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/bits.h"
@@ -34,10 +35,10 @@ namespace ldpm {
 /// data[alpha] <- sum_eta data[eta] * (-1)^{<alpha, eta>}. O(d 2^d).
 /// Self-inverse up to a factor of 2^d. Check-fails unless the size is a
 /// power of two.
-void FastWalshHadamard(std::vector<double>& data);
+void FastWalshHadamard(std::span<double> data);
 
 /// Applies the inverse transform: FWHT followed by division by 2^d.
-void InverseFastWalshHadamard(std::vector<double>& data);
+void InverseFastWalshHadamard(std::span<double> data);
 
 /// Directly evaluates one unnormalized coefficient f_alpha of a table.
 /// O(2^d); useful for testing and for sparse needs.
@@ -101,6 +102,15 @@ class FourierCoefficients {
   /// missing, as beta itself is when k > max_order.
   StatusOr<MarginalTable> ReconstructMarginal(uint64_t beta) const;
 
+  /// Every marginal of order 1..max_order in one buffer, beta in
+  /// LowOrderIndex order, C_beta's 2^|beta| cells (compact order) at
+  /// MarginalCellOffset(d, beta). One pass over the export: per beta, the
+  /// slots of its coefficients follow from its bit positions, then the
+  /// same gather and inverse FWHT as ReconstructMarginal, so every cell is
+  /// bit for bit ReconstructMarginal(beta). FailedPrecondition unless every
+  /// coefficient of order 1..max_order is stored.
+  StatusOr<std::vector<double>> ReconstructAllMarginals() const;
+
   /// The exact low-order coefficients (1 <= |alpha| <= max_order) of a
   /// full 2^d table given as its cell vector: one O(d 2^d) FWHT.
   static FourierCoefficients FromCells(std::vector<double> cells,
@@ -120,6 +130,17 @@ class FourierCoefficients {
   std::vector<uint8_t> present_;  // by index_ slot: 1 once Set
   size_t stored_ = 0;
 };
+
+/// Where FourierCoefficients::ReconstructAllMarginals puts C_beta, for
+/// 1 <= |beta| <= max_order and beta inside [0, d): after the
+/// sum_{r < |beta|} C(d, r) 2^r cells of the lower orders and the
+/// CombinationRank(beta) tables of its own order that precede it.
+inline size_t MarginalCellOffset(int d, uint64_t beta) {
+  const int k = Popcount(beta);
+  size_t offset = CombinationRank(beta) << k;
+  for (int r = 1; r < k; ++r) offset += BinomialLookup(d, r) << r;
+  return offset;
+}
 
 }  // namespace ldpm
 

@@ -21,7 +21,9 @@
 // batch frames or user rows) or multiplexed: IngestFrames routes a stream
 // of self-describing collection frames (protocols/wire.h) to the right
 // aggregators, so one socket or file can interleave every registered
-// stream straight into the zero-copy wire path. Queries are answered per collection from its merged shard state.
+// stream into the wire path: each frame's payload is copied once at
+// routing, then absorbed in place by a shard worker. Queries are answered
+// per collection from its merged shard state.
 //
 // ShardedAggregator remains public as the advanced per-collection layer
 // (CollectionHandle::aggregator() exposes it); new code should start here.

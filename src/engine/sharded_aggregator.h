@@ -111,8 +111,9 @@ class ShardedAggregator {
 
   /// Enqueues a wire batch frame (protocols/wire.h: u32-length-prefixed
   /// SerializeReport records) onto the next shard (round-robin). The
-  /// worker parses and absorbs the records in place via AbsorbWireBatch —
-  /// the zero-copy path from network bytes to protocol state. A malformed
+  /// worker parses and absorbs the records in place via AbsorbWireBatch:
+  /// no per-record copy or Report. (Collector::IngestFrames copies each
+  /// routed payload once into the frame it moves in here.) A malformed
   /// record costs only its own frame: the records before it stay absorbed,
   /// the error is counted and reported once by the next Flush(), and later
   /// frames are absorbed as usual.

@@ -56,7 +56,8 @@ struct RetryPolicy {
 struct FrameClientOptions {
   /// Deadline for each TCP connect (0 = block indefinitely).
   std::chrono::milliseconds connect_timeout{5000};
-  /// Deadline for each whole-frame send against a stalled peer.
+  /// No-progress deadline for each send against a stalled peer: it fails
+  /// only when the peer accepts no byte for this long (Socket::WriteAll).
   std::chrono::milliseconds send_timeout{30000};
   /// Deadline for each wait on a server ack or final reply.
   std::chrono::milliseconds recv_timeout{30000};

@@ -4,7 +4,8 @@
 // perturbed report to an aggregator; this server is that aggregator's
 // listening edge. Each accepted TCP connection carries one session stream
 // of collection frames (protocols/wire.h) which a dedicated reader thread
-// routes through Collector::IngestFrames into the zero-copy wire path —
+// routes through Collector::IngestFrames into the wire path, where each
+// frame's payload is copied once at routing and then absorbed in place —
 // one socket can interleave every registered collection.
 //
 // Design points:

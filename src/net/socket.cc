@@ -247,7 +247,10 @@ Status Socket::WriteAll(const uint8_t* data, size_t size,
 Status Socket::WriteAll(iovec* buffers, size_t count,
                         std::chrono::milliseconds timeout) {
   LDPM_FAILPOINT("net.socket.write");
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  // A no-progress deadline: it restarts at the first wait after sendmsg
+  // accepted bytes, so a slow but live reader never trips it.
+  std::chrono::steady_clock::time_point deadline;
+  bool progressed = true;
   size_t size = 0;
   for (size_t i = 0; i < count; ++i) size += buffers[i].iov_len;
   size_t sent = 0;
@@ -266,6 +269,7 @@ Status Socket::WriteAll(iovec* buffers, size_t count,
     // send buffer waits in the poll below, where the deadline lives.
     const ssize_t n = ::sendmsg(fd_, &message, MSG_NOSIGNAL | MSG_DONTWAIT);
     if (n > 0) {
+      progressed = true;
       sent += static_cast<size_t>(n);
       // Step past the buffers written whole; trim the one cut short.
       size_t left = static_cast<size_t>(n);
@@ -283,8 +287,11 @@ Status Socket::WriteAll(iovec* buffers, size_t count,
     }
     std::chrono::milliseconds remaining{0};
     if (timeout.count() > 0) {
-      remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-          deadline - std::chrono::steady_clock::now());
+      const auto now = std::chrono::steady_clock::now();
+      if (progressed) deadline = now + timeout;
+      progressed = false;
+      remaining =
+          std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now);
       if (remaining.count() <= 0) return timed_out();
     }
     const Status ready = WaitReady(fd_, POLLOUT, remaining, "send");

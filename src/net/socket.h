@@ -97,11 +97,13 @@ class Socket {
   /// or shut down its read side surfaces as a Status, never a SIGPIPE.
   Status WriteAll(const uint8_t* data, size_t size);
 
-  /// WriteAll under an overall deadline (non-blocking sends + poll):
-  /// DeadlineExceeded when the whole buffer is not accepted by the kernel
-  /// within `timeout` — the guard against a peer that stopped reading and
-  /// left our send buffer full. <= 0 blocks indefinitely. After a timeout
-  /// an unknown prefix is in flight; the stream is no longer frame-aligned
+  /// WriteAll under a no-progress deadline (non-blocking sends + poll):
+  /// DeadlineExceeded when the kernel accepts no byte of the buffer for
+  /// `timeout` — the guard against a peer that stopped reading and left
+  /// our send buffer full. The deadline restarts whenever bytes are
+  /// accepted, so a slow but live reader never trips it, however long the
+  /// whole write takes. <= 0 blocks indefinitely. After a timeout an
+  /// unknown prefix is in flight; the stream is no longer frame-aligned
   /// and the caller should close.
   Status WriteAll(const uint8_t* data, size_t size,
                   std::chrono::milliseconds timeout);

@@ -3,7 +3,7 @@
 #include <utility>
 
 #include "core/failpoint.h"
-#include "core/marginal.h"
+#include "core/hadamard.h"
 #include "protocols/inp_es.h"
 
 namespace ldpm {
@@ -23,12 +23,10 @@ std::string QueryMetricName(const char* base, const std::string& collection) {
 
 // ---- Snapshot --------------------------------------------------------------
 
-Snapshot::Snapshot(int d, int max_order)
-    : d_(d), max_order_(max_order), index_(d, max_order) {}
-
-const MarginalTable* Snapshot::Find(uint64_t beta) const {
-  const size_t slot = index_.Of(beta);
-  return slot == LowOrderIndex::kNone ? nullptr : &marginals_[slot];
+std::span<const double> Snapshot::Find(uint64_t beta) const {
+  const int order = Popcount(beta);
+  if (order < 1 || order > max_order_ || (beta >> d_) != 0) return {};
+  return {cells_.data() + MarginalCellOffset(d_, beta), size_t{1} << order};
 }
 
 StatusOr<const TreeModel*> Snapshot::Model() const {
@@ -40,11 +38,11 @@ StatusOr<const TreeModel*> Snapshot::Model() const {
       return;
     }
     auto provider = [this](uint64_t beta) -> StatusOr<MarginalTable> {
-      const MarginalTable* table = Find(beta);
-      if (table == nullptr) {
+      const std::span<const double> cells = Find(beta);
+      if (cells.empty()) {
         return Status::Internal("Snapshot: 2-way marginal missing from cache");
       }
-      return *table;
+      return MarginalTable(d_, beta, cells);
     };
     auto model = TreeModel::LearnAndFit(d_, provider, kModelSmoothing);
     if (!model.ok()) {
@@ -66,8 +64,7 @@ MarginalCache::MarginalCache(engine::Collector* collector,
       collection_(std::move(collection)),
       d_(handle_.config().d),
       max_order_(handle_.config().k),
-      engine_(&handle_.aggregator()),
-      selectors_(FullKWaySelectors(d_, max_order_)) {
+      engine_(&handle_.aggregator()) {
   obs::MetricsRegistry* metrics = collector->metrics();
   requests_ = metrics->GetCounter(
       QueryMetricName("ldpm_query_requests_total", collection_),
@@ -130,8 +127,8 @@ StatusOr<std::shared_ptr<const Snapshot>> MarginalCache::Get() {
 StatusOr<MarginalAnswer> MarginalCache::Marginal(uint64_t beta) {
   auto snap = Get();
   if (!snap.ok()) return snap.status();
-  const MarginalTable* table = (*snap)->Find(beta);
-  if (table == nullptr) {
+  const std::span<const double> cells = (*snap)->Find(beta);
+  if (cells.empty()) {
     return Status::InvalidArgument(
         "MarginalCache: selector outside the cached set (order must be in "
         "[1, " +
@@ -139,7 +136,7 @@ StatusOr<MarginalAnswer> MarginalCache::Marginal(uint64_t beta) {
         std::to_string(d_) + "))");
   }
   MarginalAnswer answer;
-  answer.table = *table;
+  answer.table = MarginalTable(d_, beta, cells);
   answer.watermark = (*snap)->watermark();
   answer.epoch = (*snap)->epoch();
   answer.stale = (*snap)->watermark() != LiveWatermark();
@@ -177,20 +174,16 @@ Status MarginalCache::RebuildLocked() {
   uint64_t reports = 0;
   auto coefficients = handle_.Coefficients(max_order_, &reports);
   if (!coefficients.ok()) return coefficients.status();
+  auto cells = coefficients->ReconstructAllMarginals();
+  if (!cells.ok()) return cells.status();
 
-  std::shared_ptr<Snapshot> snap(new Snapshot(d_, max_order_));
-  snap->marginals_.reserve(selectors_.size());
-  for (uint64_t beta : selectors_) {
-    auto table = coefficients->ReconstructMarginal(beta);
-    if (!table.ok()) return table.status();
-    snap->marginals_.push_back(*std::move(table));
-  }
+  std::shared_ptr<Snapshot> snap(
+      new Snapshot(d_, max_order_, *std::move(cells)));
   snap->watermark_ = watermark;
   snap->epoch_ = ++epoch_seq_;
   snap->reports_absorbed_ = reports;
   snap->kind_ = handle_.kind();
   snap->collection_ = collection_;
-  snap->selectors_ = selectors_;
   Publish(std::move(snap));
   refreshes_->Increment();
   return Status::OK();

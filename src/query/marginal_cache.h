@@ -14,14 +14,17 @@
 //     engine state once and exports its low-order Fourier coefficients
 //     (CollectionHandle::Coefficients, one shared coefficient vector,
 //     Barak-style), rebuilds every marginal selector up to the
-//     collection's order k from them by Lemma 3.7, and freezes the result
-//     into an immutable Snapshot. Every answer served from one snapshot
-//     comes from one engine state and agrees exactly with every other on
-//     all attribute overlaps, by construction.
+//     collection's order k from them by Lemma 3.7 in one pass into one
+//     buffer (FourierCoefficients::ReconstructAllMarginals), and freezes
+//     that buffer into an immutable Snapshot. Every answer served from one
+//     snapshot comes from one engine state and agrees exactly with every
+//     other on all attribute overlaps, by construction.
 //   * Reads never wait for a rebuild: the current snapshot hangs off one
 //     shared_ptr under a small mutex that is held only to copy or swap
-//     the pointer. A cache hit is that copy, a rank computation, and a
-//     copy of 2^k doubles. No shard merge.
+//     the pointer. A cache hit is that copy and an offset computation:
+//     Snapshot::Find returns a span of the 2^k cells inside the snapshot's
+//     buffer, and only Marginal() copies them, into its answer. No shard
+//     merge.
 //   * Epochs are keyed on a *watermark* — the collection engine's state
 //     version (ShardedAggregator::state_version()), the same counter the
 //     engine's merged state is cached on. It rises by one per enqueued
@@ -61,11 +64,12 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/tree_model.h"
-#include "core/bits.h"
 #include "core/contingency_table.h"
 #include "core/status.h"
 #include "core/sync.h"
@@ -92,14 +96,11 @@ class Snapshot {
   ProtocolKind kind() const { return kind_; }
   const std::string& collection() const { return collection_; }
 
-  /// Every cached selector, ascending order then ascending beta.
-  const std::vector<uint64_t>& selectors() const { return selectors_; }
-  /// The consistent tables, aligned with selectors().
-  const std::vector<MarginalTable>& marginals() const { return marginals_; }
-
-  /// The cached table for `beta`, or null when beta = 0, |beta| exceeds
-  /// max_order, or beta selects attributes outside [0, d).
-  const MarginalTable* Find(uint64_t beta) const;
+  /// The 2^|beta| cells of the cached table for `beta` (compact order, as
+  /// MarginalTable::at_compact), or an empty span when beta = 0, |beta|
+  /// exceeds max_order, or beta selects attributes outside [0, d). The
+  /// span lives as long as the snapshot.
+  std::span<const double> Find(uint64_t beta) const;
 
   /// The Chow-Liu tree model fitted over this snapshot's 2-way
   /// marginals; fitted on first call, memoized (thread-safe). Requires
@@ -108,7 +109,8 @@ class Snapshot {
 
  private:
   friend class MarginalCache;
-  Snapshot(int d, int max_order);
+  Snapshot(int d, int max_order, std::vector<double> cells)
+      : d_(d), max_order_(max_order), cells_(std::move(cells)) {}
 
   uint64_t watermark_ = 0;
   uint64_t epoch_ = 0;
@@ -117,9 +119,9 @@ class Snapshot {
   int max_order_ = 0;
   ProtocolKind kind_ = ProtocolKind::kInpRR;
   std::string collection_;
-  std::vector<uint64_t> selectors_;
-  std::vector<MarginalTable> marginals_;  // in index_ order
-  LowOrderIndex index_;                   // beta -> marginals_ slot
+  // Every table of order 1..max_order in one buffer, laid out by
+  // FourierCoefficients::ReconstructAllMarginals (see MarginalCellOffset).
+  std::vector<double> cells_;
 
   mutable std::once_flag model_once_;
   mutable std::optional<TreeModel> model_;
@@ -193,7 +195,6 @@ class MarginalCache {
   int max_order_ = 0;
   // The collection's engine, whose state version is the watermark.
   const engine::ShardedAggregator* engine_ = nullptr;
-  std::vector<uint64_t> selectors_;
 
   // A leaf lock, held only to copy or swap the pointer, never across a
   // rebuild; refresh_mu_ may be held while taking it, never the reverse.

@@ -1,6 +1,9 @@
 #include "core/hadamard.h"
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -232,6 +235,54 @@ TEST(FourierCoefficients, FwhtReconstructionMatchesDirectLemma37Sum) {
     }
   }
   EXPECT_EQ(selectors, 247);  // sum_{r <= 6} C(8, r)
+}
+
+// The one-pass snapshot rebuild: every table of order 1..k in one buffer,
+// each bit for bit ReconstructMarginal(beta) at MarginalCellOffset(d, beta),
+// in LowOrderIndex order with no gaps. Covers the d = 12, k = 3 snapshot
+// shape, k = 1 and k = d.
+TEST(FourierCoefficients, ReconstructAllMarginalsIsReconstructMarginalBitwise) {
+  for (const auto& [d, k] : {std::pair{12, 3}, std::pair{7, 1},
+                             std::pair{5, 5}}) {
+    SCOPED_TRACE("d=" + std::to_string(d) + " k=" + std::to_string(k));
+    Rng rng(43 + d);
+    FourierCoefficients fc(d, k);
+    ForEachLowOrderMask(d, k, [&](uint64_t alpha) {
+      fc.Set(alpha, 2.0 * rng.UniformDouble() - 1.0);
+    });
+    auto all = fc.ReconstructAllMarginals();
+    ASSERT_TRUE(all.ok()) << all.status().ToString();
+    size_t offset = 0;
+    ForEachLowOrderMask(d, k, [&](uint64_t beta) {
+      auto table = fc.ReconstructMarginal(beta);
+      ASSERT_TRUE(table.ok()) << table.status().ToString();
+      ASSERT_EQ(MarginalCellOffset(d, beta), offset) << "beta=" << beta;
+      ASSERT_LE(offset + table->size(), all->size());
+      EXPECT_EQ(std::memcmp(all->data() + offset, table->values().data(),
+                            table->size() * sizeof(double)),
+                0)
+          << "beta=" << beta;
+      offset += table->size();
+    });
+    EXPECT_EQ(offset, all->size());
+  }
+}
+
+TEST(FourierCoefficients, ReconstructAllMarginalsRejectsAnIncompleteExport) {
+  const int d = 12;
+  const int k = 3;
+  EXPECT_EQ(FourierCoefficients(d, k).ReconstructAllMarginals().status().code(),
+            StatusCode::kFailedPrecondition);
+  // Every coefficient but the last of order 3.
+  FourierCoefficients fc(d, k);
+  const uint64_t missing = uint64_t{0b111} << (d - 3);
+  ForEachLowOrderMask(d, k, [&](uint64_t alpha) {
+    if (alpha != missing) fc.Set(alpha, 0.25);
+  });
+  EXPECT_EQ(fc.ReconstructAllMarginals().status().code(),
+            StatusCode::kFailedPrecondition);
+  fc.Set(missing, 0.25);
+  EXPECT_TRUE(fc.ReconstructAllMarginals().ok());
 }
 
 }  // namespace

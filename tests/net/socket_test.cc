@@ -1,8 +1,9 @@
 // Socket send-loop tests over a Unix socketpair with tiny kernel buffers,
 // so every gathered write is cut short many times: the buffers must still
 // arrive whole and in order (empty ones and runs longer than IOV_MAX
-// included), and a peer that stops reading or writing must surface as
-// DeadlineExceeded naming the deadline, never a hang.
+// included), a peer that stops reading or writing must surface as
+// DeadlineExceeded naming the deadline, never a hang, and one that reads
+// slowly must not.
 
 #include "net/socket.h"
 
@@ -92,6 +93,40 @@ TEST(Socket, GatheredWriteAllToAStalledPeerHitsItsDeadline) {
       << message;
   EXPECT_GT(std::stoull(unsent[1]), 0u);
   EXPECT_LT(std::stoull(unsent[1]), big.size());
+}
+
+// The send deadline is on progress, not on the whole write: a reader that
+// drains a few KiB every 20 ms keeps a 160 KiB write alive well past its
+// 250 ms deadline.
+TEST(Socket, WriteAllToASlowButLiveReaderOutlastsItsDeadline) {
+  Socket writer;
+  Socket reader;
+  TinyBufferedPair(&writer, &reader);
+  std::vector<uint8_t> expected(160 << 10);
+  for (size_t i = 0; i < expected.size(); ++i) {
+    expected[i] = static_cast<uint8_t>(i * 131 + 7);
+  }
+  std::vector<uint8_t> received;
+  std::thread drain([&] {
+    uint8_t chunk[4096];
+    for (;;) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      auto n = reader.ReadSome(chunk, sizeof(chunk));
+      if (!n.ok() || *n == 0) return;
+      received.insert(received.end(), chunk, chunk + *n);
+    }
+  });
+  const auto deadline = std::chrono::milliseconds(250);
+  const auto start = std::chrono::steady_clock::now();
+  const Status written = writer.WriteAll(expected.data(), expected.size(),
+                                         deadline);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_TRUE(writer.ShutdownWrite().ok());
+  drain.join();
+  ASSERT_TRUE(written.ok()) << written.ToString();
+  EXPECT_GT(elapsed, deadline);  // the write as a whole outlasted it
+  EXPECT_TRUE(received == expected)
+      << received.size() << " bytes received of " << expected.size();
 }
 
 TEST(Socket, ReadExactFromASilentPeerHitsItsDeadline) {

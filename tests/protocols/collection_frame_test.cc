@@ -232,6 +232,40 @@ TEST(CollectionFrame, HostilePayloadLengthDoesNotWrapScanArithmetic) {
       << reader.status().ToString();
 }
 
+TEST(CollectionFrame, ACapAdmitsLeadingFramesAndStopsAtTheFirstOverIt) {
+  // Frames of 12, 16 and 47 bytes (2 + id + 4 + payload), all buffered,
+  // then the start of a fourth.
+  std::vector<uint8_t> stream;
+  ASSERT_TRUE(AppendCollectionFrame("a", std::vector<uint8_t>(5, 1), stream)
+                  .ok());
+  ASSERT_TRUE(AppendCollectionFrame("bb", std::vector<uint8_t>(8, 2), stream)
+                  .ok());
+  ASSERT_TRUE(AppendCollectionFrame("c", std::vector<uint8_t>(40, 3), stream)
+                  .ok());
+  ASSERT_EQ(stream.size(), 12u + 16u + 47u);
+  stream.push_back(0x01);
+
+  // A cap of 16 admits the first two frames whole and stops at the frame
+  // boundary before the third, reporting the third's full size, even
+  // though that frame is fully buffered.
+  FrameStreamPrefix capped;
+  ASSERT_TRUE(
+      ScanCompleteFrames(stream.data(), stream.size(), &capped, 16).ok());
+  EXPECT_EQ(capped.bytes, 28u);
+  EXPECT_EQ(capped.pending_frame_bytes, 47u);
+
+  // One byte less and the second frame is over the cap; one more frame's
+  // worth and all three pass, stopping at the incomplete fourth header.
+  ASSERT_TRUE(
+      ScanCompleteFrames(stream.data(), stream.size(), &capped, 15).ok());
+  EXPECT_EQ(capped.bytes, 12u);
+  EXPECT_EQ(capped.pending_frame_bytes, 16u);
+  ASSERT_TRUE(
+      ScanCompleteFrames(stream.data(), stream.size(), &capped, 47).ok());
+  EXPECT_EQ(capped.bytes, 75u);
+  EXPECT_EQ(capped.pending_frame_bytes, 0u);
+}
+
 TEST(CollectionFrame, HostileIdLengthIsIncompleteNotOverRead) {
   // id length 0xFFFF with only 3 id bytes present: the scanner must wait
   // for the rest, and the strict reader must report a truncated id.

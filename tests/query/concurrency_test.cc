@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -84,20 +85,22 @@ TEST(MarginalCacheConcurrency, ReadersNeverSeeTornOrMixedEpochSnapshots) {
 
         // Internal consistency of whatever epoch we got: all tables
         // present, finite, and agreeing on a spot-checked overlap.
-        for (uint64_t beta : s.selectors()) {
-          const MarginalTable* table = s.Find(beta);
-          if (table == nullptr) {
+        for (uint64_t beta : FullKWaySelectors(d, k)) {
+          const std::span<const double> cells = s.Find(beta);
+          if (cells.size() != (size_t{1} << Popcount(beta))) {
             failures.fetch_add(1);
             continue;
           }
-          for (uint64_t cell = 0; cell < table->size(); ++cell) {
-            if (!std::isfinite(table->at_compact(cell))) failures.fetch_add(1);
+          for (double cell : cells) {
+            if (!std::isfinite(cell)) failures.fetch_add(1);
           }
         }
         const uint64_t pair = 0b00011;  // attrs {0,1}
         const uint64_t other = 0b00101;  // attrs {0,2}; overlap {0}
-        auto a = MarginalizeTable(*s.Find(pair), 0b00001);
-        auto b = MarginalizeTable(*s.Find(other), 0b00001);
+        auto a =
+            MarginalizeTable(MarginalTable(d, pair, s.Find(pair)), 0b00001);
+        auto b =
+            MarginalizeTable(MarginalTable(d, other, s.Find(other)), 0b00001);
         if (!a.ok() || !b.ok() ||
             std::abs(a->at_compact(0) - b->at_compact(0)) > 1e-9 ||
             std::abs(a->at_compact(1) - b->at_compact(1)) > 1e-9) {

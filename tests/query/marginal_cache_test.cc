@@ -29,7 +29,9 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -91,18 +93,20 @@ TEST(MarginalCacheOverlap, AllRegisteredKindsAgreeOnOverlaps) {
     ASSERT_TRUE(cache.ok()) << cache.status().ToString();
     auto snapshot = (*cache)->Get();
     ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-    const auto& selectors = (*snapshot)->selectors();
-    ASSERT_EQ(selectors.size(), FullKWaySelectors(d, k).size());
+    const std::vector<uint64_t> selectors = FullKWaySelectors(d, k);
+    auto served = [&](uint64_t beta) {
+      return MarginalTable(d, beta, (*snapshot)->Find(beta));
+    };
     for (size_t i = 0; i < selectors.size(); ++i) {
       for (size_t j = i + 1; j < selectors.size(); ++j) {
         const uint64_t common = selectors[i] & selectors[j];
         if (common == 0) continue;
-        auto a = MarginalizeTable(*(*snapshot)->Find(selectors[i]), common);
-        auto b = MarginalizeTable(*(*snapshot)->Find(selectors[j]), common);
+        auto a = MarginalizeTable(served(selectors[i]), common);
+        auto b = MarginalizeTable(served(selectors[j]), common);
         ASSERT_TRUE(a.ok());
         ASSERT_TRUE(b.ok());
-        const MarginalTable* canonical = (*snapshot)->Find(common);
-        ASSERT_NE(canonical, nullptr);
+        const std::span<const double> canonical = (*snapshot)->Find(common);
+        ASSERT_EQ(canonical.size(), a->size());
         for (uint64_t cell = 0; cell < a->size(); ++cell) {
           // The two projections disagree only by floating-point
           // re-association of one shared-coefficient reconstruction.
@@ -110,7 +114,7 @@ TEST(MarginalCacheOverlap, AllRegisteredKindsAgreeOnOverlaps) {
               << "betas " << selectors[i] << " & " << selectors[j];
           // ... and both agree with the canonically served table for the
           // intersection selector itself.
-          EXPECT_NEAR(a->at_compact(cell), canonical->at_compact(cell), 1e-12)
+          EXPECT_NEAR(a->at_compact(cell), canonical[cell], 1e-12)
               << "beta " << selectors[i] << " vs canonical " << common;
         }
       }
@@ -121,30 +125,58 @@ TEST(MarginalCacheOverlap, AllRegisteredKindsAgreeOnOverlaps) {
 // ---- (b) bitwise equality with the coefficient export ---------------------
 
 TEST(MarginalCacheBitwise, CacheEqualsCoefficientExportReconstruction) {
-  const int d = 6;
-  const int k = 2;
-  for (ProtocolKind kind : RegisteredProtocolKinds()) {
-    SCOPED_TRACE(std::string(ProtocolKindName(kind)));
-    auto collector = MakeCollector();
-    auto handle = Fill(*collector, "c", kind, MakeConfig(d, k),
-                       SkewedRows(d, 12000, 23));
+  // Orders 1, 2 and 3, and k = d (the full joint).
+  const std::vector<std::pair<int, int>> shapes = {{6, 1}, {6, 2}, {6, 3},
+                                                   {4, 4}};
+  for (const auto& [d, k] : shapes) {
+    for (ProtocolKind kind : RegisteredProtocolKinds()) {
+      for (const bool project : {false, true}) {
+        for (const int shards : {1, 2}) {
+          SCOPED_TRACE(std::string(ProtocolKindName(kind)) +
+                       " d=" + std::to_string(d) + " k=" + std::to_string(k) +
+                       " project=" + std::to_string(project) +
+                       " shards=" + std::to_string(shards));
+          auto collector = MakeCollector(shards);
+          ProtocolConfig config = MakeConfig(d, k);
+          config.project_to_simplex = project;
+          auto handle =
+              Fill(*collector, "c", kind, config, SkewedRows(d, 12000, 23));
 
-    // The rebuild's own reference at the current watermark: one export
-    // from the merged state, then Lemma 3.7 per selector.
-    auto coefficients = handle.Coefficients(k);
-    ASSERT_TRUE(coefficients.ok()) << coefficients.status().ToString();
+          // The rebuild's reference at the current watermark: one export
+          // from the merged state, then Lemma 3.7 per selector.
+          auto coefficients = handle.Coefficients(k);
+          ASSERT_TRUE(coefficients.ok()) << coefficients.status().ToString();
 
-    auto cache = MarginalCache::Create(collector.get(), "c");
-    ASSERT_TRUE(cache.ok());
-    for (uint64_t beta : FullKWaySelectors(d, k)) {
-      auto expected = coefficients->ReconstructMarginal(beta);
-      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-      auto answer = (*cache)->Marginal(beta);
-      ASSERT_TRUE(answer.ok()) << answer.status().ToString();
-      EXPECT_EQ(answer->watermark, (*cache)->LiveWatermark());
-      EXPECT_FALSE(answer->stale);
-      // Bit-for-bit: same merged engine state, same deterministic export.
-      EXPECT_EQ(answer->table.values(), expected->values()) << "beta=" << beta;
+          auto cache = MarginalCache::Create(collector.get(), "c");
+          ASSERT_TRUE(cache.ok());
+          auto snapshot = (*cache)->Get();
+          ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+          for (uint64_t beta : FullKWaySelectors(d, k)) {
+            auto expected = coefficients->ReconstructMarginal(beta);
+            ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+            const size_t bytes = expected->size() * sizeof(double);
+            // Bit for bit (memcmp, so -0.0 and NaN payloads count too):
+            // same merged engine state, same deterministic export.
+            const std::span<const double> cells = (*snapshot)->Find(beta);
+            ASSERT_EQ(cells.size(), expected->size()) << "beta=" << beta;
+            EXPECT_EQ(std::memcmp(cells.data(), expected->values().data(),
+                                  bytes),
+                      0)
+                << "beta=" << beta;
+            auto answer = (*cache)->Marginal(beta);
+            ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+            EXPECT_EQ(answer->watermark, (*cache)->LiveWatermark());
+            EXPECT_EQ(answer->epoch, (*snapshot)->epoch());
+            EXPECT_FALSE(answer->stale);
+            EXPECT_EQ(answer->table.beta(), beta);
+            ASSERT_EQ(answer->table.size(), expected->size());
+            EXPECT_EQ(std::memcmp(answer->table.values().data(),
+                                  expected->values().data(), bytes),
+                      0)
+                << "beta=" << beta;
+          }
+        }
+      }
     }
   }
 }
@@ -195,9 +227,10 @@ TEST(MarginalCacheTolerance, CacheMatchesQueryPlusMakeConsistent) {
   }
 }
 
-// Find answers exactly the cached selectors: 1 <= |beta| <= k and every
-// attribute inside [0, d).
-TEST(MarginalCacheSnapshot, FindIsNullOutsideTheCachedSet) {
+// Find answers exactly the cached selectors, 1 <= |beta| <= k and every
+// attribute inside [0, d), with spans that tile the snapshot's one buffer
+// in selector order.
+TEST(MarginalCacheSnapshot, FindIsEmptyOutsideTheCachedSet) {
   const int d = 5;
   auto collector = MakeCollector();
   Fill(*collector, "c", ProtocolKind::kInpHT, MakeConfig(d, 2),
@@ -207,18 +240,21 @@ TEST(MarginalCacheSnapshot, FindIsNullOutsideTheCachedSet) {
   EXPECT_EQ((*cache)->max_order(), 2);
   auto snapshot = (*cache)->Get();
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-  const auto& selectors = (*snapshot)->selectors();
-  ASSERT_EQ(selectors, FullKWaySelectors(d, 2));
-  for (size_t i = 0; i < selectors.size(); ++i) {
-    const MarginalTable* table = (*snapshot)->Find(selectors[i]);
-    ASSERT_EQ(table, &(*snapshot)->marginals()[i]);
-    EXPECT_EQ(table->beta(), selectors[i]);
+  std::span<const double> previous;
+  for (uint64_t beta : FullKWaySelectors(d, 2)) {
+    const std::span<const double> cells = (*snapshot)->Find(beta);
+    ASSERT_EQ(cells.size(), size_t{1} << Popcount(beta)) << "beta=" << beta;
+    if (!previous.empty()) {
+      EXPECT_EQ(cells.data(), previous.data() + previous.size())
+          << "beta=" << beta;
+    }
+    previous = cells;
   }
-  EXPECT_EQ((*snapshot)->Find(0), nullptr);          // beta = 0
-  EXPECT_EQ((*snapshot)->Find(0b00111), nullptr);    // |beta| = 3 > 2
-  EXPECT_EQ((*snapshot)->Find(1u << d), nullptr);    // attribute d
-  EXPECT_EQ((*snapshot)->Find(0b100001), nullptr);   // one attribute >= d
-  EXPECT_EQ((*snapshot)->Find(uint64_t{1} << 63), nullptr);
+  EXPECT_TRUE((*snapshot)->Find(0).empty());          // beta = 0
+  EXPECT_TRUE((*snapshot)->Find(0b00111).empty());    // |beta| = 3 > 2
+  EXPECT_TRUE((*snapshot)->Find(1u << d).empty());    // attribute d
+  EXPECT_TRUE((*snapshot)->Find(0b100001).empty());   // one attribute >= d
+  EXPECT_TRUE((*snapshot)->Find(uint64_t{1} << 63).empty());
 }
 
 // ---- (d) accuracy envelope -------------------------------------------------
@@ -242,9 +278,10 @@ TEST(MarginalCacheAccuracy, WithinAnalyticErrorEnvelope) {
     size_t count = 0;
     for (uint64_t beta : KWaySelectors(d, k)) {
       const MarginalTable truth = test::ExactMarginal(rows, d, beta);
-      const MarginalTable* served = (*snapshot)->Find(beta);
-      ASSERT_NE(served, nullptr);
-      total_tv += truth.TotalVariationDistance(*served);
+      const std::span<const double> cells = (*snapshot)->Find(beta);
+      ASSERT_EQ(cells.size(), truth.size()) << "beta=" << beta;
+      const MarginalTable served(d, beta, cells);
+      total_tv += truth.TotalVariationDistance(served);
       uniform_tv +=
           truth.TotalVariationDistance(MarginalTable::Uniform(d, beta));
       ++count;

@@ -5,8 +5,9 @@ Compares the gated throughput keys of a freshly measured record (the
 merged micro_engine, net_ingest and query_serve smoke output) against the
 committed baseline (BENCH_ingest.json) and fails when any key drops below
 --min-ratio times the baseline. The gated keys are the wire-ingest rates,
-the frame-routing rates, the query cache-hit rate and InpEM's EM decode
-rate (EM iterations per second over a snapshot export's selectors). The
+the frame-routing rates, the query cache-hit and snapshot-rebuild rates
+and InpEM's EM decode rate (EM iterations per second over a snapshot
+export's selectors). The
 default ratio of 0.5 is the deliberately generous ">2x regression"
 threshold from the ROADMAP note: runner hardware varies a lot run to run,
 but a halving of one of these rates means its fast path has structurally
@@ -26,8 +27,11 @@ def gated_keys(record):
     wire ingest at every shard count, the multiplexed collection-frame
     path, the query plane's cache-hit serving rate (a structural
     regression there means reads fell off the published-snapshot path),
-    and InpEM's EM iterations per second (the decode kernel of a snapshot
-    export; a per-iteration rate, so smoke and quick runs compare)."""
+    its forced snapshot rebuilds per second (the snapshot-publish stage:
+    coefficient export plus the one-pass reconstruction of every served
+    marginal), and InpEM's EM iterations per second (the decode kernel of
+    a snapshot export; a per-iteration rate, so smoke and quick runs
+    compare)."""
     return {
         key
         for key in record
@@ -35,6 +39,7 @@ def gated_keys(record):
         or key.endswith("_frame_rps")
         or key.endswith(".frame_rps")
         or key == "query.cache_hit_rps"
+        or key == "query.refresh_rps"
         or key == "InpEM.em_iter_rps"
     }
 
