@@ -115,12 +115,18 @@ InpEsProtocol::InpEsProtocol(const ProtocolConfig& config,
                              std::vector<Coefficient> coefficients)
     : MarginalProtocol(config),
       cardinalities_(std::move(cardinalities)),
-      basis_(basis),
       mechanism_(mechanism),
       bases_(std::move(bases)),
-      coefficients_(std::move(coefficients)),
-      sign_sums_(coefficients_.size(), 0.0),
-      counts_(coefficients_.size(), 0) {}
+      coefficients_(std::move(coefficients)) {
+  // Per coefficient: reals_ the sum of reported signs, counts_ the number
+  // of reports. The header names what those sums release: the
+  // cardinalities, then, under the Helmert basis only, 2^32, a word no u32
+  // cardinality equals. So Fourier snapshots, the only ones the factory
+  // makes, keep their bytes.
+  std::vector<uint64_t> header(cardinalities_.begin(), cardinalities_.end());
+  if (basis == BasisKind::kHelmert) header.push_back(uint64_t{1} << 32);
+  SetStateShape(coefficients_.size(), coefficients_.size(), std::move(header));
+}
 
 StatusOr<std::unique_ptr<InpEsProtocol>> InpEsProtocol::Create(
     const ProtocolConfig& config, BasisKind basis) {
@@ -200,7 +206,7 @@ Status InpEsProtocol::Absorb(const Report& report) {
   if (report.sign != -1 && report.sign != 1) {
     return Status::InvalidArgument("InpES::Absorb: sign must be -1 or +1");
   }
-  sign_sums_[report.value] += static_cast<double>(report.sign);
+  reals_[report.value] += static_cast<double>(report.sign);
   counts_[report.value] += 1;
   NoteAbsorbed(report);
   return Status::OK();
@@ -235,7 +241,7 @@ Status InpEsProtocol::AbsorbWireBatch(const uint8_t* data, size_t size) {
       error = Status::InvalidArgument("InpES::Absorb: unknown coefficient");
       break;
     }
-    sign_sums_[coefficient] += (word >> index_bits) & 1 ? 1.0 : -1.0;
+    reals_[coefficient] += (word >> index_bits) & 1 ? 1.0 : -1.0;
     counts_[coefficient] += 1;
     ++absorbed;
   }
@@ -326,10 +332,10 @@ StatusOr<CategoricalMarginal> InpEsProtocol::EstimateCategorical(
     double mean_sign = 0.0;
     if (config_.estimator == EstimatorKind::kRatio) {
       mean_sign = counts_[ci] > 0
-                      ? sign_sums_[ci] / static_cast<double>(counts_[ci])
+                      ? reals_[ci] / static_cast<double>(counts_[ci])
                       : 0.0;
     } else {
-      mean_sign = sign_sums_[ci] / expected_per_coeff;
+      mean_sign = reals_[ci] / expected_per_coeff;
     }
     const double f_hat = mechanism_.UnbiasSignMean(mean_sign, c.bound);
 
@@ -351,68 +357,8 @@ StatusOr<CategoricalMarginal> InpEsProtocol::EstimateCategorical(
   return out;
 }
 
-void InpEsProtocol::Reset() {
-  sign_sums_.assign(sign_sums_.size(), 0.0);
-  counts_.assign(counts_.size(), 0);
-  ResetBookkeeping();
-}
-
-Status InpEsProtocol::MergeFrom(const MarginalProtocol& other) {
-  LDPM_RETURN_IF_ERROR(CheckMergeCompatible(other));
-  const auto* peer = dynamic_cast<const InpEsProtocol*>(&other);
-  if (peer == nullptr) {
-    return Status::InvalidArgument("InpES::MergeFrom: type mismatch");
-  }
-  // CheckMergeCompatible compares d, not the domain: equal d with other
-  // cardinalities, or another basis, gives the accumulators other meanings.
-  if (peer->cardinalities_ != cardinalities_ || peer->basis_ != basis_) {
-    return Status::InvalidArgument(
-        "InpES::MergeFrom: cardinalities or basis differ");
-  }
-  for (size_t i = 0; i < sign_sums_.size(); ++i) {
-    sign_sums_[i] += peer->sign_sums_[i];
-    counts_[i] += peer->counts_[i];
-  }
-  MergeBookkeeping(other);
-  return Status::OK();
-}
-
 double InpEsProtocol::TheoreticalBitsPerUser() const {
   return std::ceil(std::log2(static_cast<double>(coefficients_.size()))) + 1.0;
-}
-
-void InpEsProtocol::SaveState(AggregatorSnapshot& snapshot) const {
-  snapshot.reals = sign_sums_;
-  snapshot.counts.reserve(cardinalities_.size() + counts_.size());
-  for (uint32_t r : cardinalities_) snapshot.counts.push_back(r);
-  snapshot.counts.insert(snapshot.counts.end(), counts_.begin(),
-                         counts_.end());
-}
-
-Status InpEsProtocol::LoadState(const AggregatorSnapshot& snapshot) {
-  const size_t arity = cardinalities_.size();
-  const size_t coefficients = coefficients_.size();
-  if (snapshot.reals.size() != coefficients ||
-      snapshot.counts.size() != arity + coefficients) {
-    return Status::InvalidArgument(
-        "InpES::Restore: snapshot arrays do not match this domain (" +
-        std::to_string(snapshot.reals.size()) + " reals, " +
-        std::to_string(snapshot.counts.size()) + " counts; expected " +
-        std::to_string(coefficients) + " and " +
-        std::to_string(arity + coefficients) + ")");
-  }
-  for (size_t i = 0; i < arity; ++i) {
-    if (snapshot.counts[i] != cardinalities_[i]) {
-      return Status::InvalidArgument(
-          "InpES::Restore: snapshot cardinality " +
-          std::to_string(snapshot.counts[i]) + " at attribute " +
-          std::to_string(i) + " does not match this aggregator's " +
-          std::to_string(cardinalities_[i]));
-    }
-  }
-  sign_sums_ = snapshot.reals;
-  counts_.assign(snapshot.counts.begin() + arity, snapshot.counts.end());
-  return Status::OK();
 }
 
 }  // namespace ldpm

@@ -111,11 +111,6 @@ class InpEsProtocol final : public MarginalProtocol {
   StatusOr<CategoricalMarginal> EstimateCategorical(
       const std::vector<int>& attrs) const;
 
-  void Reset() override;
-
-  /// Also refuses a peer over other cardinalities or another basis.
-  Status MergeFrom(const MarginalProtocol& other) override;
-
   double TheoreticalBitsPerUser() const override;
 
   /// The per-attribute cardinalities of the hosted domain.
@@ -123,13 +118,6 @@ class InpEsProtocol final : public MarginalProtocol {
 
   /// Number of sampled coefficients |T|.
   size_t coefficient_count() const { return coefficients_.size(); }
-
- protected:
-  /// Snapshot layout — reals: |T| sign sums; counts: the d cardinalities
-  /// (guarding restores across different categorical domains with equal d),
-  /// then |T| per-coefficient report counts.
-  void SaveState(AggregatorSnapshot& snapshot) const override;
-  Status LoadState(const AggregatorSnapshot& snapshot) override;
 
  private:
   /// One Efron-Stein coefficient: its supporting (attribute, level >= 1)
@@ -146,12 +134,9 @@ class InpEsProtocol final : public MarginalProtocol {
                 std::vector<Coefficient> coefficients);
 
   std::vector<uint32_t> cardinalities_;
-  BasisKind basis_;
   BoundedValueMechanism mechanism_;
   std::vector<AttributeBasis> bases_;
   std::vector<Coefficient> coefficients_;
-  std::vector<double> sign_sums_;
-  std::vector<uint64_t> counts_;
 };
 
 }  // namespace ldpm

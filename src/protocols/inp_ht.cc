@@ -14,8 +14,9 @@ InpHtProtocol::InpHtProtocol(const ProtocolConfig& config,
       rr_(rr),
       alphas_(std::move(alphas)),
       index_(config.d, config.k) {
-  sign_sums_.assign(alphas_.size(), 0.0);
-  counts_.assign(alphas_.size(), 0);
+  // Per coefficient of T: reals_ the sum of reported signs, counts_ the
+  // number of reports.
+  SetStateShape(alphas_.size(), alphas_.size());
 }
 
 StatusOr<std::unique_ptr<InpHtProtocol>> InpHtProtocol::Create(
@@ -55,7 +56,7 @@ Status InpHtProtocol::Absorb(const Report& report) {
   if (report.sign != -1 && report.sign != 1) {
     return Status::InvalidArgument("InpHT::Absorb: sign must be -1 or +1");
   }
-  sign_sums_[idx] += static_cast<double>(report.sign);
+  reals_[idx] += static_cast<double>(report.sign);
   counts_[idx] += 1;
   NoteAbsorbed(report);
   return Status::OK();
@@ -85,7 +86,7 @@ Status InpHtProtocol::AbsorbWireBatch(const uint8_t* data, size_t size) {
           "InpHT::Absorb: coefficient index not in the sampled set T");
       break;
     }
-    sign_sums_[idx] += ((word >> d) & 1) ? 1.0 : -1.0;
+    reals_[idx] += ((word >> d) & 1) ? 1.0 : -1.0;
     counts_[idx] += 1;
     ++absorbed;
   }
@@ -98,13 +99,13 @@ double InpHtProtocol::UnbiasedCoefficient(size_t index) const {
   double raw_mean = 0.0;
   if (config_.estimator == EstimatorKind::kRatio) {
     raw_mean = counts_[index] > 0
-                   ? sign_sums_[index] / static_cast<double>(counts_[index])
+                   ? reals_[index] / static_cast<double>(counts_[index])
                    : 0.0;
   } else {
     const double expected_per_coeff =
         static_cast<double>(reports_absorbed()) /
         static_cast<double>(alphas_.size());
-    raw_mean = sign_sums_[index] / expected_per_coeff;
+    raw_mean = reals_[index] / expected_per_coeff;
   }
   return rr_.UnbiasSignMean(raw_mean);
 }
@@ -142,43 +143,6 @@ StatusOr<MarginalTable> InpHtProtocol::EstimateMarginal(uint64_t beta) const {
   });
   if (!m.ok()) return m.status();
   return PostProcess(*std::move(m));
-}
-
-void InpHtProtocol::Reset() {
-  sign_sums_.assign(sign_sums_.size(), 0.0);
-  counts_.assign(counts_.size(), 0);
-  ResetBookkeeping();
-}
-
-Status InpHtProtocol::MergeFrom(const MarginalProtocol& other) {
-  LDPM_RETURN_IF_ERROR(CheckMergeCompatible(other));
-  const auto* peer = dynamic_cast<const InpHtProtocol*>(&other);
-  if (peer == nullptr) {
-    return Status::InvalidArgument("InpHT::MergeFrom: type mismatch");
-  }
-  for (size_t i = 0; i < sign_sums_.size(); ++i) {
-    sign_sums_[i] += peer->sign_sums_[i];
-    counts_[i] += peer->counts_[i];
-  }
-  MergeBookkeeping(*peer);
-  return Status::OK();
-}
-
-// Layout: reals = per-coefficient sign sums (|T| entries);
-// counts = per-coefficient report counts (|T| entries).
-void InpHtProtocol::SaveState(AggregatorSnapshot& snapshot) const {
-  snapshot.reals = sign_sums_;
-  snapshot.counts = counts_;
-}
-
-Status InpHtProtocol::LoadState(const AggregatorSnapshot& snapshot) {
-  if (snapshot.reals.size() != sign_sums_.size() ||
-      snapshot.counts.size() != counts_.size()) {
-    return Status::InvalidArgument("InpHT::Restore: malformed snapshot");
-  }
-  sign_sums_ = snapshot.reals;
-  counts_ = snapshot.counts;
-  return Status::OK();
 }
 
 }  // namespace ldpm

@@ -40,8 +40,6 @@ class InpHtProtocol final : public MarginalProtocol {
   Status AbsorbWireBatch(const uint8_t* data, size_t size) override;
 
   StatusOr<MarginalTable> EstimateMarginal(uint64_t beta) const override;
-  void Reset() override;
-  Status MergeFrom(const MarginalProtocol& other) override;
 
   double TheoreticalBitsPerUser() const override {
     return static_cast<double>(config_.d) + 1.0;
@@ -58,10 +56,6 @@ class InpHtProtocol final : public MarginalProtocol {
   /// The underlying RR mechanism (for tests).
   const RandomizedResponse& mechanism() const { return rr_; }
 
- protected:
-  void SaveState(AggregatorSnapshot& snapshot) const override;
-  Status LoadState(const AggregatorSnapshot& snapshot) override;
-
  private:
   InpHtProtocol(const ProtocolConfig& config, RandomizedResponse rr,
                 std::vector<uint64_t> alphas);
@@ -71,10 +65,8 @@ class InpHtProtocol final : public MarginalProtocol {
   double UnbiasedCoefficient(size_t index) const;
 
   RandomizedResponse rr_;
-  std::vector<uint64_t> alphas_;    // T, in LowOrderIndex order
-  LowOrderIndex index_;             // alpha -> its slot in T
-  std::vector<double> sign_sums_;   // per coefficient: sum of reported signs
-  std::vector<uint64_t> counts_;    // per coefficient: number of reports
+  std::vector<uint64_t> alphas_;  // T, in LowOrderIndex order
+  LowOrderIndex index_;           // alpha -> its slot in T
 };
 
 }  // namespace ldpm

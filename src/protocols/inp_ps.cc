@@ -30,10 +30,10 @@ Report InpPsProtocol::Encode(uint64_t user_value, Rng& rng) const {
 }
 
 Status InpPsProtocol::Absorb(const Report& report) {
-  if (report.value >= counts_.size()) {
+  if (report.value >= reals_.size()) {
     return Status::InvalidArgument("InpPS::Absorb: value outside domain");
   }
-  counts_[report.value] += 1.0;
+  reals_[report.value] += 1.0;
   NoteAbsorbed(report);
   return Status::OK();
 }
@@ -54,7 +54,7 @@ Status InpPsProtocol::AbsorbWireBatch(const uint8_t* data, size_t size) {
           " bytes, expected " + std::to_string(payload_bytes));
       break;
     }
-    counts_[LoadWireWord(record, record_size) & value_mask] += 1.0;
+    reals_[LoadWireWord(record, record_size) & value_mask] += 1.0;
     ++absorbed;
   }
   if (error.ok()) error = reader.status();
@@ -63,7 +63,7 @@ Status InpPsProtocol::AbsorbWireBatch(const uint8_t* data, size_t size) {
 }
 
 StatusOr<MarginalTable> InpPsProtocol::EstimateMarginal(uint64_t beta) const {
-  if (beta >= counts_.size()) {
+  if (beta >= reals_.size()) {
     return Status::OutOfRange("InpPS: beta outside domain");
   }
   const uint64_t n = reports_absorbed();
@@ -72,40 +72,11 @@ StatusOr<MarginalTable> InpPsProtocol::EstimateMarginal(uint64_t beta) const {
   }
   MarginalTable m(config_.d, beta);
   const double inv_n = 1.0 / static_cast<double>(n);
-  for (uint64_t cell = 0; cell < counts_.size(); ++cell) {
-    const double f_hat = direct_.UnbiasFrequency(counts_[cell] * inv_n);
+  for (uint64_t cell = 0; cell < reals_.size(); ++cell) {
+    const double f_hat = direct_.UnbiasFrequency(reals_[cell] * inv_n);
     m.at_compact(ExtractBits(cell, beta)) += f_hat;
   }
   return PostProcess(std::move(m));
-}
-
-void InpPsProtocol::Reset() {
-  counts_.assign(counts_.size(), 0.0);
-  ResetBookkeeping();
-}
-
-Status InpPsProtocol::MergeFrom(const MarginalProtocol& other) {
-  LDPM_RETURN_IF_ERROR(CheckMergeCompatible(other));
-  const auto* peer = dynamic_cast<const InpPsProtocol*>(&other);
-  if (peer == nullptr) {
-    return Status::InvalidArgument("InpPS::MergeFrom: type mismatch");
-  }
-  for (size_t i = 0; i < counts_.size(); ++i) counts_[i] += peer->counts_[i];
-  MergeBookkeeping(*peer);
-  return Status::OK();
-}
-
-// Layout: reals = per-cell report counts (2^d entries).
-void InpPsProtocol::SaveState(AggregatorSnapshot& snapshot) const {
-  snapshot.reals = counts_;
-}
-
-Status InpPsProtocol::LoadState(const AggregatorSnapshot& snapshot) {
-  if (snapshot.reals.size() != counts_.size() || !snapshot.counts.empty()) {
-    return Status::InvalidArgument("InpPS::Restore: malformed snapshot");
-  }
-  counts_ = snapshot.reals;
-  return Status::OK();
 }
 
 }  // namespace ldpm

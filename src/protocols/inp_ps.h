@@ -14,7 +14,6 @@
 #define LDPM_PROTOCOLS_INP_PS_H_
 
 #include <memory>
-#include <vector>
 
 #include "mechanisms/direct_encoding.h"
 #include "protocols/protocol.h"
@@ -38,8 +37,6 @@ class InpPsProtocol final : public MarginalProtocol {
   Status AbsorbWireBatch(const uint8_t* data, size_t size) override;
 
   StatusOr<MarginalTable> EstimateMarginal(uint64_t beta) const override;
-  void Reset() override;
-  Status MergeFrom(const MarginalProtocol& other) override;
 
   double TheoreticalBitsPerUser() const override {
     return static_cast<double>(config_.d);
@@ -48,18 +45,14 @@ class InpPsProtocol final : public MarginalProtocol {
   /// The underlying direct-encoding mechanism (for tests).
   const DirectEncoding& mechanism() const { return direct_; }
 
- protected:
-  void SaveState(AggregatorSnapshot& snapshot) const override;
-  Status LoadState(const AggregatorSnapshot& snapshot) override;
-
  private:
   InpPsProtocol(const ProtocolConfig& config, DirectEncoding direct)
       : MarginalProtocol(config), direct_(direct) {
-    counts_.assign(uint64_t{1} << config_.d, 0.0);
+    // reals_: the report count of each of the 2^d cells.
+    SetStateShape(uint64_t{1} << config_.d, 0);
   }
 
   DirectEncoding direct_;
-  std::vector<double> counts_;  // report counts per cell
 };
 
 }  // namespace ldpm

@@ -150,7 +150,7 @@ Status InpRrProtocol::Absorb(const Report& report) {
       return Status::InvalidArgument("InpRR::Absorb: position outside domain");
     }
   }
-  for (uint64_t pos : report.ones) counts_[pos] += 1.0;
+  for (uint64_t pos : report.ones) reals_[pos] += 1.0;
   NoteAbsorbed(report);
   return Status::OK();
 }
@@ -193,7 +193,7 @@ void InpRrProtocol::AbsorbPackedGroup(const uint8_t* const* payloads,
 
 void InpRrProtocol::FoldBatchCounts() {
   for (size_t cell = 0; cell < batch_counts_.size(); ++cell) {
-    counts_[cell] += static_cast<double>(batch_counts_[cell]);
+    reals_[cell] += static_cast<double>(batch_counts_[cell]);
     batch_counts_[cell] = 0;
   }
 }
@@ -257,8 +257,9 @@ Status InpRrProtocol::AbsorbPopulation(const std::vector<uint64_t>& rows,
   // the inputs, so sampling per cell matches the per-user path in
   // distribution exactly.
   for (uint64_t cell = 0; cell < domain; ++cell) {
-    counts_[cell] += static_cast<double>(rng.Binomial(histogram[cell], unary_.p1())) +
-                     static_cast<double>(rng.Binomial(n - histogram[cell], unary_.p0()));
+    reals_[cell] +=
+        static_cast<double>(rng.Binomial(histogram[cell], unary_.p1())) +
+        static_cast<double>(rng.Binomial(n - histogram[cell], unary_.p0()));
   }
   Report accounting;
   accounting.bits = static_cast<double>(domain);
@@ -280,7 +281,7 @@ StatusOr<MarginalTable> InpRrProtocol::EstimateMarginal(uint64_t beta) const {
   const double inv_n = 1.0 / static_cast<double>(n);
   for (uint64_t cell = 0; cell < domain; ++cell) {
     const double t_hat =
-        unary_.UnbiasCount(counts_[cell], static_cast<double>(n)) * inv_n;
+        unary_.UnbiasCount(reals_[cell], static_cast<double>(n)) * inv_n;
     m.at_compact(ExtractBits(cell, beta)) += t_hat;
   }
   return PostProcess(std::move(m));
@@ -294,40 +295,11 @@ StatusOr<FourierCoefficients> InpRrProtocol::EstimateCoefficients(
   LDPM_RETURN_IF_ERROR(CheckCoefficientExport(max_order));
   const double n = static_cast<double>(reports_absorbed());
   const double inv_n = 1.0 / n;
-  std::vector<double> estimate(counts_.size());
-  for (uint64_t cell = 0; cell < counts_.size(); ++cell) {
-    estimate[cell] = unary_.UnbiasCount(counts_[cell], n) * inv_n;
+  std::vector<double> estimate(reals_.size());
+  for (uint64_t cell = 0; cell < reals_.size(); ++cell) {
+    estimate[cell] = unary_.UnbiasCount(reals_[cell], n) * inv_n;
   }
   return FourierCoefficients::FromCells(std::move(estimate), max_order);
-}
-
-void InpRrProtocol::Reset() {
-  counts_.assign(counts_.size(), 0.0);
-  ResetBookkeeping();
-}
-
-Status InpRrProtocol::MergeFrom(const MarginalProtocol& other) {
-  LDPM_RETURN_IF_ERROR(CheckMergeCompatible(other));
-  const auto* peer = dynamic_cast<const InpRrProtocol*>(&other);
-  if (peer == nullptr) {
-    return Status::InvalidArgument("InpRR::MergeFrom: type mismatch");
-  }
-  for (size_t i = 0; i < counts_.size(); ++i) counts_[i] += peer->counts_[i];
-  MergeBookkeeping(*peer);
-  return Status::OK();
-}
-
-// Layout: reals = per-cell reported-one counts (2^d entries).
-void InpRrProtocol::SaveState(AggregatorSnapshot& snapshot) const {
-  snapshot.reals = counts_;
-}
-
-Status InpRrProtocol::LoadState(const AggregatorSnapshot& snapshot) {
-  if (snapshot.reals.size() != counts_.size() || !snapshot.counts.empty()) {
-    return Status::InvalidArgument("InpRR::Restore: malformed snapshot");
-  }
-  counts_ = snapshot.reals;
-  return Status::OK();
 }
 
 }  // namespace ldpm

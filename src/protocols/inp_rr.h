@@ -48,9 +48,6 @@ class InpRrProtocol final : public MarginalProtocol {
   StatusOr<FourierCoefficients> EstimateCoefficients(
       int max_order) const override;
 
-  void Reset() override;
-  Status MergeFrom(const MarginalProtocol& other) override;
-
   double TheoreticalBitsPerUser() const override {
     return static_cast<double>(uint64_t{1} << config_.d);
   }
@@ -58,14 +55,11 @@ class InpRrProtocol final : public MarginalProtocol {
   /// The underlying unary-encoding mechanism (for tests).
   const UnaryEncoding& mechanism() const { return unary_; }
 
- protected:
-  void SaveState(AggregatorSnapshot& snapshot) const override;
-  Status LoadState(const AggregatorSnapshot& snapshot) override;
-
  private:
   InpRrProtocol(const ProtocolConfig& config, UnaryEncoding unary)
       : MarginalProtocol(config), unary_(unary) {
-    counts_.assign(uint64_t{1} << config_.d, 0.0);
+    // reals_: the reported-one count of each of the 2^d cells.
+    SetStateShape(uint64_t{1} << config_.d, 0);
   }
 
   /// Adds a group of at most 255 packed report bitmaps into
@@ -83,7 +77,6 @@ class InpRrProtocol final : public MarginalProtocol {
   void EnsureBatchScratch();
 
   UnaryEncoding unary_;
-  std::vector<double> counts_;  // reported-one counts per cell
 
   // Batched-ingest scratch, allocated on first batch and reused.
   std::vector<uint32_t> batch_counts_;  // per-cell pending integer counts

@@ -8,9 +8,7 @@ namespace ldpm {
 
 MargProtocolBase::MargProtocolBase(const ProtocolConfig& config)
     : MarginalProtocol(config),
-      selectors_(KWaySelectors(config.d, config.k)) {
-  selector_counts_.assign(selectors_.size(), 0);
-}
+      selectors_(KWaySelectors(config.d, config.k)) {}
 
 Status MargProtocolBase::ValidateMarg(const ProtocolConfig& config) {
   LDPM_RETURN_IF_ERROR(ValidateCommon(config));
@@ -40,7 +38,7 @@ StatusOr<size_t> MargProtocolBase::SelectorIndexOf(uint64_t beta) const {
 
 double MargProtocolBase::EffectiveSelectorCount(size_t idx) const {
   if (config_.estimator == EstimatorKind::kRatio) {
-    return static_cast<double>(selector_counts_[idx]);
+    return static_cast<double>(counts_[idx]);
   }
   return static_cast<double>(reports_absorbed()) /
          static_cast<double>(selectors_.size());
@@ -77,7 +75,7 @@ StatusOr<MarginalTable> MargProtocolBase::EstimateMarginal(uint64_t beta) const 
   double total_weight = 0.0;
   for (size_t i = 0; i < selectors_.size(); ++i) {
     if (!IsSubset(beta, selectors_[i])) continue;
-    const double weight = static_cast<double>(selector_counts_[i]);
+    const double weight = static_cast<double>(counts_[i]);
     if (weight <= 0.0) continue;
     auto super = EstimateExactKWay(i);
     if (!super.ok()) return super.status();

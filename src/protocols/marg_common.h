@@ -4,17 +4,18 @@
 // All three share the same outer structure: each user uniformly samples one
 // of the C(d, k) exactly-k-way marginal selectors, materializes *their own*
 // (sparse, one-hot) marginal, and releases it through a mechanism that
-// differs per protocol. The aggregator keeps per-selector state; queries for
-// a lower-order marginal beta' (|beta'| < k) are answered by marginalizing
-// every sampled superset's estimate and averaging, weighted by how many
-// users reported each superset.
+// differs per protocol. The aggregator keeps per-selector state in the base
+// class's flat arrays: the C(d, k) selector report counts lead counts_, and
+// selector idx's 2^k cells start at idx << k. Queries for a lower-order
+// marginal beta' (|beta'| < k) are answered by marginalizing every sampled
+// superset's estimate and averaging, weighted by how many users reported
+// each superset.
 
 #ifndef LDPM_PROTOCOLS_MARG_COMMON_H_
 #define LDPM_PROTOCOLS_MARG_COMMON_H_
 
-#include <algorithm>
 #include <memory>
-#include <string>
+#include <span>
 #include <vector>
 
 #include "core/bits.h"
@@ -28,7 +29,9 @@ class MargProtocolBase : public MarginalProtocol {
   const std::vector<uint64_t>& selectors() const { return selectors_; }
 
   /// Number of users that sampled each selector so far.
-  const std::vector<uint64_t>& selector_counts() const { return selector_counts_; }
+  std::span<const uint64_t> selector_counts() const {
+    return {counts_.data(), selectors_.size()};
+  }
 
   StatusOr<MarginalTable> EstimateMarginal(uint64_t beta) const override;
 
@@ -65,39 +68,7 @@ class MargProtocolBase : public MarginalProtocol {
   double EffectiveSelectorCount(size_t idx) const;
 
   /// Bookkeeping: record that a report for selector `idx` arrived.
-  void NoteSelectorReport(size_t idx) { ++selector_counts_[idx]; }
-
-  void ResetSelectorCounts() {
-    selector_counts_.assign(selector_counts_.size(), 0);
-  }
-
-  /// MergeFrom support: folds the other aggregator's per-selector report
-  /// counts into this one's. Configs are already checked compatible, so the
-  /// selector sets coincide.
-  void MergeSelectorCounts(const MargProtocolBase& other) {
-    for (size_t i = 0; i < selector_counts_.size(); ++i) {
-      selector_counts_[i] += other.selector_counts_[i];
-    }
-  }
-
-  /// Snapshot layout shared by the Marg protocols: the per-selector report
-  /// counts occupy the first C(d,k) entries of snapshot.counts; any
-  /// protocol-specific integer state follows.
-  void SaveSelectorCounts(AggregatorSnapshot& snapshot) const {
-    snapshot.counts.insert(snapshot.counts.end(), selector_counts_.begin(),
-                           selector_counts_.end());
-  }
-
-  Status LoadSelectorCounts(const AggregatorSnapshot& snapshot) {
-    if (snapshot.counts.size() < selector_counts_.size()) {
-      return Status::InvalidArgument(
-          std::string(name()) + "::Restore: snapshot missing selector counts");
-    }
-    std::copy(snapshot.counts.begin(),
-              snapshot.counts.begin() + selector_counts_.size(),
-              selector_counts_.begin());
-    return Status::OK();
-  }
+  void NoteSelectorReport(size_t idx) { ++counts_[idx]; }
 
   /// Estimates the exactly-k-way marginal for the selector at index `idx`
   /// *without* post-processing. Implemented by each concrete protocol.
@@ -106,7 +77,6 @@ class MargProtocolBase : public MarginalProtocol {
 
  private:
   std::vector<uint64_t> selectors_;
-  std::vector<uint64_t> selector_counts_;
 };
 
 }  // namespace ldpm

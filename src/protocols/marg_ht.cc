@@ -10,9 +10,12 @@ namespace ldpm {
 MargHtProtocol::MargHtProtocol(const ProtocolConfig& config,
                                RandomizedResponse rr)
     : MargProtocolBase(config), rr_(rr) {
-  const uint64_t cells = uint64_t{1} << config_.k;
-  sign_sums_.assign(selectors().size(), std::vector<double>(cells, 0.0));
-  coeff_counts_.assign(selectors().size(), std::vector<uint64_t>(cells, 0));
+  // Selector idx's compact coefficient r in [0, 2^k) (alpha =
+  // DepositBits(r, beta)) sits at cell (idx << k) + r: reals_ holds each
+  // cell's sum of reported signs; counts_ holds the C(d,k) selector report
+  // counts, then each cell's report count.
+  const size_t n = selectors().size();
+  SetStateShape(n << config_.k, n + (n << config_.k));
 }
 
 StatusOr<std::unique_ptr<MargHtProtocol>> MargHtProtocol::Create(
@@ -57,8 +60,9 @@ Status MargHtProtocol::Absorb(const Report& report) {
   if (report.sign != -1 && report.sign != 1) {
     return Status::InvalidArgument("MargHT::Absorb: sign must be -1 or +1");
   }
-  sign_sums_[*idx][report.value] += static_cast<double>(report.sign);
-  coeff_counts_[*idx][report.value] += 1;
+  const size_t cell = (*idx << config_.k) + report.value;
+  reals_[cell] += static_cast<double>(report.sign);
+  counts_[selectors().size() + cell] += 1;
   NoteSelectorReport(*idx);
   NoteAbsorbed(report);
   return Status::OK();
@@ -74,6 +78,7 @@ Status MargHtProtocol::AbsorbWireBatch(const uint8_t* data, size_t size) {
   const size_t payload_bytes = (total_bits + 7) / 8;
   const uint64_t selector_mask = (uint64_t{1} << d) - 1;
   const uint64_t value_mask = (uint64_t{1} << k) - 1;
+  uint64_t* cell_counts = counts_.data() + selectors().size();
   WireBatchReader reader(data, size);
   const uint8_t* record = nullptr;
   size_t record_size = 0;
@@ -98,8 +103,9 @@ Status MargHtProtocol::AbsorbWireBatch(const uint8_t* data, size_t size) {
           "MargHT::Absorb: coefficient index outside the sampled set");
       break;
     }
-    sign_sums_[idx][r] += ((word >> (d + k)) & 1) ? 1.0 : -1.0;
-    coeff_counts_[idx][r] += 1;
+    const size_t cell = (idx << k) + r;
+    reals_[cell] += ((word >> (d + k)) & 1) ? 1.0 : -1.0;
+    cell_counts[cell] += 1;
     NoteSelectorReport(idx);
     ++absorbed;
   }
@@ -113,6 +119,9 @@ StatusOr<MarginalTable> MargHtProtocol::EstimateExactKWay(size_t idx) const {
   // Estimate the 2^k - 1 informative coefficients of this marginal; f_0 = 1.
   std::vector<double> f(cells, 0.0);
   f[0] = 1.0;
+  const double* sign_sums = reals_.data() + (idx << config_.k);
+  const uint64_t* reports =
+      counts_.data() + selectors().size() + (idx << config_.k);
   const double expected_per_coeff =
       static_cast<double>(reports_absorbed()) /
       (static_cast<double>(selectors().size()) *
@@ -120,12 +129,11 @@ StatusOr<MarginalTable> MargHtProtocol::EstimateExactKWay(size_t idx) const {
   for (uint64_t r = 1; r < cells; ++r) {
     double raw_mean = 0.0;
     if (config_.estimator == EstimatorKind::kRatio) {
-      const uint64_t cnt = coeff_counts_[idx][r];
-      raw_mean = cnt > 0 ? sign_sums_[idx][r] / static_cast<double>(cnt) : 0.0;
+      const uint64_t cnt = reports[r];
+      raw_mean = cnt > 0 ? sign_sums[r] / static_cast<double>(cnt) : 0.0;
     } else {
-      raw_mean = expected_per_coeff > 0.0
-                     ? sign_sums_[idx][r] / expected_per_coeff
-                     : 0.0;
+      raw_mean = expected_per_coeff > 0.0 ? sign_sums[r] / expected_per_coeff
+                                          : 0.0;
     }
     f[r] = rr_.UnbiasSignMean(raw_mean);
   }
@@ -142,64 +150,6 @@ StatusOr<MarginalTable> MargHtProtocol::EstimateExactKWay(size_t idx) const {
     m.at_compact(c) = v * scale;
   }
   return m;
-}
-
-void MargHtProtocol::Reset() {
-  for (auto& s : sign_sums_) s.assign(s.size(), 0.0);
-  for (auto& c : coeff_counts_) c.assign(c.size(), 0);
-  ResetSelectorCounts();
-  ResetBookkeeping();
-}
-
-Status MargHtProtocol::MergeFrom(const MarginalProtocol& other) {
-  LDPM_RETURN_IF_ERROR(CheckMergeCompatible(other));
-  const auto* peer = dynamic_cast<const MargHtProtocol*>(&other);
-  if (peer == nullptr) {
-    return Status::InvalidArgument("MargHT::MergeFrom: type mismatch");
-  }
-  for (size_t s = 0; s < sign_sums_.size(); ++s) {
-    for (size_t r = 0; r < sign_sums_[s].size(); ++r) {
-      sign_sums_[s][r] += peer->sign_sums_[s][r];
-      coeff_counts_[s][r] += peer->coeff_counts_[s][r];
-    }
-  }
-  MergeSelectorCounts(*peer);
-  MergeBookkeeping(*peer);
-  return Status::OK();
-}
-
-// Layout: reals = sign_sums_ flattened selector-major (C(d,k) * 2^k);
-// counts = per-selector report counts (C(d,k)) followed by coeff_counts_
-// flattened selector-major (C(d,k) * 2^k).
-void MargHtProtocol::SaveState(AggregatorSnapshot& snapshot) const {
-  SaveSelectorCounts(snapshot);
-  for (const auto& per_selector : sign_sums_) {
-    snapshot.reals.insert(snapshot.reals.end(), per_selector.begin(),
-                          per_selector.end());
-  }
-  for (const auto& per_selector : coeff_counts_) {
-    snapshot.counts.insert(snapshot.counts.end(), per_selector.begin(),
-                           per_selector.end());
-  }
-}
-
-Status MargHtProtocol::LoadState(const AggregatorSnapshot& snapshot) {
-  const uint64_t cells = uint64_t{1} << config_.k;
-  const size_t num_selectors = sign_sums_.size();
-  if (snapshot.reals.size() != num_selectors * cells ||
-      snapshot.counts.size() != num_selectors + num_selectors * cells) {
-    return Status::InvalidArgument("MargHT::Restore: malformed snapshot");
-  }
-  LDPM_RETURN_IF_ERROR(LoadSelectorCounts(snapshot));
-  for (size_t s = 0; s < num_selectors; ++s) {
-    std::copy(snapshot.reals.begin() + s * cells,
-              snapshot.reals.begin() + (s + 1) * cells,
-              sign_sums_[s].begin());
-    const auto counts_begin =
-        snapshot.counts.begin() + num_selectors + s * cells;
-    std::copy(counts_begin, counts_begin + cells, coeff_counts_[s].begin());
-  }
-  return Status::OK();
 }
 
 }  // namespace ldpm

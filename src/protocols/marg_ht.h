@@ -18,7 +18,6 @@
 #define LDPM_PROTOCOLS_MARG_HT_H_
 
 #include <memory>
-#include <vector>
 
 #include "mechanisms/randomized_response.h"
 #include "protocols/marg_common.h"
@@ -39,9 +38,6 @@ class MargHtProtocol final : public MargProtocolBase {
   /// bits — with one word load per record when it fits 64 bits.
   Status AbsorbWireBatch(const uint8_t* data, size_t size) override;
 
-  void Reset() override;
-  Status MergeFrom(const MarginalProtocol& other) override;
-
   double TheoreticalBitsPerUser() const override {
     return static_cast<double>(config_.d) + static_cast<double>(config_.k) + 1.0;
   }
@@ -50,8 +46,6 @@ class MargHtProtocol final : public MargProtocolBase {
 
  protected:
   StatusOr<MarginalTable> EstimateExactKWay(size_t idx) const override;
-  void SaveState(AggregatorSnapshot& snapshot) const override;
-  Status LoadState(const AggregatorSnapshot& snapshot) override;
 
  private:
   MargHtProtocol(const ProtocolConfig& config, RandomizedResponse rr);
@@ -64,10 +58,6 @@ class MargHtProtocol final : public MargProtocolBase {
   }
 
   RandomizedResponse rr_;
-  // Per selector, per compact coefficient index r in [0, 2^k): sum of
-  // reported signs and report count. alpha = DepositBits(r, beta).
-  std::vector<std::vector<double>> sign_sums_;
-  std::vector<std::vector<uint64_t>> coeff_counts_;
 };
 
 }  // namespace ldpm

@@ -9,8 +9,9 @@ namespace ldpm {
 MargPsProtocol::MargPsProtocol(const ProtocolConfig& config,
                                DirectEncoding direct)
     : MargProtocolBase(config), direct_(direct) {
-  counts_.assign(selectors().size(),
-                 std::vector<double>(uint64_t{1} << config_.k, 0.0));
+  // reals_: selector idx's 2^k report counts start at idx << k; counts_:
+  // the C(d,k) selector report counts.
+  SetStateShape(selectors().size() << config_.k, selectors().size());
 }
 
 StatusOr<std::unique_ptr<MargPsProtocol>> MargPsProtocol::Create(
@@ -41,7 +42,7 @@ Status MargPsProtocol::Absorb(const Report& report) {
   if (report.value >= (uint64_t{1} << config_.k)) {
     return Status::InvalidArgument("MargPS::Absorb: cell outside marginal");
   }
-  counts_[*idx][report.value] += 1.0;
+  reals_[(*idx << config_.k) + report.value] += 1.0;
   NoteSelectorReport(*idx);
   NoteAbsorbed(report);
   return Status::OK();
@@ -76,7 +77,7 @@ Status MargPsProtocol::AbsorbWireBatch(const uint8_t* data, size_t size) {
       break;
     }
     // A k-bit field cannot exceed the 2^k cells, so no range check needed.
-    counts_[idx][(word >> d) & value_mask] += 1.0;
+    reals_[(idx << k) + ((word >> d) & value_mask)] += 1.0;
     NoteSelectorReport(idx);
     ++absorbed;
   }
@@ -89,58 +90,11 @@ StatusOr<MarginalTable> MargPsProtocol::EstimateExactKWay(size_t idx) const {
   MarginalTable m(config_.d, selectors()[idx]);
   const double n = EffectiveSelectorCount(idx);
   if (n <= 0.0) return m;
+  const double* row = reals_.data() + (idx << config_.k);
   for (uint64_t c = 0; c < m.size(); ++c) {
-    m.at_compact(c) = direct_.UnbiasFrequency(counts_[idx][c] / n);
+    m.at_compact(c) = direct_.UnbiasFrequency(row[c] / n);
   }
   return m;
-}
-
-void MargPsProtocol::Reset() {
-  for (auto& per_selector : counts_) {
-    per_selector.assign(per_selector.size(), 0.0);
-  }
-  ResetSelectorCounts();
-  ResetBookkeeping();
-}
-
-Status MargPsProtocol::MergeFrom(const MarginalProtocol& other) {
-  LDPM_RETURN_IF_ERROR(CheckMergeCompatible(other));
-  const auto* peer = dynamic_cast<const MargPsProtocol*>(&other);
-  if (peer == nullptr) {
-    return Status::InvalidArgument("MargPS::MergeFrom: type mismatch");
-  }
-  for (size_t s = 0; s < counts_.size(); ++s) {
-    for (size_t c = 0; c < counts_[s].size(); ++c) {
-      counts_[s][c] += peer->counts_[s][c];
-    }
-  }
-  MergeSelectorCounts(*peer);
-  MergeBookkeeping(*peer);
-  return Status::OK();
-}
-
-// Layout: reals = counts_ flattened selector-major (C(d,k) * 2^k entries);
-// counts = per-selector report counts (C(d,k) entries).
-void MargPsProtocol::SaveState(AggregatorSnapshot& snapshot) const {
-  SaveSelectorCounts(snapshot);
-  for (const auto& per_selector : counts_) {
-    snapshot.reals.insert(snapshot.reals.end(), per_selector.begin(),
-                          per_selector.end());
-  }
-}
-
-Status MargPsProtocol::LoadState(const AggregatorSnapshot& snapshot) {
-  const uint64_t cells = uint64_t{1} << config_.k;
-  if (snapshot.counts.size() != counts_.size() ||
-      snapshot.reals.size() != counts_.size() * cells) {
-    return Status::InvalidArgument("MargPS::Restore: malformed snapshot");
-  }
-  LDPM_RETURN_IF_ERROR(LoadSelectorCounts(snapshot));
-  for (size_t s = 0; s < counts_.size(); ++s) {
-    std::copy(snapshot.reals.begin() + s * cells,
-              snapshot.reals.begin() + (s + 1) * cells, counts_[s].begin());
-  }
-  return Status::OK();
 }
 
 }  // namespace ldpm

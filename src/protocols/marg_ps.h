@@ -11,7 +11,6 @@
 #define LDPM_PROTOCOLS_MARG_PS_H_
 
 #include <memory>
-#include <vector>
 
 #include "mechanisms/direct_encoding.h"
 #include "protocols/marg_common.h"
@@ -32,9 +31,6 @@ class MargPsProtocol final : public MargProtocolBase {
   /// with one word load per record when it fits 64 bits.
   Status AbsorbWireBatch(const uint8_t* data, size_t size) override;
 
-  void Reset() override;
-  Status MergeFrom(const MarginalProtocol& other) override;
-
   double TheoreticalBitsPerUser() const override {
     return static_cast<double>(config_.d) + static_cast<double>(config_.k);
   }
@@ -43,15 +39,11 @@ class MargPsProtocol final : public MargProtocolBase {
 
  protected:
   StatusOr<MarginalTable> EstimateExactKWay(size_t idx) const override;
-  void SaveState(AggregatorSnapshot& snapshot) const override;
-  Status LoadState(const AggregatorSnapshot& snapshot) override;
 
  private:
   MargPsProtocol(const ProtocolConfig& config, DirectEncoding direct);
 
   DirectEncoding direct_;
-  // counts_[selector][cell]: report counts, cells compact in [0, 2^k).
-  std::vector<std::vector<double>> counts_;
 };
 
 }  // namespace ldpm

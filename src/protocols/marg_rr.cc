@@ -10,8 +10,9 @@ namespace ldpm {
 MargRrProtocol::MargRrProtocol(const ProtocolConfig& config,
                                UnaryEncoding unary)
     : MargProtocolBase(config), unary_(unary) {
-  counts_.assign(selectors().size(),
-                 std::vector<double>(uint64_t{1} << config_.k, 0.0));
+  // reals_: selector idx's 2^k reported-one counts start at idx << k;
+  // counts_: the C(d,k) selector report counts.
+  SetStateShape(selectors().size() << config_.k, selectors().size());
 }
 
 StatusOr<std::unique_ptr<MargRrProtocol>> MargRrProtocol::Create(
@@ -44,7 +45,8 @@ Status MargRrProtocol::Absorb(const Report& report) {
       return Status::InvalidArgument("MargRR::Absorb: cell outside marginal");
     }
   }
-  for (uint64_t pos : report.ones) counts_[*idx][pos] += 1.0;
+  double* row = reals_.data() + (*idx << config_.k);
+  for (uint64_t pos : report.ones) row[pos] += 1.0;
   NoteSelectorReport(*idx);
   NoteAbsorbed(report);
   return Status::OK();
@@ -83,8 +85,9 @@ Status MargRrProtocol::AbsorbWireBatch(const uint8_t* data, size_t size) {
     // The reported cells arrive as a packed bitmap; absorb its set bits in
     // ascending order, exactly like the `ones` walk of the report path.
     uint64_t reported = (word >> d) & cell_mask;
+    double* row = reals_.data() + (idx << config_.k);
     while (reported != 0) {
-      counts_[idx][std::countr_zero(reported)] += 1.0;
+      row[std::countr_zero(reported)] += 1.0;
       reported &= reported - 1;
     }
     NoteSelectorReport(idx);
@@ -99,58 +102,11 @@ StatusOr<MarginalTable> MargRrProtocol::EstimateExactKWay(size_t idx) const {
   MarginalTable m(config_.d, selectors()[idx]);
   const double n = EffectiveSelectorCount(idx);
   if (n <= 0.0) return m;  // no reports for this selector: all-zero table
+  const double* row = reals_.data() + (idx << config_.k);
   for (uint64_t c = 0; c < m.size(); ++c) {
-    m.at_compact(c) = unary_.UnbiasCount(counts_[idx][c], n) / n;
+    m.at_compact(c) = unary_.UnbiasCount(row[c], n) / n;
   }
   return m;
-}
-
-void MargRrProtocol::Reset() {
-  for (auto& per_selector : counts_) {
-    per_selector.assign(per_selector.size(), 0.0);
-  }
-  ResetSelectorCounts();
-  ResetBookkeeping();
-}
-
-Status MargRrProtocol::MergeFrom(const MarginalProtocol& other) {
-  LDPM_RETURN_IF_ERROR(CheckMergeCompatible(other));
-  const auto* peer = dynamic_cast<const MargRrProtocol*>(&other);
-  if (peer == nullptr) {
-    return Status::InvalidArgument("MargRR::MergeFrom: type mismatch");
-  }
-  for (size_t s = 0; s < counts_.size(); ++s) {
-    for (size_t c = 0; c < counts_[s].size(); ++c) {
-      counts_[s][c] += peer->counts_[s][c];
-    }
-  }
-  MergeSelectorCounts(*peer);
-  MergeBookkeeping(*peer);
-  return Status::OK();
-}
-
-// Layout: reals = counts_ flattened selector-major (C(d,k) * 2^k entries);
-// counts = per-selector report counts (C(d,k) entries).
-void MargRrProtocol::SaveState(AggregatorSnapshot& snapshot) const {
-  SaveSelectorCounts(snapshot);
-  for (const auto& per_selector : counts_) {
-    snapshot.reals.insert(snapshot.reals.end(), per_selector.begin(),
-                          per_selector.end());
-  }
-}
-
-Status MargRrProtocol::LoadState(const AggregatorSnapshot& snapshot) {
-  const uint64_t cells = uint64_t{1} << config_.k;
-  if (snapshot.counts.size() != counts_.size() ||
-      snapshot.reals.size() != counts_.size() * cells) {
-    return Status::InvalidArgument("MargRR::Restore: malformed snapshot");
-  }
-  LDPM_RETURN_IF_ERROR(LoadSelectorCounts(snapshot));
-  for (size_t s = 0; s < counts_.size(); ++s) {
-    std::copy(snapshot.reals.begin() + s * cells,
-              snapshot.reals.begin() + (s + 1) * cells, counts_[s].begin());
-  }
-  return Status::OK();
 }
 
 }  // namespace ldpm

@@ -10,7 +10,6 @@
 #define LDPM_PROTOCOLS_MARG_RR_H_
 
 #include <memory>
-#include <vector>
 
 #include "protocols/marg_common.h"
 
@@ -31,9 +30,6 @@ class MargRrProtocol final : public MargProtocolBase {
   /// back to the generic record parser otherwise.
   Status AbsorbWireBatch(const uint8_t* data, size_t size) override;
 
-  void Reset() override;
-  Status MergeFrom(const MarginalProtocol& other) override;
-
   double TheoreticalBitsPerUser() const override {
     return static_cast<double>(config_.d) +
            static_cast<double>(uint64_t{1} << config_.k);
@@ -43,15 +39,11 @@ class MargRrProtocol final : public MargProtocolBase {
 
  protected:
   StatusOr<MarginalTable> EstimateExactKWay(size_t idx) const override;
-  void SaveState(AggregatorSnapshot& snapshot) const override;
-  Status LoadState(const AggregatorSnapshot& snapshot) override;
 
  private:
   MargRrProtocol(const ProtocolConfig& config, UnaryEncoding unary);
 
   UnaryEncoding unary_;
-  // counts_[selector][cell]: reported-one counts, cells compact in [0, 2^k).
-  std::vector<std::vector<double>> counts_;
 };
 
 }  // namespace ldpm

@@ -1,7 +1,9 @@
 #include "protocols/protocol.h"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include "analysis/consistency.h"
 #include "core/bits.h"
@@ -96,6 +98,65 @@ Status MarginalProtocol::CheckMergeCompatible(
         std::string(name()) +
         "::MergeFrom: aggregator configurations are not state-compatible");
   }
+  if (state_header_ != other.state_header_ ||
+      reals_.size() != other.reals_.size() ||
+      counts_.size() != other.counts_.size()) {
+    return Status::InvalidArgument(
+        std::string(name()) +
+        "::MergeFrom: aggregator states have different shapes or headers");
+  }
+  return Status::OK();
+}
+
+void MarginalProtocol::SetStateShape(size_t reals, size_t counts,
+                                     std::vector<uint64_t> header) {
+  reals_.assign(reals, 0.0);
+  counts_.assign(counts, 0);
+  state_header_ = std::move(header);
+}
+
+void MarginalProtocol::Reset() {
+  std::fill(reals_.begin(), reals_.end(), 0.0);
+  std::fill(counts_.begin(), counts_.end(), 0);
+  ResetBookkeeping();
+}
+
+Status MarginalProtocol::MergeFrom(const MarginalProtocol& other) {
+  LDPM_RETURN_IF_ERROR(CheckMergeCompatible(other));
+  for (size_t i = 0; i < reals_.size(); ++i) reals_[i] += other.reals_[i];
+  for (size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
+  MergeBookkeeping(other);
+  return Status::OK();
+}
+
+void MarginalProtocol::SaveState(AggregatorSnapshot& snapshot) const {
+  snapshot.reals = reals_;
+  snapshot.counts.reserve(state_header_.size() + counts_.size());
+  snapshot.counts.assign(state_header_.begin(), state_header_.end());
+  snapshot.counts.insert(snapshot.counts.end(), counts_.begin(), counts_.end());
+}
+
+Status MarginalProtocol::LoadState(const AggregatorSnapshot& snapshot) {
+  const size_t header = state_header_.size();
+  if (snapshot.reals.size() != reals_.size() ||
+      snapshot.counts.size() != header + counts_.size()) {
+    return Status::InvalidArgument(
+        std::string(name()) + "::Restore: snapshot holds " +
+        std::to_string(snapshot.reals.size()) + " reals and " +
+        std::to_string(snapshot.counts.size()) + " counts, expected " +
+        std::to_string(reals_.size()) + " and " +
+        std::to_string(header + counts_.size()));
+  }
+  for (size_t i = 0; i < header; ++i) {
+    if (snapshot.counts[i] != state_header_[i]) {
+      return Status::InvalidArgument(
+          std::string(name()) + "::Restore: snapshot header word " +
+          std::to_string(i) + " is " + std::to_string(snapshot.counts[i]) +
+          ", this aggregator's is " + std::to_string(state_header_[i]));
+    }
+  }
+  reals_ = snapshot.reals;
+  counts_.assign(snapshot.counts.begin() + header, snapshot.counts.end());
   return Status::OK();
 }
 

@@ -102,8 +102,9 @@ struct ProtocolConfig {
 ///
 /// Every protocol's aggregator state is a set of additive accumulators
 /// (counts, sign sums) or an append-only report log; both flatten into the
-/// two arrays below. The per-protocol layout is documented at each
-/// SaveState() implementation and validated on load.
+/// two arrays below. docs/wire-format.md gives every protocol's layout in
+/// one table; each additive protocol states its own once, at its
+/// SetStateShape call, and Restore checks a snapshot against that shape.
 struct AggregatorSnapshot {
   /// Protocol display name ("InpHT", ...); guards mismatched restores.
   std::string protocol;
@@ -181,16 +182,19 @@ class MarginalProtocol {
   virtual StatusOr<FourierCoefficients> EstimateCoefficients(
       int max_order) const;
 
-  /// Clears all aggregator state (reports absorbed so far).
-  virtual void Reset() = 0;
+  /// Clears all aggregator state (reports absorbed so far). The default
+  /// zeroes the SetStateShape arrays.
+  virtual void Reset();
 
   /// Folds another aggregator's accumulated state into this one, as if this
   /// instance had absorbed every report the other absorbed. The other
   /// aggregator must be the same protocol with a state-compatible
   /// configuration; on error this aggregator is left unchanged. This is the
   /// mergeability property the sharded engine builds on: all aggregator
-  /// state is additive accumulators or append-only report logs.
-  virtual Status MergeFrom(const MarginalProtocol& other) = 0;
+  /// state is additive accumulators or append-only report logs. The default
+  /// adds the SetStateShape arrays after CheckMergeCompatible; only
+  /// protocols that keep a report log or a derived cache override it.
+  virtual Status MergeFrom(const MarginalProtocol& other);
 
   /// Captures the full aggregator state as a protocol-agnostic snapshot.
   AggregatorSnapshot Snapshot() const;
@@ -218,16 +222,28 @@ class MarginalProtocol {
   /// The argument and state checks every EstimateCoefficients runs.
   Status CheckCoefficientExport(int max_order) const;
 
-  /// Appends this protocol's accumulators to `snapshot.reals` /
-  /// `snapshot.counts` (layout documented per protocol).
-  virtual void SaveState(AggregatorSnapshot& snapshot) const = 0;
+  /// Shapes the additive state the default Reset, MergeFrom, SaveState and
+  /// LoadState work on: `reals` doubles in reals_ and `counts` u64s in
+  /// counts_, all zero. A snapshot stores reals_ as `reals` and the
+  /// `header` words followed by counts_ as `counts`. The header names what
+  /// the arrays mean beyond the configuration (InpES: its cardinalities),
+  /// so two states merge or restore only when their headers are equal.
+  /// Each additive protocol's constructor calls this once.
+  void SetStateShape(size_t reals, size_t counts,
+                     std::vector<uint64_t> header = {});
+
+  /// Writes this protocol's accumulators to `snapshot.reals` /
+  /// `snapshot.counts`. The default writes the SetStateShape arrays.
+  virtual void SaveState(AggregatorSnapshot& snapshot) const;
 
   /// Replaces this protocol's accumulators from a snapshot whose layout and
-  /// sizes must match SaveState's. Bookkeeping is handled by Restore().
-  virtual Status LoadState(const AggregatorSnapshot& snapshot) = 0;
+  /// sizes must match SaveState's. Bookkeeping is handled by Restore(). The
+  /// default checks the array sizes and the header, then copies.
+  virtual Status LoadState(const AggregatorSnapshot& snapshot);
 
   /// Shared MergeFrom preamble: the other aggregator must report the same
-  /// protocol name and carry a state-compatible configuration.
+  /// protocol name, carry a state-compatible configuration, and have the
+  /// same state header and array sizes.
   Status CheckMergeCompatible(const MarginalProtocol& other) const;
 
   /// Folds the other aggregator's bookkeeping counters into this one's.
@@ -269,6 +285,15 @@ class MarginalProtocol {
  private:
   uint64_t reports_absorbed_ = 0;
   double total_report_bits_ = 0.0;
+  std::vector<uint64_t> state_header_;
+
+ protected:
+  /// The additive accumulators, shaped by SetStateShape; each protocol
+  /// indexes them in place. Declared after the bookkeeping counters:
+  /// declaring them first moved those counters' offsets and slowed the
+  /// InpHT wire-ingest loop.
+  std::vector<double> reals_;
+  std::vector<uint64_t> counts_;
 };
 
 }  // namespace ldpm

@@ -3,13 +3,16 @@
 // a snapshot restored into a fresh instance must be indistinguishable from
 // the original.
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/crc32c.h"
 #include "core/marginal.h"
+#include "engine/checkpoint.h"
 #include "oracle/cms.h"
 #include "oracle/olh.h"
 #include "protocols/factory.h"
@@ -102,7 +105,7 @@ TEST_P(MergeSnapshotTest, RestoreRejectsMismatchedSnapshots) {
   for (const Report& r : EncodeReportStream(**protocol, 500, 19)) {
     ASSERT_TRUE((*protocol)->Absorb(r).ok());
   }
-  const uint64_t absorbed_before = (*protocol)->reports_absorbed();
+  const AggregatorSnapshot before = (*protocol)->Snapshot();
 
   AggregatorSnapshot wrong_name = (*protocol)->Snapshot();
   wrong_name.protocol = "NotAProtocol";
@@ -128,8 +131,16 @@ TEST_P(MergeSnapshotTest, RestoreRejectsMismatchedSnapshots) {
     EXPECT_FALSE((*protocol)->Restore(truncated).ok());
   }
 
+  AggregatorSnapshot long_reals = (*protocol)->Snapshot();
+  long_reals.reals.push_back(0.0);
+  EXPECT_FALSE((*protocol)->Restore(long_reals).ok());
+
+  AggregatorSnapshot long_counts = (*protocol)->Snapshot();
+  long_counts.counts.push_back(0);
+  EXPECT_FALSE((*protocol)->Restore(long_counts).ok());
+
   // Failed restores must leave the aggregator untouched.
-  EXPECT_EQ((*protocol)->reports_absorbed(), absorbed_before);
+  test::ExpectIdenticalSnapshots((*protocol)->Snapshot(), before);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -137,6 +148,65 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<ProtocolKind>& info) {
       return std::string(ProtocolKindName(info.param));
     });
+
+// The serialized snapshot bytes are the checkpoint format: a fixed report
+// stream, absorbed one report at a time, as one wire batch and through one
+// merge, must serialize to the same bytes in every release. The constants
+// are the CRC-32C of engine::SerializeSnapshot(Snapshot()) per registered
+// kind, in RegisteredProtocolKinds() order.
+TEST(MergeSnapshotBytes, SerializedSnapshotsArePinned) {
+  struct PinnedConfig {
+    ProtocolConfig config;
+    std::vector<uint32_t> crcs;
+  };
+  std::vector<PinnedConfig> pinned(3);
+  pinned[0].config = MakeConfig(6, 2);
+  pinned[0].crcs = {0x60D62721, 0x0BF5AB47, 0xCE1647D5, 0xDDBF42E0,
+                    0x32222BD7, 0x8DB3FDEE, 0x64B295D7, 0x9992B461};
+  pinned[1].config = MakeConfig(7, 3);
+  pinned[1].config.epsilon = 1.5;
+  pinned[1].config.estimator = EstimatorKind::kHorvitzThompson;
+  pinned[1].config.unary_variant = UnaryVariant::kVanilla;
+  pinned[1].crcs = {0x21531109, 0x07329564, 0x024A66A4, 0xAF2A38F8,
+                    0xB8885CD9, 0x5E0F5C03, 0xD58E22B2, 0x89F6A3D9};
+  pinned[2].config = MakeConfig(8, 2);
+  pinned[2].config.epsilon = 0.8;
+  pinned[2].config.sample_zero_coefficient = true;
+  pinned[2].crcs = {0x4AA4C332, 0xA1BB15CA, 0xA8C6FF1D, 0x27798D1C,
+                    0xE40E2EF0, 0xC07873D7, 0x4D408621, 0xD15CEDAC};
+
+  const std::vector<ProtocolKind>& kinds = RegisteredProtocolKinds();
+  for (const PinnedConfig& p : pinned) {
+    ASSERT_EQ(p.crcs.size(), kinds.size());
+    for (size_t i = 0; i < kinds.size(); ++i) {
+      auto main = CreateProtocol(kinds[i], p.config);
+      auto peer = CreateProtocol(kinds[i], p.config);
+      ASSERT_TRUE(main.ok()) << main.status().ToString();
+      ASSERT_TRUE(peer.ok()) << peer.status().ToString();
+      const std::vector<Report> reports = EncodeReportStream(**main, 1800, 23);
+      const size_t third = reports.size() / 3;
+      for (size_t r = 0; r < third; ++r) {
+        ASSERT_TRUE((*main)->Absorb(reports[r]).ok());
+      }
+      const std::vector<Report> batch(reports.begin() + third,
+                                      reports.begin() + 2 * third);
+      auto frame = SerializeReportBatch(kinds[i], p.config, batch);
+      ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+      ASSERT_TRUE((*main)->AbsorbWireBatch(frame->data(), frame->size()).ok());
+      for (size_t r = 2 * third; r < reports.size(); ++r) {
+        ASSERT_TRUE((*peer)->Absorb(reports[r]).ok());
+      }
+      ASSERT_TRUE((*main)->MergeFrom(**peer).ok());
+      ASSERT_EQ((*main)->reports_absorbed(), reports.size());
+
+      const std::vector<uint8_t> bytes =
+          engine::SerializeSnapshot((*main)->Snapshot());
+      EXPECT_EQ(Crc32c(bytes.data(), bytes.size()), p.crcs[i])
+          << ProtocolKindName(kinds[i]) << " d=" << p.config.d
+          << " k=" << p.config.k << " (" << bytes.size() << " bytes)";
+    }
+  }
+}
 
 // Oracle-backed aggregators share the same invariants.
 TEST(MergeSnapshotOracle, OlhMergeAndSnapshot) {
@@ -256,6 +326,38 @@ TEST(MergeSnapshotEs, MergedHalvesMatchWholeStream) {
 
   // Every refusal left the merged state untouched.
   test::ExpectIdenticalSnapshots((*left)->Snapshot(), before);
+}
+
+// A snapshot records the basis its sign sums were released under, so a
+// restore across bases is refused both ways, like the merge above; within
+// one basis it round-trips.
+TEST(MergeSnapshotEs, RestoreRefusesTheOtherBasis) {
+  ProtocolConfig config;
+  config.cardinalities = {3, 4, 2};
+  config.k = 2;
+  config.epsilon = 1.0;
+  auto fourier = InpEsProtocol::Create(config, BasisKind::kFourier);
+  auto helmert = InpEsProtocol::Create(config, BasisKind::kHelmert);
+  ASSERT_TRUE(fourier.ok());
+  ASSERT_TRUE(helmert.ok());
+  Rng rng(29);
+  for (int i = 0; i < 500; ++i) {
+    const uint64_t value = rng.UniformInt(24);
+    ASSERT_TRUE((*fourier)->Absorb((*fourier)->Encode(value, rng)).ok());
+    ASSERT_TRUE((*helmert)->Absorb((*helmert)->Encode(value, rng)).ok());
+  }
+  const AggregatorSnapshot fourier_state = (*fourier)->Snapshot();
+  const AggregatorSnapshot helmert_state = (*helmert)->Snapshot();
+
+  EXPECT_FALSE((*fourier)->Restore(helmert_state).ok());
+  EXPECT_FALSE((*helmert)->Restore(fourier_state).ok());
+  test::ExpectIdenticalSnapshots((*fourier)->Snapshot(), fourier_state);
+  test::ExpectIdenticalSnapshots((*helmert)->Snapshot(), helmert_state);
+
+  auto helmert_copy = InpEsProtocol::Create(config, BasisKind::kHelmert);
+  ASSERT_TRUE(helmert_copy.ok());
+  ASSERT_TRUE((*helmert_copy)->Restore(helmert_state).ok());
+  test::ExpectIdenticalSnapshots((*helmert_copy)->Snapshot(), helmert_state);
 }
 
 }  // namespace
