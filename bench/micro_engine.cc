@@ -36,9 +36,6 @@
 // prior), and reports EM iterations per second ("InpEM.em_iter_rps"): the
 // snapshot-export stage's decode kernel, as a rate that smoke and quick
 // runs share although their iteration counts differ.
-//
-// The encode path (rows shipped raw, shard workers run the client encoder)
-// is measured in the last section.
 
 #include <algorithm>
 #include <bit>
@@ -122,7 +119,6 @@ int main(int argc, char** argv) {
       args.smoke ? 3'000 : (args.full ? 200'000 : 40'000);
   const size_t sparse_reports =
       args.smoke ? 30'000 : (args.full ? 2'000'000 : 400'000);
-  const size_t num_rows = args.smoke ? 20'000 : (args.full ? 1'000'000 : 200'000);
 
   const std::vector<ProtocolKind> kinds = {
       ProtocolKind::kInpRR, ProtocolKind::kInpHT, ProtocolKind::kMargPS,
@@ -215,7 +211,6 @@ int main(int argc, char** argv) {
     for (int shards : shard_counts) {
       ldpm::engine::CollectorOptions options;
       options.engine_defaults.num_shards = shards;
-      options.engine_defaults.seed = args.seed;
       auto collector = ldpm::engine::Collector::Create(options);
       LDPM_CHECK(collector.ok());
       auto handle = (*collector)->Register(name, kind, config);
@@ -311,7 +306,6 @@ int main(int argc, char** argv) {
     }
     ldpm::engine::CollectorOptions options;
     options.engine_defaults.num_shards = 4;
-    options.engine_defaults.seed = args.seed;
     auto collector = ldpm::engine::Collector::Create(options);
     LDPM_CHECK(collector.ok());
     auto handle = (*collector)->Register(name, kind, config);
@@ -374,7 +368,6 @@ int main(int argc, char** argv) {
     const size_t mux_reports = sparse_reports / 2;
     ldpm::engine::CollectorOptions options;
     options.engine_defaults.num_shards = 2;
-    options.engine_defaults.seed = args.seed;
     auto collector = ldpm::engine::Collector::Create(options);
     LDPM_CHECK(collector.ok());
     std::vector<ldpm::engine::CollectionHandle> handles;
@@ -429,55 +422,6 @@ int main(int argc, char** argv) {
     ldpm::bench::Row({"mux stream", Rate(total_reports, mux_seconds)}, 22);
     json.Add("mux3.frame_rps", total_reports / mux_seconds);
     json.Add("mux3.stream_bytes", static_cast<double>(stream.size()));
-  }
-
-  std::printf("\n== encode path: %zu rows, per-shard Rng streams ==\n",
-              num_rows);
-  ldpm::bench::Row({"protocol", "direct", "1 shard", "2 shards", "4 shards",
-                    "4-shard speedup"});
-  for (ProtocolKind kind : {ProtocolKind::kInpHT, ProtocolKind::kMargPS}) {
-    const std::string name(ldpm::ProtocolKindName(kind));
-    std::vector<std::string> cells{name};
-    Rng row_rng(args.seed + 1);
-    std::vector<uint64_t> rows(num_rows);
-    const uint64_t mask = (uint64_t{1} << d) - 1;
-    for (uint64_t& row : rows) row = row_rng() & mask;
-
-    auto direct = CreateProtocol(kind, config);
-    LDPM_CHECK(direct.ok());
-    Rng direct_rng(args.seed + 2);
-    auto start = std::chrono::steady_clock::now();
-    for (uint64_t row : rows) {
-      LDPM_CHECK((*direct)->Absorb((*direct)->Encode(row, direct_rng)).ok());
-    }
-    const double direct_seconds = Seconds(start);
-    cells.push_back(Rate(static_cast<double>(num_rows), direct_seconds));
-
-    double one_shard_seconds = 0.0;
-    double last_seconds = 0.0;
-    for (int shards : shard_counts) {
-      ldpm::engine::CollectorOptions options;
-      options.engine_defaults.num_shards = shards;
-      options.engine_defaults.seed = args.seed;
-      auto collector = ldpm::engine::Collector::Create(options);
-      LDPM_CHECK(collector.ok());
-      auto handle = (*collector)->Register(name, kind, config);
-      LDPM_CHECK(handle.ok());
-      start = std::chrono::steady_clock::now();
-      LDPM_CHECK(handle->IngestPopulation(rows, /*fast_path=*/false).ok());
-      LDPM_CHECK(handle->Flush().ok());
-      last_seconds = Seconds(start);
-      if (shards == 1) one_shard_seconds = last_seconds;
-      cells.push_back(Rate(static_cast<double>(num_rows), last_seconds));
-      json.Add(name + ".encode" + std::to_string(shards) + "_rps",
-               static_cast<double>(num_rows) / last_seconds);
-
-      auto absorbed = handle->ReportsAbsorbed();
-      LDPM_CHECK(absorbed.ok());
-      LDPM_CHECK(*absorbed == num_rows);
-    }
-    cells.push_back(Speedup(one_shard_seconds, last_seconds));
-    ldpm::bench::Row(cells);
   }
 
   if (!args.json_path.empty()) {

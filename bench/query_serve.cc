@@ -31,6 +31,7 @@
 // asserts the acceptance ratio — a cache hit must be >= 10x the
 // per-request consistent path — and exits nonzero otherwise.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -41,6 +42,7 @@
 #include "engine/collector.h"
 #include "net/query_server.h"
 #include "net/socket.h"
+#include "protocols/wire.h"
 #include "query/marginal_cache.h"
 
 namespace {
@@ -106,12 +108,23 @@ int main(int argc, char** argv) {
   auto handle =
       (*collector)->Register("clicks", ProtocolKind::kInpHT, config);
   LDPM_CHECK(handle.ok());
+  // Devices encode their rows; the collection ingests the wire frames.
+  auto encoder = CreateProtocol(ProtocolKind::kInpHT, config);
+  LDPM_CHECK(encoder.ok());
   Rng rng(args.seed);
   const uint64_t mask = (uint64_t{1} << config.d) - 1;
-  std::vector<uint64_t> rows;
-  rows.reserve(num_reports);
-  for (size_t i = 0; i < num_reports; ++i) rows.push_back(rng() & mask);
-  LDPM_CHECK(handle->IngestPopulation(rows, /*fast=*/true).ok());
+  constexpr size_t kFrameReports = 8192;
+  std::vector<Report> reports;
+  for (size_t begin = 0; begin < num_reports; begin += kFrameReports) {
+    const size_t end = std::min(begin + kFrameReports, num_reports);
+    reports.clear();
+    for (size_t i = begin; i < end; ++i) {
+      reports.push_back((*encoder)->Encode(rng() & mask, rng));
+    }
+    auto frame = SerializeReportBatch(ProtocolKind::kInpHT, config, reports);
+    LDPM_CHECK(frame.ok());
+    LDPM_CHECK(handle->IngestWireBatch(*std::move(frame)).ok());
+  }
   LDPM_CHECK(handle->Flush().ok());
   std::printf("collection: InpHT d=%d k=%d, %zu reports, 2 shards\n\n",
               config.d, config.k, num_reports);

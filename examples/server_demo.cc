@@ -315,14 +315,17 @@ int RunQueryWalkthrough(int num_shards, size_t num_users) {
           .ok(),
       "query register crashes");
 
-  Rng rng(29);
-  const uint64_t mask = (uint64_t{1} << clicks_config.d) - 1;
-  std::vector<uint64_t> rows;
-  rows.reserve(num_users);
-  for (size_t i = 0; i < num_users; ++i) rows.push_back(rng() & mask);
-  DEMO_CHECK(clicks->IngestPopulation(rows, /*fast=*/true).ok(),
-             "query ingest");
-  DEMO_CHECK((*collector)->Flush().ok(), "query flush");
+  // Devices encode their rows; the collection ingests the wire frames.
+  const std::vector<std::vector<uint8_t>> frames =
+      BuildFrames(ProtocolKind::kInpHT, clicks_config, num_users, 29);
+  DEMO_CHECK(!frames.empty(), "query frame build");
+  const auto ingest = [&] {
+    for (const std::vector<uint8_t>& frame : frames) {
+      if (!clicks->IngestWireBatch(frame).ok()) return false;
+    }
+    return (*collector)->Flush().ok();
+  };
+  DEMO_CHECK(ingest(), "query ingest");
 
   auto server = net::QueryServer::Start(collector->get());
   DEMO_CHECK(server.ok(), "query server start");
@@ -367,9 +370,7 @@ int RunQueryWalkthrough(int num_shards, size_t num_users) {
              "first epoch is 1");
 
   // More ingest advances the watermark; the next read serves a new epoch.
-  DEMO_CHECK(clicks->IngestPopulation(rows, /*fast=*/true).ok(),
-             "query ingest 2");
-  DEMO_CHECK((*collector)->Flush().ok(), "query flush 2");
+  DEMO_CHECK(ingest(), "query ingest 2");
   const std::string refreshed = HttpGet(port, marginal_path);
   DEMO_CHECK(refreshed.find("200 OK") != std::string::npos, "re-serve");
   DEMO_CHECK(refreshed.find("\"epoch\":2") != std::string::npos,

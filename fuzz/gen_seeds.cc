@@ -16,6 +16,7 @@
 // Deterministic by construction (fixed RNG seeds), so regenerating after
 // an encoder change yields a reviewable diff.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -144,6 +145,30 @@ void WireBatchSeeds() {
   Regression("wire_batch", "short_len_prefix", {2, 5, 0x01, 0x00, 0x00});
 }
 
+/// A wire_roundtrip input: `kind` at `d` and epsilon 1, one valid round,
+/// then the fields of the hostile report (selector, value, sign, and the
+/// positions as u16s).
+std::vector<uint8_t> HostileReport(ldpm::ProtocolKind kind, int d,
+                                   uint64_t selector, uint64_t value, int sign,
+                                   const std::vector<uint16_t>& ones) {
+  const auto& kinds = ldpm::RegisteredProtocolKinds();
+  const auto index = std::find(kinds.begin(), kinds.end(), kind) - kinds.begin();
+  std::vector<uint8_t> input = {static_cast<uint8_t>(index),
+                                static_cast<uint8_t>(d - 1), 7};
+  PutU64(input, 1);    // Rng seed
+  input.push_back(0);  // one valid round...
+  PutU64(input, 0);    // ...encoding cell 0
+  PutU64(input, selector);
+  PutU64(input, value);
+  input.push_back(static_cast<uint8_t>(sign + 1));
+  input.push_back(static_cast<uint8_t>(ones.size()));
+  for (uint16_t pos : ones) {
+    input.push_back(static_cast<uint8_t>(pos));
+    input.push_back(static_cast<uint8_t>(pos >> 8));
+  }
+  return input;
+}
+
 void WireRoundtripSeeds() {
   for (uint8_t kind = 0; kind < 8; ++kind) {
     Corpus("wire_roundtrip", "kind_" + std::to_string(kind),
@@ -155,6 +180,14 @@ void WireRoundtripSeeds() {
   Regression("wire_roundtrip", "max_domain_bits",
              {3, 12, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
               0xFF, 0xFF, 0xFF});
+  // Reports Absorb refuses that a truncating serializer turned into other,
+  // valid reports, and a position list whose bitmap counts a repeat once.
+  Regression("wire_roundtrip", "margps_cell_wider_than_k",
+             HostileReport(ldpm::ProtocolKind::kMargPS, 4, 0b11, 5, 0, {}));
+  Regression("wire_roundtrip", "inpht_alpha_wider_than_d",
+             HostileReport(ldpm::ProtocolKind::kInpHT, 6, 0b1000001, 0, 1, {}));
+  Regression("wire_roundtrip", "inprr_repeated_position",
+             HostileReport(ldpm::ProtocolKind::kInpRR, 3, 0, 0, 0, {1, 1}));
 }
 
 std::vector<ldpm::AggregatorSnapshot> SampleSnapshots() {

@@ -7,13 +7,32 @@
 // protocol's Absorb() and re-serializes to the identical bytes. Finds
 // encoder/decoder disagreements that pure byte-mangling rarely reaches
 // (those inputs live deep in the accepted set).
+//
+// Input bytes left after the valid rounds build one hostile report from
+// fuzz-chosen fields (selector, value, sign, positions), and the harness
+// asserts that the in-memory and wire paths agree on it: Absorb(r) and
+// AbsorbWireBatch of SerializeReport(r) either both refuse or both end in
+// identical snapshots. A serializer that truncates an out-of-range field
+// turns a refused report into another, valid one, and fails here.
 
 #include <cstdint>
+#include <vector>
 
 #include "core/random.h"
 #include "fuzz/fuzz_input.h"
 #include "protocols/factory.h"
 #include "protocols/wire.h"
+
+namespace {
+
+bool SameState(const ldpm::AggregatorSnapshot& a,
+               const ldpm::AggregatorSnapshot& b) {
+  return a.reports_absorbed == b.reports_absorbed &&
+         a.total_report_bits == b.total_report_bits && a.reals == b.reals &&
+         a.counts == b.counts;
+}
+
+}  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   ldpm::fuzz::FuzzInput input(data, size);
@@ -45,5 +64,34 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     LDPM_FUZZ_ASSERT((*protocol)->Absorb(*parsed).ok(),
                      "round-tripped report rejected by Absorb");
   }
+  if (input.remaining_size() == 0) return 0;
+
+  ldpm::Report hostile;
+  hostile.selector = input.TakeU64();
+  hostile.value = input.TakeU64();
+  hostile.sign = input.TakeInRange(-1, 1);
+  const int positions = input.TakeInRange(0, 4);
+  for (int i = 0; i < positions; ++i) {
+    const uint64_t low = input.TakeByte();
+    hostile.ones.push_back(low | uint64_t{input.TakeByte()} << 8);
+  }
+  hostile.bits = static_cast<double>(*ldpm::WireBits(kind, config));
+
+  auto direct = ldpm::CreateProtocol(kind, config);
+  auto wire = ldpm::CreateProtocol(kind, config);
+  LDPM_FUZZ_ASSERT(direct.ok() && wire.ok(), "protocol re-creation failed");
+  const bool direct_ok = (*direct)->Absorb(hostile).ok();
+  auto batch = ldpm::SerializeReportBatch(kind, config, {hostile});
+  if (!batch.ok()) {
+    LDPM_FUZZ_ASSERT(!direct_ok,
+                     "a report Absorb accepts was refused by the serializer");
+    return 0;
+  }
+  const bool wire_ok =
+      (*wire)->AbsorbWireBatch(batch->data(), batch->size()).ok();
+  LDPM_FUZZ_ASSERT(direct_ok == wire_ok,
+                   "Absorb and the wire path disagree on accepting a report");
+  LDPM_FUZZ_ASSERT(SameState((*direct)->Snapshot(), (*wire)->Snapshot()),
+                   "Absorb and the wire path absorbed different reports");
   return 0;
 }

@@ -10,24 +10,6 @@
 namespace ldpm {
 namespace engine {
 
-namespace {
-
-/// Derives a collection-specific engine seed from the collector-wide base
-/// (FNV-1a over the id, xor-folded with the base). Two collections of the
-/// same kind/config must NOT run bitwise-identical per-shard Rng streams:
-/// correlated perturbation randomness across released marginal sets would
-/// silently break the independence the privacy analysis assumes.
-uint64_t PerCollectionSeed(uint64_t base, std::string_view id) {
-  uint64_t hash = 14695981039346656037ull ^ base;
-  for (char c : id) {
-    hash ^= static_cast<uint8_t>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
-}  // namespace
-
 /// One registered protocol stream: identity plus the engine backing it.
 /// Immutable after construction except through the engine's own
 /// synchronized interface, so handles can share it lock-free.
@@ -54,11 +36,6 @@ const ProtocolConfig& CollectionHandle::config() const {
 
 Status CollectionHandle::IngestWireBatch(std::vector<uint8_t> frame) {
   return collection_->engine->IngestWireBatch(std::move(frame));
-}
-
-Status CollectionHandle::IngestPopulation(const std::vector<uint64_t>& rows,
-                                          bool fast_path) {
-  return collection_->engine->IngestPopulation(rows, fast_path);
 }
 
 StatusOr<MarginalTable> CollectionHandle::Query(uint64_t beta) {
@@ -164,10 +141,6 @@ StatusOr<CollectionHandle> Collector::Register(std::string id,
   // Engines publish into the collector's registry (labeled by collection
   // id below) unless an override brought its own.
   if (options.metrics == nullptr) options.metrics = metrics_.get();
-  // Decorrelate the per-shard Rng streams across collections on EVERY
-  // registration path (see PerCollectionSeed): determinism per (seed, id)
-  // is preserved, bitwise-shared randomness across collections is not.
-  options.seed = PerCollectionSeed(options.seed, id);
   if (options.metrics_collection.empty()) options.metrics_collection = id;
   if (id.empty() || id.size() > kMaxCollectionIdBytes) {
     return Status::InvalidArgument(

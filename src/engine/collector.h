@@ -17,13 +17,14 @@
 //     collection atomically in one container file (engine/checkpoint.h);
 //     the Collector is the only checkpoint writer and reader.
 //
-// Ingest is either per-collection through a typed CollectionHandle (wire
-// batch frames or user rows) or multiplexed: IngestFrames routes a stream
-// of self-describing collection frames (protocols/wire.h) to the right
-// aggregators, so one socket or file can interleave every registered
-// stream into the wire path: each frame's payload is copied once at
-// routing, then absorbed in place by a shard worker. Queries are answered
-// per collection from its merged shard state.
+// Ingest takes wire batch frames of reports that devices already
+// perturbed, so the collector holds no randomness and sees no raw rows.
+// They arrive per collection through a typed CollectionHandle or
+// multiplexed: IngestFrames routes a stream of self-describing collection
+// frames (protocols/wire.h) to the right aggregators, so one socket or file
+// can interleave every registered stream: each frame's payload is copied
+// once at routing, then absorbed in place by a shard worker. Queries are
+// answered per collection from its merged shard state.
 //
 // ShardedAggregator remains public as the advanced per-collection layer
 // (CollectionHandle::aggregator() exposes it); new code should start here.
@@ -85,10 +86,8 @@ class CollectionHandle {
   ProtocolKind kind() const;
   const ProtocolConfig& config() const;
 
-  // Ingest — see the ShardedAggregator methods of the same names.
+  /// Ingest — see ShardedAggregator::IngestWireBatch.
   Status IngestWireBatch(std::vector<uint8_t> frame);
-  Status IngestPopulation(const std::vector<uint64_t>& rows,
-                          bool fast_path = true);
 
   /// Estimates the marginal for selector beta from this collection's
   /// merged state (ShardedAggregator::Merged).
@@ -145,12 +144,9 @@ class Collector {
   StatusOr<CollectionHandle> Register(std::string id, ProtocolKind kind,
                                       const ProtocolConfig& config);
 
-  /// Same, with explicit per-collection EngineOptions (shard count, queue
-  /// bound, ...). The collector's shared backpressure budget is installed
-  /// regardless, and the engine seed is still decorrelated per collection
-  /// (a deterministic function of overrides.seed and the id), so
-  /// same-config collections never share bitwise-identical perturbation
-  /// randomness.
+  /// Same, with explicit per-collection EngineOptions (shard count,
+  /// metrics). The collector's shared backpressure budget is installed
+  /// regardless.
   StatusOr<CollectionHandle> Register(std::string id, ProtocolKind kind,
                                       const ProtocolConfig& config,
                                       const EngineOptions& overrides);

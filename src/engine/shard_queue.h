@@ -24,18 +24,9 @@
 namespace ldpm {
 namespace engine {
 
-/// One unit of shard work: a wire batch frame to parse-and-absorb in
-/// place, or raw user rows to encode on the worker with the shard's own
-/// Rng stream.
-struct WorkItem {
-  /// A wire batch frame (protocols/wire.h) for AbsorbWireBatch().
-  std::vector<uint8_t> wire;
-  /// User rows to encode and absorb on the worker (client simulation).
-  std::vector<uint64_t> rows;
-  /// For `rows`: use the protocol's distribution-exact AbsorbPopulation
-  /// fast path instead of the per-user Encode+Absorb loop.
-  bool fast_path = false;
-};
+/// One unit of shard work: a wire batch frame (protocols/wire.h) of
+/// device-perturbed reports, parsed and absorbed in place by the worker.
+using WorkItem = std::vector<uint8_t>;
 
 /// Bounded FIFO work queue with one consumer (see the file comment).
 /// Producers call Push; the one consumer loops Pop/Done; control threads

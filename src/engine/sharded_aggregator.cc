@@ -1,9 +1,10 @@
 #include "engine/sharded_aggregator.h"
 
-#include <algorithm>
 #include <cmath>
 #include <string>
 #include <utility>
+
+#include "core/failpoint.h"
 
 namespace ldpm {
 namespace engine {
@@ -46,17 +47,15 @@ StatusOr<std::unique_ptr<ShardedAggregator>> ShardedAggregator::Create(
   // construction rather than the first ingest.
   std::unique_ptr<ShardedAggregator> engine(
       new ShardedAggregator(kind, config, options));
-  Rng seeder(options.seed);
   for (int s = 0; s < options.num_shards; ++s) {
     auto shard = std::make_unique<Shard>();
     auto protocol = engine->NewProtocol();
     if (!protocol.ok()) return protocol.status();
     {
-      // No worker exists yet; the lock exists for the analysis (rng and the
-      // protocol state are guarded by state_mu) and is uncontended.
+      // No worker exists yet; the lock exists for the analysis (the
+      // protocol state is guarded by state_mu) and is uncontended.
       core::MutexLock state_lock(shard->state_mu);
       shard->protocol = *std::move(protocol);
-      shard->rng = seeder.Fork();
     }
     engine->shards_.push_back(std::move(shard));
   }
@@ -131,27 +130,19 @@ ShardedAggregator::~ShardedAggregator() {
 }
 
 void ShardedAggregator::WorkerLoop(Shard& shard) {
-  WorkItem item;
-  while (shard.queue.Pop(item)) {
+  WorkItem frame;
+  while (shard.queue.Pop(frame)) {
+    // Stalls or fails one work item (docs/operations.md); an injected
+    // error fails the frame as a malformed record would.
+    Status status = Status::OK();
+    LDPM_FAILPOINT_STATUS("engine.shard.absorb", status);
     {
       core::MutexLock state_lock(shard.state_mu);
       const uint64_t reports_before = shard.protocol->reports_absorbed();
       const double bits_before = shard.protocol->total_report_bits();
-      Status status = Status::OK();
-      {
+      if (status.ok()) {
         obs::ScopedTimer absorb_timer(absorb_latency_);
-        if (!item.wire.empty()) {
-          status = shard.protocol->AbsorbWireBatch(item.wire.data(),
-                                                   item.wire.size());
-        } else if (item.fast_path) {
-          status = shard.protocol->AbsorbPopulation(item.rows, shard.rng);
-        } else {
-          for (uint64_t row : item.rows) {
-            status =
-                shard.protocol->Absorb(shard.protocol->Encode(row, shard.rng));
-            if (!status.ok()) break;
-          }
-        }
+        status = shard.protocol->AbsorbWireBatch(frame.data(), frame.size());
       }
       // An error costs only its own item: the valid prefix stays absorbed,
       // later items are absorbed as usual, and the next Flush reports the
@@ -176,7 +167,8 @@ void ShardedAggregator::WorkerLoop(Shard& shard) {
   }
 }
 
-Status ShardedAggregator::EnqueueWork(WorkItem item) {
+Status ShardedAggregator::IngestWireBatch(std::vector<uint8_t> frame) {
+  if (frame.empty()) return Status::OK();
   const size_t target =
       next_shard_.fetch_add(1, std::memory_order_relaxed) % shards_.size();
   if (options_.shared_budget) {
@@ -187,7 +179,7 @@ Status ShardedAggregator::EnqueueWork(WorkItem item) {
   // Bump the depth gauge before Push so a worker's decrement can never
   // land first and swing the gauge negative.
   shard.queue_depth_hwm->UpdateMax(shard.queue_depth->Add(1));
-  if (!shard.queue.Push(std::move(item))) {
+  if (!shard.queue.Push(std::move(frame))) {
     shard.queue_depth->Add(-1);
     if (options_.shared_budget) options_.shared_budget->Release();
     return Status::FailedPrecondition(
@@ -197,30 +189,6 @@ Status ShardedAggregator::EnqueueWork(WorkItem item) {
   // Only after the push: a Merged() that reads the new version drains a
   // queue that already holds the item.
   state_version_.fetch_add(1, std::memory_order_acq_rel);
-  return Status::OK();
-}
-
-Status ShardedAggregator::IngestWireBatch(std::vector<uint8_t> frame) {
-  if (frame.empty()) return Status::OK();
-  WorkItem item;
-  item.wire = std::move(frame);
-  return EnqueueWork(std::move(item));
-}
-
-Status ShardedAggregator::IngestPopulation(const std::vector<uint64_t>& rows,
-                                           bool fast_path) {
-  if (rows.empty()) return Status::OK();
-  // Contiguous chunks, one per shard: keeps the fast path's aggregate
-  // sampling exact per sub-population and the split deterministic.
-  const size_t num_shards = shards_.size();
-  const size_t chunk = (rows.size() + num_shards - 1) / num_shards;
-  for (size_t begin = 0; begin < rows.size(); begin += chunk) {
-    const size_t end = std::min(begin + chunk, rows.size());
-    WorkItem item;
-    item.rows.assign(rows.begin() + begin, rows.begin() + end);
-    item.fast_path = fast_path;
-    LDPM_RETURN_IF_ERROR(EnqueueWork(std::move(item)));
-  }
   return Status::OK();
 }
 

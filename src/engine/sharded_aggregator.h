@@ -7,20 +7,22 @@
 // logs (MarginalProtocol::MergeFrom) — so ingest parallelizes by sharding:
 //
 //   * the engine owns S independent MarginalProtocol instances, one per
-//     shard, each with a deterministically derived Rng stream;
-//   * producers enqueue work in two forms — wire batch frames and user
-//     rows to encode — onto per-shard bounded queues; one worker thread
-//     per shard drains its queue into its shard aggregator with no
-//     cross-shard synchronization;
+//     shard;
+//   * producers enqueue wire batch frames of device-perturbed reports onto
+//     per-shard bounded queues; one worker thread per shard drains its
+//     queue into its shard aggregator with no cross-shard synchronization;
 //   * queries merge the shard states on demand into a cached combined
 //     aggregator and answer from it, so an idle engine pays the merge once
 //     no matter how many marginals are asked.
 //
+// The engine holds no randomness and never sees a raw user row: every
+// report was perturbed on its device (the paper's local model), so all of
+// the serving side is post-processing.
+//
 // Determinism: feeding a fixed report stream through any shard count yields
 // bitwise-identical estimates to a single aggregator, because per-report
 // state increments are integer-valued (exactly representable in doubles)
-// and addition over them is associative. Row ingest uses the per-shard Rng
-// streams and is distribution-equivalent across shard counts.
+// and addition over them is associative.
 
 #ifndef LDPM_ENGINE_SHARDED_AGGREGATOR_H_
 #define LDPM_ENGINE_SHARDED_AGGREGATOR_H_
@@ -50,8 +52,6 @@ struct EngineOptions {
   /// Number of shards (and worker threads). 1 reproduces the single-
   /// aggregator deployment behind the same interface.
   int num_shards = 1;
-  /// Base seed for the per-shard Rng streams (row ingest / fast path).
-  uint64_t seed = 0x5EED;
   /// Optional engine-wide backpressure budget shared with other engines
   /// (the Collector gives every collection the same one). When set, each
   /// work item acquires a slot before it is enqueued — blocking while the
@@ -104,10 +104,6 @@ class ShardedAggregator {
   }
 
   // ---- Ingest (thread-safe) ----------------------------------------------
-  //
-  // Work reaches the shards in two forms. Each call acquires a shared
-  // budget slot (when configured), blocks while the target shard's queue
-  // is full, and advances state_version() once per enqueued item.
 
   /// Enqueues a wire batch frame (protocols/wire.h: u32-length-prefixed
   /// SerializeReport records) onto the next shard (round-robin). The
@@ -116,16 +112,10 @@ class ShardedAggregator {
   /// routed payload once into the frame it moves in here.) A malformed
   /// record costs only its own frame: the records before it stay absorbed,
   /// the error is counted and reported once by the next Flush(), and later
-  /// frames are absorbed as usual.
+  /// frames are absorbed as usual. Acquires a shared budget slot (when
+  /// configured), blocks while the target shard's queue is full, and
+  /// advances state_version() once per non-empty frame.
   Status IngestWireBatch(std::vector<uint8_t> frame);
-
-  /// Splits user rows across all shards in contiguous chunks, one work item
-  /// per shard; each receiving worker encodes its chunk with the shard's
-  /// own Rng stream and absorbs the reports. With `fast_path` the worker
-  /// uses the protocol's distribution-exact AbsorbPopulation.
-  /// Distribution-equivalent to a single aggregator's AbsorbPopulation.
-  Status IngestPopulation(const std::vector<uint64_t>& rows,
-                          bool fast_path = true);
 
   /// Barrier: blocks until every enqueued item has been absorbed, then
   /// reports the first absorb error since the previous Flush, once (every
@@ -185,10 +175,9 @@ class ShardedAggregator {
     /// The pointer itself is set once in Create (before the worker starts);
     /// the protocol state behind it mutates only under state_mu.
     std::unique_ptr<MarginalProtocol> protocol LDPM_PT_GUARDED_BY(state_mu);
-    Rng rng LDPM_GUARDED_BY(state_mu){0};
     ShardQueue queue{kMaxPendingBatches};
     std::thread worker;
-    /// First absorb/encode error since the last Flush, which reports and
+    /// First absorb error since the last Flush, which reports and
     /// clears it. It never stops the worker.
     Status error LDPM_GUARDED_BY(state_mu);
     /// Live work items on this shard's queue (producer +1, worker -1
@@ -208,9 +197,6 @@ class ShardedAggregator {
   void InitMetrics();
 
   void WorkerLoop(Shard& shard);
-  /// The common enqueue path: budget acquire (timed), queue push, depth
-  /// gauges, batch counter, state version.
-  Status EnqueueWork(WorkItem item);
   /// Blocks until every shard queue is drained.
   void Drain();
 

@@ -132,7 +132,7 @@ StatusOr<MarginalTable> InpHtCmsProtocol::EstimateMarginal(
     if (!f.ok()) return f.status();
     m.at_compact(ExtractBits(cell, beta)) += *f;
   }
-  return PostProcess(std::move(m));
+  return m;
 }
 
 void InpHtCmsProtocol::Reset() {

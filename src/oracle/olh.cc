@@ -99,7 +99,7 @@ StatusOr<MarginalTable> InpOlhProtocol::EstimateMarginal(uint64_t beta) const {
   for (uint64_t cell = 0; cell < domain; ++cell) {
     m.at_compact(ExtractBits(cell, beta)) += frequencies_[cell];
   }
-  return PostProcess(std::move(m));
+  return m;
 }
 
 void InpOlhProtocol::Reset() {

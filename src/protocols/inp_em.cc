@@ -228,7 +228,7 @@ StatusOr<EmDecodeResult> InpEmProtocol::Decode(uint64_t beta) const {
 StatusOr<MarginalTable> InpEmProtocol::EstimateMarginal(uint64_t beta) const {
   auto decoded = Decode(beta);
   if (!decoded.ok()) return decoded.status();
-  return PostProcess(std::move(decoded->estimate));
+  return std::move(decoded->estimate);
 }
 
 void InpEmProtocol::Reset() {

@@ -280,7 +280,7 @@ StatusOr<MarginalTable> InpEsProtocol::EstimateMarginal(uint64_t beta) const {
   for (uint64_t cell = 0; cell < table.size(); ++cell) {
     table.at_compact(cell) = categorical->probabilities[cell];
   }
-  return PostProcess(std::move(table));
+  return table;
 }
 
 StatusOr<CategoricalMarginal> InpEsProtocol::EstimateCategorical(

@@ -112,9 +112,6 @@ double InpHtProtocol::UnbiasedCoefficient(size_t index) const {
 
 StatusOr<FourierCoefficients> InpHtProtocol::EstimateCoefficients(
     int max_order) const {
-  if (config_.project_to_simplex) {
-    return MarginalProtocol::EstimateCoefficients(max_order);
-  }
   LDPM_RETURN_IF_ERROR(CheckCoefficientExport(max_order));
   FourierCoefficients fc(config_.d, max_order);
   // The coefficients of order <= max_order are a prefix of T.
@@ -138,11 +135,9 @@ StatusOr<MarginalTable> InpHtProtocol::EstimateMarginal(uint64_t beta) const {
   // Lemma 3.7 reads only the coefficients alpha ⪯ beta: unbias those
   // 2^|beta| - 1 instead of all of T. Every nonzero alpha ⪯ beta has
   // |alpha| <= k, so it is in T.
-  auto m = MarginalFromCoefficients(config_.d, beta, [this](uint64_t alpha) {
+  return MarginalFromCoefficients(config_.d, beta, [this](uint64_t alpha) {
     return UnbiasedCoefficient(index_.Of(alpha));
   });
-  if (!m.ok()) return m.status();
-  return PostProcess(*std::move(m));
 }
 
 }  // namespace ldpm

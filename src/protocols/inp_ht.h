@@ -49,7 +49,7 @@ class InpHtProtocol final : public MarginalProtocol {
   const std::vector<uint64_t>& coefficient_indices() const { return alphas_; }
 
   /// The unbiased coefficients of T up to order max_order, as they are:
-  /// no fit. Under project_to_simplex, the default export.
+  /// no fit.
   StatusOr<FourierCoefficients> EstimateCoefficients(
       int max_order) const override;
 

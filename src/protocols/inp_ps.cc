@@ -76,7 +76,7 @@ StatusOr<MarginalTable> InpPsProtocol::EstimateMarginal(uint64_t beta) const {
     const double f_hat = direct_.UnbiasFrequency(reals_[cell] * inv_n);
     m.at_compact(ExtractBits(cell, beta)) += f_hat;
   }
-  return PostProcess(std::move(m));
+  return m;
 }
 
 }  // namespace ldpm

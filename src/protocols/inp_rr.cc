@@ -144,12 +144,8 @@ Report InpRrProtocol::Encode(uint64_t user_value, Rng& rng) const {
 }
 
 Status InpRrProtocol::Absorb(const Report& report) {
-  const uint64_t domain = uint64_t{1} << config_.d;
-  for (uint64_t pos : report.ones) {
-    if (pos >= domain) {
-      return Status::InvalidArgument("InpRR::Absorb: position outside domain");
-    }
-  }
+  LDPM_RETURN_IF_ERROR(CheckReportPositions(
+      report.ones, uint64_t{1} << config_.d, "InpRR::Absorb"));
   for (uint64_t pos : report.ones) reals_[pos] += 1.0;
   NoteAbsorbed(report);
   return Status::OK();
@@ -284,14 +280,11 @@ StatusOr<MarginalTable> InpRrProtocol::EstimateMarginal(uint64_t beta) const {
         unary_.UnbiasCount(reals_[cell], static_cast<double>(n)) * inv_n;
     m.at_compact(ExtractBits(cell, beta)) += t_hat;
   }
-  return PostProcess(std::move(m));
+  return m;
 }
 
 StatusOr<FourierCoefficients> InpRrProtocol::EstimateCoefficients(
     int max_order) const {
-  if (config_.project_to_simplex) {
-    return MarginalProtocol::EstimateCoefficients(max_order);
-  }
   LDPM_RETURN_IF_ERROR(CheckCoefficientExport(max_order));
   const double n = static_cast<double>(reports_absorbed());
   const double inv_n = 1.0 / n;

@@ -43,8 +43,7 @@ class InpRrProtocol final : public MarginalProtocol {
   StatusOr<MarginalTable> EstimateMarginal(uint64_t beta) const override;
 
   /// One sweep of the unbiased 2^d estimate, with EstimateMarginal's
-  /// per-cell arithmetic, and one FWHT. Under project_to_simplex, the
-  /// default export.
+  /// per-cell arithmetic, and one FWHT.
   StatusOr<FourierCoefficients> EstimateCoefficients(
       int max_order) const override;
 

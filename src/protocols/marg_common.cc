@@ -63,9 +63,7 @@ StatusOr<MarginalTable> MargProtocolBase::EstimateMarginal(uint64_t beta) const 
   if (order == config_.k) {
     auto idx = SelectorIndexOf(beta);
     if (!idx.ok()) return idx.status();
-    auto m = EstimateExactKWay(*idx);
-    if (!m.ok()) return m.status();
-    return PostProcess(*std::move(m));
+    return EstimateExactKWay(*idx);
   }
 
   // Lower-order query: average the marginalized estimates of every sampled
@@ -93,7 +91,7 @@ StatusOr<MarginalTable> MargProtocolBase::EstimateMarginal(uint64_t beta) const 
   for (uint64_t c = 0; c < pooled.size(); ++c) {
     pooled.at_compact(c) /= total_weight;
   }
-  return PostProcess(std::move(pooled));
+  return pooled;
 }
 
 }  // namespace ldpm

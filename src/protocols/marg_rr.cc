@@ -39,12 +39,8 @@ Status MargRrProtocol::Absorb(const Report& report) {
   if (!idx.ok()) {
     return Status::InvalidArgument("MargRR::Absorb: unknown selector");
   }
-  const uint64_t cells = uint64_t{1} << config_.k;
-  for (uint64_t pos : report.ones) {
-    if (pos >= cells) {
-      return Status::InvalidArgument("MargRR::Absorb: cell outside marginal");
-    }
-  }
+  LDPM_RETURN_IF_ERROR(CheckReportPositions(
+      report.ones, uint64_t{1} << config_.k, "MargRR::Absorb"));
   double* row = reals_.data() + (*idx << config_.k);
   for (uint64_t pos : report.ones) row[pos] += 1.0;
   NoteSelectorReport(*idx);

@@ -12,6 +12,20 @@
 
 namespace ldpm {
 
+Status CheckReportPositions(const std::vector<uint64_t>& ones, uint64_t bound,
+                            const std::string& where) {
+  for (size_t i = 0; i < ones.size(); ++i) {
+    if (ones[i] >= bound) {
+      return Status::InvalidArgument(where + ": position outside domain");
+    }
+    if (i > 0 && ones[i] <= ones[i - 1]) {
+      return Status::InvalidArgument(where +
+                                     ": positions not strictly ascending");
+    }
+  }
+  return Status::OK();
+}
+
 Status MarginalProtocol::ValidateCommon(const ProtocolConfig& config) {
   if (config.d < 1 || config.d > kMaxDimensions) {
     return Status::InvalidArgument("ProtocolConfig: d must be in [1, " +

@@ -63,6 +63,12 @@ struct Report {
   double bits = 0.0;
 };
 
+/// Checks the `ones` of a PRR-style report: strictly ascending positions
+/// below `bound`, the only lists a wire bitmap carries (it holds each
+/// position once). `where` prefixes the InvalidArgument message.
+Status CheckReportPositions(const std::vector<uint64_t>& ones, uint64_t bound,
+                            const std::string& where);
+
 /// Configuration shared by all protocols.
 struct ProtocolConfig {
   /// Number of binary attributes.
@@ -80,9 +86,6 @@ struct ProtocolConfig {
   /// (the paper-literal 2^k-way sampling); if false (default) only the
   /// 2^k - 1 informative coefficients are sampled.
   bool sample_zero_coefficient = false;
-  /// If true, EstimateMarginal post-processes estimates onto the
-  /// probability simplex (clamp negatives, renormalize).
-  bool project_to_simplex = false;
   /// InpEM only: EM convergence threshold Omega (paper: 1e-5).
   double em_convergence_threshold = 1e-5;
   /// InpEM only: iteration cap as a safety net.
@@ -175,9 +178,7 @@ class MarginalProtocol {
   /// default estimates each such marginal with EstimateMarginal and fits
   /// one shared coefficient vector with equal weights
   /// (FitSharedCoefficients). Protocols whose estimate is linear in their
-  /// accumulators override it with a direct export; under
-  /// project_to_simplex the per-table estimates are not linear, so every
-  /// protocol keeps the default. InvalidArgument unless
+  /// accumulators override it with a direct export. InvalidArgument unless
   /// 1 <= max_order <= k; FailedPrecondition before any report.
   virtual StatusOr<FourierCoefficients> EstimateCoefficients(
       int max_order) const;
@@ -271,12 +272,6 @@ class MarginalProtocol {
   void ResetBookkeeping() {
     reports_absorbed_ = 0;
     total_report_bits_ = 0.0;
-  }
-
-  /// Applies the configured post-processing to a finished estimate.
-  MarginalTable PostProcess(MarginalTable m) const {
-    if (config_.project_to_simplex) m.ProjectToSimplex();
-    return m;
   }
 
   /// The immutable configuration this protocol was created with.

@@ -87,6 +87,13 @@ StatusOr<uint64_t> WireBits(ProtocolKind kind, const ProtocolConfig& config) {
 
 namespace {
 
+/// True when `value` needs more than `width` bits: the writer would drop
+/// its high bits, and the record would decode as another report (a
+/// selector is written in d bits, a marginal cell in k).
+bool Overflows(uint64_t value, int width) {
+  return width < 64 && (value >> width) != 0;
+}
+
 /// SerializeReport body with the record geometry precomputed, so batch
 /// serialization can hoist the (InpES) coefficient-count DP out of its
 /// per-report loop.
@@ -97,22 +104,25 @@ StatusOr<std::vector<uint8_t>> SerializeReportImpl(ProtocolKind kind,
                                                    uint64_t total_bits) {
   BitWriter writer(total_bits);
 
+  const bool writes_selector =
+      kind == ProtocolKind::kInpHT || kind == ProtocolKind::kMargRR ||
+      kind == ProtocolKind::kMargPS || kind == ProtocolKind::kMargHT;
+  if (writes_selector && Overflows(report.selector, config.d)) {
+    return Status::InvalidArgument("SerializeReport: selector outside domain");
+  }
   switch (kind) {
     case ProtocolKind::kInpRR: {
       const uint64_t domain = uint64_t{1} << config.d;
+      LDPM_RETURN_IF_ERROR(
+          CheckReportPositions(report.ones, domain, "SerializeReport"));
       std::vector<uint8_t> bitmap(domain, 0);
-      for (uint64_t pos : report.ones) {
-        if (pos >= domain) {
-          return Status::InvalidArgument("SerializeReport: position outside domain");
-        }
-        bitmap[pos] = 1;
-      }
+      for (uint64_t pos : report.ones) bitmap[pos] = 1;
       for (uint64_t pos = 0; pos < domain; ++pos) writer.WriteBit(bitmap[pos]);
       break;
     }
     case ProtocolKind::kInpPS:
     case ProtocolKind::kInpEM: {
-      if (config.d < 64 && report.value >= (uint64_t{1} << config.d)) {
+      if (Overflows(report.value, config.d)) {
         return Status::InvalidArgument("SerializeReport: value outside domain");
       }
       writer.WriteBits(report.value, config.d);
@@ -128,23 +138,26 @@ StatusOr<std::vector<uint8_t>> SerializeReportImpl(ProtocolKind kind,
     }
     case ProtocolKind::kMargRR: {
       const uint64_t cells = uint64_t{1} << config.k;
+      LDPM_RETURN_IF_ERROR(
+          CheckReportPositions(report.ones, cells, "SerializeReport"));
       std::vector<uint8_t> bitmap(cells, 0);
-      for (uint64_t pos : report.ones) {
-        if (pos >= cells) {
-          return Status::InvalidArgument("SerializeReport: cell outside marginal");
-        }
-        bitmap[pos] = 1;
-      }
+      for (uint64_t pos : report.ones) bitmap[pos] = 1;
       writer.WriteBits(report.selector, config.d);
       for (uint64_t pos = 0; pos < cells; ++pos) writer.WriteBit(bitmap[pos]);
       break;
     }
     case ProtocolKind::kMargPS: {
+      if (Overflows(report.value, config.k)) {
+        return Status::InvalidArgument("SerializeReport: cell outside marginal");
+      }
       writer.WriteBits(report.selector, config.d);
       writer.WriteBits(report.value, config.k);
       break;
     }
     case ProtocolKind::kMargHT: {
+      if (Overflows(report.value, config.k)) {
+        return Status::InvalidArgument("SerializeReport: cell outside marginal");
+      }
       if (report.sign != -1 && report.sign != 1) {
         return Status::InvalidArgument("SerializeReport: bad sign");
       }

@@ -6,7 +6,6 @@
 
 #include "core/encoding.h"
 #include "core/marginal.h"
-#include "engine/collector.h"
 #include "protocols/inp_es.h"
 
 namespace ldpm {
@@ -74,10 +73,6 @@ StatusOr<SimulationResult> RunSimulation(const BinaryDataset& source,
         "RunSimulation: eval_order must lie in [1, k]");
   }
 
-  if (options.num_shards < 1) {
-    return Status::InvalidArgument("RunSimulation: num_shards must be >= 1");
-  }
-
   auto protocol = CreateProtocol(options.kind, config);
   if (!protocol.ok()) return protocol.status();
 
@@ -104,32 +99,8 @@ StatusOr<SimulationResult> RunSimulation(const BinaryDataset& source,
   SimulationResult result;
   result.protocol = std::string((*protocol)->name());
 
-  // Sharded path: host the run as one collection of an engine::Collector
-  // (worker threads with per-shard Rng streams), then answer queries from
-  // the merged state.
-  std::unique_ptr<engine::Collector> collector;
-  engine::CollectionHandle sharded;
-  if (options.num_shards > 1) {
-    engine::CollectorOptions collector_options;
-    collector_options.engine_defaults.num_shards = options.num_shards;
-    // Continue the simulation stream rather than reusing options.seed:
-    // seeding with the raw seed would derive the shards' perturbation
-    // randomness from the same generator state that sampled the population.
-    collector_options.engine_defaults.seed = rng();
-    auto created = engine::Collector::Create(collector_options);
-    if (!created.ok()) return created.status();
-    collector = *std::move(created);
-    auto handle = collector->Register("sim", options.kind, config);
-    if (!handle.ok()) return handle.status();
-    sharded = *std::move(handle);
-  }
-
   const auto encode_start = std::chrono::steady_clock::now();
-  if (sharded.valid()) {
-    LDPM_RETURN_IF_ERROR(
-        sharded.IngestPopulation(absorb_rows, options.use_fast_path));
-    LDPM_RETURN_IF_ERROR(sharded.Flush());
-  } else if (options.use_fast_path) {
+  if (options.use_fast_path) {
     LDPM_RETURN_IF_ERROR((*protocol)->AbsorbPopulation(absorb_rows, rng));
   } else {
     for (uint64_t row : absorb_rows) {
@@ -137,12 +108,6 @@ StatusOr<SimulationResult> RunSimulation(const BinaryDataset& source,
     }
   }
   result.encode_absorb_seconds = SecondsSince(encode_start);
-  if (sharded.valid()) {
-    // Fold the merged shard state into the query-side aggregator.
-    auto merged = sharded.aggregator().Merged();
-    if (!merged.ok()) return merged.status();
-    LDPM_RETURN_IF_ERROR((*protocol)->MergeFrom(**merged));
-  }
   result.bits_per_user = (*protocol)->total_report_bits() /
                          static_cast<double>((*protocol)->reports_absorbed());
   if (result.encode_absorb_seconds > 0.0) {

@@ -26,10 +26,6 @@ struct SimulationOptions {
   bool use_fast_path = true;
   /// Order of the marginals scored; 0 means "score order config.k".
   int eval_order = 0;
-  /// Number of aggregation shards. 1 runs the classic single-aggregator
-  /// loop; > 1 hosts the run as a collection of an engine::Collector
-  /// (worker threads, per-shard Rng streams — distribution-equivalent).
-  int num_shards = 1;
   /// Non-empty hosts the run on a categorical domain (kind must be
   /// kInpES, the one protocol speaking mixed-radix tuples). Each sampled
   /// binary row is read as the domain's packed encoding — attribute i

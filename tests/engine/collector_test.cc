@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/failpoint.h"
 #include "core/file_io.h"
 #include "engine/checkpoint.h"
 #include "protocols/test_util.h"
@@ -470,24 +471,34 @@ TEST(Collector, UnregisterReleasesEngineOutsideTheRegistryLock) {
   // Unregister of a collection with a deep work backlog joins that
   // engine's shard workers (draining everything queued) — which must NOT
   // happen under the registry lock, or every concurrent Find/Query stalls
-  // for the whole drain. Queue slow per-row encode work on "slow", then
-  // measure Handle("fast") latency while Unregister("slow") runs.
+  // for the whole drain. Queue stalled frames on "slow", then measure
+  // Handle("fast") latency while Unregister("slow") runs.
   auto collector = MustCreate();
   EngineOptions one_shard;
   one_shard.num_shards = 1;
-  auto slow = collector->Register("slow", ProtocolKind::kInpRR,
-                                  MakeConfig(10, 2), one_shard);
-  auto fast = collector->Register("fast", ProtocolKind::kInpHT,
-                                  MakeConfig(6, 2), one_shard);
+  const ProtocolConfig config = MakeConfig(6, 2);
+  auto slow =
+      collector->Register("slow", ProtocolKind::kInpHT, config, one_shard);
+  auto fast =
+      collector->Register("fast", ProtocolKind::kInpHT, config, one_shard);
   ASSERT_TRUE(slow.ok());
   ASSERT_TRUE(fast.ok());
-  // ~50k rows of per-row InpRR encoding (1024 Bernoullis each) on one
-  // shard: a drain measured in hundreds of milliseconds on typical
-  // hardware, enqueued in small batches so it is underway, not pending.
-  for (int batch = 0; batch < 50; ++batch) {
-    std::vector<uint64_t> rows(1000, 0x2A5);
-    ASSERT_TRUE(slow->IngestPopulation(rows, /*fast_path=*/false).ok());
+  // 50 one-report frames on one shard, each stalled 8 ms by the shard
+  // worker's failpoint (which disarms itself after the 50th): a drain of
+  // ~0.4 s on any hardware, underway before Unregister starts.
+  failpoint::Spec stall;
+  stall.mode = failpoint::Mode::kDelay;
+  stall.delay = std::chrono::milliseconds(8);
+  stall.count = 50;
+  failpoint::Arm("engine.shard.absorb", stall);
+  auto encoder = CreateProtocol(ProtocolKind::kInpHT, config);
+  ASSERT_TRUE(encoder.ok());
+  for (const Report& report : EncodeReportStream(**encoder, 50, 3)) {
+    ASSERT_TRUE(IngestReports(*slow, ProtocolKind::kInpHT, {report}).ok());
   }
+  // Drop the test's handle: Unregister must hold the last reference, or
+  // the engine outlives it and no drain happens inside it at all.
+  *slow = CollectionHandle();
 
   const auto unregister_start = std::chrono::steady_clock::now();
   std::atomic<bool> started{false};
@@ -496,17 +507,18 @@ TEST(Collector, UnregisterReleasesEngineOutsideTheRegistryLock) {
     EXPECT_TRUE(collector->Unregister("slow").ok());
   });
   while (!started.load()) std::this_thread::yield();
-  // Registry reads must keep flowing while the drain runs. Measure the
-  // Handle call FIRST each round: under the broken locking it is the call
-  // that blocks for the whole drain, and the loop must capture that.
+  // Registry reads must keep flowing while the drain runs. Time both reads
+  // of each round: under the broken locking whichever of them meets the
+  // held lock blocks for the whole drain, and the loop must capture that.
   std::chrono::nanoseconds max_find_latency{0};
   for (;;) {
     const auto find_start = std::chrono::steady_clock::now();
     auto handle = collector->Handle("fast");
+    const bool unregistered = collector->collection_count() == 1;
     const auto find_latency = std::chrono::steady_clock::now() - find_start;
     ASSERT_TRUE(handle.ok());
     max_find_latency = std::max(max_find_latency, find_latency);
-    if (collector->collection_count() == 1) break;
+    if (unregistered) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   unregisterer.join();
@@ -528,6 +540,9 @@ TEST(Collector, UnregisterReleasesEngineOutsideTheRegistryLock) {
       << std::chrono::duration<double>(max_find_latency).count()
       << "s during an Unregister that took "
       << std::chrono::duration<double>(unregister_elapsed).count() << "s";
+  // The drain must be long enough for the bound above to tell.
+  EXPECT_GE(unregister_elapsed, std::chrono::milliseconds(300));
+  failpoint::DisarmAll();
 }
 
 TEST(Collector, IngestFramesReportsBytesConsumedAndFramesRouted) {

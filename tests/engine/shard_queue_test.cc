@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -15,10 +16,18 @@ namespace ldpm {
 namespace engine {
 namespace {
 
-WorkItem RowItem(uint64_t row) {
-  WorkItem item;
-  item.rows = {row};
+/// A work item whose first eight bytes carry `tag`, so a test can tell
+/// items apart after they pass through the queue.
+WorkItem TaggedItem(uint64_t tag) {
+  WorkItem item(sizeof(tag));
+  std::memcpy(item.data(), &tag, sizeof(tag));
   return item;
+}
+
+uint64_t TagOf(const WorkItem& item) {
+  uint64_t tag = 0;
+  std::memcpy(&tag, item.data(), sizeof(tag));
+  return tag;
 }
 
 // Single producer, single consumer: every pushed item arrives, in order,
@@ -30,12 +39,12 @@ TEST(ShardQueue, SingleProducerDeliversInOrder) {
   std::thread consumer([&] {
     WorkItem item;
     while (queue.Pop(item)) {
-      received.push_back(item.rows[0]);
+      received.push_back(TagOf(item));
       queue.Done();
     }
   });
   for (uint64_t i = 0; i < kItems; ++i) {
-    EXPECT_TRUE(queue.Push(RowItem(i)));
+    EXPECT_TRUE(queue.Push(TaggedItem(i)));
   }
   queue.WaitDrained();
   queue.Close();
@@ -54,7 +63,7 @@ TEST(ShardQueue, MultiProducerDeliversEverything) {
   std::thread consumer([&] {
     WorkItem item;
     while (queue.Pop(item)) {
-      sum.fetch_add(item.rows[0]);
+      sum.fetch_add(TagOf(item));
       count.fetch_add(1);
       queue.Done();
     }
@@ -63,7 +72,7 @@ TEST(ShardQueue, MultiProducerDeliversEverything) {
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
       for (uint64_t i = 0; i < kPerProducer; ++i) {
-        EXPECT_TRUE(queue.Push(RowItem(p * kPerProducer + i)));
+        EXPECT_TRUE(queue.Push(TaggedItem(p * kPerProducer + i)));
       }
     });
   }
@@ -92,7 +101,7 @@ TEST(ShardQueue, WaitDrainedCoversInFlightItem) {
       processing.store(false);
     }
   });
-  ASSERT_TRUE(queue.Push(RowItem(1)));
+  ASSERT_TRUE(queue.Push(TaggedItem(1)));
   while (!processing.load()) std::this_thread::yield();
   // The single item is popped (queue empty) but not Done.
   std::thread waiter([&] {
@@ -116,7 +125,7 @@ TEST(ShardQueue, FullQueueAppliesBackpressure) {
   std::atomic<uint64_t> received{0};
   std::thread producer([&] {
     for (uint64_t i = 0; i < kItems; ++i) {
-      EXPECT_TRUE(queue.Push(RowItem(i)));
+      EXPECT_TRUE(queue.Push(TaggedItem(i)));
     }
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -138,24 +147,24 @@ TEST(ShardQueue, FullQueueAppliesBackpressure) {
 // blocks until the consumer pops one.
 TEST(ShardQueue, PushBeyondTheBoundBlocksUntilAPop) {
   ShardQueue queue(2);
-  ASSERT_TRUE(queue.Push(RowItem(1)));
-  ASSERT_TRUE(queue.Push(RowItem(2)));
+  ASSERT_TRUE(queue.Push(TaggedItem(1)));
+  ASSERT_TRUE(queue.Push(TaggedItem(2)));
   std::atomic<bool> pushed{false};
   std::thread producer([&] {
-    EXPECT_TRUE(queue.Push(RowItem(3)));
+    EXPECT_TRUE(queue.Push(TaggedItem(3)));
     pushed.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_FALSE(pushed.load());
   WorkItem item;
   ASSERT_TRUE(queue.Pop(item));
-  EXPECT_EQ(item.rows[0], 1u);
+  EXPECT_EQ(TagOf(item), 1u);
   producer.join();
   EXPECT_TRUE(pushed.load());
   queue.Done();
   for (uint64_t want : {2u, 3u}) {
     ASSERT_TRUE(queue.Pop(item));
-    EXPECT_EQ(item.rows[0], want);
+    EXPECT_EQ(TagOf(item), want);
     queue.Done();
   }
   queue.Close();
@@ -166,14 +175,14 @@ TEST(ShardQueue, PushBeyondTheBoundBlocksUntilAPop) {
 // pushes are rejected from every thread.
 TEST(ShardQueue, CloseDrainsThenRejects) {
   ShardQueue queue(8);
-  ASSERT_TRUE(queue.Push(RowItem(7)));
+  ASSERT_TRUE(queue.Push(TaggedItem(7)));
   queue.Close();
-  EXPECT_FALSE(queue.Push(RowItem(8)));
-  std::thread other([&] { EXPECT_FALSE(queue.Push(RowItem(9))); });
+  EXPECT_FALSE(queue.Push(TaggedItem(8)));
+  std::thread other([&] { EXPECT_FALSE(queue.Push(TaggedItem(9))); });
   other.join();
   WorkItem item;
   ASSERT_TRUE(queue.Pop(item));  // the pre-close item drains
-  EXPECT_EQ(item.rows[0], 7u);
+  EXPECT_EQ(TagOf(item), 7u);
   queue.Done();
   EXPECT_FALSE(queue.Pop(item));  // then the queue reports closed
 }

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/failpoint.h"
 #include "core/marginal.h"
 #include "protocols/factory.h"
 #include "protocols/test_util.h"
@@ -115,33 +116,6 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(ProtocolKindName(info.param));
     });
 
-// Row ingest runs the client encoders on the shard workers with independent
-// Rng streams: not bitwise-reproducible across shard counts, but the
-// estimates must still converge to the population's marginals.
-TEST(ShardedAggregator, RowIngestIsDistributionEquivalent) {
-  const ProtocolConfig config = MakeConfig(5, 2);
-  Rng rng(5);
-  std::vector<uint64_t> rows;
-  for (size_t i = 0; i < 60000; ++i) rows.push_back(rng() & 0x1F);
-
-  for (bool fast_path : {false, true}) {
-    EngineOptions options;
-    options.num_shards = 4;
-    auto eng = ShardedAggregator::Create(ProtocolKind::kInpHT, config, options);
-    ASSERT_TRUE(eng.ok());
-    ASSERT_TRUE((*eng)->IngestPopulation(rows, fast_path).ok());
-    auto reports = (*eng)->ReportsAbsorbed();
-    ASSERT_TRUE(reports.ok());
-    EXPECT_EQ(*reports, rows.size());
-
-    auto truth = MarginalFromRows(rows, config.d, 0b11);
-    auto estimate = (*eng)->EstimateMarginal(0b11);
-    ASSERT_TRUE(truth.ok());
-    ASSERT_TRUE(estimate.ok());
-    EXPECT_LT(truth->TotalVariationDistance(*estimate), 0.1);
-  }
-}
-
 TEST(ShardedAggregator, SnapshotRestoresAcrossShardCounts) {
   const ProtocolConfig config = MakeConfig(6, 2);
   for (ProtocolKind kind : AllProtocolKinds()) {
@@ -180,10 +154,9 @@ TEST(ShardedAggregator, SnapshotRestoresAcrossShardCounts) {
   }
 }
 
-// Every work item counts once in ldpm_engine_batches_enqueued_total and
-// advances the state version once: a wire frame, and each per-shard chunk
-// of a population.
-TEST(ShardedAggregator, CountsOneBatchPerFrameAndPopulationChunk) {
+// Every work item — one wire frame — counts once in
+// ldpm_engine_batches_enqueued_total and advances the state version once.
+TEST(ShardedAggregator, CountsOneBatchPerFrame) {
   const ProtocolConfig config = MakeConfig(6, 2);
   EngineOptions options;
   options.num_shards = 2;
@@ -193,26 +166,22 @@ TEST(ShardedAggregator, CountsOneBatchPerFrameAndPopulationChunk) {
   ASSERT_TRUE(encoder.ok());
   const std::vector<Report> reports = EncodeReportStream(**encoder, 600, 9);
 
-  // 3 wire frames + 2 population chunks = 5 work items.
   for (size_t begin = 0; begin < 600; begin += 200) {
     const std::vector<Report> frame(reports.begin() + begin,
                                     reports.begin() + begin + 200);
     ASSERT_TRUE(IngestReports(**eng, ProtocolKind::kMargPS, frame).ok());
   }
   EXPECT_EQ(CounterValue(**eng, "ldpm_engine_batches_enqueued_total"), 3u);
-  ASSERT_TRUE((*eng)->IngestPopulation(std::vector<uint64_t>(100, 5)).ok());
-  EXPECT_EQ(CounterValue(**eng, "ldpm_engine_batches_enqueued_total"), 5u);
-  EXPECT_EQ((*eng)->state_version(), 5u);
-  // Empty work enqueues nothing.
+  EXPECT_EQ((*eng)->state_version(), 3u);
+  // An empty frame enqueues nothing.
   ASSERT_TRUE((*eng)->IngestWireBatch({}).ok());
-  ASSERT_TRUE((*eng)->IngestPopulation({}).ok());
-  EXPECT_EQ((*eng)->state_version(), 5u);
+  EXPECT_EQ((*eng)->state_version(), 3u);
 
   ASSERT_TRUE((*eng)->Flush().ok());
   auto absorbed = (*eng)->ReportsAbsorbed();
   ASSERT_TRUE(absorbed.ok());
-  EXPECT_EQ(*absorbed, 700u);  // 600 encoded + 100 rows
-  EXPECT_EQ(CounterValue(**eng, "ldpm_engine_reports_absorbed_total"), 700u);
+  EXPECT_EQ(*absorbed, 600u);
+  EXPECT_EQ(CounterValue(**eng, "ldpm_engine_reports_absorbed_total"), 600u);
 }
 
 // Flush is a drain barrier: with work queued on every shard, the counts it
@@ -339,6 +308,33 @@ TEST(ShardedAggregator, WorkerErrorsSurfaceAtFlush) {
   EXPECT_EQ(*absorbed, 50u);
   EXPECT_TRUE((*eng)->Merged().ok());
   EXPECT_TRUE((*eng)->SnapshotShards().ok());
+}
+
+// An error injected at the engine.shard.absorb failpoint fails its whole
+// frame as a malformed record would: none of its reports count, the next
+// Flush reports it once, and the next frame is absorbed.
+TEST(ShardedAggregator, InjectedAbsorbErrorCostsOneFrame) {
+  const ProtocolConfig config = MakeConfig(6, 2);
+  auto eng = ShardedAggregator::Create(ProtocolKind::kInpHT, config);
+  ASSERT_TRUE(eng.ok());
+  auto encoder = CreateProtocol(ProtocolKind::kInpHT, config);
+  ASSERT_TRUE(encoder.ok());
+  failpoint::Spec fail_once;
+  fail_once.count = 1;
+  failpoint::Arm("engine.shard.absorb", fail_once);
+  for (uint64_t seed : {81, 82}) {
+    ASSERT_TRUE(IngestReports(**eng, ProtocolKind::kInpHT,
+                              EncodeReportStream(**encoder, 30, seed))
+                    .ok());
+  }
+  const Status flushed = (*eng)->Flush();
+  failpoint::DisarmAll();
+  EXPECT_EQ(flushed.code(), StatusCode::kUnavailable);
+  EXPECT_TRUE((*eng)->Flush().ok());
+  EXPECT_EQ(CounterValue(**eng, "ldpm_engine_absorb_errors_total"), 1u);
+  auto absorbed = (*eng)->ReportsAbsorbed();
+  ASSERT_TRUE(absorbed.ok());
+  EXPECT_EQ(*absorbed, 30u);
 }
 
 TEST(ShardedAggregator, RejectsBadOptions) {

@@ -34,6 +34,7 @@ namespace {
 
 using test::HttpGet;
 using test::HttpRequest;
+using test::IngestRows;
 using test::MakeConfig;
 using test::ResponseBody;
 using test::SeriesValue;
@@ -57,9 +58,9 @@ class QueryServerTest : public ::testing::Test {
                                        MakeConfig(4, 2));
     ASSERT_TRUE(handle.ok());
     handle_ = *std::move(handle);
-    ASSERT_TRUE(
-        handle_.IngestPopulation(SkewedRows(4, 4000, 17), /*fast_path=*/false)
-            .ok());
+    ASSERT_TRUE(IngestRows(handle_, ProtocolKind::kInpHT,
+                           SkewedRows(4, 4000, 17), 17)
+                    .ok());
     ASSERT_TRUE(handle_.Flush().ok());
     auto server = QueryServer::Start(collector_.get(), QueryServerOptions());
     ASSERT_TRUE(server.ok()) << server.status().ToString();
@@ -193,7 +194,7 @@ TEST_F(QueryServerTest, WatermarkAndEpochAdvanceOverHttp) {
   EXPECT_NE(second.find("\"epoch\":1"), std::string::npos);
   // New ingest moves the watermark; the next request sees epoch 2.
   ASSERT_TRUE(
-      handle_.IngestPopulation(SkewedRows(4, 500, 18), /*fast_path=*/false)
+      IngestRows(handle_, ProtocolKind::kInpHT, SkewedRows(4, 500, 18), 18)
           .ok());
   ASSERT_TRUE(handle_.Flush().ok());
   const std::string third =
@@ -311,9 +312,8 @@ TEST_F(QueryServerTest, ServesTheEngineRegisteredUnderTheIdNow) {
     auto handle =
         collector_->Register("x", ProtocolKind::kInpHT, MakeConfig(4, 2));
     ASSERT_TRUE(handle.ok()) << handle.status().ToString();
-    ASSERT_TRUE(handle
-                    ->IngestPopulation(SkewedRows(4, reports, 19),
-                                       /*fast_path=*/false)
+    ASSERT_TRUE(IngestRows(*handle, ProtocolKind::kInpHT,
+                           SkewedRows(4, reports, 19), 19)
                     .ok());
     ASSERT_TRUE(handle->Flush().ok());
   };

@@ -161,61 +161,49 @@ TEST(InpHt, ZeroCoefficientNeverSampled) {
 TEST(InpHt, EstimateMarginalMatchesFullCoefficientReconstruction) {
   // EstimateMarginal unbiases only the coefficients under beta; it must
   // equal reconstructing from the whole estimated set, bit for bit. The
-  // small population leaves some coefficients without reports. Under
-  // project_to_simplex the export is the default fit over projected
-  // tables, so the raw coefficients come from an unprojected twin fed the
-  // same reports.
+  // small population leaves some coefficients without reports.
   const int d = 8;
   const int k = 3;
   for (const EstimatorKind estimator :
        {EstimatorKind::kRatio, EstimatorKind::kHorvitzThompson}) {
-    for (const bool project : {false, true}) {
-      for (const size_t users : {size_t{200}, size_t{20000}}) {
-        ProtocolConfig c = Config(d, k, 1.0);
-        c.estimator = estimator;
-        c.project_to_simplex = project;
-        auto p = InpHtProtocol::Create(c);
-        ASSERT_TRUE(p.ok());
-        c.project_to_simplex = false;
-        auto raw = InpHtProtocol::Create(c);
-        ASSERT_TRUE(raw.ok());
-        const std::vector<Report> reports =
-            test::EncodeReportStream(**p, users, 71);
-        std::map<uint64_t, std::pair<double, uint64_t>> tally;
-        for (const Report& r : reports) {
-          ASSERT_TRUE((*p)->Absorb(r).ok());
-          ASSERT_TRUE((*raw)->Absorb(r).ok());
-          tally[r.selector].first += r.sign;
-          tally[r.selector].second += 1;
+    for (const size_t users : {size_t{200}, size_t{20000}}) {
+      ProtocolConfig c = Config(d, k, 1.0);
+      c.estimator = estimator;
+      auto p = InpHtProtocol::Create(c);
+      ASSERT_TRUE(p.ok());
+      const std::vector<Report> reports =
+          test::EncodeReportStream(**p, users, 71);
+      std::map<uint64_t, std::pair<double, uint64_t>> tally;
+      for (const Report& r : reports) {
+        ASSERT_TRUE((*p)->Absorb(r).ok());
+        tally[r.selector].first += r.sign;
+        tally[r.selector].second += 1;
+      }
+      auto fc = (*p)->EstimateCoefficients(k);
+      ASSERT_TRUE(fc.ok());
+      ASSERT_EQ(fc->size(), (*p)->coefficient_indices().size());
+      // Algorithm 2's per-coefficient arithmetic, pinned bit for bit.
+      const double t_size =
+          static_cast<double>((*p)->coefficient_indices().size());
+      for (uint64_t alpha : (*p)->coefficient_indices()) {
+        const auto [sum, count] = tally[alpha];
+        double raw_mean = 0.0;
+        if (estimator == EstimatorKind::kRatio) {
+          raw_mean = count > 0 ? sum / static_cast<double>(count) : 0.0;
+        } else {
+          raw_mean = sum / (static_cast<double>(users) / t_size);
         }
-        auto fc = (*raw)->EstimateCoefficients(k);
-        ASSERT_TRUE(fc.ok());
-        ASSERT_EQ(fc->size(), (*p)->coefficient_indices().size());
-        // Algorithm 2's per-coefficient arithmetic, pinned bit for bit.
-        const double t_size =
-            static_cast<double>((*p)->coefficient_indices().size());
-        for (uint64_t alpha : (*p)->coefficient_indices()) {
-          const auto [sum, count] = tally[alpha];
-          double raw_mean = 0.0;
-          if (estimator == EstimatorKind::kRatio) {
-            raw_mean = count > 0 ? sum / static_cast<double>(count) : 0.0;
-          } else {
-            raw_mean = sum / (static_cast<double>(users) / t_size);
-          }
-          ASSERT_EQ(*fc->Get(alpha), (*p)->mechanism().UnbiasSignMean(raw_mean))
-              << "alpha=" << alpha;
-        }
-        for (uint64_t beta : test::AllQueries(d, k)) {
-          auto expected = fc->ReconstructMarginal(beta);
-          ASSERT_TRUE(expected.ok());
-          if (project) expected->ProjectToSimplex();
-          auto actual = (*p)->EstimateMarginal(beta);
-          ASSERT_TRUE(actual.ok());
-          ASSERT_EQ(actual->values(), expected->values())
-              << "beta=" << beta << " estimator="
-              << static_cast<int>(estimator) << " project=" << project
-              << " users=" << users;
-        }
+        ASSERT_EQ(*fc->Get(alpha), (*p)->mechanism().UnbiasSignMean(raw_mean))
+            << "alpha=" << alpha;
+      }
+      for (uint64_t beta : test::AllQueries(d, k)) {
+        auto expected = fc->ReconstructMarginal(beta);
+        ASSERT_TRUE(expected.ok());
+        auto actual = (*p)->EstimateMarginal(beta);
+        ASSERT_TRUE(actual.ok());
+        ASSERT_EQ(actual->values(), expected->values())
+            << "beta=" << beta << " estimator="
+            << static_cast<int>(estimator) << " users=" << users;
       }
     }
   }

@@ -145,20 +145,6 @@ TEST(InpRr, VanillaVariantAlsoWorks) {
   test::ExpectEstimateClose(**p, rows, 4, 0b0011, 0.08);
 }
 
-TEST(InpRr, ProjectToSimplexYieldsDistribution) {
-  ProtocolConfig c = Config(4, 2, 0.5);
-  c.project_to_simplex = true;
-  auto p = InpRrProtocol::Create(c);
-  ASSERT_TRUE(p.ok());
-  const auto rows = test::SkewedRows(4, 20000, 27);
-  Rng rng(28);
-  ASSERT_TRUE((*p)->AbsorbPopulation(rows, rng).ok());
-  auto m = (*p)->EstimateMarginal(0b0011);
-  ASSERT_TRUE(m.ok());
-  EXPECT_NEAR(m->Total(), 1.0, 1e-9);
-  for (uint64_t i = 0; i < m->size(); ++i) EXPECT_GE(m->at_compact(i), 0.0);
-}
-
 TEST(InpRr, ResetClearsState) {
   auto p = InpRrProtocol::Create(Config(3, 1, 1.0));
   ASSERT_TRUE(p.ok());

@@ -99,19 +99,6 @@ TEST(MargPs, HorvitzThompsonEstimator) {
   test::ExpectEstimateClose(**p, rows, 5, 0b00101, 0.1);
 }
 
-TEST(MargPs, ProjectToSimplexOption) {
-  ProtocolConfig c = Config(5, 2, 0.5);
-  c.project_to_simplex = true;
-  auto p = MargPsProtocol::Create(c);
-  ASSERT_TRUE(p.ok());
-  const auto rows = test::SkewedRows(5, 30000, 121);
-  test::RunPerUser(**p, rows, 122);
-  auto m = (*p)->EstimateMarginal(0b00011);
-  ASSERT_TRUE(m.ok());
-  EXPECT_NEAR(m->Total(), 1.0, 1e-9);
-  for (uint64_t i = 0; i < m->size(); ++i) EXPECT_GE(m->at_compact(i), 0.0);
-}
-
 TEST(MargPs, ResetClearsState) {
   auto p = MargPsProtocol::Create(Config(4, 2, 1.0));
   ASSERT_TRUE(p.ok());

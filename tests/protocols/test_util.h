@@ -3,6 +3,7 @@
 #ifndef LDPM_TESTS_PROTOCOLS_TEST_UTIL_H_
 #define LDPM_TESTS_PROTOCOLS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -83,6 +84,29 @@ Status IngestReports(Engine& engine, ProtocolKind kind,
   auto frame = SerializeReportBatch(kind, engine.config(), reports);
   if (!frame.ok()) return frame.status();
   return engine.IngestWireBatch(*std::move(frame));
+}
+
+/// Encodes `rows` on the client side, as devices do (Encode with one Rng
+/// seeded by `seed`), and ingests the reports in wire batch frames of at
+/// most 1024 through IngestReports, so a multi-shard engine spreads them
+/// over its shards.
+template <typename Engine>
+Status IngestRows(Engine& engine, ProtocolKind kind,
+                  const std::vector<uint64_t>& rows, uint64_t seed) {
+  auto encoder = CreateProtocol(kind, engine.config());
+  if (!encoder.ok()) return encoder.status();
+  Rng rng(seed);
+  constexpr size_t kFrameReports = 1024;
+  std::vector<Report> frame;
+  for (size_t begin = 0; begin < rows.size(); begin += kFrameReports) {
+    const size_t end = std::min(begin + kFrameReports, rows.size());
+    frame.clear();
+    for (size_t i = begin; i < end; ++i) {
+      frame.push_back((*encoder)->Encode(rows[i], rng));
+    }
+    LDPM_RETURN_IF_ERROR(IngestReports(engine, kind, frame));
+  }
+  return Status::OK();
 }
 
 /// All selectors of order 1..k — every marginal an aggregator can answer.

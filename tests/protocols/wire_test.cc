@@ -1,6 +1,7 @@
 #include "protocols/wire.h"
 
 #include <cmath>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -169,6 +170,64 @@ TEST(Wire, SerializeRejectsMalformedReports) {
   Report bad_value;
   bad_value.value = 16;
   EXPECT_FALSE(SerializeReport(ProtocolKind::kInpPS, config, bad_value).ok());
+
+  // A selector wider than d bits, or a marginal cell wider than k bits,
+  // would lose its high bits on the wire and arrive as another, valid
+  // report: MargPS {0b11, cell 5} at k = 2 as cell 1, and an InpHT alpha
+  // with bit 6 set at d = 6 as alpha = 1.
+  const ProtocolConfig d6 = Config(6, 2);
+  Report wide_selector;
+  wide_selector.selector = 0b1000011;
+  wide_selector.sign = 1;
+  for (ProtocolKind kind : {ProtocolKind::kInpHT, ProtocolKind::kMargRR,
+                            ProtocolKind::kMargPS, ProtocolKind::kMargHT}) {
+    EXPECT_FALSE(SerializeReport(kind, d6, wide_selector).ok())
+        << ProtocolKindName(kind);
+  }
+  Report wide_alpha;
+  wide_alpha.selector = 0b1000001;
+  wide_alpha.sign = 1;
+  EXPECT_FALSE(SerializeReport(ProtocolKind::kInpHT, d6, wide_alpha).ok());
+  Report wide_cell;
+  wide_cell.selector = 0b11;
+  wide_cell.value = 5;
+  wide_cell.sign = 1;
+  EXPECT_FALSE(SerializeReport(ProtocolKind::kMargPS, d6, wide_cell).ok());
+  EXPECT_FALSE(SerializeReport(ProtocolKind::kMargHT, d6, wide_cell).ok());
+
+  // A bitmap carries each position once and in order, so repeated or
+  // descending positions have no wire form.
+  for (const std::vector<uint64_t>& ones :
+       {std::vector<uint64_t>{1, 1}, std::vector<uint64_t>{2, 1}}) {
+    Report bitmap;
+    bitmap.selector = 0b11;
+    bitmap.ones = ones;
+    EXPECT_FALSE(SerializeReport(ProtocolKind::kInpRR, d6, bitmap).ok());
+    EXPECT_FALSE(SerializeReport(ProtocolKind::kMargRR, d6, bitmap).ok());
+  }
+}
+
+// Absorb takes PRR-style positions only strictly ascending, as Encode and
+// DeserializeReport emit them: ones = {1, 1} would add 2 to one cell,
+// where the same report's wire bitmap adds 1.
+TEST(Wire, AbsorbRejectsPositionsABitmapCannotCarry) {
+  const ProtocolConfig config = Config(4, 2);
+  for (ProtocolKind kind : {ProtocolKind::kInpRR, ProtocolKind::kMargRR}) {
+    SCOPED_TRACE(std::string(ProtocolKindName(kind)));
+    auto protocol = CreateProtocol(kind, config);
+    ASSERT_TRUE(protocol.ok());
+    Report report;
+    report.selector = 0b11;
+    for (const std::vector<uint64_t>& ones :
+         {std::vector<uint64_t>{1, 1}, std::vector<uint64_t>{2, 1}}) {
+      report.ones = ones;
+      EXPECT_EQ((*protocol)->Absorb(report).code(),
+                StatusCode::kInvalidArgument);
+    }
+    EXPECT_EQ((*protocol)->reports_absorbed(), 0u);
+    report.ones = {1, 2};
+    EXPECT_TRUE((*protocol)->Absorb(report).ok());
+  }
 }
 
 TEST(Wire, CorruptedBytesRejectedByAggregator) {

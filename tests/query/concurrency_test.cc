@@ -32,6 +32,7 @@ using engine::Collector;
 using engine::CollectorOptions;
 using query::MarginalCache;
 using query::Snapshot;
+using test::IngestRows;
 using test::MakeConfig;
 using test::SkewedRows;
 
@@ -46,7 +47,7 @@ TEST(MarginalCacheConcurrency, ReadersNeverSeeTornOrMixedEpochSnapshots) {
       (*collector)->Register("c", ProtocolKind::kInpHT, MakeConfig(d, k));
   ASSERT_TRUE(handle.ok());
   ASSERT_TRUE(
-      handle->IngestPopulation(SkewedRows(d, 2000, 1), /*fast_path=*/false)
+      IngestRows(*handle, ProtocolKind::kInpHT, SkewedRows(d, 2000, 1), 1)
           .ok());
   ASSERT_TRUE(handle->Flush().ok());
 
@@ -118,8 +119,9 @@ TEST(MarginalCacheConcurrency, ReadersNeverSeeTornOrMixedEpochSnapshots) {
 
   std::thread writer([&] {
     for (int chunk = 0; chunk < kWriterChunks && !stop.load(); ++chunk) {
-      auto status = handle->IngestPopulation(
-          SkewedRows(d, 200, 100 + uint64_t(chunk)), /*fast_path=*/false);
+      const uint64_t seed = 100 + uint64_t(chunk);
+      auto status = IngestRows(*handle, ProtocolKind::kInpHT,
+                               SkewedRows(d, 200, seed), seed);
       if (!status.ok()) failures.fetch_add(1);
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }

@@ -57,6 +57,7 @@ using query::MarginalCache;
 using query::Snapshot;
 using test::EncodeReportStream;
 using test::IngestReports;
+using test::IngestRows;
 using test::MakeConfig;
 using test::SkewedRows;
 
@@ -74,7 +75,7 @@ engine::CollectionHandle Fill(Collector& collector, const std::string& id,
                               const std::vector<uint64_t>& rows) {
   auto handle = collector.Register(id, kind, config);
   EXPECT_TRUE(handle.ok()) << handle.status().ToString();
-  EXPECT_TRUE(handle->IngestPopulation(rows, /*fast_path=*/false).ok());
+  EXPECT_TRUE(IngestRows(*handle, kind, rows, /*seed=*/1).ok());
   EXPECT_TRUE(handle->Flush().ok());
   return *std::move(handle);
 }
@@ -130,51 +131,46 @@ TEST(MarginalCacheBitwise, CacheEqualsCoefficientExportReconstruction) {
                                                    {4, 4}};
   for (const auto& [d, k] : shapes) {
     for (ProtocolKind kind : RegisteredProtocolKinds()) {
-      for (const bool project : {false, true}) {
-        for (const int shards : {1, 2}) {
-          SCOPED_TRACE(std::string(ProtocolKindName(kind)) +
-                       " d=" + std::to_string(d) + " k=" + std::to_string(k) +
-                       " project=" + std::to_string(project) +
-                       " shards=" + std::to_string(shards));
-          auto collector = MakeCollector(shards);
-          ProtocolConfig config = MakeConfig(d, k);
-          config.project_to_simplex = project;
-          auto handle =
-              Fill(*collector, "c", kind, config, SkewedRows(d, 12000, 23));
+      for (const int shards : {1, 2}) {
+        SCOPED_TRACE(std::string(ProtocolKindName(kind)) +
+                     " d=" + std::to_string(d) + " k=" + std::to_string(k) +
+                     " shards=" + std::to_string(shards));
+        auto collector = MakeCollector(shards);
+        auto handle = Fill(*collector, "c", kind, MakeConfig(d, k),
+                           SkewedRows(d, 12000, 23));
 
-          // The rebuild's reference at the current watermark: one export
-          // from the merged state, then Lemma 3.7 per selector.
-          auto coefficients = handle.Coefficients(k);
-          ASSERT_TRUE(coefficients.ok()) << coefficients.status().ToString();
+        // The rebuild's reference at the current watermark: one export
+        // from the merged state, then Lemma 3.7 per selector.
+        auto coefficients = handle.Coefficients(k);
+        ASSERT_TRUE(coefficients.ok()) << coefficients.status().ToString();
 
-          auto cache = MarginalCache::Create(collector.get(), "c");
-          ASSERT_TRUE(cache.ok());
-          auto snapshot = (*cache)->Get();
-          ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-          for (uint64_t beta : FullKWaySelectors(d, k)) {
-            auto expected = coefficients->ReconstructMarginal(beta);
-            ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-            const size_t bytes = expected->size() * sizeof(double);
-            // Bit for bit (memcmp, so -0.0 and NaN payloads count too):
-            // same merged engine state, same deterministic export.
-            const std::span<const double> cells = (*snapshot)->Find(beta);
-            ASSERT_EQ(cells.size(), expected->size()) << "beta=" << beta;
-            EXPECT_EQ(std::memcmp(cells.data(), expected->values().data(),
-                                  bytes),
-                      0)
-                << "beta=" << beta;
-            auto answer = (*cache)->Marginal(beta);
-            ASSERT_TRUE(answer.ok()) << answer.status().ToString();
-            EXPECT_EQ(answer->watermark, (*cache)->LiveWatermark());
-            EXPECT_EQ(answer->epoch, (*snapshot)->epoch());
-            EXPECT_FALSE(answer->stale);
-            EXPECT_EQ(answer->table.beta(), beta);
-            ASSERT_EQ(answer->table.size(), expected->size());
-            EXPECT_EQ(std::memcmp(answer->table.values().data(),
-                                  expected->values().data(), bytes),
-                      0)
-                << "beta=" << beta;
-          }
+        auto cache = MarginalCache::Create(collector.get(), "c");
+        ASSERT_TRUE(cache.ok());
+        auto snapshot = (*cache)->Get();
+        ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+        for (uint64_t beta : FullKWaySelectors(d, k)) {
+          auto expected = coefficients->ReconstructMarginal(beta);
+          ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+          const size_t bytes = expected->size() * sizeof(double);
+          // Bit for bit (memcmp, so -0.0 and NaN payloads count too):
+          // same merged engine state, same deterministic export.
+          const std::span<const double> cells = (*snapshot)->Find(beta);
+          ASSERT_EQ(cells.size(), expected->size()) << "beta=" << beta;
+          EXPECT_EQ(std::memcmp(cells.data(), expected->values().data(),
+                                bytes),
+                    0)
+              << "beta=" << beta;
+          auto answer = (*cache)->Marginal(beta);
+          ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+          EXPECT_EQ(answer->watermark, (*cache)->LiveWatermark());
+          EXPECT_EQ(answer->epoch, (*snapshot)->epoch());
+          EXPECT_FALSE(answer->stale);
+          EXPECT_EQ(answer->table.beta(), beta);
+          ASSERT_EQ(answer->table.size(), expected->size());
+          EXPECT_EQ(std::memcmp(answer->table.values().data(),
+                                expected->values().data(), bytes),
+                    0)
+              << "beta=" << beta;
         }
       }
     }
@@ -189,38 +185,33 @@ TEST(MarginalCacheTolerance, CacheMatchesQueryPlusMakeConsistent) {
   const int d = 6;
   const int k = 2;
   for (ProtocolKind kind : RegisteredProtocolKinds()) {
-    for (const bool project : {false, true}) {
-      for (const int shards : {1, 2}) {
-        SCOPED_TRACE(std::string(ProtocolKindName(kind)) +
-                     " project=" + std::to_string(project) +
-                     " shards=" + std::to_string(shards));
-        auto collector = MakeCollector(shards);
-        ProtocolConfig config = MakeConfig(d, k);
-        config.project_to_simplex = project;
-        auto handle = Fill(*collector, "c", kind, config,
-                           SkewedRows(d, 12000, 29));
+    for (const int shards : {1, 2}) {
+      SCOPED_TRACE(std::string(ProtocolKindName(kind)) +
+                   " shards=" + std::to_string(shards));
+      auto collector = MakeCollector(shards);
+      auto handle = Fill(*collector, "c", kind, MakeConfig(d, k),
+                         SkewedRows(d, 12000, 29));
 
-        const std::vector<uint64_t> selectors = FullKWaySelectors(d, k);
-        std::vector<MarginalTable> raw;
-        for (uint64_t beta : selectors) {
-          auto table = handle.Query(beta);
-          ASSERT_TRUE(table.ok()) << table.status().ToString();
-          raw.push_back(*std::move(table));
-        }
-        auto direct = MakeConsistent(raw, d);
-        ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+      const std::vector<uint64_t> selectors = FullKWaySelectors(d, k);
+      std::vector<MarginalTable> raw;
+      for (uint64_t beta : selectors) {
+        auto table = handle.Query(beta);
+        ASSERT_TRUE(table.ok()) << table.status().ToString();
+        raw.push_back(*std::move(table));
+      }
+      auto direct = MakeConsistent(raw, d);
+      ASSERT_TRUE(direct.ok()) << direct.status().ToString();
 
-        auto cache = MarginalCache::Create(collector.get(), "c");
-        ASSERT_TRUE(cache.ok());
-        for (size_t i = 0; i < selectors.size(); ++i) {
-          auto answer = (*cache)->Marginal(selectors[i]);
-          ASSERT_TRUE(answer.ok()) << answer.status().ToString();
-          ASSERT_EQ(answer->table.size(), (*direct)[i].size());
-          for (uint64_t cell = 0; cell < answer->table.size(); ++cell) {
-            EXPECT_NEAR(answer->table.at_compact(cell),
-                        (*direct)[i].at_compact(cell), 1e-12)
-                << "beta=" << selectors[i] << " cell=" << cell;
-          }
+      auto cache = MarginalCache::Create(collector.get(), "c");
+      ASSERT_TRUE(cache.ok());
+      for (size_t i = 0; i < selectors.size(); ++i) {
+        auto answer = (*cache)->Marginal(selectors[i]);
+        ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+        ASSERT_EQ(answer->table.size(), (*direct)[i].size());
+        for (uint64_t cell = 0; cell < answer->table.size(); ++cell) {
+          EXPECT_NEAR(answer->table.at_compact(cell),
+                      (*direct)[i].at_compact(cell), 1e-12)
+              << "beta=" << selectors[i] << " cell=" << cell;
         }
       }
     }
@@ -329,8 +320,7 @@ TEST(MarginalCacheEpochs, WatermarkInvalidatesHitsAndRefreshesCount) {
   // Ingest advances the watermark (enqueue alone moves it); the next read
   // must rebuild.
   ASSERT_TRUE(
-      handle.IngestPopulation(SkewedRows(d, 500, 6), /*fast_path=*/false)
-          .ok());
+      IngestRows(handle, ProtocolKind::kInpHT, SkewedRows(d, 500, 6), 6).ok());
   EXPECT_GT((*cache)->LiveWatermark(), (*first)->watermark());
   auto third = (*cache)->Get();
   ASSERT_TRUE(third.ok());
@@ -398,9 +388,9 @@ TEST(MarginalCacheEpochs, WatermarkFollowsAnEnginePublishingElsewhere) {
     auto handle = collector->Register("c", ProtocolKind::kInpHT,
                                       MakeConfig(d, 2), overrides);
     ASSERT_TRUE(handle.ok()) << handle.status().ToString();
-    ASSERT_TRUE(
-        handle->IngestPopulation(SkewedRows(d, 5000, 7), /*fast_path=*/false)
-            .ok());
+    ASSERT_TRUE(IngestRows(*handle, ProtocolKind::kInpHT,
+                           SkewedRows(d, 5000, 7), 7)
+                    .ok());
     ASSERT_TRUE(handle->Flush().ok());
     auto cache = MarginalCache::Create(collector.get(), "c");
     ASSERT_TRUE(cache.ok());
@@ -410,9 +400,9 @@ TEST(MarginalCacheEpochs, WatermarkFollowsAnEnginePublishingElsewhere) {
     EXPECT_GT((*first)->watermark(), 0u);
     EXPECT_EQ((*first)->reports_absorbed(), 5000u);
 
-    ASSERT_TRUE(
-        handle->IngestPopulation(SkewedRows(d, 5000, 8), /*fast_path=*/false)
-            .ok());
+    ASSERT_TRUE(IngestRows(*handle, ProtocolKind::kInpHT,
+                           SkewedRows(d, 5000, 8), 8)
+                    .ok());
     ASSERT_TRUE(handle->Flush().ok());
     EXPECT_GT((*cache)->LiveWatermark(), (*first)->watermark());
     auto second = (*cache)->Get();

@@ -49,38 +49,6 @@ TEST(RunSimulation, RunsEveryProtocol) {
   }
 }
 
-TEST(RunSimulation, ShardedIngestMatchesAccuracy) {
-  // num_shards > 1 routes ingest through the engine with per-shard Rng
-  // streams: not bitwise-equal to the serial path, but the reconstruction
-  // quality must be equivalent and determinism per seed must hold.
-  const BinaryDataset source = MakeSource();
-  for (ProtocolKind kind :
-       {ProtocolKind::kInpHT, ProtocolKind::kMargPS, ProtocolKind::kInpRR}) {
-    SimulationOptions serial = MakeOptions(kind, 2, 1.0);
-    SimulationOptions sharded = serial;
-    sharded.num_shards = 4;
-    auto serial_result = RunSimulation(source, serial);
-    auto sharded_result = RunSimulation(source, sharded);
-    ASSERT_TRUE(serial_result.ok()) << serial_result.status().ToString();
-    ASSERT_TRUE(sharded_result.ok()) << sharded_result.status().ToString();
-    EXPECT_EQ(sharded_result->num_marginals, serial_result->num_marginals);
-    EXPECT_DOUBLE_EQ(sharded_result->bits_per_user,
-                     serial_result->bits_per_user);
-    // Same protocol, same population size: errors agree within noise.
-    EXPECT_LT(std::abs(sharded_result->mean_tv - serial_result->mean_tv),
-              5.0 * serial_result->mean_tv + 0.05);
-    EXPECT_GT(sharded_result->ingest_reports_per_second, 0.0);
-
-    auto repeat = RunSimulation(source, sharded);
-    ASSERT_TRUE(repeat.ok());
-    EXPECT_DOUBLE_EQ(repeat->mean_tv, sharded_result->mean_tv);
-  }
-
-  SimulationOptions bad = MakeOptions(ProtocolKind::kInpHT, 2, 1.0);
-  bad.num_shards = 0;
-  EXPECT_FALSE(RunSimulation(source, bad).ok());
-}
-
 TEST(RunSimulation, DeterministicGivenSeed) {
   const BinaryDataset source = MakeSource();
   const SimulationOptions o = MakeOptions(ProtocolKind::kMargPS, 2, 1.0);
@@ -163,21 +131,6 @@ TEST(RunSimulation, CategoricalInpEsRunsOnTheMixedRadixDomain) {
   auto reseeded = RunSimulation(source, o);
   ASSERT_TRUE(reseeded.ok());
   EXPECT_NE(reseeded->mean_tv, result->mean_tv);
-}
-
-TEST(RunSimulation, CategoricalRunsThroughShardedEngine) {
-  const BinaryDataset source = MakeSource();
-  SimulationOptions serial = MakeOptions(ProtocolKind::kInpES, 2, 4.0);
-  serial.cardinalities = {3, 4, 2};
-  SimulationOptions sharded = serial;
-  sharded.num_shards = 4;
-  auto a = RunSimulation(source, serial);
-  auto b = RunSimulation(source, sharded);
-  ASSERT_TRUE(a.ok()) << a.status().ToString();
-  ASSERT_TRUE(b.ok()) << b.status().ToString();
-  EXPECT_EQ(b->num_marginals, a->num_marginals);
-  // Same domain and population, different randomness streams.
-  EXPECT_NEAR(a->mean_tv, b->mean_tv, 0.1);
 }
 
 TEST(RunSimulation, CardinalitiesRejectBinaryProtocols) {
